@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rotations, studies, svgplot
 from .config import ConfigError, RunContext, load_config
-from .linear_solver import SolverError, assemble_linear_system, solve_linearized
+from .linear_solver import SolverError
 from .material import wrap_angle
 from .studies import StudyReport, extract_rotation, multistart_minimize, rescaled_displacement
 
@@ -23,8 +23,7 @@ COMMANDS = ("scan-rotations", "solve-linear", "solve-nonlinear",
             "gamma-study", "refined-study", "lambda-study", "selftest")
 
 
-def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict,
-               threads: int = 0) -> None:
+def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict) -> None:
     if path is None:
         return
     doc = {
@@ -32,10 +31,7 @@ def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict,
         "command": command,
         "config": ctx.config,
         "config_hash": ctx.hash,
-        "meta": {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "threads_requested": int(threads),
-        },
+        "meta": {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()},
         "result": result,
     }
     validate_result(doc)
@@ -72,14 +68,14 @@ def _scan_rotations(ctx: RunContext, args) -> dict:
     grid = int(args.grid) if args.grid else ctx.rotation_grid
     mesh = ctx.mesh()
     pi = ctx.pressure
+    optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)
     alphas = 2.0 * np.pi * np.arange(grid) / grid
-    values = rotations.rotation_functional_profile(mesh, pi, alphas)
+    values = optimal.grid_values
     residuals = np.array([rotations.el_residual(mesh, pi, a) for a in alphas])
     if pi.is_smooth:
         second = np.array([rotations.second_variation(mesh, pi, a, 1.0) for a in alphas])
     else:
         second = np.full(grid, np.nan)
-    optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)
     rows = [
         {"alpha": float(a), "functional_value": float(v), "el_residual": float(r),
          "second_variation_unit": float(s)}
@@ -106,22 +102,14 @@ def _solve_linear(ctx: RunContext, args) -> dict:
     pi = ctx.pressure
     if args.alpha0 in (None, "auto"):
         optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=ctx.rotation_grid)
-        candidates = optimal.sample_angles(per_arc=ctx.arc_samples)
-        best = None
-        for a0 in candidates:
-            system = assemble_linear_system(mesh, ctx.material, pi, a0)
-            disp, e0 = solve_linearized(system)
-            if best is None or e0 < best[1]:
-                best = (a0, e0, disp, system)
-        alpha0, e0, disp, system = best
+        angles = optimal.sample_angles(per_arc=ctx.arc_samples)
     else:
-        alpha0 = wrap_angle(float(args.alpha0))
-        system = assemble_linear_system(mesh, ctx.material, pi, alpha0)
-        disp, e0 = solve_linearized(system)
+        angles = [wrap_angle(float(args.alpha0))]
+    e0, alpha0, disp, _, rot_load = studies.minimize_limit_energy(mesh, ctx.material, pi, angles)
     return {
         "alpha0": float(alpha0),
         "E0": float(e0),
-        "rotation_load_component": float(system.rotation_load_component),
+        "rotation_load_component": float(rot_load),
         "gauge": disp.gauge,
         "u_nodal": disp.values.tolist(),
     }
@@ -158,7 +146,7 @@ def _run_study(ctx: RunContext, kind: str) -> StudyReport:
         common = dict(
             mesh=mesh, material=ctx.material, pi=ctx.pressure, pi_hat=ctx.pressure_extended,
             eps_list=ctx.eps_list, options=ctx.solver_options, seed=ctx.seed,
-            rotation_grid=ctx.rotation_grid, config_hash=ctx.hash, resolution=res,
+            rotation_grid=ctx.rotation_grid, resolution=res,
         )
         if kind == "gamma":
             rep = studies.gamma_study(arc_samples=ctx.arc_samples, store_fields=False, **common)
@@ -207,10 +195,10 @@ def _selftest(ctx: RunContext, args) -> dict:
 
 def run(command: str, config_path: str, *, out: str | None = None, csv_path: str | None = None,
         svg: str | None = None, grid: int | None = None, eps: float | None = None,
-        alpha0: str | None = None, threads: int = 0, seed: int | None = None) -> int:
+        alpha0: str | None = None, seed: int | None = None) -> int:
     """Programmatic equivalent of the command line; returns the exit status."""
     ns = argparse.Namespace(out=out, csv=csv_path, svg=svg, grid=grid, eps=eps,
-                            alpha0=alpha0, threads=threads, seed=seed)
+                            alpha0=alpha0, seed=seed)
     return _dispatch(command, config_path, ns)
 
 
@@ -250,8 +238,7 @@ def _dispatch(command: str, config_path: str, args) -> int:
     except (SolverError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    _emit_json(getattr(args, "out", None), command, ctx, result,
-               threads=getattr(args, "threads", 0) or 0)
+    _emit_json(getattr(args, "out", None), command, ctx, result)
     return 0
 
 
@@ -265,7 +252,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--csv", default=None)
         p.add_argument("--svg", default=None)
-        p.add_argument("--threads", type=int, default=0)
         p.add_argument("--seed", type=int, default=None)
         if name == "scan-rotations":
             p.add_argument("--grid", type=int, default=None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
-from .material import MaterialModel, g_mixed, rotation, stress as material_stress
+from .material import MaterialModel, cof2, dist_so2, g_mixed, rotation, stress as material_stress
 from .pressure import PressureField
 
 
@@ -87,7 +87,7 @@ def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     F, det = deformation_gradients(mesh, y)
     if np.any(det <= 0.0):
         return math.inf
-    d = _dist_batch(F)
+    d = dist_so2(F)
     w_el = material.c1 * g_mixed(d, material.p) + material.c2 * g_mixed(np.abs(det - 1.0), material.q)
     elastic = float(mesh.areas @ w_el)
     yq = _interp_at_interior(mesh, y)
@@ -96,14 +96,6 @@ def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     w = mesh.quadrature.interior_weights
     pressure = float(np.sum(w * (piy * det[:, None] - pix)))
     return elastic + eps * pressure
-
-
-def _dist_batch(F: np.ndarray) -> np.ndarray:
-    a = F[:, 0, 0] + F[:, 1, 1]
-    b = F[:, 1, 0] - F[:, 0, 1]
-    s = np.hypot(a, b)
-    sq = np.einsum("tij,tij->t", F, F) + 2.0 - 2.0 * s
-    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
@@ -121,15 +113,10 @@ def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFi
     gpiy = np.asarray(pi_hat.gradient(yq.reshape(-1, 2)), dtype=float).reshape(len(F), 3, 2)
     w = mesh.quadrature.interior_weights
     B = mesh.quadrature.interior_bary
-    cof = np.empty_like(F)
-    cof[:, 0, 0] = F[:, 1, 1]
-    cof[:, 0, 1] = -F[:, 1, 0]
-    cof[:, 1, 0] = -F[:, 0, 1]
-    cof[:, 1, 1] = F[:, 0, 0]
     wdet_g = (w * det[:, None])[:, :, None] * gpiy      # (M, 3 pts, 2)
     contrib += eps * np.matmul(B.T, wdet_g)
     s_pi = np.sum(w * piy, axis=1)
-    contrib += (eps * s_pi)[:, None, None] * np.matmul(G, cof.transpose(0, 2, 1))
+    contrib += (eps * s_pi)[:, None, None] * np.matmul(G, cof2(F).transpose(0, 2, 1))
 
     grad = np.zeros_like(y)
     flat_idx = mesh.triangles.ravel()

@@ -5,7 +5,7 @@ its minimizers on the circle, and the first/second variation residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class OptimalSet:
     min_value: float
     value_tolerance: float
     grid_step: float
+    grid_values: np.ndarray = field(compare=False, repr=False)  # functional on the scan grid
 
     def distance(self, alpha: float) -> float:
         """Intrinsic angular distance from alpha to the set."""
@@ -133,7 +134,7 @@ def find_optimal_rotations(
     if np.all(tied):
         return OptimalSet(
             angles=(), arcs=((0.0, TWO_PI),), min_value=vmin,
-            value_tolerance=tol, grid_step=TWO_PI / grid_n,
+            value_tolerance=tol, grid_step=TWO_PI / grid_n, grid_values=vals,
         )
 
     # circular runs of tied grid points
@@ -177,7 +178,7 @@ def find_optimal_rotations(
 
     return OptimalSet(
         angles=tuple(angles), arcs=tuple(arcs), min_value=best_val,
-        value_tolerance=tol, grid_step=TWO_PI / grid_n,
+        value_tolerance=tol, grid_step=TWO_PI / grid_n, grid_values=vals,
     )
 
 

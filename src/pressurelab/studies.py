@@ -24,7 +24,7 @@ from .nonlinear_solver import (
     rigid_start,
     zero_average,
 )
-from .linear_solver import apply_gauge, assemble_linear_system, solve_linearized
+from .linear_solver import SolverError, apply_gauge, assemble_linear_system, solve_linearized
 from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, golden_section_min, rotation_functional, second_variation
 
@@ -207,28 +207,57 @@ def minimize_limit_energy(
     mesh: TriMesh,
     material: MaterialModel,
     pi: PressureField,
-    optimal: OptimalSet,
-    arc_samples: int = 5,
+    angles: list[float],
 ):
-    """Linearized solves over the sampled optimal angles; returns the best.
+    """Linearized solves over the given limit angles; returns the best.
 
-    Returns (min_value, best_alpha0, gauged displacement, per-angle table,
-    rotation load component at the best angle).
+    Returns (min_value, best_alpha0, gauged displacement field, per-angle
+    table, rotation load component at the best angle).
     """
     best = None
     table = []
-    for alpha0 in optimal.sample_angles(per_arc=arc_samples):
+    for alpha0 in angles:
         system = assemble_linear_system(mesh, material, pi, alpha0)
         disp, e0 = solve_linearized(system)
         table.append({"alpha0": alpha0, "E0": e0, "rotation_load": system.rotation_load_component})
         if best is None or e0 < best[0]:
-            best = (e0, alpha0, disp.values, system.rotation_load_component)
+            best = (e0, alpha0, disp, system.rotation_load_component)
     assert best is not None
     return best[0], best[1], best[2], table, best[3]
 
 
 # ---------------------------------------------------------------------------
 # the three studies
+
+
+def _sweep(kind, mesh, material, pi, pi_hat, eps_list, options, seed, rotation_grid,
+           resolution, setup) -> tuple[StudyReport, OptimalSet]:
+    """The eps-sweep shared by the studies; returns the report and the optimal set.
+
+    The identity must be an optimal rotation: the energy subtracts pi_hat(x),
+    so every rescaled energy is measured against the identity.  ``setup(optimal,
+    report)`` computes the study's limit quantities and returns its row
+    function ``row(eps, field, diagnostics, starts) -> dict``.  Per eps, in
+    descending order, one multistart minimization runs with the preconditioner
+    factorized once for the sweep; an eps whose solve raises SolverError
+    becomes an error row and the sweep goes on.
+    """
+    optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
+    if optimal.distance(0.0) > optimal.grid_step:
+        raise ValueError("the identity rotation is not optimal for this configuration")
+    report = StudyReport(kind=kind, config_hash="")
+    row = setup(optimal, report)
+    precond = StiffnessPreconditioner(mesh, material)
+    label = resolution if resolution is not None else -1
+    for eps in sorted((float(e) for e in eps_list), reverse=True):
+        try:
+            fld, diag, starts = multistart_minimize(mesh, material, pi_hat, eps, options, seed,
+                                                    precond=precond)
+        except SolverError as exc:
+            report.rows.append({"resolution": label, "eps": eps, "error": str(exc)})
+            continue
+        report.rows.append({"resolution": label, "eps": eps, **row(eps, fld, diag, starts)})
+    return report, optimal
 
 
 def gamma_study(
@@ -241,7 +270,6 @@ def gamma_study(
     seed: int = 0,
     rotation_grid: int = 1024,
     arc_samples: int = 5,
-    config_hash: str = "",
     resolution: int | None = None,
     store_fields: bool = True,
 ) -> StudyReport:
@@ -253,58 +281,46 @@ def gamma_study(
     diagnostics, and the Sobolev distance of the displacement to the limit
     minimizer.
     """
-    eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
-    min_e0, alpha0, u0, e0_table, rot_load = minimize_limit_energy(
-        mesh, material, pi, optimal, arc_samples=arc_samples)
-    u0_norm = w1p_norm(mesh, u0, material.p)
-
-    precond = StiffnessPreconditioner(mesh, material)
-    report = StudyReport(kind="gamma", config_hash=config_hash)
-    report.limits = {
-        "min_E0": min_e0,
-        "alpha0": alpha0,
-        "rotation_load_component": rot_load,
-        "E0_samples": e0_table,
-        "u0_norm_w1p": u0_norm,
-        "optimal_angles": list(optimal.angles),
-        "optimal_arcs": [list(a) for a in optimal.arcs],
-    }
-    if store_fields:
-        report.fields["u0"] = u0
-
-    for eps in eps_list:
-        try:
-            fld, diag, starts = multistart_minimize(mesh, material, pi_hat, eps, options, seed,
-                                                    precond=precond)
-        except Exception as exc:  # record the failure, keep sweeping
-            report.rows.append({
-                "resolution": resolution if resolution is not None else -1,
-                "eps": eps, "error": str(exc),
-            })
-            continue
-        y = fld.values
-        alpha = extract_rotation(mesh, material, y)
-        u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
-        row = {
-            "resolution": resolution if resolution is not None else -1,
-            "eps": eps,
-            "energy": diag.energy,
-            "energy_over_eps2": diag.energy / eps ** 2,
-            "alpha": alpha,
-            "dist_to_optimal": optimal.distance(alpha),
-            "det_dev_sq_over_eps2": det_deviation_sq(mesh, y) / eps ** 2,
-            "gp_over_eps2": gp_gradient_integral(mesh, material, u, eps) / eps ** 2,
-            "u_dist_w1p": w1p_distance(mesh, u, u0, material.p),
-            "u_norm_w1p": w1p_norm(mesh, u, material.p),
-            "iterations": diag.iterations,
-            "converged": diag.converged,
-            "gap_to_min_E0": abs(diag.energy / eps ** 2 - min_e0),
-            "starts": starts,
+    def setup(optimal, report):
+        min_e0, alpha0, disp0, e0_table, rot_load = minimize_limit_energy(
+            mesh, material, pi, optimal.sample_angles(per_arc=arc_samples))
+        u0 = disp0.values
+        report.limits = {
+            "min_E0": min_e0,
+            "alpha0": alpha0,
+            "rotation_load_component": rot_load,
+            "E0_samples": e0_table,
+            "u0_norm_w1p": w1p_norm(mesh, u0, material.p),
+            "optimal_angles": list(optimal.angles),
+            "optimal_arcs": [list(a) for a in optimal.arcs],
         }
-        report.rows.append(row)
         if store_fields:
-            report.fields[f"u_eps_{eps:g}"] = u
+            report.fields["u0"] = u0
+
+        def row(eps, fld, diag, starts):
+            y = fld.values
+            alpha = extract_rotation(mesh, material, y)
+            u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
+            if store_fields:
+                report.fields[f"u_eps_{eps:g}"] = u
+            return {
+                "energy": diag.energy,
+                "energy_over_eps2": diag.energy / eps ** 2,
+                "alpha": alpha,
+                "dist_to_optimal": optimal.distance(alpha),
+                "det_dev_sq_over_eps2": det_deviation_sq(mesh, y) / eps ** 2,
+                "gp_over_eps2": gp_gradient_integral(mesh, material, u, eps) / eps ** 2,
+                "u_dist_w1p": w1p_distance(mesh, u, u0, material.p),
+                "u_norm_w1p": w1p_norm(mesh, u, material.p),
+                "iterations": diag.iterations,
+                "converged": diag.converged,
+                "gap_to_min_E0": abs(diag.energy / eps ** 2 - min_e0),
+                "starts": starts,
+            }
+        return row
+
+    report, _ = _sweep("gamma", mesh, material, pi, pi_hat, eps_list, options, seed,
+                       rotation_grid, resolution, setup)
     bounds = [max(-row["energy"], 0.0) / row["eps"] ** 2 for row in report.rows if "energy" in row]
     report.limits["scaling_constant_max"] = max(bounds) if bounds else 0.0
     report.limits["scaling_constant_ratio"] = (
@@ -326,7 +342,6 @@ def refined_study(
     options: SolverOptions,
     seed: int = 0,
     rotation_grid: int = 1024,
-    config_hash: str = "",
     resolution: int | None = None,
 ) -> StudyReport:
     """Track the rotational fluctuation of minimizers around the optimal set.
@@ -338,43 +353,36 @@ def refined_study(
     """
     if not pi.is_smooth:
         raise ValueError("refined study needs a C^2 pressure field")
-    eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
-    precond = StiffnessPreconditioner(mesh, material)
-    report = StudyReport(kind="refined", config_hash=config_hash)
 
-    scaled_seq = []
-    s_last = None
-    for eps in eps_list:
-        fld, diag, _ = multistart_minimize(mesh, material, pi_hat, eps, options, seed,
-                                           precond=precond)
-        alpha = extract_rotation(mesh, material, fld.values)
-        s_near = optimal.nearest(alpha)
-        a_off = _signed_offset(alpha, s_near)
-        scaled = a_off / max(abs(a_off), math.sqrt(eps))
-        scaled_seq.append(scaled)
-        s_last = s_near
-        report.rows.append({
-            "resolution": resolution if resolution is not None else -1,
-            "eps": eps,
-            "energy_over_eps2": diag.energy / eps ** 2,
-            "alpha": alpha,
-            "nearest_optimal": s_near,
-            "offset": a_off,
-            "offset_scaled": scaled,
-            "sqrt_eps": math.sqrt(eps),
-            "converged": diag.converged,
-        })
+    def setup(optimal, report):
+        def row(eps, fld, diag, starts):
+            alpha = extract_rotation(mesh, material, fld.values)
+            s_near = optimal.nearest(alpha)
+            a_off = _signed_offset(alpha, s_near)
+            return {
+                "energy_over_eps2": diag.energy / eps ** 2,
+                "alpha": alpha,
+                "nearest_optimal": s_near,
+                "offset": a_off,
+                "offset_scaled": a_off / max(abs(a_off), math.sqrt(eps)),
+                "sqrt_eps": math.sqrt(eps),
+                "converged": diag.converged,
+            }
+        return row
 
+    report, optimal = _sweep("refined", mesh, material, pi, pi_hat, eps_list, options, seed,
+                             rotation_grid, resolution, setup)
+    solved = [row for row in report.rows if "error" not in row]
+    scaled_seq = [row["offset_scaled"] for row in solved]
+    s_last = solved[-1]["nearest_optimal"] if solved else 0.0
     a0 = scaled_seq[-1] if scaled_seq else 0.0
     settled = len(scaled_seq) >= 2 and abs(scaled_seq[-1] - scaled_seq[-2]) <= 0.25 * (1.0 + abs(scaled_seq[-1]))
-    f_value = second_variation(mesh, pi, s_last if s_last is not None else 0.0, a=a0)
     report.limits = {
         "A0_scalar": a0,
         "A0_sequence": scaled_seq,
         "A0_settled": bool(settled),
-        "s_limit": s_last if s_last is not None else 0.0,
-        "second_variation_at_limit": f_value,
+        "s_limit": s_last,
+        "second_variation_at_limit": second_variation(mesh, pi, s_last, a=a0),
         "optimal_angles": list(optimal.angles),
         "optimal_arcs": [list(a) for a in optimal.arcs],
     }
@@ -396,7 +404,6 @@ def almost_minimizer_scaling(
     exponent: float = 0.4,
     seed: int = 0,
     rotation_grid: int = 1024,
-    config_hash: str = "",
     resolution: int | None = None,
 ) -> StudyReport:
     """Slow-rotation almost minimizers: rotate the limit state by eps^exponent.
@@ -411,42 +418,36 @@ def almost_minimizer_scaling(
         raise ValueError("exponent must lie in (1/3, 1/2)")
     if pi.params.get("variant") != "strict":
         raise ValueError("the scaling study requires the strict bump variant")
-    eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
-    if optimal.distance(0.0) > optimal.grid_step:
-        raise ValueError("the identity rotation is not optimal for this configuration")
 
-    min_e0, alpha0, u_star, _, _ = minimize_limit_energy(mesh, material, pi, optimal, arc_samples=3)
-    base_value = rotation_functional(mesh, pi, alpha0)
-    precond = StiffnessPreconditioner(mesh, material)
+    def setup(optimal, report):
+        min_e0, alpha0, disp_star, _, _ = minimize_limit_energy(
+            mesh, material, pi, optimal.sample_angles(per_arc=3))
+        base_value = rotation_functional(mesh, pi, alpha0)
+        report.limits = {
+            "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,
+            "optimal_angles": list(optimal.angles),
+        }
 
-    report = StudyReport(kind="lambda", config_hash=config_hash)
-    report.limits = {
-        "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,
-        "optimal_angles": list(optimal.angles),
-    }
-    for eps in eps_list:
-        lam = eps ** exponent
-        y = rebuild_deformation(mesh, u_star, alpha0 + lam, eps)
-        y = zero_average(mesh, y)
-        remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
-        target = lam ** 3 / eps
-        energy = assemble_energy(mesh, material, pi_hat, y, eps)
-        _, diag, _ = multistart_minimize(mesh, material, pi_hat, eps, options, seed,
-                                        precond=precond)
-        alpha_hat = extract_rotation(mesh, material, y)
-        dist = optimal.distance(alpha_hat)
-        report.rows.append({
-            "resolution": resolution if resolution is not None else -1,
-            "eps": eps,
-            "lambda": lam,
-            "remainder": remainder,
-            "remainder_over_target": remainder / target,
-            "energy_over_eps2": energy / eps ** 2,
-            "min_energy_over_eps2": diag.energy / eps ** 2,
-            "gap_over_eps2": energy / eps ** 2 - diag.energy / eps ** 2,
-            "alpha_extracted": alpha_hat,
-            "dist_to_optimal": dist,
-            "dist_over_lambda": dist / lam,
-        })
+        def row(eps, fld, diag, starts):
+            lam = eps ** exponent
+            y = zero_average(mesh, rebuild_deformation(mesh, disp_star.values, alpha0 + lam, eps))
+            remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
+            energy = assemble_energy(mesh, material, pi_hat, y, eps)
+            alpha_hat = extract_rotation(mesh, material, y)
+            dist = optimal.distance(alpha_hat)
+            return {
+                "lambda": lam,
+                "remainder": remainder,
+                "remainder_over_target": remainder / (lam ** 3 / eps),
+                "energy_over_eps2": energy / eps ** 2,
+                "min_energy_over_eps2": diag.energy / eps ** 2,
+                "gap_over_eps2": energy / eps ** 2 - diag.energy / eps ** 2,
+                "alpha_extracted": alpha_hat,
+                "dist_to_optimal": dist,
+                "dist_over_lambda": dist / lam,
+            }
+        return row
+
+    report, _ = _sweep("lambda", mesh, material, pi, pi_hat, eps_list, options, seed,
+                       rotation_grid, resolution, setup)
     return report

@@ -132,17 +132,66 @@ def test_gamma_study_command_outputs(tmp_path):
 
 
 def test_identical_config_and_seed_bit_identical(tmp_path):
-    cfg = _base_config()
+    lobe = dict(pressure={"name": "quadrant_bump", "variant": "strict"},
+                domain={"kind": "four_lobe", "params": {}, "resolution": 8},
+                study={"resolutions": [8], "rotation_grid": 128})
+    inputs = [
+        ("gamma-study", _base_config(), {}),
+        ("scan-rotations", _base_config(**lobe), {"grid": 128}),
+        ("solve-linear", _base_config(**lobe), {"alpha0": "auto"}),
+        ("solve-linear", _base_config(), {"alpha0": "0.3"}),
+        ("solve-nonlinear", _base_config(), {"eps": 0.04}),
+        ("refined-study", _base_config(**lobe), {}),
+        ("lambda-study", _base_config(**lobe, eps_list=[0.04]), {}),
+    ]
+    for k, (command, cfg, kwargs) in enumerate(inputs):
+        path = _write(tmp_path, cfg, name=f"cfg{k}.json")
+        docs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / f"{k}{name}"
+            assert run(command, path, out=str(out), **kwargs) == 0
+            docs.append(json.loads(out.read_text()))
+        # everything except the timestamp field is bit-identical
+        for doc in docs:
+            doc["meta"].pop("timestamp")
+        assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True), command
+
+
+def test_scan_rotations_scans_the_functional_once(tmp_path, monkeypatch):
+    import pressurelab.rotations as R
+
+    cfg = _base_config(pressure={"name": "quadrant_bump", "variant": "strict"},
+                       domain={"kind": "four_lobe", "params": {}, "resolution": 8})
     path = _write(tmp_path, cfg)
-    docs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        assert run("gamma-study", path, out=str(out)) == 0
-        docs.append(json.loads(out.read_text()))
-    # everything except the timestamp field is bit-identical
-    for doc in docs:
-        doc["meta"].pop("timestamp")
-    assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+    calls = {"grid": 0, "refine": 0}
+    in_refine = []
+    real_functional, real_golden = R.rotation_functional, R.golden_section_min
+
+    def counted(*args, **kwargs):
+        calls["refine" if in_refine else "grid"] += 1
+        return real_functional(*args, **kwargs)
+
+    def golden(*args, **kwargs):
+        in_refine.append(True)
+        try:
+            return real_golden(*args, **kwargs)
+        finally:
+            in_refine.pop()
+
+    monkeypatch.setattr(R, "rotation_functional", counted)
+    monkeypatch.setattr(R, "golden_section_min", golden)
+    assert run("scan-rotations", path, out=str(tmp_path / "scan.json"), grid=128) == 0
+    assert calls["grid"] == 128
+    assert calls["refine"] > 0
+
+
+def test_identity_not_optimal_exits_3(tmp_path, capsys):
+    cfg = _base_config(pressure={"name": "hydrostatic", "params": {"coefficient": 0.1}},
+                       domain={"kind": "four_lobe", "params": {}, "resolution": 8},
+                       study={"resolutions": [8], "rotation_grid": 128})
+    path = _write(tmp_path, cfg)
+    assert run("gamma-study", path) == 3
+    assert "identity rotation is not optimal" in capsys.readouterr().err
 
 
 def test_seed_flag_changes_output(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pressurelab import builtin_pressure, extend_pressure, quadrant_bump_pressure
+from pressurelab.linear_solver import SolverError
 from pressurelab.material import angular_distance
 from pressurelab.nonlinear_solver import rigid_map, zero_average
 from pressurelab.studies import (
@@ -172,10 +173,6 @@ def test_gamma_study_displacement_converges(bench_report):
     assert dists[-1] <= 0.05 * bench_report.limits["u0_norm_w1p"]
 
 
-def test_gamma_study_rows_sorted_and_hashed():
-    pass  # ordering asserted via the eps sequence below
-
-
 def test_gamma_study_row_order(bench_report):
     eps = [row["eps"] for row in bench_report.rows]
     assert eps == sorted(eps, reverse=True)
@@ -264,10 +261,11 @@ def test_gamma_study_records_per_eps_failures(disk16, default_material, bench_fi
 
     const, hat = bench_fields
     real = ST.multistart_minimize
+    failure = SolverError
 
     def flaky(mesh, material, pi_hat, eps, options, seed, precond=None):
         if eps == 0.04:
-            raise RuntimeError("synthetic failure")
+            raise failure("synthetic failure")
         return real(mesh, material, pi_hat, eps, options, seed, precond=precond)
 
     monkeypatch.setattr(ST, "multistart_minimize", flaky)
@@ -276,8 +274,33 @@ def test_gamma_study_records_per_eps_failures(disk16, default_material, bench_fi
                          seed=1, rotation_grid=128, resolution=16)
     errors = [r for r in rep.rows if "error" in r]
     solved = [r for r in rep.rows if "energy" in r]
-    assert len(errors) == 1 and errors[0]["eps"] == 0.04
+    assert errors == [{"resolution": 16, "eps": 0.04, "error": "synthetic failure"}]
     assert len(solved) == 1 and solved[0]["eps"] == 0.02
+    assert rep.limits["scaling_constant_ratio"] == 1.0  # from the solved row only
+
+    # any other exception is a fault of the program, not of one eps: it propagates
+    failure = RuntimeError
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        ST.gamma_study(disk16, default_material, const, hat, [0.04, 0.02], opts,
+                       seed=1, rotation_grid=128, resolution=16)
+
+
+def test_gamma_study_requires_optimal_identity(default_material, monkeypatch):
+    # hydrostatic load on the four-lobe body prefers the rotations pi/4 and 5pi/4
+    import pressurelab.studies as ST
+    from pressurelab import DomainSpec, build_domain
+
+    mesh = build_domain(DomainSpec.four_lobe(resolution=8))
+    hyd = builtin_pressure("hydrostatic", {"coefficient": 0.1})
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the optimal set was checked")
+
+    monkeypatch.setattr(ST, "minimize_limit_energy", no_solve)
+    monkeypatch.setattr(ST, "multistart_minimize", no_solve)
+    with pytest.raises(ValueError, match="identity rotation is not optimal"):
+        ST.gamma_study(mesh, default_material, hyd, hyd, [0.04], SolverOptions(),
+                       seed=1, rotation_grid=128)
 
 
 def test_annulus_pipeline_with_lipschitz_pressure(default_material):

@@ -25,8 +25,8 @@ _PRESSURE_KEYS = {"name": True, "params": False, "variant": False}
 _SOLVER_KEYS = {"grad_tol": False, "max_iter": False, "multistart_angles": False,
                 "noise_amplitude": False, "memory": False}
 _EXTENSION_KEYS = {"r_inner": False, "r_outer": False, "delta": False}
-_STUDY_KEYS = {"resolutions": False, "rotation_grid": False, "refine_tol": False,
-               "lambda_exponent": False, "arc_samples": False}
+_STUDY_KEYS = {"resolutions": False, "rotation_grid": False, "lambda_exponent": False,
+               "arc_samples": False}
 _OUTPUT_KEYS = {"json": False, "csv": False, "svg": False}
 _TOP_KEYS = {"domain": True, "material": True, "pressure": True, "solver": False,
              "extension": False, "study": False, "eps_list": False, "seed": False,

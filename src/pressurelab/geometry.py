@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -109,6 +110,25 @@ class QuadratureRule:
     boundary_bary: np.ndarray     # (2, 2) trace shape values at the Gauss points
 
 
+@dataclass(frozen=True)
+class PolarOrder:
+    """Quadrature rows sorted by polar angle about the origin.
+
+    A rotation adds the same angle to every point and keeps every radius, so
+    the rows it carries into a polar sector form at most two runs of this order.
+    """
+
+    rows: np.ndarray    # row indices by increasing angle
+    theta: np.ndarray   # their angles, in [-pi, pi]
+    rho: np.ndarray     # their radii
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "PolarOrder":
+        theta = np.arctan2(points[:, 1], points[:, 0])
+        rows = np.argsort(theta, kind="stable")
+        return cls(rows=rows, theta=theta[rows], rho=np.hypot(points[rows, 0], points[rows, 1]))
+
+
 _INTERIOR_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _GAUSS_T = 0.5 / math.sqrt(3.0)
 _BOUNDARY_BARY = np.array([[0.5 + _GAUSS_T, 0.5 - _GAUSS_T], [0.5 - _GAUSS_T, 0.5 + _GAUSS_T]])
@@ -200,6 +220,14 @@ class TriMesh:
 
     def boundary_normals_flat(self) -> np.ndarray:
         return np.repeat(self.boundary_normals, 2, axis=0)
+
+    @cached_property
+    def interior_polar(self) -> PolarOrder:
+        return PolarOrder.of(self.interior_points_flat())
+
+    @cached_property
+    def boundary_polar(self) -> PolarOrder:
+        return PolarOrder.of(self.boundary_points_flat())
 
     def export_json(self) -> dict:
         """Debug dump of the raw mesh arrays."""

@@ -33,6 +33,9 @@ class PressureField:
     gradient: Callable[[np.ndarray], np.ndarray]
     growth: float | None = None   # exponent bounding the negative part, if signed
     params: dict = field(default_factory=dict)
+    # Polar sector (rho_lo, rho_hi, theta_lo, theta_hi) outside which the value
+    # and the gradient are exactly zero; None means they may be nonzero anywhere.
+    support: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
         if self.sign_class not in ("nonnegative", "signed"):
@@ -96,6 +99,7 @@ class BumpProfile:
     radial: Callable         # rho >= 1 -> value
     radial_d1: Callable
     angular_total: float     # angular(pi/2)
+    rate_support: tuple[float, float]   # the rate vanishes outside this angle interval
 
     def rotation_sweep_value(self, alpha) -> np.ndarray:
         """Exact integral of the bump over the four-lobe domain rotated by alpha.
@@ -135,7 +139,7 @@ def strict_profile() -> BumpProfile:
     radial, radial_d1 = _radial_profile()
     return BumpProfile(
         variant="strict", angular=angular, angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=radial, radial_d1=radial_d1, angular_total=total,
+        radial=radial, radial_d1=radial_d1, angular_total=total, rate_support=(0.0, c),
     )
 
 
@@ -168,8 +172,11 @@ def flat_profile() -> BumpProfile:
     radial, radial_d1 = _radial_profile()
     return BumpProfile(
         variant="flat", angular=angular, angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=radial, radial_d1=radial_d1, angular_total=total,
+        radial=radial, radial_d1=radial_d1, angular_total=total, rate_support=(lo, lo + w),
     )
+
+
+_RADIAL_SUPPORT = (1.0, 3.0)   # the radial profile vanishes outside [1, 3]
 
 
 def _radial_profile():
@@ -239,6 +246,7 @@ def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureFie
         name="quadrant_bump", sign_class="nonnegative", smoothness="c2",
         evaluate=evaluate, gradient=gradient, growth=None,
         params={"variant": profile.variant, "profile": profile},
+        support=_RADIAL_SUPPORT + profile.rate_support,
     )
 
 

@@ -15,6 +15,8 @@ from .pressure import PressureField
 
 TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-10      # bracket width at which an isolated minimizer stops refining
+_SUPPORT_MARGIN = 1e-9   # widens a declared support so that rounding in R(alpha) drops no row
 
 
 class SmoothnessError(ValueError):
@@ -96,10 +98,40 @@ class OptimalSet:
         return seen
 
 
+def _support_rows(mesh: TriMesh, pi: PressureField, alpha: float, boundary: bool = False):
+    """Rows of the interior (or boundary) rule that R(alpha) can carry into the support of pi.
+
+    Every row, in mesh order, when pi declares no support.  Otherwise the rows
+    whose rotated angle lies in the declared sector and whose radius lies in
+    its band, both widened by _SUPPORT_MARGIN; pi still evaluates each of them,
+    so a quadrature sum keeps all of its nonzero terms.
+    """
+    if pi.support is None:
+        return slice(None)
+    polar = mesh.boundary_polar if boundary else mesh.interior_polar
+    rho_lo, rho_hi, theta_lo, theta_hi = pi.support
+    width = theta_hi - theta_lo + 2.0 * _SUPPORT_MARGIN
+    if rho_lo <= 0.0 or width >= TWO_PI:
+        # the sector has the origin as apex, or is the whole circle
+        runs = [slice(None)]
+    else:
+        # unrotated angles in [lo, lo + width] modulo 2 pi, with lo in [-pi, pi)
+        lo = (theta_lo - _SUPPORT_MARGIN - alpha + math.pi) % TWO_PI - math.pi
+        hi = lo + width
+        runs = [slice(np.searchsorted(polar.theta, lo), np.searchsorted(polar.theta, hi, side="right"))]
+        if hi > math.pi:
+            runs.append(slice(0, np.searchsorted(polar.theta, hi - TWO_PI, side="right")))
+    band_lo, band_hi = rho_lo - _SUPPORT_MARGIN, rho_hi + _SUPPORT_MARGIN
+    return np.concatenate([
+        polar.rows[run][(polar.rho[run] >= band_lo) & (polar.rho[run] <= band_hi)] for run in runs
+    ])
+
+
 def rotation_functional(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
     """Interior quadrature of x -> pi(R(alpha) x)."""
-    pts = mesh.interior_points_flat()
-    w = mesh.interior_weights_flat()
+    rows = _support_rows(mesh, pi, alpha)
+    pts = mesh.interior_points_flat()[rows]
+    w = mesh.interior_weights_flat()[rows]
     R = rotation(alpha)
     return float(w @ np.asarray(pi.evaluate(pts @ R.T), dtype=float))
 
@@ -112,7 +144,6 @@ def find_optimal_rotations(
     mesh: TriMesh,
     pi: PressureField,
     grid_n: int = 1024,
-    refine_tol: float = 1e-10,
 ) -> OptimalSet:
     """Grid scan plus golden-section refinement, with flat-arc merging.
 
@@ -168,7 +199,7 @@ def find_optimal_rotations(
     for i in isolated_seeds:
         a_lo = alphas[i] - TWO_PI / grid_n
         a_hi = alphas[i] + TWO_PI / grid_n
-        a_star, v_star = golden_section_min(f, a_lo, a_hi, tol=refine_tol)
+        a_star, v_star = golden_section_min(f, a_lo, a_hi, tol=_REFINE_TOL)
         refined.append((wrap_angle(a_star), v_star))
         best_val = min(best_val, v_star)
     for a_star, v_star in refined:
@@ -185,9 +216,10 @@ def find_optimal_rotations(
 def el_residual(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
     """Boundary form of the stationarity residual at R(alpha):
     integral over the boundary of pi(R x) (n . J x)."""
-    pts = mesh.boundary_points_flat()
-    w = mesh.boundary_weights_flat()
-    nrm = mesh.boundary_normals_flat()
+    rows = _support_rows(mesh, pi, alpha, boundary=True)
+    pts = mesh.boundary_points_flat()[rows]
+    w = mesh.boundary_weights_flat()[rows]
+    nrm = mesh.boundary_normals_flat()[rows]
     R = rotation(alpha)
     vals = np.asarray(pi.evaluate(pts @ R.T), dtype=float)
     jx = pts @ SKEW_GENERATOR.T
@@ -196,8 +228,9 @@ def el_residual(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
 
 def el_volume_form(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
     """Interior form of the same residual: integral of grad pi(R x) . R J x."""
-    pts = mesh.interior_points_flat()
-    w = mesh.interior_weights_flat()
+    rows = _support_rows(mesh, pi, alpha)
+    pts = mesh.interior_points_flat()[rows]
+    w = mesh.interior_weights_flat()[rows]
     R = rotation(alpha)
     g = np.asarray(pi.gradient(pts @ R.T), dtype=float)
     rjx = pts @ (R @ SKEW_GENERATOR).T
@@ -210,9 +243,10 @@ def second_variation(mesh: TriMesh, pi: PressureField, alpha: float, a: float = 
     """
     if not pi.is_smooth:
         raise SmoothnessError("second variation needs a C^2 pressure field")
-    pts = mesh.boundary_points_flat()
-    w = mesh.boundary_weights_flat()
-    nrm = mesh.boundary_normals_flat()
+    rows = _support_rows(mesh, pi, alpha, boundary=True)
+    pts = mesh.boundary_points_flat()[rows]
+    w = mesh.boundary_weights_flat()[rows]
+    nrm = mesh.boundary_normals_flat()[rows]
     R = rotation(alpha)
     g = np.asarray(pi.gradient(pts @ R.T), dtype=float)
     ax = a * (pts @ SKEW_GENERATOR.T)

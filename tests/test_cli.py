@@ -194,6 +194,14 @@ def test_identity_not_optimal_exits_3(tmp_path, capsys):
     assert "identity rotation is not optimal" in capsys.readouterr().err
 
 
+def test_refine_tol_is_not_a_config_key(tmp_path, capsys):
+    # the refinement tolerance is a constant of find_optimal_rotations
+    cfg = _base_config(study={"resolutions": [10], "rotation_grid": 128, "refine_tol": 1e-10})
+    path = _write(tmp_path, cfg)
+    assert run("scan-rotations", path) == 2
+    assert "study.refine_tol" in capsys.readouterr().err
+
+
 def test_seed_flag_changes_output(tmp_path):
     cfg = _base_config()
     path = _write(tmp_path, cfg)

@@ -118,6 +118,43 @@ def test_rotation_sweep_piecewise_structure():
 
 # --- the bump field ----------------------------------------------------------
 
+def _catalog():
+    return [builtin_pressure("zero"), builtin_pressure("constant", {"value": 0.3}),
+            builtin_pressure("hydrostatic", {"coefficient": 1.0}),
+            quadrant_bump_pressure("strict"), quadrant_bump_pressure("flat")]
+
+
+def _in_sector(pts, support):
+    rho_lo, rho_hi, theta_lo, theta_hi = support
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    offset = np.mod(np.arctan2(pts[:, 1], pts[:, 0]) - theta_lo, 2.0 * np.pi)
+    return (rho >= rho_lo) & (rho <= rho_hi) & (offset <= theta_hi - theta_lo)
+
+
+def test_declared_supports_are_sound():
+    # the rotation layer skips every point outside a declared support, so a
+    # support declared too narrow would silently drop load
+    supported = [f for f in _catalog() if f.support is not None]
+    assert {f.params["variant"] for f in supported} == {"strict", "flat"}
+    gap = 1e-7
+    rng = np.random.default_rng(3)
+    for field in supported:
+        rho_lo, rho_hi, theta_lo, theta_hi = field.support
+        t = np.linspace(-np.pi, np.pi, 721)
+        r = np.linspace(0.0, rho_hi + 1.0, 401)
+        outside = [np.stack([rad * np.cos(t), rad * np.sin(t)], axis=1)
+                   for rad in (rho_lo - gap, rho_hi + gap)]
+        outside += [np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+                    for ang in (theta_lo - gap, theta_hi + gap)]
+        cloud = rng.uniform(-2.0 * rho_hi, 2.0 * rho_hi, size=(20000, 2))
+        outside.append(cloud[~_in_sector(cloud, field.support)])
+        for pts in outside:
+            assert np.all(field.evaluate(pts) == 0.0), field.params["variant"]
+            assert np.all(field.gradient(pts) == 0.0), field.params["variant"]
+        rho_mid, theta_mid = 0.5 * (rho_lo + rho_hi), 0.5 * (theta_lo + theta_hi)
+        assert field.evaluate(np.array([rho_mid * np.cos(theta_mid), rho_mid * np.sin(theta_mid)])) > 0.0
+
+
 def test_bump_point_value():
     # frozen from the closed form (20/9) * 0.5^3 * (pi/4)^6
     bump = quadrant_bump_pressure("strict")

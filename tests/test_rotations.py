@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,28 @@ def test_golden_section_helper():
     x, v = golden_section_min(lambda t: (t - 0.37) ** 2 + 1.0, -1.0, 1.0, tol=1e-12)
     assert abs(x - 0.37) < 1e-7
     assert abs(v - 1.0) < 1e-13
+
+
+def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, flat_bump):
+    grid = list(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    seams = [0.0, -1e-13, 2.0 * np.pi - 1e-13, np.pi / 2 + 1e-12, np.pi / 2 - 1e-12]
+    cases = [(lobe16, strict_bump, seams), (lobe16, flat_bump, seams + [np.pi / 4 + 1e-12, np.pi / 4 - 1e-12]),
+             (disk16, strict_bump, seams)]
+    for mesh, pi, extra in cases:
+        full = dataclasses.replace(pi, support=None)
+        for fn in (rotation_functional, el_residual, el_volume_form, second_variation):
+            for a in grid + extra:
+                got, want = fn(mesh, pi, a), fn(mesh, full, a)
+                # exact zeros stay exact: the flat arc's ties depend on them
+                assert (got == 0.0) == (want == 0.0), (fn.__name__, a)
+                assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), (fn.__name__, a)
+
+    points = []
+
+    def counted(pts):
+        points.append(len(pts))
+        return flat_bump.evaluate(pts)
+
+    grid_n = 1024
+    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, evaluate=counted), grid_n)
+    assert sum(points) <= grid_n * len(lobe16.interior_points_flat()) / 10

@@ -1,0 +1,48 @@
+"""What the benchmark's tracer (benchmarks/tracer.py) needs from the package.
+
+The tracer wraps functions by module and name, two RunContext properties and
+the preconditioner's methods; a rename here would otherwise surface only when
+a traced benchmark run is made.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pressurelab import quadrant_bump_pressure
+from pressurelab.config import RunContext
+from pressurelab.nonlinear_solver import StiffnessPreconditioner
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist(tracer):
+    for module_name, fn_name in tracer.FUNCTIONS:
+        module = importlib.import_module(f"pressurelab.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+
+
+def test_traced_properties_and_methods_exist():
+    for prop in ("pressure", "pressure_extended"):
+        assert isinstance(getattr(RunContext, prop), property), prop
+    assert callable(getattr(StiffnessPreconditioner, "solve", None))
+
+
+def test_wrapped_field_keeps_its_support(tracer):
+    # a traced run must take the same rotation-layer path as an untraced one
+    field = quadrant_bump_pressure("flat")
+    wrapped = tracer.Tracer().wrap_field(field)
+    assert wrapped.support == field.support
+    pts = np.array([[1.5, 1.2], [-0.5, 2.0]])
+    assert np.array_equal(wrapped.evaluate(pts), field.evaluate(pts))

@@ -3,10 +3,12 @@
     E0(u) = 1/2 * integral of (c1 |sym grad u|^2 + c2 (div u)^2)
           + boundary integral of pi(R0 x) n . u
 
-over zero-average displacements.  The stiffness kernel holds the two
-translations and the linearized rotation; the load component along the
-rotation generator equals the boundary stationarity residual of R0 and is
-measured, reported, and projected out before the conjugate-gradient solve.
+over displacements with zero lumped-mass average and zero mean skew gradient.
+One StiffnessPreconditioner per (mesh, material) holds the stiffness and its
+factor; the linearized solve swaps only the load per angle and runs CG
+preconditioned by the factor, and the nonlinear solver seeds L-BFGS with it.
+The load component along the rotation generator equals the boundary
+stationarity residual of R0 and is measured and reported.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .geometry import TriMesh
 from .material import MaterialModel, SKEW_GENERATOR, rotation
 from .pressure import PressureField
 
+_SHIFT = 0.05          # mass shift of the factored stiffness, in units of c1
+_CG_REL_TOL = 1e-10
+_CG_MAX_ITER = 300
+
 
 class SolverError(RuntimeError):
     pass
@@ -29,7 +35,7 @@ class SolverError(RuntimeError):
 class DisplacementField:
     mesh: TriMesh
     values: np.ndarray  # (N, 2)
-    gauge: str = "none"  # "zero_skew_mean" | "none"
+    gauge: str = "zero_skew_mean"
 
 
 @dataclass
@@ -37,10 +43,14 @@ class LinearSystem:
     mesh: TriMesh
     material: MaterialModel
     alpha0: float
-    stiffness: sp.csr_matrix          # (2N, 2N)
+    factor: StiffnessPreconditioner   # the stiffness of (mesh, material) and its factor
     load: np.ndarray                  # (2N,)
     kernel: np.ndarray                # (3, 2N): two translations + rotation generator
     rotation_load_component: float    # load . (J x) pairing, equals the EL residual
+
+    @property
+    def stiffness(self) -> sp.csr_matrix:
+        return self.factor.stiffness
 
 
 def assemble_stiffness(mesh: TriMesh, material: MaterialModel) -> sp.csr_matrix:
@@ -72,6 +82,51 @@ def assemble_stiffness(mesh: TriMesh, material: MaterialModel) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n2, n2)).tocsr()
 
 
+class StiffnessPreconditioner:
+    """The stiffness K of one (mesh, material), assembled once, and the LU
+    factor of K + shift * c1 * (lumped mass), which removes the rigid kernel.
+
+    It preconditions the linearized solve, and near a rigid state, where the
+    energy Hessian is the frame-rotated stiffness, applying it in the start
+    frame makes the first quasi-Newton step essentially a Newton step.
+    """
+
+    def __init__(self, mesh: TriMesh, material: MaterialModel):
+        # imported here, not with the module: scipy.sparse.linalg adds about
+        # 10 MB and some start-up time to every command, even one that never
+        # factors (scan-rotations)
+        from scipy.sparse.linalg import splu
+
+        self.stiffness = assemble_stiffness(mesh, material)
+        mass2 = np.repeat(mesh.node_masses, 2)
+        self._lu = splu((self.stiffness + _SHIFT * material.c1 * sp.diags(mass2)).tocsc())
+        self.n = mesh.n_nodes
+
+    def solve(self, v: np.ndarray, frame_angle: float = 0.0) -> np.ndarray:
+        if frame_angle == 0.0:
+            return self._lu.solve(v)
+        R = rotation(frame_angle)
+        vin = (v.reshape(self.n, 2) @ R).ravel()  # rotate into the reference frame
+        out = self._lu.solve(vin)
+        return (out.reshape(self.n, 2) @ R.T).ravel()
+
+
+def zero_average(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
+    """Subtract the lumped-mass mean from a nodal vector field."""
+    mean = mesh.node_masses @ field / mesh.total_mass
+    return field - mean
+
+
+def project_gradient(mesh: TriMesh, grad: np.ndarray) -> np.ndarray:
+    """Differential restricted to the zero-average subspace.
+
+    Chain rule through the mass-mean shift: the output has no net component
+    along uniform translations.
+    """
+    total = grad.sum(axis=0)
+    return grad - np.outer(mesh.node_masses / mesh.total_mass, total)
+
+
 def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray:
     """Boundary pressure load: l[(i,a)] = integral of pi(R0 x) n_a phi_i over the boundary."""
     R = rotation(alpha0)
@@ -101,13 +156,16 @@ def rigid_modes(mesh: TriMesh) -> np.ndarray:
 
 
 def assemble_linear_system(mesh: TriMesh, material: MaterialModel, pi: PressureField,
-                           alpha0: float) -> LinearSystem:
-    K = assemble_stiffness(mesh, material)
+                           alpha0: float,
+                           factor: StiffnessPreconditioner | None = None) -> LinearSystem:
+    """The limit problem at alpha0; pass the factor of (mesh, material) to reuse it."""
+    if factor is None:
+        factor = StiffnessPreconditioner(mesh, material)
     load = assemble_load(mesh, pi, alpha0)
     kernel = rigid_modes(mesh)
     rot_component = float(load @ kernel[2])
     return LinearSystem(
-        mesh=mesh, material=material, alpha0=alpha0, stiffness=K, load=load,
+        mesh=mesh, material=material, alpha0=alpha0, factor=factor, load=load,
         kernel=kernel, rotation_load_component=rot_component,
     )
 
@@ -118,72 +176,61 @@ def skew_mean(mesh: TriMesh, u: np.ndarray) -> float:
     return float(mesh.areas @ (0.5 * (G[:, 1, 0] - G[:, 0, 1])))
 
 
+def _skew_mean_row(mesh: TriMesh) -> np.ndarray:
+    """The linear functional skew_mean(mesh, .) as a nodal field (N, 2)."""
+    grad_integral = np.zeros((mesh.n_nodes, 2))
+    np.add.at(grad_integral, mesh.triangles, mesh.areas[:, None, None] * mesh.basis_gradients)
+    return 0.5 * grad_integral @ SKEW_GENERATOR.T
+
+
 def apply_gauge(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
     """Remove the infinitesimal rotation so the mean skew gradient vanishes,
     then re-zero the average (the rotation field itself has zero average)."""
     omega = skew_mean(mesh, u) / mesh.total_area
-    out = u - omega * (mesh.nodes @ SKEW_GENERATOR.T)
-    mean = mesh.node_masses @ out / mesh.total_mass
-    return out - mean
+    return zero_average(mesh, u - omega * (mesh.nodes @ SKEW_GENERATOR.T))
 
 
-def _orthonormal_kernel(kernel: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(kernel.T)
-    return q.T
+def solve_linearized(system: LinearSystem):
+    """Minimize E0 under the gauge constraints: CG preconditioned by the factor.
 
-
-def solve_linearized(system: LinearSystem, gauge: str = "zero_skew_mean",
-                     rel_tol: float = 1e-10, max_iter: int = 20000):
-    """Preconditioned CG on the orthogonal complement of the rigid modes.
-
-    Returns (DisplacementField, E0 value).  The reported E0 pairs the gauged
-    minimizer with the full load, so adding an infinitesimal rotation changes
-    it exactly by the measured rotation load component.
+    The load is projected onto the range of K by adding multiples of the
+    constraint rows (lumped-mass resultant, then skew mean), so the gauged CG
+    solution is the constrained minimizer.  Returns (DisplacementField, E0
+    value); E0 pairs that minimizer with the full load, so adding an
+    infinitesimal rotation changes it exactly by the measured rotation load
+    component.
     """
+    mesh = system.mesh
     K = system.stiffness
-    Q = _orthonormal_kernel(system.kernel)
-
-    def project(v):
-        return v - Q.T @ (Q @ v)
-
-    b = project(-system.load)
-    diag = K.diagonal()
-    diag[diag <= 0.0] = 1.0
-    inv_diag = 1.0 / diag
+    load = project_gradient(mesh, system.load.reshape(mesh.n_nodes, 2)).ravel()
+    skew_row = _skew_mean_row(mesh).ravel()
+    load -= (load @ system.kernel[2]) / (skew_row @ system.kernel[2]) * skew_row
+    b = -load
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return DisplacementField(mesh, np.zeros((mesh.n_nodes, 2))), 0.0
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = project(inv_diag * r)
+    z = system.factor.solve(r)
     p = z.copy()
     rz = float(r @ z)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        u = np.zeros((system.mesh.n_nodes, 2))
-        return DisplacementField(system.mesh, u, gauge), 0.0
-    it = 0
-    while it < max_iter:
+    for _ in range(_CG_MAX_ITER):
         Kp = K @ p
         alpha = rz / float(p @ Kp)
         x += alpha * p
         r -= alpha * Kp
-        if float(np.linalg.norm(r)) <= rel_tol * bnorm:
+        if float(np.linalg.norm(r)) <= _CG_REL_TOL * bnorm:
             break
-        z = project(inv_diag * r)
+        z = system.factor.solve(r)
         rz_new = float(r @ z)
-        beta = rz_new / rz
+        p = z + (rz_new / rz) * p
         rz = rz_new
-        p = z + beta * p
-        it += 1
     else:
-        raise SolverError(f"conjugate gradient did not converge in {max_iter} iterations")
+        raise SolverError(f"conjugate gradient did not converge in {_CG_MAX_ITER} iterations")
 
-    u = project(x).reshape(system.mesh.n_nodes, 2)
-    if gauge == "zero_skew_mean":
-        u = apply_gauge(system.mesh, u)
-    elif gauge != "none":
-        raise ValueError(f"unknown gauge {gauge!r}")
-    e0 = energy_value(system, u)
-    return DisplacementField(system.mesh, u, gauge), e0
+    u = apply_gauge(mesh, x.reshape(mesh.n_nodes, 2))
+    return DisplacementField(mesh, u), energy_value(system, u)
 
 
 def energy_value(system: LinearSystem, u: np.ndarray) -> float:

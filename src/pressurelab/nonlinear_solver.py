@@ -6,8 +6,9 @@ The discrete energy of a nodal deformation y is
 
 with +inf whenever some triangle reverses orientation.  Deformations live in
 the zero-average subspace (lumped masses); the minimizer is a limited-memory
-BFGS iteration with Armijo backtracking that rejects inadmissible trial steps
-outright, so every accepted iterate keeps all determinants positive.
+BFGS iteration, seeded with the factored linear stiffness, with Armijo
+backtracking that rejects inadmissible trial steps outright, so every
+accepted iterate keeps all determinants positive.
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
+from .linear_solver import StiffnessPreconditioner, project_gradient, zero_average
 from .material import MaterialModel, cof2, dist_so2, g_mixed, rotation, stress as material_stress
 from .pressure import PressureField
+
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 
 
 @dataclass
@@ -42,22 +47,6 @@ class SolveDiagnostics:
     converged: bool
     stop_reason: str
     energy_history: list | None = None  # accepted-iterate energies, when recorded
-
-
-def zero_average(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
-    """Subtract the lumped-mass mean from a nodal vector field."""
-    mean = mesh.node_masses @ field / mesh.total_mass
-    return field - mean
-
-
-def project_gradient(mesh: TriMesh, grad: np.ndarray) -> np.ndarray:
-    """Differential of E restricted to the zero-average subspace.
-
-    Chain rule through the mass-mean shift: the output has no net component
-    along uniform translations.
-    """
-    total = grad.sum(axis=0)
-    return grad - np.outer(mesh.node_masses / mesh.total_mass, total)
 
 
 def identity_map(mesh: TriMesh) -> np.ndarray:
@@ -125,47 +114,6 @@ def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFi
     return project_gradient(mesh, grad)
 
 
-class StiffnessPreconditioner:
-    """Factorized linearized stiffness (shifted to remove the rigid kernel).
-
-    Near a rigid state the energy Hessian is the frame-rotated linear
-    stiffness, so applying the factorization in the start frame makes the
-    first quasi-Newton step essentially a Newton step.
-    """
-
-    def __init__(self, mesh: TriMesh, material: MaterialModel, shift: float = 0.05):
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-
-        from .linear_solver import assemble_stiffness
-
-        K = assemble_stiffness(mesh, material)
-        mass2 = np.repeat(mesh.node_masses, 2)
-        self._lu = splu((K + shift * material.c1 * sp.diags(mass2)).tocsc())
-        self.n = mesh.n_nodes
-
-    def solve(self, v: np.ndarray, frame_angle: float = 0.0) -> np.ndarray:
-        if frame_angle == 0.0:
-            return self._lu.solve(v)
-        R = rotation(frame_angle)
-        vin = (v.reshape(self.n, 2) @ R).ravel()  # rotate into the reference frame
-        out = self._lu.solve(vin)
-        return (out.reshape(self.n, 2) @ R.T).ravel()
-
-
-def stiffness_diagonal(mesh: TriMesh, material: MaterialModel) -> np.ndarray:
-    """Diagonal of the linearized stiffness plus a mass floor; L-BFGS seed scaling."""
-    g = mesh.basis_gradients
-    gg = np.einsum("tib,tib->ti", g, g)
-    diag = np.zeros((mesh.n_nodes, 2))
-    flat = mesh.triangles.ravel()
-    for c in range(2):
-        vals = mesh.areas[:, None] * (0.5 * material.c1 * (gg + g[:, :, c] ** 2) + material.c2 * g[:, :, c] ** 2)
-        diag[:, c] = np.bincount(flat, weights=vals.ravel(), minlength=mesh.n_nodes)
-    floor = 1e-8 * float(diag.max())
-    return diag + floor
-
-
 def rigid_start(mesh: TriMesh, alpha: float, noise_amplitude: float, rng: np.random.Generator) -> np.ndarray:
     """Rotated reference map plus admissible nodal noise, zero-averaged.
 
@@ -193,17 +141,17 @@ def minimize_energy(
     init: np.ndarray,
     grad_tol: float = 1e-9,
     max_iter: int = 5000,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
     memory: int = 10,
-    precond: "StiffnessPreconditioner | None" = None,
+    precond: StiffnessPreconditioner | None = None,
     frame_angle: float = 0.0,
     record_history: bool = False,
 ) -> tuple[DeformationField, SolveDiagnostics]:
     """Minimize the energy from an admissible start; monotone in energy.
 
-    Returns the final deformation and diagnostics.  Hitting the iteration cap
-    is reported through ``converged``/``stop_reason`` rather than raised.
+    The L-BFGS seed applies the stiffness factor ``precond`` (built here when
+    not given) in the rotation frame ``frame_angle`` of the start.  Returns
+    the final deformation and diagnostics.  Hitting the iteration cap is
+    reported through ``converged``/``stop_reason`` rather than raised.
     """
     y0 = zero_average(mesh, np.asarray(init, dtype=float))
     _, det0 = deformation_gradients(mesh, y0)
@@ -211,15 +159,8 @@ def minimize_energy(
         raise ValueError("initial deformation is inadmissible")
 
     n = mesh.n_nodes
-    diag = stiffness_diagonal(mesh, material).ravel()
-    inv_diag = 1.0 / diag
-
-    if precond is not None:
-        def h0(v):
-            return precond.solve(v, frame_angle)
-    else:
-        def h0(v):
-            return gamma * inv_diag * v
+    if precond is None:
+        precond = StiffnessPreconditioner(mesh, material)
 
     def energy_only(z):
         return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps)
@@ -234,7 +175,6 @@ def minimize_energy(
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
     rho_list: list[float] = []
-    gamma = 1.0
     backtracks = 0
     rejections = 0
     iterations = 0
@@ -248,7 +188,7 @@ def minimize_energy(
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * yv
-        q = h0(q)
+        q = precond.solve(q, frame_angle)
         for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
             b = rho * (yv @ q)
             q += (a - b) * s
@@ -266,7 +206,7 @@ def minimize_energy(
         slope = float(g @ d)
         if slope >= 0.0:
             s_list.clear(); y_list.clear(); rho_list.clear()
-            d = -h0(g)
+            d = -precond.solve(g, frame_angle)
             slope = float(g @ d)
 
         t = 1.0
@@ -276,10 +216,10 @@ def minimize_energy(
             f_try = energy_only(z_try)
             if math.isinf(f_try):
                 rejections += 1
-            elif f_try <= f + armijo_c * t * slope:
+            elif f_try <= f + _ARMIJO_C * t * slope:
                 accepted = True
                 break
-            t *= backtrack
+            t *= _BACKTRACK
             backtracks += 1
         if not accepted:
             stop_reason = "stalled"
@@ -294,8 +234,6 @@ def minimize_energy(
             s_list.append(s)
             y_list.append(yv)
             rho_list.append(1.0 / sy)
-            if precond is None:
-                gamma = sy / float(yv @ (inv_diag * yv))
             if len(s_list) > memory:
                 s_list.pop(0); y_list.pop(0); rho_list.pop(0)
         z, f, g = z_new, f_new, g_new

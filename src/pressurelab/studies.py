@@ -15,7 +15,6 @@ from .material import MaterialModel, g_mixed, rotation, wrap_angle
 from .nonlinear_solver import (
     DeformationField,
     SolveDiagnostics,
-    StiffnessPreconditioner,
     assemble_energy,
     det_deviation_sq,
     deformation_gradients,
@@ -24,7 +23,7 @@ from .nonlinear_solver import (
     rigid_start,
     zero_average,
 )
-from .linear_solver import SolverError, apply_gauge, assemble_linear_system, solve_linearized
+from .linear_solver import SolverError, StiffnessPreconditioner, apply_gauge, assemble_linear_system, solve_linearized
 from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, golden_section_min, rotation_functional, second_variation
 
@@ -208,16 +207,20 @@ def minimize_limit_energy(
     material: MaterialModel,
     pi: PressureField,
     angles: list[float],
+    factor: StiffnessPreconditioner | None = None,
 ):
     """Linearized solves over the given limit angles; returns the best.
 
-    Returns (min_value, best_alpha0, gauged displacement field, per-angle
-    table, rotation load component at the best angle).
+    Every angle reuses one stiffness factor of (mesh, material), built here
+    when not given.  Returns (min_value, best_alpha0, gauged displacement
+    field, per-angle table, rotation load component at the best angle).
     """
+    if factor is None:
+        factor = StiffnessPreconditioner(mesh, material)
     best = None
     table = []
     for alpha0 in angles:
-        system = assemble_linear_system(mesh, material, pi, alpha0)
+        system = assemble_linear_system(mesh, material, pi, alpha0, factor)
         disp, e0 = solve_linearized(system)
         table.append({"alpha0": alpha0, "E0": e0, "rotation_load": system.rotation_load_component})
         if best is None or e0 < best[0]:
@@ -235,19 +238,20 @@ def _sweep(kind, mesh, material, pi, pi_hat, eps_list, options, seed, rotation_g
     """The eps-sweep shared by the studies; returns the report and the optimal set.
 
     The identity must be an optimal rotation: the energy subtracts pi_hat(x),
-    so every rescaled energy is measured against the identity.  ``setup(optimal,
-    report)`` computes the study's limit quantities and returns its row
+    so every rescaled energy is measured against the identity.  The stiffness
+    is assembled and factored once for the sweep.  ``setup(optimal, report,
+    factor)`` computes the study's limit quantities and returns its row
     function ``row(eps, field, diagnostics, starts) -> dict``.  Per eps, in
-    descending order, one multistart minimization runs with the preconditioner
-    factorized once for the sweep; an eps whose solve raises SolverError
-    becomes an error row and the sweep goes on.
+    descending order, one multistart minimization runs, preconditioned by the
+    same factor; an eps whose solve raises SolverError becomes an error row
+    and the sweep goes on.
     """
     optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
     if optimal.distance(0.0) > optimal.grid_step:
         raise ValueError("the identity rotation is not optimal for this configuration")
     report = StudyReport(kind=kind, config_hash="")
-    row = setup(optimal, report)
     precond = StiffnessPreconditioner(mesh, material)
+    row = setup(optimal, report, precond)
     label = resolution if resolution is not None else -1
     for eps in sorted((float(e) for e in eps_list), reverse=True):
         try:
@@ -281,9 +285,9 @@ def gamma_study(
     diagnostics, and the Sobolev distance of the displacement to the limit
     minimizer.
     """
-    def setup(optimal, report):
+    def setup(optimal, report, factor):
         min_e0, alpha0, disp0, e0_table, rot_load = minimize_limit_energy(
-            mesh, material, pi, optimal.sample_angles(per_arc=arc_samples))
+            mesh, material, pi, optimal.sample_angles(per_arc=arc_samples), factor)
         u0 = disp0.values
         report.limits = {
             "min_E0": min_e0,
@@ -354,7 +358,7 @@ def refined_study(
     if not pi.is_smooth:
         raise ValueError("refined study needs a C^2 pressure field")
 
-    def setup(optimal, report):
+    def setup(optimal, report, factor):
         def row(eps, fld, diag, starts):
             alpha = extract_rotation(mesh, material, fld.values)
             s_near = optimal.nearest(alpha)
@@ -419,9 +423,9 @@ def almost_minimizer_scaling(
     if pi.params.get("variant") != "strict":
         raise ValueError("the scaling study requires the strict bump variant")
 
-    def setup(optimal, report):
+    def setup(optimal, report, factor):
         min_e0, alpha0, disp_star, _, _ = minimize_limit_energy(
-            mesh, material, pi, optimal.sample_angles(per_arc=3))
+            mesh, material, pi, optimal.sample_angles(per_arc=3), factor)
         base_value = rotation_functional(mesh, pi, alpha0)
         report.limits = {
             "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from pressurelab import DomainSpec, builtin_pressure, build_domain, divergence_form_check, el_residual, quadrant_bump_pressure
 from pressurelab.linear_solver import (
@@ -87,6 +89,39 @@ def test_benchmark_solution_is_radial(bench_system, disk32, default_material):
     assert rel < 0.02
     want = -np.pi * P0 ** 2 / (default_material.c1 + 2.0 * default_material.c2)
     assert abs(e0 - want) <= 0.02 * abs(want)
+
+
+@pytest.mark.parametrize("alpha0", [np.pi / 4, 0.6])
+def test_solve_matches_bordered_constrained_solve(lobe16, default_material, alpha0):
+    # the hydrostatic load has a nonzero resultant, so the zero-average
+    # constraint must be the lumped-mass one the gauge uses; at the
+    # non-optimal angle 0.6 it also has a rotation component, which the
+    # skew-mean constraint absorbs
+    hyd = builtin_pressure("hydrostatic", {"coefficient": 0.1})
+    system = assemble_linear_system(lobe16, default_material, hyd, alpha0)
+    n = lobe16.n_nodes
+    assert np.linalg.norm(system.load.reshape(n, 2).sum(axis=0)) > 0.1
+    # constraint rows: the lumped means of both components and the skew mean,
+    # 1/2 sum over T of |T| (u_i2 d1 phi_i - u_i1 d2 phi_i)
+    C = np.zeros((3, 2 * n))
+    C[0, 0::2] = lobe16.node_masses
+    C[1, 1::2] = lobe16.node_masses
+    grad_integral = np.zeros((n, 2))
+    np.add.at(grad_integral, lobe16.triangles, lobe16.areas[:, None, None] * lobe16.basis_gradients)
+    C[2, 0::2] = -0.5 * grad_integral[:, 1]
+    C[2, 1::2] = 0.5 * grad_integral[:, 0]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u = rng.normal(size=(n, 2))
+        assert abs(C[2] @ u.ravel() - skew_mean(lobe16, u)) <= 1e-12 * np.abs(u).sum()
+    bordered = sp.bmat([[system.stiffness, sp.csr_matrix(C.T)], [sp.csr_matrix(C), None]])
+    rhs = np.concatenate([-system.load, np.zeros(3)])
+    u_kkt = splu(bordered.tocsc()).solve(rhs)[:2 * n]
+    e_kkt = energy_value(system, u_kkt)
+
+    disp, e0 = solve_linearized(system)
+    assert abs(e0 - e_kkt) <= 1e-12 * abs(e_kkt)
+    assert np.max(np.abs(disp.values.ravel() - u_kkt)) <= 1e-8 * np.max(np.abs(u_kkt))
 
 
 def test_gauge_sets_mean_skew_to_zero(bench_system, disk32):

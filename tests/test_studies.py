@@ -324,3 +324,59 @@ def test_annulus_pipeline_with_lipschitz_pressure(default_material):
     assert fld.admissible
     assert min_e0 * 1.2 <= diag.energy / eps ** 2 <= 0.0
     assert abs(diag.energy / eps ** 2 - min_e0) <= 0.2 * abs(min_e0)
+
+
+def test_study_assembles_and_factors_the_stiffness_once(disk16, lobe16, default_material,
+                                                       bench_fields, bump_fields, monkeypatch):
+    # the limit solves and every nonlinear solve of a study share one factor,
+    # and the factor-preconditioned solve needs only a few applications even
+    # for the rounding-level load that rotation(pi) leaves on the strict bump
+    import pressurelab.linear_solver as LS
+    import pressurelab.studies as ST
+    from pressurelab.nonlinear_solver import StiffnessPreconditioner
+
+    counts = {"assemble": 0, "factor": 0, "apply": 0}
+    per_solve = []
+    real_assemble = LS.assemble_stiffness
+    real_init = StiffnessPreconditioner.__init__
+    real_apply = StiffnessPreconditioner.solve
+    real_solve = ST.solve_linearized
+
+    def assemble(*args, **kwargs):
+        counts["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        counts["factor"] += 1
+        real_init(self, *args, **kwargs)
+
+    def apply(self, *args, **kwargs):
+        counts["apply"] += 1
+        return real_apply(self, *args, **kwargs)
+
+    def solve(system):
+        before = counts["apply"]
+        out = real_solve(system)
+        per_solve.append((system.alpha0, counts["apply"] - before))
+        return out
+
+    monkeypatch.setattr(LS, "assemble_stiffness", assemble)
+    monkeypatch.setattr(StiffnessPreconditioner, "__init__", init)
+    monkeypatch.setattr(StiffnessPreconditioner, "solve", apply)
+    monkeypatch.setattr(ST, "solve_linearized", solve)
+    opts = SolverOptions(grad_tol=1e-8, max_iter=300, multistart_angles=(0.0,))
+
+    const, hat = bench_fields
+    gamma_study(disk16, default_material, const, hat, [0.04], opts, seed=1, rotation_grid=128)
+    assert (counts["assemble"], counts["factor"]) == (1, 1)
+    assert len(per_solve) == 4
+    assert all(1 <= k <= 10 for _, k in per_solve)
+
+    counts.update(assemble=0, factor=0)
+    per_solve.clear()
+    bump, bump_hat = bump_fields
+    almost_minimizer_scaling(lobe16, default_material, bump, bump_hat, [0.04], opts,
+                             exponent=0.4, seed=1, rotation_grid=256)
+    assert (counts["assemble"], counts["factor"]) == (1, 1)
+    assert sorted(round(a, 12) for a, _ in per_solve) == [0.0, round(np.pi, 12)]
+    assert all(k <= 10 for _, k in per_solve)

@@ -2,7 +2,9 @@
 
 The tracer wraps functions by module and name, two RunContext properties and
 the preconditioner's methods; a rename here would otherwise surface only when
-a traced benchmark run is made.
+a traced benchmark run is made.  The tracer patches the preconditioner it
+imports from nonlinear_solver, which must be the class the linear solve uses
+too, so that traced runs count the limit solves' factor applications.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from pressurelab import quadrant_bump_pressure
+import pressurelab.linear_solver
 from pressurelab.config import RunContext
 from pressurelab.nonlinear_solver import StiffnessPreconditioner
 
@@ -37,6 +40,10 @@ def test_traced_properties_and_methods_exist():
     for prop in ("pressure", "pressure_extended"):
         assert isinstance(getattr(RunContext, prop), property), prop
     assert callable(getattr(StiffnessPreconditioner, "solve", None))
+
+
+def test_one_preconditioner_class_serves_both_solvers():
+    assert StiffnessPreconditioner is pressurelab.linear_solver.StiffnessPreconditioner
 
 
 def test_wrapped_field_keeps_its_support(tracer):

@@ -6,9 +6,21 @@ The discrete energy of a nodal deformation y is
 
 with +inf whenever some triangle reverses orientation.  Deformations live in
 the zero-average subspace (lumped masses); the minimizer is a limited-memory
-BFGS iteration, seeded with the factored linear stiffness, with Armijo
-backtracking that rejects inadmissible trial steps outright, so every
-accepted iterate keeps all determinants positive.
+BFGS iteration, seeded with the factored linear stiffness.  Its line search
+backtracks on the Armijo condition and rejects inadmissible trial steps
+outright, so every accepted iterate keeps all determinants positive.
+
+Near a minimizer the energy change of a step falls below the rounding error
+of the energy itself, while the gradient still resolves the slope.  A trial
+whose energy lies within that rounding floor of the current energy is
+therefore judged on its directional derivative instead (the approximate Wolfe
+conditions of Hager and Zhang, SIAM J. Optim. 16, 2005): the search brackets
+the step on the slope ratio and accepts once it lies in [2*delta - 1, sigma].
+Accepted energies are nonincreasing except at such a step, which may raise
+the energy by at most the floor, eps_mach times the magnitudes that cancel in
+the energy sum.  ``converged`` means the gradient test passed
+(``stop_reason == "gradient"``); "stalled" means the line search found no
+acceptable step, "maxiter" that the iteration cap was reached.
 """
 
 from __future__ import annotations
@@ -25,6 +37,14 @@ from .pressure import PressureField
 
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+_STEP_MIN = 1e-20
+# Derivative test for a trial whose energy is flat to rounding: accept when
+# 2*delta - 1 <= g(t).s / (t g.d) <= sigma; above sigma the step is too short,
+# below 2*delta - 1 it overshoots.
+_WOLFE_SIGMA = 0.9
+_WOLFE_DELTA = 0.1
+# Halvings tried on the energy alone before a derivative-accepted step is taken.
+_ARMIJO_RETRIES = 4
 
 
 @dataclass
@@ -44,8 +64,8 @@ class SolveDiagnostics:
     iterations: int
     backtracks: int
     admissibility_rejections: int
-    converged: bool
-    stop_reason: str
+    converged: bool   # the gradient test passed
+    stop_reason: str  # "gradient", "stalled" (no acceptable step) or "maxiter"
     energy_history: list | None = None  # accepted-iterate energies, when recorded
 
 
@@ -70,6 +90,14 @@ def _interp_at_interior(mesh: TriMesh, y: np.ndarray) -> np.ndarray:
     return np.matmul(mesh.quadrature.interior_bary, y[mesh.triangles])
 
 
+def _pressure_terms(mesh: TriMesh, pi_hat: PressureField, y: np.ndarray):
+    """pi_hat at the interior rule points of y and of the reference, each (M, 3)."""
+    yq = _interp_at_interior(mesh, y)
+    piy = np.asarray(pi_hat.evaluate(yq.reshape(-1, 2)), dtype=float).reshape(-1, 3)
+    pix = np.asarray(pi_hat.evaluate(mesh.interior_points_flat()), dtype=float).reshape(-1, 3)
+    return piy, pix
+
+
 def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
                     y: np.ndarray, eps: float) -> float:
     """Total energy; +inf when orientation is violated anywhere."""
@@ -79,12 +107,26 @@ def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     d = dist_so2(F)
     w_el = material.c1 * g_mixed(d, material.p) + material.c2 * g_mixed(np.abs(det - 1.0), material.q)
     elastic = float(mesh.areas @ w_el)
-    yq = _interp_at_interior(mesh, y)
-    piy = np.asarray(pi_hat.evaluate(yq.reshape(-1, 2)), dtype=float).reshape(len(F), 3)
-    pix = np.asarray(pi_hat.evaluate(mesh.interior_points_flat()), dtype=float).reshape(len(F), 3)
+    piy, pix = _pressure_terms(mesh, pi_hat, y)
     w = mesh.quadrature.interior_weights
     pressure = float(np.sum(w * (piy * det[:, None] - pix)))
     return elastic + eps * pressure
+
+
+def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
+                          y: np.ndarray, eps: float) -> float:
+    """Rounding scale of `assemble_energy` at an admissible y.
+
+    eps_mach times the magnitudes that cancel in the energy sum: |F|^2 + 2 in
+    each squared distance to SO(2), weighted by c1, and both pressure terms.
+    Energy differences below it carry no information about descent.
+    """
+    F, det = deformation_gradients(mesh, y)
+    elastic = material.c1 * float(mesh.areas @ (np.einsum("tij,tij->t", F, F) + 2.0))
+    piy, pix = _pressure_terms(mesh, pi_hat, y)
+    w = mesh.quadrature.interior_weights
+    pressure = float(np.sum(w * (np.abs(piy * det[:, None]) + np.abs(pix))))
+    return float(np.finfo(float).eps) * (elastic + abs(eps) * pressure)
 
 
 def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
@@ -146,12 +188,16 @@ def minimize_energy(
     frame_angle: float = 0.0,
     record_history: bool = False,
 ) -> tuple[DeformationField, SolveDiagnostics]:
-    """Minimize the energy from an admissible start; monotone in energy.
+    """Minimize the energy from an admissible start by preconditioned L-BFGS.
 
     The L-BFGS seed applies the stiffness factor ``precond`` (built here when
-    not given) in the rotation frame ``frame_angle`` of the start.  Returns
-    the final deformation and diagnostics.  Hitting the iteration cap is
-    reported through ``converged``/``stop_reason`` rather than raised.
+    not given) in the rotation frame ``frame_angle`` of the start.  Accepted
+    energies are nonincreasing except at a derivative-accepted step, which
+    raises the energy by at most `_energy_rounding_floor` (module docstring).
+    Returns the final deformation and diagnostics; ``converged`` is true
+    exactly when the gradient test passed.  Hitting the iteration cap or a
+    line search that finds no step is reported through
+    ``converged``/``stop_reason`` rather than raised.
     """
     y0 = zero_average(mesh, np.asarray(init, dtype=float))
     _, det0 = deformation_gradients(mesh, y0)
@@ -194,6 +240,58 @@ def minimize_energy(
             q += (a - b) * s
         return q
 
+    def line_search(d, slope):
+        """Step along d: (z, f, g or None), or None when no step is acceptable.
+
+        Armijo backtracking on the bracket [lo, hi].  A trial that fails
+        Armijo with its energy within the rounding floor of f takes the
+        derivative test instead, which raises lo (too short), lowers hi
+        (overshoot) or yields a candidate.  The candidate is taken only if
+        none of the next _ARMIJO_RETRIES halvings passes Armijo.
+        """
+        nonlocal backtracks, rejections
+
+        def trial(t):
+            z_try = zero_average(mesh, (z + t * d).reshape(n, 2)).ravel()
+            f_try = energy_only(z_try)
+            return z_try, f_try, f_try <= f + _ARMIJO_C * t * slope
+
+        t, lo, hi = 1.0, 0.0, math.inf
+        floor = None
+        while t - lo > _STEP_MIN:
+            z_try, f_try, armijo = trial(t)
+            if armijo:
+                return z_try, f_try, None
+            backtracks += 1
+            if math.isinf(f_try):
+                rejections += 1
+                hi = t
+            else:
+                if floor is None:
+                    floor = _energy_rounding_floor(mesh, material, pi_hat, z.reshape(n, 2), eps)
+                if f_try - f > floor:
+                    hi = t
+                else:
+                    g_try = gradient_at(z_try)
+                    ratio = float(g_try @ (z_try - z)) / (t * slope)
+                    if ratio > _WOLFE_SIGMA:
+                        lo = t
+                    elif ratio < 2.0 * _WOLFE_DELTA - 1.0:
+                        hi = t
+                    else:
+                        break
+            t = t / _BACKTRACK if math.isinf(hi) else lo + _BACKTRACK * (hi - lo)
+        else:
+            return None
+        candidate = (z_try, f_try, g_try)
+        for _ in range(_ARMIJO_RETRIES):
+            t *= _BACKTRACK
+            z_try, f_try, armijo = trial(t)
+            if armijo:
+                return z_try, f_try, None
+            backtracks += 1
+        return candidate
+
     for iterations in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         tol_now = grad_tol * (1.0 + abs(f))
@@ -209,24 +307,13 @@ def minimize_energy(
             d = -precond.solve(g, frame_angle)
             slope = float(g @ d)
 
-        t = 1.0
-        accepted = False
-        while t > 1e-20:
-            z_try = zero_average(mesh, (z + t * d).reshape(n, 2)).ravel()
-            f_try = energy_only(z_try)
-            if math.isinf(f_try):
-                rejections += 1
-            elif f_try <= f + _ARMIJO_C * t * slope:
-                accepted = True
-                break
-            t *= _BACKTRACK
-            backtracks += 1
-        if not accepted:
+        step = line_search(d, slope)
+        if step is None:
             stop_reason = "stalled"
             break
-
-        z_new, f_new = z_try, f_try
-        g_new = gradient_at(z_new)
+        z_new, f_new, g_new = step
+        if g_new is None:
+            g_new = gradient_at(z_new)
         s = z_new - z
         yv = g_new - g
         sy = float(s @ yv)
@@ -242,12 +329,9 @@ def minimize_energy(
     else:
         iterations = max_iter
 
-    gnorm = float(np.linalg.norm(g))
-    if stop_reason == "stalled" and gnorm <= math.sqrt(np.finfo(float).eps) * (1.0 + abs(f)):
-        converged = True  # line-search floor at a numerically stationary point
     field = DeformationField(mesh=mesh, values=z.reshape(n, 2))
     diags = SolveDiagnostics(
-        energy=f, grad_norm=gnorm, iterations=iterations, backtracks=backtracks,
+        energy=f, grad_norm=float(np.linalg.norm(g)), iterations=iterations, backtracks=backtracks,
         admissibility_rejections=rejections, converged=converged, stop_reason=stop_reason,
         energy_history=history,
     )

@@ -68,7 +68,12 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray,
                      grid_n: int = 720, refine_tol: float = 1e-12) -> float:
     """Angle minimizing the area-weighted mixed penalty of grad y minus a rotation.
 
-    Grid scan plus golden-section refinement; deterministic.
+    The objective is sum_T |T| g(d_T(alpha)) with d_T^2 = |F|^2 + 2 -
+    2 (a cos alpha + b sin alpha).  For p >= 2, g(d) >= d^2/2 with equality
+    for d <= 1, so the least-squares angle atan2(sum |T| b, sum |T| a), which
+    minimizes the quadratic lower bound, is the exact minimizer whenever every
+    triangle's distance there is at most 1.  Otherwise: grid scan plus
+    golden-section refinement.  Deterministic.
     """
     F, _ = deformation_gradients(mesh, y)
     a = F[:, 0, 0] + F[:, 1, 1]
@@ -76,9 +81,16 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray,
     norm_sq = np.einsum("tij,tij->t", F, F)
     areas = mesh.areas
 
+    def dist_sq(alpha):
+        return np.maximum(norm_sq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0)
+
+    if material.p >= 2.0:
+        a_fit = extract_rotation_l2(mesh, y)
+        if np.all(dist_sq(a_fit) <= 1.0):
+            return a_fit
+
     def objective(alpha):
-        dist_sq = np.maximum(norm_sq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0)
-        return float(areas @ g_mixed(np.sqrt(dist_sq), material.p))
+        return float(areas @ g_mixed(np.sqrt(dist_sq(alpha)), material.p))
 
     alphas = TWO_PI * np.arange(grid_n) / grid_n
     vals = np.array([objective(x) for x in alphas])
@@ -159,7 +171,9 @@ def multistart_minimize(
     With several starts the exploration pass runs at a capped iteration count
     and moderate tolerance to rank the basins, and only the winner is polished
     to the requested tolerance (warm-started, preconditioned in its own
-    rotation frame).  Energies only ever decrease along the way.
+    rotation frame); a single start that did not converge is polished the
+    same way.  Energies rise along the way by at most the rounding floor of
+    the minimizer's derivative-accepted steps.
     """
     amp = options.noise_amplitude if options.noise_amplitude is not None else 1e-3 * mesh.diameter
     if precond is None:
@@ -318,6 +332,7 @@ def gamma_study(
                 "u_norm_w1p": w1p_norm(mesh, u, material.p),
                 "iterations": diag.iterations,
                 "converged": diag.converged,
+                "stop_reason": diag.stop_reason,
                 "gap_to_min_E0": abs(diag.energy / eps ** 2 - min_e0),
                 "starts": starts,
             }
@@ -371,6 +386,7 @@ def refined_study(
                 "offset_scaled": a_off / max(abs(a_off), math.sqrt(eps)),
                 "sqrt_eps": math.sqrt(eps),
                 "converged": diag.converged,
+                "stop_reason": diag.stop_reason,
             }
         return row
 

@@ -155,3 +155,65 @@ def test_rigid_start_is_admissible_on_thin_meshes(lobe16):
     assert np.all(det > 0.0)
     mean = lobe16.node_masses @ y / lobe16.total_mass
     assert np.max(np.abs(mean)) < 1e-12
+
+
+def test_minimize_reaches_tight_tolerance_at_rigid_state(disk16, default_material):
+    # without load the energy near the rigid minimizer stops resolving descent
+    # long before |g| reaches 1e-12; the solve must still end on the gradient test
+    zero_hat = builtin_pressure("zero")
+    init = rigid_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
+    fld, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init, grad_tol=1e-12)
+    assert diag.stop_reason == "gradient" and diag.converged
+    assert diag.grad_norm <= 1e-12 * (1.0 + abs(diag.energy))
+    assert fld.admissible
+
+
+def test_stalled_or_capped_solve_is_not_converged(disk16, default_material, const_hat):
+    init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
+    _, diag = minimize_energy(disk16, default_material, const_hat, 0.05, init,
+                              grad_tol=1e-12, max_iter=2)
+    assert diag.stop_reason == "maxiter" and not diag.converged
+
+
+def _taylor_fields():
+    const = builtin_pressure("constant", {"value": 0.1})
+    hydro = builtin_pressure("hydrostatic", {"coefficient": 0.1})
+    strict = quadrant_bump_pressure("strict")
+    flat = quadrant_bump_pressure("flat")
+    out = {}
+    for name, field in (("constant", const), ("hydrostatic", hydro), ("strict", strict), ("flat", flat)):
+        out[name] = field
+        out[name + "_extended"] = extend_pressure(field, None, 2.2, 1.0)
+    return out
+
+
+TAYLOR_FIELDS = _taylor_fields()
+
+
+@pytest.mark.parametrize("name", sorted(TAYLOR_FIELDS))
+def test_energy_taylor_remainder_is_second_order(lobe16, default_material, name):
+    # E(y + h v) - E(y) - h g.v = O(h^2) exactly when g is the derivative of E.
+    # y = 1.4 R(1.2) x carries the four-lobe body (radii 1..2) to radii 1.4..2.8,
+    # across the bump sectors and the taper (2.2, 3.2] of the extended fields.
+    # The elastic part alone (eps = 0) is subtracted out too, so that the
+    # pressure term is checked on its own.
+    pi_hat = TAYLOR_FIELDS[name]
+    rng = np.random.default_rng(12)
+    y = 1.4 * rigid_start(lobe16, 1.2, 1e-3 * lobe16.diameter, rng)
+    yq = np.matmul(lobe16.quadrature.interior_bary, y[lobe16.triangles]).reshape(-1, 2)
+    in_taper = np.abs(np.hypot(yq[:, 0], yq[:, 1]) - 2.7) < 0.5
+    assert np.any(in_taper & (pi_hat.evaluate(yq) != 0.0))
+    v = zero_average(lobe16, rng.normal(size=y.shape))
+    v /= np.max(np.abs(v))
+    hs = 1e-4 * 0.5 ** np.arange(5)
+
+    def energy(z):
+        return np.array([assemble_energy(lobe16, default_material, pi_hat, z, eps) for eps in (1.0, 0.0)])
+
+    grads = [assemble_gradient(lobe16, default_material, pi_hat, y, eps) for eps in (1.0, 0.0)]
+    slope = np.array([float(np.sum(g * v)) for g in grads])
+    e0 = energy(y)
+    for combo in (np.array([1.0, 0.0]), np.array([1.0, -1.0])):  # total, pressure term
+        rem = np.array([abs(combo @ (energy(y + h * v) - e0 - h * slope)) for h in hs])
+        orders = np.log2(rem[:-1] / rem[1:])
+        assert np.all(orders > 1.9), (combo, orders)

@@ -12,6 +12,7 @@ from pressurelab.studies import (
     extract_rotation_l2,
     gamma_study,
     g_mixed,
+    minimize_energy,
     multistart_minimize,
     rebuild_deformation,
     refined_study,
@@ -74,6 +75,58 @@ def test_extract_rotation_matches_dense_grid(disk16, weak_material):
     grid = np.arange(0.0, 2.0 * np.pi, 1e-4)
     brute = grid[int(np.argmin([objective(x) for x in grid]))]
     assert angular_distance(got, brute) < 2e-4
+
+
+def _smoothly_perturbed_rigid_map(mesh, alpha, amplitude, rng):
+    """R(alpha) x plus a random smooth field: every triangle stays near SO(2)."""
+    k = rng.normal(size=(4, 2))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(4, 2))
+    u = sum(np.sin(mesh.nodes @ k[i][:, None] + phase[i]) for i in range(4))
+    return zero_average(mesh, rigid_map(mesh, alpha) + amplitude * u)
+
+
+def _quadratic_rotation_objective(mesh, y):
+    """0.5 sum |T| dist(grad y, R(t))^2 as a function of t, and the fit sums (A, B)."""
+    from pressurelab.nonlinear_solver import deformation_gradients
+
+    F, _ = deformation_gradients(mesh, y)
+    a = F[:, 0, 0] + F[:, 1, 1]
+    b = F[:, 1, 0] - F[:, 0, 1]
+    nsq = np.einsum("tij,tij->t", F, F)
+
+    def objective(t):
+        return 0.5 * float(mesh.areas @ (nsq + 2.0 - 2.0 * (a * np.cos(t) + b * np.sin(t))))
+
+    return objective, float(mesh.areas @ a), float(mesh.areas @ b)
+
+
+def test_extract_rotation_closed_form_is_the_exact_minimizer(disk16, default_material, weak_material,
+                                                            monkeypatch):
+    # p = 2: the least-squares angle minimizes the mixed penalty exactly, so no scan runs
+    import pressurelab.studies as ST
+    from pressurelab import MaterialModel
+
+    scans = []
+    golden = ST.golden_section_min
+    monkeypatch.setattr(ST, "golden_section_min", lambda *a, **k: scans.append(1) or golden(*a, **k))
+    # the same objective wherever dist <= 1, but below p = 2 it takes the scan
+    scanning = MaterialModel(p=2.0 - 1e-12)
+    rng = np.random.default_rng(21)
+    for alpha in (0.0, 0.3, 2.5, 5.0, 6.28):
+        y = _smoothly_perturbed_rigid_map(disk16, alpha, 0.02, rng)
+        got = ST.extract_rotation(disk16, default_material, y)
+        assert scans == []
+        objective, A, B = _quadratic_rotation_objective(disk16, y)
+        assert abs(A * np.sin(got) - B * np.cos(got)) <= 1e-14 * np.hypot(A, B)  # stationary
+        scanned = ST.extract_rotation(disk16, scanning, y)
+        assert len(scans) == 1
+        scans.clear()
+        # golden section on a rounded objective resolves the angle to about 1e-8
+        assert angular_distance(got, scanned) <= 1e-7
+        assert objective(got) <= objective(scanned) + 1e-15
+    # below p = 2 the penalty is not bounded below by its quadratic part: scan
+    ST.extract_rotation(disk16, weak_material, y)
+    assert len(scans) == 1
 
 
 def test_two_extraction_routes_agree_to_order_eps(disk16, weak_material):
@@ -149,6 +202,49 @@ def test_gamma_study_energy_window(bench_report):
 
 def test_gamma_study_limit_value(bench_report):
     assert abs(bench_report.limits["min_E0"] + np.pi * 0.01 / 3.0) < 1e-4
+
+
+def _dilation_energy(area, eps, p0, material):
+    """Energy of the best uniform dilation y = lam x, the discrete minimizer for constant pressure."""
+    from scipy.optimize import minimize_scalar
+
+    def density(lam):
+        return (material.c1 * g_mixed(np.sqrt(2.0) * abs(lam - 1.0), material.p)
+                + material.c2 * g_mixed(abs(lam * lam - 1.0), material.q)
+                + eps * p0 * (lam * lam - 1.0))
+
+    best = minimize_scalar(density, bounds=(0.5, 1.5), method="bounded", options={"xatol": 1e-14})
+    return area * float(best.fun)
+
+
+def test_gamma_sweep_reaches_grad_tol(disk16, default_material, bench_fields, monkeypatch):
+    # At grad_tol 1e-13 the last steps change the energy by less than its rounding
+    # error; every solve must still end on the gradient test, at the right energy.
+    import pressurelab.studies as ST
+
+    const, hat = bench_fields
+    solves = []
+
+    def recording(*args, **kwargs):
+        fld, diag = minimize_energy(*args, **kwargs)
+        solves.append(diag)
+        return fld, diag
+
+    monkeypatch.setattr(ST, "minimize_energy", recording)
+    opts = SolverOptions(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,))
+    area = float(disk16.areas.sum())
+    for seed in (601032, 602016):
+        rep = ST.gamma_study(disk16, default_material, const, hat, [0.08, 0.04, 0.02, 0.01], opts,
+                             seed=seed, rotation_grid=256, resolution=16)
+        assert len(rep.rows) == 4
+        for row in rep.rows:
+            assert row["stop_reason"] == "gradient" and row["converged"]
+            want = _dilation_energy(area, row["eps"], 0.1, default_material)
+            assert abs(row["energy"] - want) <= 1e-8 * abs(want)
+    assert len(solves) == 8
+    for diag in solves:
+        assert diag.stop_reason == "gradient" and diag.converged
+        assert diag.grad_norm <= 1e-13 * (1.0 + abs(diag.energy))
 
 
 def test_gamma_study_gap_decreases(bench_report):

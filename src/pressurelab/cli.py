@@ -1,6 +1,7 @@
 """Command-line entry point: config-driven runs with JSON/CSV/SVG outputs.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure or a problem
+the solvers do not take (`ProblemError`, `PressureError`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from . import rotations, studies, svgplot
 from .config import ConfigError, RunContext, load_config
-from .linear_solver import SolverError
+from .linear_solver import ProblemError, SolverError
 from .material import wrap_angle
+from .pressure import PressureError
 from .studies import StudyReport, extract_rotation, multistart_minimize, rescaled_displacement
 
 COMMANDS = ("scan-rotations", "solve-linear", "solve-nonlinear",
@@ -209,33 +211,22 @@ def _dispatch(command: str, config_path: str, args) -> int:
             cfg["seed"] = int(args.seed)
         ctx = RunContext.from_config(cfg)
         paths = cfg.get("output", {}) or {}
-        if getattr(args, "out", None) is None:
-            args.out = paths.get("json")
-        if getattr(args, "csv", None) is None:
-            args.csv = paths.get("csv")
-        if getattr(args, "svg", None) is None:
-            args.svg = paths.get("svg")
-        if command == "scan-rotations":
-            result = _scan_rotations(ctx, args)
-        elif command == "solve-linear":
-            result = _solve_linear(ctx, args)
-        elif command == "solve-nonlinear":
-            result = _solve_nonlinear(ctx, args)
-        elif command == "gamma-study":
-            result = _study_command(ctx, args, "gamma")
-        elif command == "refined-study":
-            result = _study_command(ctx, args, "refined")
-        elif command == "lambda-study":
-            result = _study_command(ctx, args, "lambda")
-        elif command == "selftest":
-            result = _selftest(ctx, args)
+        for attr, key in (("out", "json"), ("csv", "csv"), ("svg", "svg")):
+            if getattr(args, attr, None) is None:
+                setattr(args, attr, paths.get(key))
+        handler = {"scan-rotations": _scan_rotations, "solve-linear": _solve_linear,
+                   "solve-nonlinear": _solve_nonlinear, "selftest": _selftest}.get(command)
+        if handler is not None:
+            result = handler(ctx, args)
+        elif command in COMMANDS:  # the three studies, "<kind>-study"
+            result = _study_command(ctx, args, command[:-len("-study")])
         else:
             print(f"error: unknown command {command!r}", file=sys.stderr)
             return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ValueError) as exc:
+    except (SolverError, ProblemError, PressureError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     _emit_json(getattr(args, "out", None), command, ctx, result)

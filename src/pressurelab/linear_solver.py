@@ -31,6 +31,10 @@ class SolverError(RuntimeError):
     pass
 
 
+class ProblemError(ValueError):
+    """A problem the solvers do not take: a non-optimal identity, an inadmissible start."""
+
+
 @dataclass
 class DisplacementField:
     mesh: TriMesh
@@ -99,7 +103,9 @@ class StiffnessPreconditioner:
 
         self.stiffness = assemble_stiffness(mesh, material)
         mass2 = np.repeat(mesh.node_masses, 2)
-        self._lu = splu((self.stiffness + _SHIFT * material.c1 * sp.diags(mass2)).tocsc())
+        # minimum degree on K + K^T: half the fill of the default ordering
+        self._lu = splu((self.stiffness + _SHIFT * material.c1 * sp.diags(mass2)).tocsc(),
+                        permc_spec="MMD_AT_PLUS_A")
         self.n = mesh.n_nodes
 
     def solve(self, v: np.ndarray, frame_angle: float = 0.0) -> np.ndarray:

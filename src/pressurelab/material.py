@@ -82,77 +82,81 @@ def g_mixed_derivative(t, r: float):
     return float(out) if out.ndim == 0 else out
 
 
-def det2(F: np.ndarray):
-    F = np.asarray(F, dtype=float)
-    out = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-    return float(out) if out.ndim == 0 else out
+def _major(F: np.ndarray) -> np.ndarray:
+    """Component-major view f[a, b] = F_ab, batch axes last, of (..., 2, 2) matrices.
+    The kernels below take gradients this way: each entry is one contiguous array."""
+    return np.moveaxis(np.asarray(F, dtype=float), (-2, -1), (0, 1))
 
 
-def cof2(F: np.ndarray) -> np.ndarray:
-    F = np.asarray(F, dtype=float)
-    out = np.empty_like(F)
-    out[..., 0, 0] = F[..., 1, 1]
-    out[..., 0, 1] = -F[..., 1, 0]
-    out[..., 1, 0] = -F[..., 0, 1]
-    out[..., 1, 1] = F[..., 0, 0]
-    return out
+def det2(f: np.ndarray):
+    return f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
 
 
-def _rotation_trace_amplitude(F: np.ndarray):
-    """max_R tr(R^T F) over SO(2) equals hypot(F11+F22, F21-F12)."""
-    a = F[..., 0, 0] + F[..., 1, 1]
-    b = F[..., 1, 0] - F[..., 0, 1]
-    return a, b, np.hypot(a, b)
+def cofactor(f: np.ndarray) -> np.ndarray:
+    """Cofactor matrix (the derivative of det) of a component-major gradient."""
+    return np.array([[f[1, 1], -f[1, 0]], [-f[0, 1], f[0, 0]]])
+
+
+def _so2_fit(f: np.ndarray):
+    """(dist(F, SO(2)), a, b, s) for a component-major gradient f.
+
+    max_R tr(R^T F) = s = hypot(a, b), a = F11 + F22, b = F21 - F12, at the
+    rotation with (cos, sin) = (a, b)/s.  With c = F11 - F22, e = F12 + F21,
+    dist^2 = |F|^2 + 2 - 2s = ((s - 2)^2 + c^2 + e^2)/2, a sum of squares
+    whose rounding error scales with dist rather than with |F|^2 + 2.
+    """
+    a, b = f[0, 0] + f[1, 1], f[1, 0] - f[0, 1]
+    c, e = f[0, 0] - f[1, 1], f[0, 1] + f[1, 0]
+    s = np.hypot(a, b)
+    return np.sqrt(0.5 * ((s - 2.0) ** 2 + c * c + e * e)), a, b, s
+
+
+def g_mixed_ratio(t, r: float):
+    """g'(t)/t: 1 on the quadratic branch and t^(r-2) beyond; continuous at 1."""
+    return np.where(t <= 1.0, 1.0, np.maximum(t, 1.0) ** (r - 2.0))
 
 
 def dist_so2(F: np.ndarray):
     """Frobenius distance from F to the rotation group, in closed form."""
-    F = np.asarray(F, dtype=float)
-    _, _, s = _rotation_trace_amplitude(F)
-    sq = np.einsum("...ij,...ij->...", F, F) + 2.0 - 2.0 * s
-    out = np.sqrt(np.maximum(sq, 0.0))
+    out = _so2_fit(_major(F))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def closest_rotation(F: np.ndarray) -> np.ndarray:
     """The rotation nearest to F; unique whenever tr F or the skew part is nonzero."""
-    F = np.asarray(F, dtype=float)
-    a, b, s = _rotation_trace_amplitude(F)
+    _, a, b, s = _so2_fit(_major(F))
     if np.any(s == 0.0):
         raise ValueError("closest rotation is not unique for this matrix")
-    c, d = a / s, b / s
-    out = np.empty(np.shape(F))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -d
-    out[..., 1, 0] = d
-    out[..., 1, 1] = c
-    return out
+    return np.moveaxis(np.array([[a, -b], [b, a]]) / s, (0, 1), (-2, -1))
+
+
+def density_components(model: MaterialModel, f: np.ndarray, det):
+    """The density at a component-major gradient f with det F > 0."""
+    return model.c1 * g_mixed(_so2_fit(f)[0], model.p) + model.c2 * g_mixed(np.abs(det - 1.0), model.q)
 
 
 def energy_density(model: MaterialModel, F: np.ndarray):
     """Extended-valued density: +inf on orientation-reversing gradients."""
-    F = np.asarray(F, dtype=float)
-    det = det2(F)
-    elastic = model.c1 * g_mixed(dist_so2(F), model.p)
-    volumetric = model.c2 * g_mixed(np.abs(np.asarray(det) - 1.0), model.q)
-    out = np.where(np.asarray(det) > 0.0, elastic + volumetric, np.inf)
+    f = _major(F)
+    det = det2(f)
+    out = np.where(det > 0.0, density_components(model, f, det), np.inf)
     return float(out) if out.ndim == 0 else out
+
+
+def stress_components(model: MaterialModel, f: np.ndarray, det) -> np.ndarray:
+    """First derivative of the density, component-major, at f with det F > 0."""
+    d, a, b, s = _so2_fit(f)
+    t = det - 1.0
+    k = model.c2 * np.where(np.abs(t) <= 1.0, t, np.sign(t) * np.maximum(np.abs(t), 1.0) ** (model.q - 1.0))
+    return model.c1 * g_mixed_ratio(d, model.p) * (f - np.array([[a, -b], [b, a]]) / s) + k * cofactor(f)
 
 
 def stress(model: MaterialModel, F: np.ndarray) -> np.ndarray:
     """First derivative of the density on {det F > 0}."""
-    F = np.asarray(F, dtype=float)
-    det = np.asarray(det2(F))
-    if np.any(det <= 0.0):
+    f = _major(F)
+    if np.any(det2(f) <= 0.0):
         raise ValueError("stress is defined only for orientation-preserving gradients")
-    d = np.asarray(dist_so2(F))
-    # g'(d)/d is 1 on the quadratic branch and d^(p-2) beyond; continuous at 1.
-    h = np.where(d <= 1.0, 1.0, np.maximum(d, 1.0) ** (model.p - 2.0))
-    R = closest_rotation(F)
-    t = det - 1.0
-    k = np.where(np.abs(t) <= 1.0, t, np.sign(t) * np.maximum(np.abs(t), 1.0) ** (model.q - 1.0))
-    out = model.c1 * h[..., None, None] * (F - R) + model.c2 * k[..., None, None] * cof2(F)
-    return out
+    return np.moveaxis(stress_components(model, f, det2(f)), (0, 1), (-2, -1))
 
 
 def quadratic_form(model: MaterialModel, E: np.ndarray):
@@ -168,5 +172,5 @@ def det_expansion(F: np.ndarray, eps: float):
     """det(I + eps*F) written as its exact degree-2 polynomial in eps."""
     F = np.asarray(F, dtype=float)
     tr = F[..., 0, 0] + F[..., 1, 1]
-    out = 1.0 + eps * tr + eps * eps * np.asarray(det2(F))
+    out = 1.0 + eps * tr + eps * eps * det2(_major(F))
     return float(out) if out.ndim == 0 else out

@@ -4,9 +4,12 @@ The discrete energy of a nodal deformation y is
 
     E(y) = sum_T |T| W(grad y_T) + eps * sum_q w_q (pi_hat(y(x_q)) det grad y - pi_hat(x_q))
 
-with +inf whenever some triangle reverses orientation.  Deformations live in
+with +inf whenever some triangle reverses orientation.  An evaluation gathers
+y[triangles] once and uses the component kernels of `material`; a solve
+computes the reference term sum_q w_q pi_hat(x_q) once.  Deformations live in
 the zero-average subspace (lumped masses); the minimizer is a limited-memory
-BFGS iteration, seeded with the factored linear stiffness.  Its line search
+BFGS iteration, seeded with the factored linear stiffness (splu, ordered by
+MMD_AT_PLUS_A).  Its line search
 backtracks on the Armijo condition and rejects inadmissible trial steps
 outright, so every accepted iterate keeps all determinants positive.
 
@@ -17,10 +20,10 @@ therefore judged on its directional derivative instead (the approximate Wolfe
 conditions of Hager and Zhang, SIAM J. Optim. 16, 2005): the search brackets
 the step on the slope ratio and accepts once it lies in [2*delta - 1, sigma].
 Accepted energies are nonincreasing except at such a step, which may raise
-the energy by at most the floor, eps_mach times the magnitudes that cancel in
-the energy sum.  ``converged`` means the gradient test passed
-(``stop_reason == "gradient"``); "stalled" means the line search found no
-acceptable step, "maxiter" that the iteration cap was reached.
+the energy by at most the floor, a bound on the rounding of the energy sum.
+``converged`` means the gradient test passed (``stop_reason == "gradient"``);
+"stalled" means the line search found no acceptable step, "maxiter" that the
+iteration cap was reached.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
-from .linear_solver import StiffnessPreconditioner, project_gradient, zero_average
-from .material import MaterialModel, cof2, dist_so2, g_mixed, rotation, stress as material_stress
+from .linear_solver import ProblemError, StiffnessPreconditioner, project_gradient, zero_average
+from .material import MaterialModel, cofactor, density_components, det2, g_mixed, rotation, stress_components
 from .pressure import PressureField
 
 _ARMIJO_C = 1e-4
@@ -77,82 +80,75 @@ def rigid_map(mesh: TriMesh, alpha: float) -> np.ndarray:
     return mesh.nodes @ rotation(alpha).T
 
 
+def _gather(mesh: TriMesh, y: np.ndarray):
+    """From one gather of the corner values: the component-major gradient f
+    (2, 2, M), det (M,) and the values (3M, 2) at the interior rule points, the
+    edge midpoints (point q on the edge from corner q to corner q + 1)."""
+    yt = y[mesh.triangles]
+    g = mesh.basis_gradients
+    f = np.array([[yt[:, 0, a] * g[:, 0, b] + yt[:, 1, a] * g[:, 1, b] + yt[:, 2, a] * g[:, 2, b]
+                   for b in range(2)] for a in range(2)])
+    return f, det2(f), (0.5 * (yt + yt[:, [1, 2, 0]])).reshape(-1, 2)
+
+
 def deformation_gradients(mesh: TriMesh, y: np.ndarray):
     """Per-triangle gradient (M, 2, 2) and determinant (M,) of a nodal map."""
-    yt = y[mesh.triangles]  # (M, 3, 2)
-    F = np.matmul(yt.transpose(0, 2, 1), mesh.basis_gradients)
-    det = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    return F, det
+    f, det, _ = _gather(mesh, y)
+    return np.moveaxis(f, (0, 1), (1, 2)), det
 
 
-def _interp_at_interior(mesh: TriMesh, y: np.ndarray) -> np.ndarray:
-    """P1 values of y at the interior rule points, shape (M, 3, 2)."""
-    return np.matmul(mesh.quadrature.interior_bary, y[mesh.triangles])
-
-
-def _pressure_terms(mesh: TriMesh, pi_hat: PressureField, y: np.ndarray):
-    """pi_hat at the interior rule points of y and of the reference, each (M, 3)."""
-    yq = _interp_at_interior(mesh, y)
-    piy = np.asarray(pi_hat.evaluate(yq.reshape(-1, 2)), dtype=float).reshape(-1, 3)
-    pix = np.asarray(pi_hat.evaluate(mesh.interior_points_flat()), dtype=float).reshape(-1, 3)
-    return piy, pix
+def _reference_terms(mesh: TriMesh, pi_hat: PressureField) -> tuple[float, float]:
+    """sum_q w_q pi_hat(x_q) and sum_q w_q |pi_hat(x_q)| over the reference rule points."""
+    wpi = mesh.interior_weights_flat() * pi_hat.evaluate(mesh.interior_points_flat())
+    return float(np.sum(wpi)), float(np.sum(np.abs(wpi)))
 
 
 def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                    y: np.ndarray, eps: float) -> float:
-    """Total energy; +inf when orientation is violated anywhere."""
-    F, det = deformation_gradients(mesh, y)
+                    y: np.ndarray, eps: float, reference: float | None = None) -> float:
+    """Total energy; +inf when orientation is violated anywhere.  ``reference``
+    is sum_q w_q pi_hat(x_q), which `minimize_energy` computes once per solve."""
+    f, det, yq = _gather(mesh, y)
     if np.any(det <= 0.0):
         return math.inf
-    d = dist_so2(F)
-    w_el = material.c1 * g_mixed(d, material.p) + material.c2 * g_mixed(np.abs(det - 1.0), material.q)
-    elastic = float(mesh.areas @ w_el)
-    piy, pix = _pressure_terms(mesh, pi_hat, y)
-    w = mesh.quadrature.interior_weights
-    pressure = float(np.sum(w * (piy * det[:, None] - pix)))
+    elastic = float(mesh.areas @ density_components(material, f, det))
+    if reference is None:
+        reference = _reference_terms(mesh, pi_hat)[0]
+    # sum_q w_q pi_hat(y_q) det - reference, split so that neither part cancels
+    # near a rigid state: the sums over q of pi_hat(y_q) and pi_hat(x_q) round alike
+    wpi = mesh.quadrature.interior_weights * np.reshape(pi_hat.evaluate(yq), (-1, 3))
+    pressure = float(np.sum(wpi, axis=1) @ (det - 1.0)) + (float(np.sum(wpi)) - reference)
     return elastic + eps * pressure
 
 
 def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                          y: np.ndarray, eps: float) -> float:
-    """Rounding scale of `assemble_energy` at an admissible y.
-
-    eps_mach times the magnitudes that cancel in the energy sum: |F|^2 + 2 in
-    each squared distance to SO(2), weighted by c1, and both pressure terms.
-    Energy differences below it carry no information about descent.
-    """
-    F, det = deformation_gradients(mesh, y)
-    elastic = material.c1 * float(mesh.areas @ (np.einsum("tij,tij->t", F, F) + 2.0))
-    piy, pix = _pressure_terms(mesh, pi_hat, y)
+                          y: np.ndarray, eps: float, reference_abs: float) -> float:
+    """Bound on the rounding of `assemble_energy` at an admissible y: eps_mach
+    times c1 (|F|^2 + 2) per triangle and both pressure sums (``reference_abs``
+    is sum_q w_q |pi_hat(x_q)|)."""
+    f, det, yq = _gather(mesh, y)
+    elastic = material.c1 * float(mesh.areas @ (np.sum(f * f, axis=(0, 1)) + 2.0))
     w = mesh.quadrature.interior_weights
-    pressure = float(np.sum(w * (np.abs(piy * det[:, None]) + np.abs(pix))))
+    pressure = float(np.sum(w * np.abs(np.reshape(pi_hat.evaluate(yq), (-1, 3))), axis=1) @ det) + reference_abs
     return float(np.finfo(float).eps) * (elastic + abs(eps) * pressure)
 
 
 def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
                       y: np.ndarray, eps: float) -> np.ndarray:
     """Nodal gradient of the energy, projected onto the zero-average subspace."""
-    F, det = deformation_gradients(mesh, y)
+    f, det, yq = _gather(mesh, y)
     if np.any(det <= 0.0):
         raise ValueError("gradient requested at an inadmissible deformation")
-    S = material_stress(material, F)
-    G = mesh.basis_gradients
-    contrib = mesh.areas[:, None, None] * np.matmul(G, S.transpose(0, 2, 1))
-
-    yq = _interp_at_interior(mesh, y)
-    piy = np.asarray(pi_hat.evaluate(yq.reshape(-1, 2)), dtype=float).reshape(len(F), 3)
-    gpiy = np.asarray(pi_hat.gradient(yq.reshape(-1, 2)), dtype=float).reshape(len(F), 3, 2)
     w = mesh.quadrature.interior_weights
-    B = mesh.quadrature.interior_bary
-    wdet_g = (w * det[:, None])[:, :, None] * gpiy      # (M, 3 pts, 2)
-    contrib += eps * np.matmul(B.T, wdet_g)
-    s_pi = np.sum(w * piy, axis=1)
-    contrib += (eps * s_pi)[:, None, None] * np.matmul(G, cof2(F).transpose(0, 2, 1))
-
-    grad = np.zeros_like(y)
-    flat_idx = mesh.triangles.ravel()
-    for c in range(2):
-        grad[:, c] = np.bincount(flat_idx, weights=contrib[:, :, c].ravel(), minlength=len(y))
+    piy = np.reshape(pi_hat.evaluate(yq), w.shape)
+    gpiy = np.reshape(pi_hat.gradient(yq), w.shape + (2,))
+    # dE/dF per triangle: |T| times the stress, plus eps sum_q w_q pi_hat(y_q) cof F
+    P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * piy, axis=1)) * cofactor(f)
+    # eps w_q det F grad pi_hat(y_q), shared by the two corners of edge q
+    h = (eps * w * det[:, None])[:, :, None] * gpiy
+    g = mesh.basis_gradients
+    edges = np.moveaxis(0.5 * (h + h[:, [2, 0, 1]]), 2, 0)  # corner i: rule points i and i - 1
+    contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1] + edges
+    grad = np.stack([np.bincount(mesh.triangles.ravel(), weights=c.ravel(), minlength=len(y)) for c in contrib], axis=1)
     return project_gradient(mesh, grad)
 
 
@@ -168,8 +164,7 @@ def rigid_start(mesh: TriMesh, alpha: float, noise_amplitude: float, rng: np.ran
     amp = noise_amplitude
     for _ in range(80):
         y = zero_average(mesh, base + amp * noise)
-        _, det = deformation_gradients(mesh, y)
-        if np.all(det > 0.0):
+        if DeformationField(mesh, y).admissible:
             return y
         amp *= 0.5
     return zero_average(mesh, base)
@@ -200,16 +195,17 @@ def minimize_energy(
     ``converged``/``stop_reason`` rather than raised.
     """
     y0 = zero_average(mesh, np.asarray(init, dtype=float))
-    _, det0 = deformation_gradients(mesh, y0)
-    if np.any(det0 <= 0.0):
-        raise ValueError("initial deformation is inadmissible")
+    if not DeformationField(mesh, y0).admissible:
+        raise ProblemError("initial deformation is inadmissible")
 
     n = mesh.n_nodes
     if precond is None:
         precond = StiffnessPreconditioner(mesh, material)
 
+    reference, reference_abs = _reference_terms(mesh, pi_hat)
+
     def energy_only(z):
-        return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps)
+        return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps, reference)
 
     def gradient_at(z):
         return assemble_gradient(mesh, material, pi_hat, z.reshape(n, 2), eps).ravel()
@@ -247,7 +243,9 @@ def minimize_energy(
         Armijo with its energy within the rounding floor of f takes the
         derivative test instead, which raises lo (too short), lowers hi
         (overshoot) or yields a candidate.  The candidate is taken only if
-        none of the next _ARMIJO_RETRIES halvings passes Armijo.
+        none of the next _ARMIJO_RETRIES halvings passes Armijo.  The search
+        gives up once the step falls below _STEP_MIN above lo, or once the
+        bracket holds no float strictly inside it (t then rounds to hi).
         """
         nonlocal backtracks, rejections
 
@@ -258,7 +256,7 @@ def minimize_energy(
 
         t, lo, hi = 1.0, 0.0, math.inf
         floor = None
-        while t - lo > _STEP_MIN:
+        while t - lo > _STEP_MIN and t < hi:
             z_try, f_try, armijo = trial(t)
             if armijo:
                 return z_try, f_try, None
@@ -268,7 +266,8 @@ def minimize_energy(
                 hi = t
             else:
                 if floor is None:
-                    floor = _energy_rounding_floor(mesh, material, pi_hat, z.reshape(n, 2), eps)
+                    floor = _energy_rounding_floor(mesh, material, pi_hat, z.reshape(n, 2), eps,
+                                                   reference_abs)
                 if f_try - f > floor:
                     hi = t
                 else:

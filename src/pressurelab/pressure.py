@@ -335,6 +335,7 @@ def extend_pressure(
     is clamped at zero, which keeps the result everywhere <= `pi` and, for a
     nonnegative field, nonnegative with compact support.  Signed fields are
     first shifted up by their growth majorant, extended, and shifted back.
+    Points that all lie in the trusted region go to `pi` as they are.
     """
     if delta <= 0.0:
         raise PressureError("extension margin delta must be positive")
@@ -398,8 +399,10 @@ def extend_pressure(
     def evaluate(points):
         pts, scalar = _as_points(points)
         s = np.hypot(pts[..., 0], pts[..., 1])
-        out = np.zeros(pts.shape[:-1])
         core = (s <= r_outer) if ball_case else ((s >= r_in) & (s <= r_outer))
+        if np.all(core):
+            return pi.evaluate(points)
+        out = np.zeros(pts.shape[:-1])
         if np.any(core):
             out[core] = pi.evaluate(pts[core])
         outer = (s > r_outer) & (s <= r_outer + delta)
@@ -417,8 +420,10 @@ def extend_pressure(
     def gradient(points):
         pts, scalar = _as_points(points)
         s = np.hypot(pts[..., 0], pts[..., 1])
-        out = np.zeros(pts.shape)
         core = (s <= r_outer) if ball_case else ((s >= r_in) & (s <= r_outer))
+        if np.all(core):
+            return pi.gradient(points)
+        out = np.zeros(pts.shape)
         if np.any(core):
             out[core] = pi.gradient(pts[core])
 

@@ -23,8 +23,17 @@ class SmoothnessError(ValueError):
     """Raised when an operation needs more smoothness than the field declares."""
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
-    """Scalar golden-section minimization on [a, b]; returns (argmin, value)."""
+def golden_section_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200, slope=None):
+    """Scalar golden-section minimization on [a, b]; returns (argmin, value).
+
+    Given the derivative ``slope`` of f, bisect on its sign instead: it keeps
+    resolving the argmin where the values of f are flat to rounding.
+    """
+    if slope is not None:
+        while abs(b - a) > tol and max_iter > 0:
+            m, max_iter = 0.5 * (a + b), max_iter - 1
+            a, b = (a, m) if slope(m) > 0.0 else (m, b)
+        return 0.5 * (a + b), f(0.5 * (a + b))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TriMesh
-from .material import MaterialModel, g_mixed, rotation, wrap_angle
+from .material import MaterialModel, g_mixed, g_mixed_ratio, rotation, wrap_angle
 from .nonlinear_solver import (
     DeformationField,
     SolveDiagnostics,
@@ -23,7 +23,7 @@ from .nonlinear_solver import (
     rigid_start,
     zero_average,
 )
-from .linear_solver import SolverError, StiffnessPreconditioner, apply_gauge, assemble_linear_system, solve_linearized
+from .linear_solver import ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_linear_system, solve_linearized
 from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, golden_section_min, rotation_functional, second_variation
 
@@ -72,8 +72,9 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray,
     2 (a cos alpha + b sin alpha).  For p >= 2, g(d) >= d^2/2 with equality
     for d <= 1, so the least-squares angle atan2(sum |T| b, sum |T| a), which
     minimizes the quadratic lower bound, is the exact minimizer whenever every
-    triangle's distance there is at most 1.  Otherwise: grid scan plus
-    golden-section refinement.  Deterministic.
+    triangle's distance there is at most 1.  Otherwise: grid scan, then
+    bisection of the grid bracket on the sign of the objective's derivative.
+    Deterministic.
     """
     F, _ = deformation_gradients(mesh, y)
     a = F[:, 0, 0] + F[:, 1, 1]
@@ -92,12 +93,16 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray,
     def objective(alpha):
         return float(areas @ g_mixed(np.sqrt(dist_sq(alpha)), material.p))
 
+    def slope(alpha):  # d/dalpha g(d) = g'(d)/d * (a sin alpha - b cos alpha)
+        ratio = g_mixed_ratio(np.sqrt(dist_sq(alpha)), material.p)
+        return float(areas @ (ratio * (a * np.sin(alpha) - b * np.cos(alpha))))
+
     alphas = TWO_PI * np.arange(grid_n) / grid_n
     vals = np.array([objective(x) for x in alphas])
     i = int(np.argmin(vals))
     lo = alphas[i] - TWO_PI / grid_n
     hi = alphas[i] + TWO_PI / grid_n
-    a_star, _ = golden_section_min(objective, lo, hi, tol=refine_tol)
+    a_star, _ = golden_section_min(objective, lo, hi, tol=refine_tol, slope=slope)
     return wrap_angle(a_star)
 
 
@@ -262,7 +267,7 @@ def _sweep(kind, mesh, material, pi, pi_hat, eps_list, options, seed, rotation_g
     """
     optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
     if optimal.distance(0.0) > optimal.grid_step:
-        raise ValueError("the identity rotation is not optimal for this configuration")
+        raise ProblemError("the identity rotation is not optimal for this configuration")
     report = StudyReport(kind=kind, config_hash="")
     precond = StiffnessPreconditioner(mesh, material)
     row = setup(optimal, report, precond)
@@ -371,7 +376,7 @@ def refined_study(
     sequence is reported; no limit is forced when it fails to settle.
     """
     if not pi.is_smooth:
-        raise ValueError("refined study needs a C^2 pressure field")
+        raise ProblemError("refined study needs a C^2 pressure field")
 
     def setup(optimal, report, factor):
         def row(eps, fld, diag, starts):
@@ -435,9 +440,9 @@ def almost_minimizer_scaling(
     lambda^3/eps target plus the rescaled-energy gap to the solved minimum.
     """
     if not (1.0 / 3.0 < exponent < 0.5):
-        raise ValueError("exponent must lie in (1/3, 1/2)")
+        raise ProblemError("exponent must lie in (1/3, 1/2)")
     if pi.params.get("variant") != "strict":
-        raise ValueError("the scaling study requires the strict bump variant")
+        raise ProblemError("the scaling study requires the strict bump variant")
 
     def setup(optimal, report, factor):
         min_e0, alpha0, disp_star, _, _ = minimize_limit_energy(

@@ -194,6 +194,19 @@ def test_identity_not_optimal_exits_3(tmp_path, capsys):
     assert "identity rotation is not optimal" in capsys.readouterr().err
 
 
+def test_plain_value_error_in_a_study_is_not_exit_3(tmp_path, monkeypatch):
+    # only the named problem errors become exit 3; any other ValueError is a fault
+    import pressurelab.studies as ST
+
+    def broken(**kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(ST, "gamma_study", broken)
+    path = _write(tmp_path, _base_config(study={"resolutions": [8], "rotation_grid": 128}))
+    with pytest.raises(ValueError, match="broadcast"):
+        run("gamma-study", path)
+
+
 def test_refine_tol_is_not_a_config_key(tmp_path, capsys):
     # the refinement tolerance is a constant of find_optimal_rotations
     cfg = _base_config(study={"resolutions": [10], "rotation_grid": 128, "refine_tol": 1e-10})

@@ -1,0 +1,151 @@
+"""The one-gather energy and gradient kernels against the matrix formulation,
+the direct path of the pressure extension, and the per-solve reference term."""
+
+import numpy as np
+import pytest
+
+from pressurelab import MaterialModel, builtin_pressure, extend_pressure
+from pressurelab.material import g_mixed
+from pressurelab.nonlinear_solver import (
+    _reference_terms,
+    assemble_energy,
+    assemble_gradient,
+    deformation_gradients,
+    project_gradient,
+    rigid_start,
+)
+
+FIELDS = [("zero", {}, None), ("constant", {"value": 0.1}, None), ("constant", {"value": -0.3}, None),
+          ("hydrostatic", {"coefficient": 0.5}, None), ("quadrant_bump", {}, "strict"),
+          ("quadrant_bump", {}, "flat")]
+MATERIALS = [MaterialModel(), MaterialModel(c1=1.3, c2=0.7, p=1.5, q=1.5)]
+
+
+def _extended(pi, mesh):
+    r = float(np.max(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])))
+    return extend_pressure(pi, None, 1.1 * r, 0.5 * r)
+
+
+def _matrix_gradients(mesh, y):
+    yt = y[mesh.triangles]
+    F = np.matmul(yt.transpose(0, 2, 1), mesh.basis_gradients)
+    return F, F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+
+
+def _matrix_energy(mesh, material, pi_hat, y, eps):
+    F, det = _matrix_gradients(mesh, y)
+    a = F[:, 0, 0] + F[:, 1, 1]
+    b = F[:, 1, 0] - F[:, 0, 1]
+    d = np.sqrt(np.maximum(np.einsum("tij,tij->t", F, F) + 2.0 - 2.0 * np.hypot(a, b), 0.0))
+    w_el = material.c1 * g_mixed(d, material.p) + material.c2 * g_mixed(np.abs(det - 1.0), material.q)
+    yq = np.matmul(mesh.quadrature.interior_bary, y[mesh.triangles])
+    piy = pi_hat.evaluate(yq.reshape(-1, 2)).reshape(-1, 3)
+    pix = pi_hat.evaluate(mesh.interior_points_flat()).reshape(-1, 3)
+    w = mesh.quadrature.interior_weights
+    return float(mesh.areas @ w_el) + eps * float(np.sum(w * (piy * det[:, None] - pix)))
+
+
+def _matrix_gradient(mesh, material, pi_hat, y, eps):
+    F, det = _matrix_gradients(mesh, y)
+    a = F[:, 0, 0] + F[:, 1, 1]
+    b = F[:, 1, 0] - F[:, 0, 1]
+    s = np.hypot(a, b)
+    d = np.sqrt(np.maximum(np.einsum("tij,tij->t", F, F) + 2.0 - 2.0 * s, 0.0))
+    h = np.where(d <= 1.0, 1.0, np.maximum(d, 1.0) ** (material.p - 2.0))
+    R = np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2) / s[:, None, None]
+    t = det - 1.0
+    k = np.where(np.abs(t) <= 1.0, t, np.sign(t) * np.maximum(np.abs(t), 1.0) ** (material.q - 1.0))
+    cof = np.stack([np.stack([F[:, 1, 1], -F[:, 1, 0]], -1), np.stack([-F[:, 0, 1], F[:, 0, 0]], -1)], -2)
+    S = material.c1 * h[:, None, None] * (F - R) + material.c2 * k[:, None, None] * cof
+    G = mesh.basis_gradients
+    contrib = mesh.areas[:, None, None] * np.matmul(G, S.transpose(0, 2, 1))
+    B = mesh.quadrature.interior_bary
+    yq = np.matmul(B, y[mesh.triangles]).reshape(-1, 2)
+    piy = pi_hat.evaluate(yq).reshape(-1, 3)
+    gpiy = pi_hat.gradient(yq).reshape(-1, 3, 2)
+    w = mesh.quadrature.interior_weights
+    contrib += eps * np.matmul(B.T, (w * det[:, None])[:, :, None] * gpiy)
+    contrib += (eps * np.sum(w * piy, axis=1))[:, None, None] * np.matmul(G, cof.transpose(0, 2, 1))
+    grad = np.zeros_like(y)
+    np.add.at(grad, mesh.triangles, contrib)
+    return project_gradient(mesh, grad)
+
+
+def _random_maps(mesh, n=3):
+    rng = np.random.default_rng(17)
+    maps = []
+    for alpha, amp in zip((0.0, 2.2, 4.0), (1e-3, 1e-2, 3e-2)[:n]):
+        y = rigid_start(mesh, alpha, amp * mesh.diameter, rng)
+        # a smooth dilation by 0.7 to 2.7 moves triangles off the quadratic branches
+        maps.append(y * (1.7 + np.sin(0.25 * mesh.nodes[:, :1] + alpha)))
+    return maps
+
+
+@pytest.mark.parametrize("mesh_name", ["disk16", "lobe16"])
+def test_kernels_match_the_matrix_formulation(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    for y in _random_maps(mesh):
+        F_ref, det_ref = _matrix_gradients(mesh, y)
+        assert np.all(det_ref > 0.0)
+        F, det = deformation_gradients(mesh, y)
+        assert np.max(np.abs(F - F_ref)) <= 1e-13 * (1.0 + np.max(np.abs(F_ref)))
+        assert np.max(np.abs(det - det_ref)) <= 1e-13 * (1.0 + np.max(np.abs(det_ref)))
+        for name, params, variant in FIELDS:
+            pi = builtin_pressure(name, params, variant)
+            for field in (pi, _extended(pi, mesh)):
+                for material in MATERIALS:
+                    e_ref = _matrix_energy(mesh, material, field, y, 0.05)
+                    e = assemble_energy(mesh, material, field, y, 0.05)
+                    assert abs(e - e_ref) <= 1e-13 * (1.0 + abs(e_ref)), (name, variant)
+                    g_ref = _matrix_gradient(mesh, material, field, y, 0.05)
+                    g = assemble_gradient(mesh, material, field, y, 0.05)
+                    assert np.max(np.abs(g - g_ref)) <= 1e-13 * (1.0 + np.max(np.abs(g_ref))), (name, variant)
+
+
+def test_energy_with_and_without_the_precomputed_reference(lobe16, default_material):
+    for name, params, variant in FIELDS:
+        hat = _extended(builtin_pressure(name, params, variant), lobe16)
+        reference = _reference_terms(lobe16, hat)[0]
+        for y in _random_maps(lobe16, n=2):
+            assert (assemble_energy(lobe16, default_material, hat, y, 0.03, reference)
+                    == assemble_energy(lobe16, default_material, hat, y, 0.03))
+
+
+def _taper(pi, pts, r_ref, slope, sgn):
+    """Reference value of the radial taper outside (sgn = +1) or inside (-1) the core."""
+    s = np.hypot(pts[:, 0], pts[:, 1])
+    proj = pts * (r_ref / s)[:, None]
+    return np.maximum(pi.evaluate(proj) - sgn * slope * (s - r_ref), 0.0)
+
+
+@pytest.mark.parametrize("r_inner", [None, 1.0])
+def test_extension_direct_path(r_inner):
+    rng = np.random.default_rng(5)
+    r_outer, delta = 2.2, 0.5
+    lo = 0.0 if r_inner is None else r_inner
+    theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+    rho = np.sqrt(rng.uniform(lo ** 2, r_outer ** 2, 200))
+    core = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+    outer = core * ((r_outer + rng.uniform(1e-6, 0.45, 200)) / rho)[:, None]
+    far = core * (r_outer + 2.0 * delta) / rho[:, None]
+    for name, params, variant in FIELDS:
+        pi = builtin_pressure(name, params, variant)
+        if pi.sign_class == "signed":
+            continue  # signed fields are extended through their nonnegative shift
+        hat = extend_pressure(pi, r_inner, r_outer, delta)
+        slope = hat.params["extension"]["slope"]
+        # all points in the core: the field itself, exactly as the masked path gives it
+        direct_v, direct_g = hat.evaluate(core), hat.gradient(core)
+        assert np.array_equal(direct_v, pi.evaluate(core))
+        assert np.array_equal(direct_g, pi.gradient(core))
+        mixed = np.concatenate([core, outer, far])
+        mixed_v, mixed_g = hat.evaluate(mixed), hat.gradient(mixed)
+        assert np.array_equal(mixed_v[:200], direct_v)
+        assert np.array_equal(mixed_g[:200], direct_g)
+        assert np.allclose(mixed_v[200:400], _taper(pi, outer, r_outer, slope, 1.0), rtol=0.0, atol=1e-14)
+        assert np.all(mixed_v[400:] == 0.0) and np.all(mixed_g[400:] == 0.0)
+        if r_inner is not None:
+            inner = core * ((r_inner - rng.uniform(1e-6, 0.45, 200)) / np.hypot(*core.T))[:, None]
+            v = hat.evaluate(np.concatenate([core[:5], inner]))
+            assert np.array_equal(v[:5], direct_v[:5])
+            assert np.allclose(v[5:], _taper(pi, inner, r_inner, slope, -1.0), rtol=0.0, atol=1e-14)

@@ -129,6 +129,22 @@ def test_extract_rotation_closed_form_is_the_exact_minimizer(disk16, default_mat
     assert len(scans) == 1
 
 
+def test_extract_rotation_scan_resolves_the_stationary_angle(disk16, default_material):
+    # the scan brackets the minimizer on its grid and bisects the bracket on the
+    # sign of the derivative, which resolves the angle far below where the
+    # objective values go flat to rounding
+    from pressurelab import MaterialModel
+
+    scanning = MaterialModel(p=2.0 - 1e-12)
+    rng = np.random.default_rng(21)
+    for alpha in (0.0, 0.3, 2.5, 5.0, 6.28):
+        y = _smoothly_perturbed_rigid_map(disk16, alpha, 0.02, rng)
+        _, A, B = _quadratic_rotation_objective(disk16, y)
+        scanned = extract_rotation(disk16, scanning, y)
+        assert abs(A * np.sin(scanned) - B * np.cos(scanned)) <= 1e-12 * np.hypot(A, B)
+        assert angular_distance(scanned, extract_rotation(disk16, default_material, y)) <= 1e-12
+
+
 def test_two_extraction_routes_agree_to_order_eps(disk16, weak_material):
     u = np.stack([np.sin(disk16.nodes[:, 0]), disk16.nodes[:, 1] ** 2], axis=1)
     u = zero_average(disk16, u)

@@ -10,6 +10,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -112,7 +113,7 @@ def _solve_linear(ctx: RunContext, args) -> dict:
         "alpha0": float(alpha0),
         "E0": float(e0),
         "rotation_load_component": float(rot_load),
-        "gauge": disp.gauge,
+        "gauge": "zero_skew_mean",
         "u_nodal": disp.values.tolist(),
     }
 
@@ -151,7 +152,7 @@ def _run_study(ctx: RunContext, kind: str) -> StudyReport:
             rotation_grid=ctx.rotation_grid, resolution=res,
         )
         if kind == "gamma":
-            rep = studies.gamma_study(arc_samples=ctx.arc_samples, store_fields=False, **common)
+            rep = studies.gamma_study(arc_samples=ctx.arc_samples, **common)
         elif kind == "refined":
             rep = studies.refined_study(**common)
         else:
@@ -171,7 +172,7 @@ def _study_command(ctx: RunContext, args, kind: str) -> dict:
         eps = sorted({row["eps"] for row in report.rows}, reverse=True)
         series = {}
         for res in ctx.study_resolutions:
-            vals = [r["energy_over_eps2"] for r in report.rows if r["resolution"] == res]
+            vals = [r.get("energy_over_eps2", math.nan) for r in report.rows if r["resolution"] == res]
             series[f"res {res}"] = vals
             series[f"limit {res}"] = [report.limits[str(res)]["min_E0"]] * len(eps)
         svgplot.line_chart(args.svg, eps, series, title="rescaled minima vs limit",
@@ -179,9 +180,9 @@ def _study_command(ctx: RunContext, args, kind: str) -> dict:
     elif args.svg:
         eps = [row["eps"] for row in report.rows]
         key = "offset_scaled" if kind == "refined" else "remainder_over_target"
-        svgplot.line_chart(args.svg, eps, {key: [row[key] for row in report.rows]},
+        svgplot.line_chart(args.svg, eps, {key: [row.get(key, math.nan) for row in report.rows]},
                            title=f"{kind} study", xlabel="eps", ylabel=key, logx=True)
-    return report.to_json_dict(include_fields=False)
+    return report.to_json_dict()
 
 
 def _selftest(ctx: RunContext, args) -> dict:

@@ -18,19 +18,18 @@ class ConfigError(ValueError):
 
 _NUMBER = (int, float)
 
-# key -> (required, validator); nested sections hold their own tables
+# key -> required; each section of _SECTIONS has its own table
 _DOMAIN_KEYS = {"kind": True, "params": False, "resolution": True}
 _MATERIAL_KEYS = {"c1": True, "c2": True, "p": True, "q": True}
 _PRESSURE_KEYS = {"name": True, "params": False, "variant": False}
-_SOLVER_KEYS = {"grad_tol": False, "max_iter": False, "multistart_angles": False,
-                "noise_amplitude": False, "memory": False}
-_EXTENSION_KEYS = {"r_inner": False, "r_outer": False, "delta": False}
+_SOLVER_KEYS = {"grad_tol": False, "max_iter": False, "multistart_angles": False}
 _STUDY_KEYS = {"resolutions": False, "rotation_grid": False, "lambda_exponent": False,
                "arc_samples": False}
 _OUTPUT_KEYS = {"json": False, "csv": False, "svg": False}
 _TOP_KEYS = {"domain": True, "material": True, "pressure": True, "solver": False,
-             "extension": False, "study": False, "eps_list": False, "seed": False,
-             "output": False}
+             "study": False, "eps_list": False, "seed": False, "output": False}
+_SECTIONS = {"domain": _DOMAIN_KEYS, "material": _MATERIAL_KEYS, "pressure": _PRESSURE_KEYS,
+             "solver": _SOLVER_KEYS, "study": _STUDY_KEYS, "output": _OUTPUT_KEYS}
 
 
 def _check_section(section, table, prefix):
@@ -54,17 +53,9 @@ def validate_config(cfg: dict) -> None:
         if required and key not in cfg:
             raise ConfigError(f"missing key {key}")
 
-    _check_section(cfg["domain"], _DOMAIN_KEYS, "domain")
-    _check_section(cfg["material"], _MATERIAL_KEYS, "material")
-    _check_section(cfg["pressure"], _PRESSURE_KEYS, "pressure")
-    if "solver" in cfg:
-        _check_section(cfg["solver"], _SOLVER_KEYS, "solver")
-    if "extension" in cfg:
-        _check_section(cfg["extension"], _EXTENSION_KEYS, "extension")
-    if "study" in cfg:
-        _check_section(cfg["study"], _STUDY_KEYS, "study")
-    if "output" in cfg:
-        _check_section(cfg["output"], _OUTPUT_KEYS, "output")
+    for name, table in _SECTIONS.items():
+        if name in cfg:
+            _check_section(cfg[name], table, name)
 
     for key in ("c1", "c2", "p", "q"):
         if not isinstance(cfg["material"][key], _NUMBER):
@@ -148,16 +139,19 @@ class RunContext:
 
     @property
     def pressure_extended(self) -> PressureField:
+        """The field trusted out to 1.1 times the outer domain radius (in to 0.9
+        times the inner one on the annulus), which the rotated body never
+        leaves, and tapered over half the outer radius (half the trusted inner
+        radius on the annulus)."""
         if self._pi_hat is None:
             spec = self.domain_spec
-            ext = self.config.get("extension", {}) or {}
-            r_out = float(ext.get("r_outer") or 1.1 * spec.outer_radius)
+            r_out = 1.1 * spec.outer_radius
             if spec.inner_radius > 0.0:
-                r_in = float(ext.get("r_inner") or 0.9 * spec.inner_radius)
-                delta = float(ext.get("delta") or 0.5 * r_in)
+                r_in = 0.9 * spec.inner_radius
+                delta = 0.5 * r_in
             else:
                 r_in = None
-                delta = float(ext.get("delta") or 0.5 * spec.outer_radius)
+                delta = 0.5 * spec.outer_radius
             self._pi_hat = extend_pressure(self.pressure, r_in, r_out, delta)
         return self._pi_hat
 

@@ -356,51 +356,31 @@ def _polar_annulus(r_inner: float, r_outer: float, resolution: int):
 
 
 def _four_lobe(r_small: float, r_large: float, resolution: int):
-    # Small lobes occupy the angular quadrants [0, pi/2] and [pi, 3pi/2];
-    # large lobes extend the mesh radially in the other two quadrants.
+    # Small lobes occupy the angular quadrants [0, pi/2] and [pi, 3pi/2]: the
+    # disk of radius r_small.  Rings beyond it extend the other two quadrants
+    # radially to r_large.
     m = resolution
     n_q = _angular_quarter(resolution)
     n_a = 4 * n_q
-    dr = r_small / m
-    m_ext = max(1, round((r_large - r_small) / dr))
+    disk_nodes, disk_tris = _polar_disk(r_small, resolution)
+    m_ext = max(1, round((r_large - r_small) / (r_small / m)))
     ext_radii = np.linspace(r_small, r_large, m_ext + 1)[1:]
-
-    nodes = [(0.0, 0.0)]
-    index: dict[tuple[int, int], int] = {}
-    for j in range(1, m + 1):
-        r = r_small * j / m
-        for k in range(n_a):
-            index[(j, k)] = len(nodes)
-            nodes.append(_ring_point(r, k, n_a))
     ext_ks = list(range(n_q, 2 * n_q + 1)) + list(range(3 * n_q, 4 * n_q + 1))
-    for jj, r in enumerate(ext_radii):
-        j = m + 1 + jj
-        for k in ext_ks:
-            index[(j, k)] = len(nodes)
-            nodes.append(_ring_point(r, k, n_a))
+    slot = {k: i for i, k in enumerate(ext_ks)}
 
-    def idx(j, k):
-        if j == 0:
-            return 0
-        if j <= m:
-            return index[(j, k % n_a)]
-        return index[(j, k)]
+    def idx(jj, k):  # node k of extension ring jj; ring -1 is the disk's outer ring
+        if jj < 0:
+            return 1 + (m - 1) * n_a + (k % n_a)
+        return len(disk_nodes) + jj * len(ext_ks) + slot[k]
 
+    nodes = [_ring_point(r, k, n_a) for r in ext_radii for k in ext_ks]
     tris = []
-    for k in range(n_a):
-        tris.append((0, idx(1, k), idx(1, k + 1)))
-    for j in range(2, m + 1):
-        for k in range(n_a):
-            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
     for jj in range(len(ext_radii)):
-        j = m + 1 + jj
         for k in list(range(n_q, 2 * n_q)) + list(range(3 * n_q, 4 * n_q)):
-            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
+            a, b, c, d = idx(jj - 1, k), idx(jj, k), idx(jj, k + 1), idx(jj - 1, k + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return np.array(nodes), np.array(tris)
+    return np.vstack([disk_nodes, nodes]), np.vstack([disk_tris, tris])
 
 
 def build_domain(spec: DomainSpec) -> TriMesh:

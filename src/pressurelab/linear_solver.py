@@ -38,8 +38,7 @@ class ProblemError(ValueError):
 @dataclass
 class DisplacementField:
     mesh: TriMesh
-    values: np.ndarray  # (N, 2)
-    gauge: str = "zero_skew_mean"
+    values: np.ndarray  # (N, 2), gauged to zero lumped mean and zero mean skew gradient
 
 
 @dataclass

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Half-width of the region around SO(2) where the distance penalty is exactly
-# quadratic; beyond it the second derivative jumps for p < 2.
-QUADRATIC_NEIGHBORHOOD_RADIUS = 1.0
-
 SKEW_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
 SKEW_GENERATOR.setflags(write=False)
 

@@ -20,7 +20,10 @@ therefore judged on its directional derivative instead (the approximate Wolfe
 conditions of Hager and Zhang, SIAM J. Optim. 16, 2005): the search brackets
 the step on the slope ratio and accepts once it lies in [2*delta - 1, sigma].
 Accepted energies are nonincreasing except at such a step, which may raise
-the energy by at most the floor, a bound on the rounding of the energy sum.
+the energy by at most the floor.  The floor bounds the rounding of the energy
+sum by the sizes of its terms: the elastic density rounds relative to
+d = dist(F, SO(2)) and t = |det F - 1| (not to |F|^2, which is about 2 near
+a rotation), the pressure term relative to w_q |pi_hat|.
 ``converged`` means the gradient test passed (``stop_reason == "gradient"``);
 "stalled" means the line search found no acceptable step, "maxiter" that the
 iteration cap was reached.
@@ -35,10 +38,11 @@ import numpy as np
 
 from .geometry import TriMesh
 from .linear_solver import ProblemError, StiffnessPreconditioner, project_gradient, zero_average
-from .material import MaterialModel, cofactor, density_components, det2, g_mixed, rotation, stress_components
+from .material import MaterialModel, cofactor, density_components, det2, dist_so2, g_mixed, rotation, stress_components
 from .pressure import PressureField
 
 _ARMIJO_C = 1e-4
+_MEMORY = 10  # correction pairs kept by L-BFGS
 _BACKTRACK = 0.5
 _STEP_MIN = 1e-20
 # Derivative test for a trial whose energy is flat to rounding: accept when
@@ -69,7 +73,6 @@ class SolveDiagnostics:
     admissibility_rejections: int
     converged: bool   # the gradient test passed
     stop_reason: str  # "gradient", "stalled" (no acceptable step) or "maxiter"
-    energy_history: list | None = None  # accepted-iterate energies, when recorded
 
 
 def identity_map(mesh: TriMesh) -> np.ndarray:
@@ -123,12 +126,15 @@ def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
 def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
                           y: np.ndarray, eps: float, reference_abs: float) -> float:
     """Bound on the rounding of `assemble_energy` at an admissible y: eps_mach
-    times c1 (|F|^2 + 2) per triangle and both pressure sums (``reference_abs``
-    is sum_q w_q |pi_hat(x_q)|)."""
+    times 4 |T| (c1 (d + d^2) + c2 (t + t^2)) per triangle, with d = dist(F,
+    SO(2)) and t = |det F - 1|, plus |eps| times sum_q w_q |pi_hat(y_q)| (t + 1)
+    and ``reference_abs`` = sum_q w_q |pi_hat(x_q)|."""
     f, det, yq = _gather(mesh, y)
-    elastic = material.c1 * float(mesh.areas @ (np.sum(f * f, axis=(0, 1)) + 2.0))
+    d = dist_so2(np.moveaxis(f, (0, 1), (1, 2)))
+    t = np.abs(det - 1.0)
+    elastic = 4.0 * float(mesh.areas @ (material.c1 * (d + d * d) + material.c2 * (t + t * t)))
     w = mesh.quadrature.interior_weights
-    pressure = float(np.sum(w * np.abs(np.reshape(pi_hat.evaluate(yq), (-1, 3))), axis=1) @ det) + reference_abs
+    pressure = float(np.sum(w * np.abs(np.reshape(pi_hat.evaluate(yq), (-1, 3))), axis=1) @ (t + 1.0)) + reference_abs
     return float(np.finfo(float).eps) * (elastic + abs(eps) * pressure)
 
 
@@ -178,10 +184,8 @@ def minimize_energy(
     init: np.ndarray,
     grad_tol: float = 1e-9,
     max_iter: int = 5000,
-    memory: int = 10,
     precond: StiffnessPreconditioner | None = None,
     frame_angle: float = 0.0,
-    record_history: bool = False,
 ) -> tuple[DeformationField, SolveDiagnostics]:
     """Minimize the energy from an admissible start by preconditioned L-BFGS.
 
@@ -213,7 +217,6 @@ def minimize_energy(
     z = y0.ravel().copy()
     f = energy_only(z)
     g = gradient_at(z)
-    history = [f] if record_history else None
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
     rho_list: list[float] = []
@@ -320,11 +323,9 @@ def minimize_energy(
             s_list.append(s)
             y_list.append(yv)
             rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > _MEMORY:
                 s_list.pop(0); y_list.pop(0); rho_list.pop(0)
         z, f, g = z_new, f_new, g_new
-        if history is not None:
-            history.append(f)
     else:
         iterations = max_iter
 
@@ -332,7 +333,6 @@ def minimize_energy(
     diags = SolveDiagnostics(
         energy=f, grad_norm=float(np.linalg.norm(g)), iterations=iterations, backtracks=backtracks,
         admissibility_rejections=rejections, converged=converged, stop_reason=stop_reason,
-        energy_history=history,
     )
     return field, diags
 

@@ -306,6 +306,8 @@ def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
 # ---------------------------------------------------------------------------
 # Lipschitz extension
 
+_EXTENSION_SAMPLES = 1024  # points on each trusted circle (and 1/8 of that per probe ring) that fit the taper slope
+
 
 def _sample_circle(radius: float, n: int) -> np.ndarray:
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -324,8 +326,6 @@ def extend_pressure(
     r_inner: float | None,
     r_outer: float,
     delta: float,
-    growth_constant: float | None = None,
-    n_samples: int = 1024,
 ) -> PressureField:
     """Taper `pi` radially outside the annulus (or ball) where it is trusted.
 
@@ -334,7 +334,8 @@ def extend_pressure(
     value decreases at the sampled slope K = max(Lipschitz bound, M/delta) and
     is clamped at zero, which keeps the result everywhere <= `pi` and, for a
     nonnegative field, nonnegative with compact support.  Signed fields are
-    first shifted up by their growth majorant, extended, and shifted back.
+    first shifted up by their growth majorant, whose constant is fitted to
+    the negative part on a probe grid, extended, and shifted back.
     Points that all lie in the trusted region go to `pi` as they are.
     """
     if delta <= 0.0:
@@ -349,11 +350,9 @@ def extend_pressure(
         gamma = pi.growth
         if gamma is None:
             raise PressureError("signed pressure needs a growth exponent for extension")
-        if growth_constant is None:
-            probe = _sample_annulus(0.0, 10.0 * r_outer, 160, 64)
-            neg = np.maximum(-pi.evaluate(probe), 0.0)
-            growth_constant = float(np.max(neg / (1.0 + np.hypot(probe[:, 0], probe[:, 1]) ** gamma)))
-        cbar = max(growth_constant, 1e-12)
+        probe = _sample_annulus(0.0, 10.0 * r_outer, 160, 64)
+        neg = np.maximum(-pi.evaluate(probe), 0.0)
+        cbar = max(float(np.max(neg / (1.0 + np.hypot(probe[:, 0], probe[:, 1]) ** gamma))), 1e-12)
 
         def majorant(pts):
             pts, scalar = _as_points(pts)
@@ -375,7 +374,7 @@ def extend_pressure(
             evaluate=lambda pts: pi.evaluate(pts) + majorant(pts),
             gradient=lambda pts: pi.gradient(pts) + majorant_grad(pts),
         )
-        hat = extend_pressure(shifted, r_inner, r_outer, delta, n_samples=n_samples)
+        hat = extend_pressure(shifted, r_inner, r_outer, delta)
         return PressureField(
             name=pi.name + "_extended", sign_class="signed", smoothness="lipschitz",
             evaluate=lambda pts: hat.evaluate(pts) - majorant(pts),
@@ -385,11 +384,11 @@ def extend_pressure(
 
     # Sampled Lipschitz and circle-maximum bounds.
     lo = 0.0 if ball_case else r_inner - delta
-    probe = _sample_annulus(lo, r_outer + delta, 96, max(n_samples // 8, 64))
+    probe = _sample_annulus(lo, r_outer + delta, 96, _EXTENSION_SAMPLES // 8)
     lip = float(np.max(np.hypot(*pi.gradient(probe).T))) if len(probe) else 0.0
-    circles = [_sample_circle(r_outer, n_samples)]
+    circles = [_sample_circle(r_outer, _EXTENSION_SAMPLES)]
     if not ball_case:
-        circles.append(_sample_circle(r_inner, n_samples))
+        circles.append(_sample_circle(r_inner, _EXTENSION_SAMPLES))
     m_top = float(max(np.max(pi.evaluate(c)) for c in circles))
     m_top = max(m_top, 0.0)
     slope = max(lip, m_top / delta)

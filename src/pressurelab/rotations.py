@@ -16,6 +16,7 @@ from .pressure import PressureField
 TWO_PI = 2.0 * math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10      # bracket width at which an isolated minimizer stops refining
+_GOLDEN_MAX_ITER = 200   # bracket reductions of `golden_section_min`
 _SUPPORT_MARGIN = 1e-9   # widens a declared support so that rounding in R(alpha) drops no row
 
 
@@ -23,22 +24,22 @@ class SmoothnessError(ValueError):
     """Raised when an operation needs more smoothness than the field declares."""
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200, slope=None):
+def golden_section_min(f, a: float, b: float, tol: float = 1e-10, slope=None):
     """Scalar golden-section minimization on [a, b]; returns (argmin, value).
 
     Given the derivative ``slope`` of f, bisect on its sign instead: it keeps
     resolving the argmin where the values of f are flat to rounding.
     """
+    it = 0
     if slope is not None:
-        while abs(b - a) > tol and max_iter > 0:
-            m, max_iter = 0.5 * (a + b), max_iter - 1
+        while abs(b - a) > tol and it < _GOLDEN_MAX_ITER:
+            m, it = 0.5 * (a + b), it + 1
             a, b = (a, m) if slope(m) > 0.0 else (m, b)
         return 0.5 * (a + b), f(0.5 * (a + b))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    it = 0
-    while abs(b - a) > tol and it < max_iter:
+    while abs(b - a) > tol and it < _GOLDEN_MAX_ITER:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

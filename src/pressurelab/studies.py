@@ -28,6 +28,8 @@ from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, golden_section_min, rotation_functional, second_variation
 
 TWO_PI = 2.0 * math.pi
+_EXTRACT_GRID = 720     # scan points of `extract_rotation` when the least-squares angle does not apply
+_EXTRACT_TOL = 1e-12    # bracket width at which that scan's refinement stops
 
 
 @dataclass
@@ -36,20 +38,16 @@ class StudyReport:
     config_hash: str
     rows: list[dict] = field(default_factory=list)
     limits: dict = field(default_factory=dict)
-    fields: dict = field(default_factory=dict)  # nodal arrays keyed by row label; JSON only
     meta: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_fields: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "config_hash": self.config_hash,
             "rows": self.rows,
             "limits": self.limits,
             "meta": self.meta,
         }
-        if include_fields:
-            out["fields"] = {k: np.asarray(v).tolist() for k, v in self.fields.items()}
-        return out
 
     def column_order(self) -> list[str]:
         cols: list[str] = []
@@ -64,8 +62,7 @@ class StudyReport:
 # rotation extraction and displacement rescaling
 
 
-def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray,
-                     grid_n: int = 720, refine_tol: float = 1e-12) -> float:
+def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray) -> float:
     """Angle minimizing the area-weighted mixed penalty of grad y minus a rotation.
 
     The objective is sum_T |T| g(d_T(alpha)) with d_T^2 = |F|^2 + 2 -
@@ -97,12 +94,12 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray,
         ratio = g_mixed_ratio(np.sqrt(dist_sq(alpha)), material.p)
         return float(areas @ (ratio * (a * np.sin(alpha) - b * np.cos(alpha))))
 
-    alphas = TWO_PI * np.arange(grid_n) / grid_n
+    alphas = TWO_PI * np.arange(_EXTRACT_GRID) / _EXTRACT_GRID
     vals = np.array([objective(x) for x in alphas])
     i = int(np.argmin(vals))
-    lo = alphas[i] - TWO_PI / grid_n
-    hi = alphas[i] + TWO_PI / grid_n
-    a_star, _ = golden_section_min(objective, lo, hi, tol=refine_tol, slope=slope)
+    lo = alphas[i] - TWO_PI / _EXTRACT_GRID
+    hi = alphas[i] + TWO_PI / _EXTRACT_GRID
+    a_star, _ = golden_section_min(objective, lo, hi, tol=_EXTRACT_TOL, slope=slope)
     return wrap_angle(a_star)
 
 
@@ -147,8 +144,6 @@ class SolverOptions:
     grad_tol: float = 1e-9
     max_iter: int = 5000
     multistart_angles: tuple[float, ...] = (0.0,)
-    noise_amplitude: float | None = None  # default: 1e-3 * mesh diameter
-    memory: int = 10
 
     @classmethod
     def from_config(cls, section: dict | None) -> "SolverOptions":
@@ -157,8 +152,6 @@ class SolverOptions:
             grad_tol=float(section.get("grad_tol", 1e-9)),
             max_iter=int(section.get("max_iter", 5000)),
             multistart_angles=tuple(float(a) for a in section.get("multistart_angles", [0.0])),
-            noise_amplitude=section.get("noise_amplitude"),
-            memory=int(section.get("memory", 10)),
         )
 
 
@@ -173,6 +166,8 @@ def multistart_minimize(
 ) -> tuple[DeformationField, SolveDiagnostics, list[dict]]:
     """Run the minimizer from each configured rigid start; keep the lowest energy.
 
+    Each start is the rotated reference map plus uniform nodal noise of
+    amplitude 1e-3 times the mesh diameter, seeded by (seed, eps, start index).
     With several starts the exploration pass runs at a capped iteration count
     and moderate tolerance to rank the basins, and only the winner is polished
     to the requested tolerance (warm-started, preconditioned in its own
@@ -180,7 +175,7 @@ def multistart_minimize(
     same way.  Energies rise along the way by at most the rounding floor of
     the minimizer's derivative-accepted steps.
     """
-    amp = options.noise_amplitude if options.noise_amplitude is not None else 1e-3 * mesh.diameter
+    amp = 1e-3 * mesh.diameter
     if precond is None:
         precond = StiffnessPreconditioner(mesh, material)
     multi = len(options.multistart_angles) > 1
@@ -193,7 +188,7 @@ def multistart_minimize(
         init = rigid_start(mesh, alpha, amp, rng)
         fld, diag = minimize_energy(
             mesh, material, pi_hat, eps, init,
-            grad_tol=scout_tol, max_iter=scout_iters, memory=options.memory,
+            grad_tol=scout_tol, max_iter=scout_iters,
             precond=precond, frame_angle=alpha,
         )
         table.append({
@@ -208,7 +203,7 @@ def multistart_minimize(
         frame = extract_rotation_l2(mesh, fld.values)
         fld, diag2 = minimize_energy(
             mesh, material, pi_hat, eps, fld.values,
-            grad_tol=options.grad_tol, max_iter=options.max_iter, memory=options.memory,
+            grad_tol=options.grad_tol, max_iter=options.max_iter,
             precond=precond, frame_angle=frame,
         )
         diag = SolveDiagnostics(
@@ -294,7 +289,6 @@ def gamma_study(
     rotation_grid: int = 1024,
     arc_samples: int = 5,
     resolution: int | None = None,
-    store_fields: bool = True,
 ) -> StudyReport:
     """Sweep of rescaled minima against the limit value on one mesh.
 
@@ -317,15 +311,11 @@ def gamma_study(
             "optimal_angles": list(optimal.angles),
             "optimal_arcs": [list(a) for a in optimal.arcs],
         }
-        if store_fields:
-            report.fields["u0"] = u0
 
         def row(eps, fld, diag, starts):
             y = fld.values
             alpha = extract_rotation(mesh, material, y)
             u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
-            if store_fields:
-                report.fields[f"u_eps_{eps:g}"] = u
             return {
                 "energy": diag.energy,
                 "energy_over_eps2": diag.energy / eps ** 2,

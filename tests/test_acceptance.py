@@ -82,8 +82,7 @@ def bench_reports(material):
     for res in (32, 64):
         mesh = build_domain(DomainSpec.disk(1.0, res))
         reports[res] = gamma_study(mesh, material, const, hat, EPS_LIST, opts,
-                                   seed=2024, rotation_grid=256, resolution=res,
-                                   store_fields=False)
+                                   seed=2024, rotation_grid=256, resolution=res)
     reports["elapsed"] = time.time() - t0
     return reports
 

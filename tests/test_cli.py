@@ -1,12 +1,15 @@
 import csv
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pressurelab.cli import main, run, validate_result
-from pressurelab.config import ConfigError, RunContext, config_hash, validate_config
+from pressurelab.config import _SECTIONS, _TOP_KEYS, ConfigError, RunContext, config_hash, validate_config
+from pressurelab.linear_solver import SolverError
 
 
 def _base_config(**overrides):
@@ -207,12 +210,50 @@ def test_plain_value_error_in_a_study_is_not_exit_3(tmp_path, monkeypatch):
         run("gamma-study", path)
 
 
-def test_refine_tol_is_not_a_config_key(tmp_path, capsys):
-    # the refinement tolerance is a constant of find_optimal_rotations
-    cfg = _base_config(study={"resolutions": [10], "rotation_grid": 128, "refine_tol": 1e-10})
-    path = _write(tmp_path, cfg)
+@pytest.mark.parametrize("needle,extra", [
+    pytest.param(needle, extra, id=needle) for needle, extra in (
+        ("study.refine_tol", {"study": {"resolutions": [10], "rotation_grid": 128, "refine_tol": 1e-10}}),
+        ("solver.memory", {"solver": {"grad_tol": 1e-10, "memory": 10}}),
+        ("solver.noise_amplitude", {"solver": {"grad_tol": 1e-10, "noise_amplitude": 1e-3}}),
+        ("extension", {"extension": {"r_outer": 1.1}}),
+    )
+])
+def test_removed_option_is_not_a_config_key(tmp_path, capsys, needle, extra):
+    # the rotation refinement tolerance, the L-BFGS memory, the start noise
+    # and the extension radii are constants of the program
+    path = _write(tmp_path, _base_config(**extra))
     assert run("scan-rotations", path) == 2
-    assert "study.refine_tol" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
+
+
+def test_readme_schema_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Configuration schema\s+```json\n(.*?)```", readme, re.S).group(1)
+    schema = json.loads(block)
+    assert set(schema) == set(_TOP_KEYS)
+    for name, table in _SECTIONS.items():
+        assert set(schema[name]) == set(table), name
+
+
+def test_study_svg_with_an_error_row(tmp_path, monkeypatch):
+    # an eps whose solve fails is an error row; the chart leaves it out
+    import pressurelab.studies as ST
+
+    real = ST.multistart_minimize
+
+    def failing(mesh, material, pi_hat, eps, *args, **kwargs):
+        if eps == 0.02:
+            raise SolverError("forced failure")
+        return real(mesh, material, pi_hat, eps, *args, **kwargs)
+
+    monkeypatch.setattr(ST, "multistart_minimize", failing)
+    path = _write(tmp_path, _base_config())
+    out, svg_path = tmp_path / "g.json", tmp_path / "g.svg"
+    assert run("gamma-study", path, out=str(out), svg=str(svg_path)) == 0
+    rows = json.loads(out.read_text())["result"]["rows"]
+    assert [("error" in r) for r in rows] == [False, True]
+    ET.parse(svg_path)
+    assert "nan" not in svg_path.read_text()
 
 
 def test_seed_flag_changes_output(tmp_path):

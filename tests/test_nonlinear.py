@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pressurelab import assemble_energy, assemble_gradient, builtin_pressure, extend_pressure, minimize_energy, quadrant_bump_pressure, rotation_functional
+from pressurelab import TriMesh, assemble_energy, assemble_gradient, builtin_pressure, extend_pressure, minimize_energy, quadrant_bump_pressure, rotation_functional
 from pressurelab.nonlinear_solver import (
     StiffnessPreconditioner,
+    _energy_rounding_floor,
+    _reference_terms,
     deformation_gradients,
     identity_map,
     project_gradient,
@@ -125,12 +127,33 @@ def test_minimize_monotone_descent_and_admissibility(disk16, default_material, c
     init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(7))
     e0 = assemble_energy(disk16, default_material, const_hat, init, 0.05)
     fld, diag = minimize_energy(disk16, default_material, const_hat, 0.05, init,
-                                grad_tol=1e-10, max_iter=500, record_history=True)
+                                grad_tol=1e-10, max_iter=500)
     assert diag.energy <= e0
-    hist = np.array(diag.energy_history)
+    # the accepted energies, read from the same solve cut after k iterations
+    hist = np.array([minimize_energy(disk16, default_material, const_hat, 0.05, init,
+                                     grad_tol=1e-10, max_iter=k)[1].energy
+                     for k in range(diag.iterations + 1)])
+    assert hist[-1] == diag.energy
     assert np.all(np.diff(hist) <= 0.0)
     assert fld.admissible
     assert diag.admissibility_rejections >= 0
+
+
+@pytest.mark.parametrize("noise", [1e-6, 1e-3])
+def test_rounding_floor_fits_the_energy_sum(disk16, default_material, noise):
+    # Reversing the triangle order changes only the summation order of the
+    # energy, so the spread of the two sums is rounding the floor must cover.
+    # Near a rotation the floor follows dist and |det - 1|, not |F|^2 + 2.
+    zero_hat = builtin_pressure("zero")
+    y = rigid_start(disk16, 0.7, noise, np.random.default_rng(3))
+    reversed_mesh = TriMesh.from_arrays(disk16.nodes, disk16.triangles[::-1])
+    spread = abs(assemble_energy(disk16, default_material, zero_hat, y, 0.05)
+                 - assemble_energy(reversed_mesh, default_material, zero_hat, y, 0.05))
+    floor = _energy_rounding_floor(disk16, default_material, zero_hat, y, 0.05,
+                                   _reference_terms(disk16, zero_hat)[1])
+    assert spread <= floor
+    if noise == 1e-6:
+        assert floor <= 1e-17
 
 
 def test_minimize_rejects_inadmissible_init(disk16, default_material, const_hat):

@@ -74,11 +74,7 @@ def _scan_rotations(ctx: RunContext, args) -> dict:
     optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)
     alphas = 2.0 * np.pi * np.arange(grid) / grid
     values = optimal.grid_values
-    residuals = np.array([rotations.el_residual(mesh, pi, a) for a in alphas])
-    if pi.is_smooth:
-        second = np.array([rotations.second_variation(mesh, pi, a, 1.0) for a in alphas])
-    else:
-        second = np.full(grid, np.nan)
+    residuals, second = rotations.boundary_profile(mesh, pi, alphas)
     rows = [
         {"alpha": float(a), "functional_value": float(v), "el_residual": float(r),
          "second_variation_unit": float(s)}

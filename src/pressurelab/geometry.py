@@ -158,23 +158,13 @@ class TriMesh:
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise DomainError("triangles must be an (M, 3) array")
 
-        v0 = nodes[triangles[:, 0]]
-        v1 = nodes[triangles[:, 1]]
-        v2 = nodes[triangles[:, 2]]
-        cross = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
-        areas = 0.5 * cross
-        if np.any(areas <= 0.0):
-            bad = int(np.sum(areas <= 0.0))
-            raise DomainError(f"{bad} triangles have non-positive signed area")
-
+        (v0, v1, v2), areas, masses = _areas_and_masses(nodes, triangles)
         grads = np.empty((len(triangles), 3, 2))
         edges = (v2 - v1, v0 - v2, v1 - v0)  # edge opposite node i
         for i, e in enumerate(edges):
             grads[:, i, 0] = -e[:, 1]
             grads[:, i, 1] = e[:, 0]
         grads /= (2.0 * areas)[:, None, None]
-
-        masses = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=len(nodes))
 
         b_edges, b_normals, b_lengths = _extract_boundary(nodes, triangles)
         quad = _build_quadrature(nodes, triangles, areas, b_edges, b_lengths)
@@ -247,6 +237,23 @@ class TriMesh:
         }
 
 
+def _areas_and_masses(nodes: np.ndarray, triangles: np.ndarray):
+    """Corner coordinates, areas and lumped row-sum node masses of a triangulation.
+
+    Raises DomainError unless every triangle has positive signed area.
+    """
+    v0 = nodes[triangles[:, 0]]
+    v1 = nodes[triangles[:, 1]]
+    v2 = nodes[triangles[:, 2]]
+    cross = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
+    areas = 0.5 * cross
+    if np.any(areas <= 0.0):
+        bad = int(np.sum(areas <= 0.0))
+        raise DomainError(f"{bad} triangles have non-positive signed area")
+    masses = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=len(nodes))
+    return (v0, v1, v2), areas, masses
+
+
 def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     """Edges referenced by exactly one triangle, with unit outward normals."""
     m = len(triangles)
@@ -306,53 +313,42 @@ def _angular_quarter(resolution: int) -> int:
     return int(math.ceil(0.5 * math.pi * resolution))
 
 
-def _ring_point(r: float, k: int, n_angular: int) -> tuple[float, float]:
-    t = 2.0 * math.pi * k / n_angular
-    return (r * math.cos(t), r * math.sin(t))
+def _ring_nodes(radii: np.ndarray, ks: np.ndarray, n_angular: int) -> np.ndarray:
+    """Nodes at angles 2 pi k / n_angular on each circle, ring by ring."""
+    t = 2.0 * math.pi * ks / n_angular
+    r = np.asarray(radii, dtype=float)[:, None]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(-1, 2)
+
+
+def _quad_strip(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Triangle pairs (a, b, c), (a, c, d) of the quads between rows of node indices.
+
+    inner[..., k], inner[..., k+1] and outer[..., k], outer[..., k+1] are the
+    corners a, d and b, c of quad k; the pairs follow the rows' order.
+    """
+    a, d = inner[..., :-1], inner[..., 1:]
+    b, c = outer[..., :-1], outer[..., 1:]
+    return np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)], axis=-2).reshape(-1, 3)
 
 
 def _polar_disk(radius: float, resolution: int):
     m = resolution
     n_a = 4 * _angular_quarter(resolution)
-    nodes = [(0.0, 0.0)]
-    for j in range(1, m + 1):
-        r = radius * j / m
-        for k in range(n_a):
-            nodes.append(_ring_point(r, k, n_a))
-
-    def idx(j, k):
-        return 0 if j == 0 else 1 + (j - 1) * n_a + (k % n_a)
-
-    tris = []
-    for k in range(n_a):
-        tris.append((0, idx(1, k), idx(1, k + 1)))
-    for j in range(2, m + 1):
-        for k in range(n_a):
-            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return np.array(nodes), np.array(tris)
+    ks = np.arange(n_a)
+    nodes = np.vstack([np.zeros((1, 2)), _ring_nodes(radius * np.arange(1, m + 1) / m, ks, n_a)])
+    # node index of ring j (1..m) at angle k, with column n_a closing the ring
+    ring = 1 + np.arange(m)[:, None] * n_a + np.append(ks, 0)[None, :]
+    fan = np.stack([np.zeros(n_a, dtype=np.int64), ring[0, :-1], ring[0, 1:]], axis=1)
+    return nodes, np.vstack([fan, _quad_strip(ring[:-1], ring[1:])])
 
 
 def _polar_annulus(r_inner: float, r_outer: float, resolution: int):
     m = resolution
     n_a = 4 * _angular_quarter(resolution)
-    radii = np.linspace(r_inner, r_outer, m + 1)
-    nodes = []
-    for r in radii:
-        for k in range(n_a):
-            nodes.append(_ring_point(r, k, n_a))
-
-    def idx(j, k):
-        return j * n_a + (k % n_a)
-
-    tris = []
-    for j in range(1, m + 1):
-        for k in range(n_a):
-            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return np.array(nodes), np.array(tris)
+    ks = np.arange(n_a)
+    nodes = _ring_nodes(np.linspace(r_inner, r_outer, m + 1), ks, n_a)
+    ring = np.arange(m + 1)[:, None] * n_a + np.append(ks, 0)[None, :]
+    return nodes, _quad_strip(ring[:-1], ring[1:])
 
 
 def _four_lobe(r_small: float, r_large: float, resolution: int):
@@ -365,22 +361,15 @@ def _four_lobe(r_small: float, r_large: float, resolution: int):
     disk_nodes, disk_tris = _polar_disk(r_small, resolution)
     m_ext = max(1, round((r_large - r_small) / (r_small / m)))
     ext_radii = np.linspace(r_small, r_large, m_ext + 1)[1:]
-    ext_ks = list(range(n_q, 2 * n_q + 1)) + list(range(3 * n_q, 4 * n_q + 1))
-    slot = {k: i for i, k in enumerate(ext_ks)}
-
-    def idx(jj, k):  # node k of extension ring jj; ring -1 is the disk's outer ring
-        if jj < 0:
-            return 1 + (m - 1) * n_a + (k % n_a)
-        return len(disk_nodes) + jj * len(ext_ks) + slot[k]
-
-    nodes = [_ring_point(r, k, n_a) for r in ext_radii for k in ext_ks]
-    tris = []
-    for jj in range(len(ext_radii)):
-        for k in list(range(n_q, 2 * n_q)) + list(range(3 * n_q, 4 * n_q)):
-            a, b, c, d = idx(jj - 1, k), idx(jj, k), idx(jj, k + 1), idx(jj - 1, k + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return np.vstack([disk_nodes, nodes]), np.vstack([disk_tris, tris])
+    # angles k of the two extended quadrants, endpoints included: (sector, k)
+    ext_ks = np.stack([np.arange(n_q, 2 * n_q + 1), np.arange(3 * n_q, 4 * n_q + 1)])
+    nodes = _ring_nodes(ext_radii, ext_ks.reshape(-1), n_a)
+    # node indices of ring jj (0 is the disk's outer ring), sector, k
+    rings = np.empty((len(ext_radii) + 1,) + ext_ks.shape, dtype=np.int64)
+    rings[0] = 1 + (m - 1) * n_a + ext_ks % n_a
+    rings[1:] = (len(disk_nodes) + np.arange(ext_ks.size).reshape(ext_ks.shape)
+                 + ext_ks.size * np.arange(len(ext_radii))[:, None, None])
+    return np.vstack([disk_nodes, nodes]), np.vstack([disk_tris, _quad_strip(rings[:-1], rings[1:])])
 
 
 def build_domain(spec: DomainSpec) -> TriMesh:
@@ -392,19 +381,24 @@ def build_domain(spec: DomainSpec) -> TriMesh:
         nodes, tris = _polar_annulus(spec.r_inner, spec.r_outer, spec.resolution)
     else:
         nodes, tris = _four_lobe(spec.r_small, spec.r_large, spec.resolution)
-    mesh = TriMesh.from_arrays(nodes, tris)
-    center = barycenter(mesh)
+    # one mesh build: the barycenter of the raw nodes comes from their masses alone
+    center = _mass_center(nodes, _areas_and_masses(nodes, tris)[2])
     if np.hypot(*center) > 0.0:
-        mesh = mesh.translated(-center)
+        nodes = nodes - center
+    mesh = TriMesh.from_arrays(nodes, tris)
     residual = np.hypot(*barycenter(mesh))
     if residual > 1e-12 * mesh.diameter:
         raise DomainError(f"barycenter normalization failed (residual {residual:.3e})")
     return mesh
 
 
+def _mass_center(nodes: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    return np.asarray(masses @ nodes / float(masses.sum()))
+
+
 def barycenter(mesh: TriMesh) -> np.ndarray:
     """Lumped-mass weighted mean of the nodes."""
-    return np.asarray(mesh.node_masses @ mesh.nodes / mesh.total_mass)
+    return _mass_center(mesh.nodes, mesh.node_masses)
 
 
 def interior_integral(mesh: TriMesh, integrand: Callable[[np.ndarray], np.ndarray]) -> float:

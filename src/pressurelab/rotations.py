@@ -18,6 +18,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10      # bracket width at which an isolated minimizer stops refining
 _GOLDEN_MAX_ITER = 200   # bracket reductions of `golden_section_min`
 _SUPPORT_MARGIN = 1e-9   # widens a declared support so that rounding in R(alpha) drops no row
+_CHUNK_POINTS = 1 << 16  # rotated rule points per field call in the rotation profiles
 
 
 class SmoothnessError(ValueError):
@@ -137,17 +138,42 @@ def _support_rows(mesh: TriMesh, pi: PressureField, alpha: float, boundary: bool
     ])
 
 
-def rotation_functional(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
-    """Interior quadrature of x -> pi(R(alpha) x)."""
-    rows = _support_rows(mesh, pi, alpha)
-    pts = mesh.interior_points_flat()[rows]
-    w = mesh.interior_weights_flat()[rows]
-    R = rotation(alpha)
-    return float(w @ np.asarray(pi.evaluate(pts @ R.T), dtype=float))
+def _rotated_chunks(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False):
+    """Support rows and rotated rule points of each angle, grouped into chunks.
+
+    Yields (per-angle list of (alpha, rows, slice), points): `points` stacks
+    the rows of each angle rotated by R(alpha), exactly as a per-angle call
+    rotates them, and `slice` locates that angle's block in it.  A chunk
+    closes once it holds at least _CHUNK_POINTS points, so a profile calls
+    the field once per chunk instead of once per angle.
+    """
+    pts = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
+    entries, blocks, size = [], [], 0
+    for alpha in np.asarray(alphas, dtype=float).reshape(-1):
+        rows = _support_rows(mesh, pi, alpha, boundary)
+        blocks.append(pts[rows] @ rotation(alpha).T)
+        entries.append((alpha, rows, slice(size, size + len(blocks[-1]))))
+        size += len(blocks[-1])
+        if size >= _CHUNK_POINTS:
+            yield entries, np.concatenate(blocks)
+            entries, blocks, size = [], [], 0
+    if entries:
+        yield entries, np.concatenate(blocks)
 
 
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:
-    return np.array([rotation_functional(mesh, pi, a) for a in np.asarray(alphas, dtype=float)])
+    """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles."""
+    w = mesh.interior_weights_flat()
+    out = []
+    for entries, points in _rotated_chunks(mesh, pi, alphas):
+        vals = np.asarray(pi.evaluate(points), dtype=float)
+        out.extend(float(w[rows] @ vals[block]) for _, rows, block in entries)
+    return np.array(out)
+
+
+def rotation_functional(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
+    """Interior quadrature of x -> pi(R(alpha) x)."""
+    return float(rotation_functional_profile(mesh, pi, [alpha])[0])
 
 
 def find_optimal_rotations(
@@ -223,17 +249,39 @@ def find_optimal_rotations(
     )
 
 
+def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
+    """Boundary stationarity residual and second variation at each angle.
+
+    Returns (el, second): el is the integral over the boundary of
+    pi(R x) (n . J x), second that of (grad pi(R x) . R A x)(A x . n) with
+    A = a J, the cost of rotational fluctuations.  second is NaN throughout
+    when pi is not C^2; its gradient is then never evaluated.
+    """
+    pts = mesh.boundary_points_flat()
+    w = mesh.boundary_weights_flat()
+    nrm = mesh.boundary_normals_flat()
+    el, second = [], []
+    for entries, points in _rotated_chunks(mesh, pi, alphas, boundary=True):
+        vals = np.asarray(pi.evaluate(points), dtype=float)
+        grads = np.asarray(pi.gradient(points), dtype=float) if pi.is_smooth else None
+        for alpha, rows, block in entries:
+            x = pts[rows]
+            jx = x @ SKEW_GENERATOR.T
+            el.append(float(w[rows] @ (vals[block] * np.einsum("ij,ij->i", nrm[rows], jx))))
+            if grads is None:
+                second.append(math.nan)
+                continue
+            ax = a * jx
+            rax = ax @ rotation(alpha).T
+            second.append(float(w[rows] @ (np.einsum("ij,ij->i", grads[block], rax)
+                                           * np.einsum("ij,ij->i", ax, nrm[rows]))))
+    return np.array(el), np.array(second)
+
+
 def el_residual(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
     """Boundary form of the stationarity residual at R(alpha):
     integral over the boundary of pi(R x) (n . J x)."""
-    rows = _support_rows(mesh, pi, alpha, boundary=True)
-    pts = mesh.boundary_points_flat()[rows]
-    w = mesh.boundary_weights_flat()[rows]
-    nrm = mesh.boundary_normals_flat()[rows]
-    R = rotation(alpha)
-    vals = np.asarray(pi.evaluate(pts @ R.T), dtype=float)
-    jx = pts @ SKEW_GENERATOR.T
-    return float(w @ (vals * np.einsum("ij,ij->i", nrm, jx)))
+    return float(boundary_profile(mesh, pi, [alpha])[0][0])
 
 
 def el_volume_form(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
@@ -253,12 +301,4 @@ def second_variation(mesh: TriMesh, pi: PressureField, alpha: float, a: float = 
     """
     if not pi.is_smooth:
         raise SmoothnessError("second variation needs a C^2 pressure field")
-    rows = _support_rows(mesh, pi, alpha, boundary=True)
-    pts = mesh.boundary_points_flat()[rows]
-    w = mesh.boundary_weights_flat()[rows]
-    nrm = mesh.boundary_normals_flat()[rows]
-    R = rotation(alpha)
-    g = np.asarray(pi.gradient(pts @ R.T), dtype=float)
-    ax = a * (pts @ SKEW_GENERATOR.T)
-    rax = ax @ R.T
-    return float(w @ (np.einsum("ij,ij->i", g, rax) * np.einsum("ij,ij->i", ax, nrm)))
+    return float(boundary_profile(mesh, pi, [alpha], a)[1][0])

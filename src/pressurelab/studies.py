@@ -172,8 +172,9 @@ def multistart_minimize(
     and moderate tolerance to rank the basins, and only the winner is polished
     to the requested tolerance (warm-started, preconditioned in its own
     rotation frame); a single start that did not converge is polished the
-    same way.  Energies rise along the way by at most the rounding floor of
-    the minimizer's derivative-accepted steps.
+    same way.  When neither pass converges, the polish is kept only if it
+    lowers the energy.  Energies rise along the way by at most the rounding
+    floor of the minimizer's derivative-accepted steps.
     """
     amp = 1e-3 * mesh.diameter
     if precond is None:
@@ -201,17 +202,21 @@ def multistart_minimize(
     fld, diag = best
     if multi or not diag.converged:
         frame = extract_rotation_l2(mesh, fld.values)
-        fld, diag2 = minimize_energy(
+        fld2, diag2 = minimize_energy(
             mesh, material, pi_hat, eps, fld.values,
             grad_tol=options.grad_tol, max_iter=options.max_iter,
             precond=precond, frame_angle=frame,
         )
+        if diag.converged or diag2.converged or diag2.energy < diag.energy:
+            fld, keep = fld2, diag2
+        else:  # an unconverged polish that did not lower the energy is dropped; its work still counts
+            keep = diag
         diag = SolveDiagnostics(
-            energy=diag2.energy, grad_norm=diag2.grad_norm,
+            energy=keep.energy, grad_norm=keep.grad_norm,
             iterations=diag.iterations + diag2.iterations,
             backtracks=diag.backtracks + diag2.backtracks,
             admissibility_rejections=diag.admissibility_rejections + diag2.admissibility_rejections,
-            converged=diag2.converged, stop_reason=diag2.stop_reason,
+            converged=keep.converged, stop_reason=keep.stop_reason,
         )
     return fld, diag, table
 

@@ -166,13 +166,14 @@ def test_scan_rotations_scans_the_functional_once(tmp_path, monkeypatch):
     cfg = _base_config(pressure={"name": "quadrant_bump", "variant": "strict"},
                        domain={"kind": "four_lobe", "params": {}, "resolution": 8})
     path = _write(tmp_path, cfg)
+    # angles handed to the profile, which every evaluation of the functional goes through
     calls = {"grid": 0, "refine": 0}
     in_refine = []
-    real_functional, real_golden = R.rotation_functional, R.golden_section_min
+    real_profile, real_golden = R.rotation_functional_profile, R.golden_section_min
 
-    def counted(*args, **kwargs):
-        calls["refine" if in_refine else "grid"] += 1
-        return real_functional(*args, **kwargs)
+    def counted(mesh, pi, alphas):
+        calls["refine" if in_refine else "grid"] += len(np.atleast_1d(alphas))
+        return real_profile(mesh, pi, alphas)
 
     def golden(*args, **kwargs):
         in_refine.append(True)
@@ -181,7 +182,7 @@ def test_scan_rotations_scans_the_functional_once(tmp_path, monkeypatch):
         finally:
             in_refine.pop()
 
-    monkeypatch.setattr(R, "rotation_functional", counted)
+    monkeypatch.setattr(R, "rotation_functional_profile", counted)
     monkeypatch.setattr(R, "golden_section_min", golden)
     assert run("scan-rotations", path, out=str(tmp_path / "scan.json"), grid=128) == 0
     assert calls["grid"] == 128

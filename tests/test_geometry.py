@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pressurelab import DomainSpec, TriMesh, barycenter, boundary_integral, build_domain, interior_integral
-from pressurelab.geometry import DomainError, _four_lobe
+from pressurelab.geometry import DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk
 
 
 def test_disk_area_close_to_analytic(disk32):
@@ -161,3 +163,97 @@ def test_config_roundtrip():
                                    "resolution": 8})
     mesh = build_domain(spec)
     assert mesh.n_nodes > 0
+
+
+# Reference builders: one node and one triangle at a time, in construction order.
+
+def _loop_ring_point(r, k, n_angular):
+    t = 2.0 * math.pi * k / n_angular
+    return (r * math.cos(t), r * math.sin(t))
+
+
+def _loop_disk(radius, resolution):
+    m = resolution
+    n_a = 4 * _angular_quarter(resolution)
+    nodes = [(0.0, 0.0)]
+    for j in range(1, m + 1):
+        r = radius * j / m
+        for k in range(n_a):
+            nodes.append(_loop_ring_point(r, k, n_a))
+
+    def idx(j, k):
+        return 0 if j == 0 else 1 + (j - 1) * n_a + (k % n_a)
+
+    tris = [(0, idx(1, k), idx(1, k + 1)) for k in range(n_a)]
+    for j in range(2, m + 1):
+        for k in range(n_a):
+            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return np.array(nodes), np.array(tris)
+
+
+def _loop_annulus(r_inner, r_outer, resolution):
+    m = resolution
+    n_a = 4 * _angular_quarter(resolution)
+    nodes = [_loop_ring_point(r, k, n_a) for r in np.linspace(r_inner, r_outer, m + 1) for k in range(n_a)]
+
+    def idx(j, k):
+        return j * n_a + (k % n_a)
+
+    tris = []
+    for j in range(1, m + 1):
+        for k in range(n_a):
+            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return np.array(nodes), np.array(tris)
+
+
+def _loop_four_lobe(r_small, r_large, resolution):
+    m = resolution
+    n_q = _angular_quarter(resolution)
+    n_a = 4 * n_q
+    disk_nodes, disk_tris = _loop_disk(r_small, resolution)
+    m_ext = max(1, round((r_large - r_small) / (r_small / m)))
+    ext_radii = np.linspace(r_small, r_large, m_ext + 1)[1:]
+    ext_ks = list(range(n_q, 2 * n_q + 1)) + list(range(3 * n_q, 4 * n_q + 1))
+    slot = {k: i for i, k in enumerate(ext_ks)}
+
+    def idx(jj, k):
+        if jj < 0:
+            return 1 + (m - 1) * n_a + (k % n_a)
+        return len(disk_nodes) + jj * len(ext_ks) + slot[k]
+
+    nodes = [_loop_ring_point(r, k, n_a) for r in ext_radii for k in ext_ks]
+    tris = []
+    for jj in range(len(ext_radii)):
+        for k in list(range(n_q, 2 * n_q)) + list(range(3 * n_q, 4 * n_q)):
+            a, b, c, d = idx(jj - 1, k), idx(jj, k), idx(jj, k + 1), idx(jj - 1, k + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return np.vstack([disk_nodes, nodes]), np.vstack([disk_tris, tris])
+
+
+_BUILDERS = [
+    (_polar_disk, _loop_disk, (1.3,), lambda res: DomainSpec.disk(1.3, res)),
+    (_polar_annulus, _loop_annulus, (1.0, 2.5), lambda res: DomainSpec.annulus(1.0, 2.5, res)),
+    (_four_lobe, _loop_four_lobe, (1.0, 2.0), lambda res: DomainSpec.four_lobe(1.0, 2.0, res)),
+]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 8, 16, 32, 64])
+def test_array_builders_match_loop_builders(resolution):
+    for built, reference, radii, spec in _BUILDERS:
+        nodes, tris = built(*radii, resolution)
+        ref_nodes, ref_tris = reference(*radii, resolution)
+        assert nodes.dtype == ref_nodes.dtype and tris.dtype == ref_tris.dtype
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(tris, ref_tris), built.__name__
+        # build_domain against the two-build route: build, then translate the built mesh
+        mesh = build_domain(spec(resolution))
+        ref = TriMesh.from_arrays(ref_nodes, ref_tris)
+        center = barycenter(ref)
+        if np.hypot(*center) > 0.0:
+            ref = ref.translated(-center)
+        for name in ("nodes", "triangles", "areas", "node_masses"):
+            assert np.array_equal(getattr(mesh, name), getattr(ref, name)), (built.__name__, name)

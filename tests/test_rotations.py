@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pressurelab import builtin_pressure, el_residual, el_volume_form, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
-from pressurelab.rotations import SmoothnessError, golden_section_min, rotation_functional_profile
+from pressurelab import rotations
+from pressurelab.material import SKEW_GENERATOR, rotation
+from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +209,96 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
     grid_n = 1024
     find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, evaluate=counted), grid_n)
     assert sum(points) <= grid_n * len(lobe16.interior_points_flat()) / 10
+
+
+# Reference: the rotation layer one angle at a time, one field call per angle.
+
+def _per_angle_functional(mesh, pi, alpha):
+    rows = rotations._support_rows(mesh, pi, alpha)
+    pts = mesh.interior_points_flat()[rows]
+    w = mesh.interior_weights_flat()[rows]
+    return float(w @ np.asarray(pi.evaluate(pts @ rotation(alpha).T), dtype=float))
+
+
+def _per_angle_boundary(mesh, pi, alpha, a=1.0):
+    rows = rotations._support_rows(mesh, pi, alpha, boundary=True)
+    pts = mesh.boundary_points_flat()[rows]
+    w = mesh.boundary_weights_flat()[rows]
+    nrm = mesh.boundary_normals_flat()[rows]
+    R = rotation(alpha)
+    vals = np.asarray(pi.evaluate(pts @ R.T), dtype=float)
+    el = float(w @ (vals * np.einsum("ij,ij->i", nrm, pts @ SKEW_GENERATOR.T)))
+    if not pi.is_smooth:
+        return el, np.nan
+    g = np.asarray(pi.gradient(pts @ R.T), dtype=float)
+    ax = a * (pts @ SKEW_GENERATOR.T)
+    return el, float(w @ (np.einsum("ij,ij->i", g, ax @ R.T) * np.einsum("ij,ij->i", ax, nrm)))
+
+
+def _counted(pi, forbid_gradient=False):
+    calls = {"evaluate": 0, "gradient": 0}
+
+    def evaluate(pts):
+        calls["evaluate"] += 1
+        return pi.evaluate(pts)
+
+    def gradient(pts):
+        assert not forbid_gradient, "gradient of a field that is not C^2"
+        calls["gradient"] += 1
+        return pi.gradient(pts)
+
+    return dataclasses.replace(pi, evaluate=evaluate, gradient=gradient), calls
+
+
+def _grid(n):
+    # three turns, offset from the quarter turns, with negative and > 2 pi angles
+    return -2.0 * np.pi + 6.0 * np.pi * np.arange(n) / n + 0.1234
+
+
+@pytest.mark.parametrize("variant, n_interior, n_boundary", [("strict", 128, 2048), ("flat", 256, 8192)])
+def test_batched_profiles_match_per_angle_reference_for_bumps(lobe32, variant, n_interior, n_boundary):
+    pi = quadrant_bump_pressure(variant)
+    theta_lo, theta_hi = pi.support[2:]
+    for n, profile in ((n_interior, "interior"), (n_boundary, "boundary")):
+        alphas = _grid(n)
+        # some rotations pull the support back across the seam of the polar order at +-pi
+        lo = np.mod(theta_lo - alphas + np.pi, 2.0 * np.pi) - np.pi
+        assert np.any(lo + (theta_hi - theta_lo) > np.pi)
+        field, calls = _counted(pi)
+        if profile == "interior":
+            got = rotation_functional_profile(lobe32, field, alphas)
+            want = np.array([_per_angle_functional(lobe32, pi, a) for a in alphas])
+            assert np.array_equal(got, want)
+        else:
+            el, second = boundary_profile(lobe32, field, alphas)
+            want = np.array([_per_angle_boundary(lobe32, pi, a) for a in alphas])
+            assert np.array_equal(el, want[:, 0]) and np.array_equal(second, want[:, 1])
+            assert calls["gradient"] == calls["evaluate"]
+        assert calls["evaluate"] >= 3, profile  # the grid spans several chunks
+    # a fluctuation amplitude other than one, and the one-angle entry points
+    alphas = _grid(64)
+    _, second = boundary_profile(lobe32, pi, alphas, a=0.7)
+    assert np.array_equal(second, [_per_angle_boundary(lobe32, pi, a, 0.7)[1] for a in alphas])
+    for a in (0.0, 1.1, float(np.pi), 4.0, -0.3):
+        assert rotation_functional(lobe32, pi, a) == _per_angle_functional(lobe32, pi, a)
+        el, sv = _per_angle_boundary(lobe32, pi, a, 1.3)
+        assert el_residual(lobe32, pi, a) == el and second_variation(lobe32, pi, a, 1.3) == sv
+
+
+def test_batched_profiles_match_per_angle_reference_without_support(lobe32):
+    const = builtin_pressure("constant", {"value": 0.7})
+    hyd = builtin_pressure("hydrostatic", {"coefficient": 1.0})
+    assert const.support is None and hyd.support is None
+    for pi in (const, hyd):
+        field, calls = _counted(pi, forbid_gradient=not pi.is_smooth)
+        alphas = _grid(16)
+        got = rotation_functional_profile(lobe32, field, alphas)
+        assert np.array_equal(got, [_per_angle_functional(lobe32, pi, a) for a in alphas])
+        alphas = _grid(512)
+        el, second = boundary_profile(lobe32, field, alphas)
+        want = np.array([_per_angle_boundary(lobe32, pi, a) for a in alphas])
+        assert np.array_equal(el, want[:, 0])
+        if pi.is_smooth:
+            assert np.array_equal(second, want[:, 1])
+        else:
+            assert np.all(np.isnan(second)) and calls["gradient"] == 0

@@ -438,6 +438,41 @@ def test_annulus_pipeline_with_lipschitz_pressure(default_material):
     assert abs(diag.energy / eps ** 2 - min_e0) <= 0.2 * abs(min_e0)
 
 
+def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatch):
+    # annulus 8 under a hydrostatic load: the kink of max(-y2, 0) stalls both
+    # passes of a single start short of grad_tol; the polish lowers the energy
+    # from some starts and ends higher from others (seed 2)
+    import pressurelab.studies as ST
+    from pressurelab import DomainSpec, build_domain
+
+    mesh = build_domain(DomainSpec.annulus(1.0, 2.0, 8))
+    hat = extend_pressure(builtin_pressure("hydrostatic", {"coefficient": 0.1}), 0.9, 2.2, 0.45)
+    passes = []
+    real = ST.minimize_energy
+
+    def spy(*args, **kwargs):
+        passes.append(real(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(ST, "minimize_energy", spy)
+    lowered = []
+    for seed in (1, 2, 3):
+        passes.clear()
+        fld, diag, _ = multistart_minimize(mesh, default_material, hat, 0.04,
+                                           SolverOptions(grad_tol=1e-10), seed=seed)
+        (f1, d1), (f2, d2) = passes
+        assert not (d1.converged or d2.converged)
+        lowered.append(d2.energy < d1.energy)
+        kept_f, kept_d = (f2, d2) if lowered[-1] else (f1, d1)
+        assert np.array_equal(fld.values, kept_f.values)
+        assert (diag.energy, diag.grad_norm, diag.converged, diag.stop_reason) == (
+            kept_d.energy, kept_d.grad_norm, kept_d.converged, kept_d.stop_reason)
+        assert diag.energy <= d1.energy
+        assert (diag.iterations, diag.backtracks) == (d1.iterations + d2.iterations,
+                                                      d1.backtracks + d2.backtracks)
+    assert any(lowered) and not all(lowered)
+
+
 def test_study_assembles_and_factors_the_stiffness_once(disk16, lobe16, default_material,
                                                        bench_fields, bump_fields, monkeypatch):
     # the limit solves and every nonlinear solve of a study share one factor,

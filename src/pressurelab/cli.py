@@ -68,7 +68,9 @@ def validate_result(doc: dict) -> None:
 
 
 def _scan_rotations(ctx: RunContext, args) -> dict:
-    grid = int(args.grid) if args.grid else ctx.rotation_grid
+    grid = ctx.rotation_grid if args.grid is None else int(args.grid)
+    if grid < rotations.MIN_GRID:
+        raise ConfigError(f"--grid must be at least {rotations.MIN_GRID}")
     mesh = ctx.mesh()
     pi = ctx.pressure
     optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .geometry import DomainSpec, TriMesh, build_domain
 from .material import MaterialModel
 from .pressure import PressureField, builtin_pressure, extend_pressure
+from .rotations import MIN_GRID
 from .studies import SolverOptions
 
 
@@ -43,6 +44,10 @@ def _check_section(section, table, prefix):
             raise ConfigError(f"missing key {prefix}.{key}")
 
 
+def _integer_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -68,6 +73,15 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("eps_list must be a non-empty list of positive numbers")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be an integer")
+    study = cfg.get("study", {})
+    for key, least in (("rotation_grid", MIN_GRID), ("arc_samples", 1)):
+        if key in study and not _integer_at_least(study[key], least):
+            raise ConfigError(f"study.{key} must be an integer of at least {least}")
+    res = study.get("resolutions", [2])
+    if not isinstance(res, list) or not res or not all(_integer_at_least(r, 2) for r in res):
+        raise ConfigError("study.resolutions must be a non-empty list of integers of at least 2")
+    if "lambda_exponent" in study and not isinstance(study["lambda_exponent"], _NUMBER):
+        raise ConfigError("study.lambda_exponent must be a number")
 
     try:
         DomainSpec.from_config(cfg["domain"]).validate()

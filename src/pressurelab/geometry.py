@@ -110,25 +110,6 @@ class QuadratureRule:
     boundary_bary: np.ndarray     # (2, 2) trace shape values at the Gauss points
 
 
-@dataclass(frozen=True)
-class PolarOrder:
-    """Quadrature rows sorted by polar angle about the origin.
-
-    A rotation adds the same angle to every point and keeps every radius, so
-    the rows it carries into a polar sector form at most two runs of this order.
-    """
-
-    rows: np.ndarray    # row indices by increasing angle
-    theta: np.ndarray   # their angles, in [-pi, pi]
-    rho: np.ndarray     # their radii
-
-    @classmethod
-    def of(cls, points: np.ndarray) -> "PolarOrder":
-        theta = np.arctan2(points[:, 1], points[:, 0])
-        rows = np.argsort(theta, kind="stable")
-        return cls(rows=rows, theta=theta[rows], rho=np.hypot(points[rows, 0], points[rows, 1]))
-
-
 _INTERIOR_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _GAUSS_T = 0.5 / math.sqrt(3.0)
 _BOUNDARY_BARY = np.array([[0.5 + _GAUSS_T, 0.5 - _GAUSS_T], [0.5 - _GAUSS_T, 0.5 + _GAUSS_T]])
@@ -212,12 +193,10 @@ class TriMesh:
         return np.repeat(self.boundary_normals, 2, axis=0)
 
     @cached_property
-    def interior_polar(self) -> PolarOrder:
-        return PolarOrder.of(self.interior_points_flat())
-
-    @cached_property
-    def boundary_polar(self) -> PolarOrder:
-        return PolarOrder.of(self.boundary_points_flat())
+    def tables(self) -> dict:
+        """Tables derived from this mesh by the modules that read them, built on
+        first use and kept with the mesh (the rotation layer's band tables)."""
+        return {}
 
     def export_json(self) -> dict:
         """Debug dump of the raw mesh arrays."""
@@ -256,25 +235,21 @@ def _areas_and_masses(nodes: np.ndarray, triangles: np.ndarray):
 
 def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     """Edges referenced by exactly one triangle, with unit outward normals."""
-    m = len(triangles)
-    tri_of_edge = np.repeat(np.arange(m), 3)
-    raw = np.empty((3 * m, 2), dtype=np.int64)
+    raw = np.empty((3 * len(triangles), 2), dtype=np.int64)
     raw[0::3] = triangles[:, [0, 1]]
     raw[1::3] = triangles[:, [1, 2]]
     raw[2::3] = triangles[:, [2, 0]]
-    key = np.sort(raw, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    sk = key[order]
-    new_group = np.ones(len(sk), dtype=bool)
-    new_group[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    group_id = np.cumsum(new_group) - 1
-    counts = np.bincount(group_id)
-    boundary_mask_sorted = counts[group_id] == 1
-    boundary_rows = order[boundary_mask_sorted]
-    boundary_rows.sort()  # deterministic: construction order
+    # one key per undirected edge; a stable sort keeps equal keys in row order
+    key = np.minimum(raw[:, 0], raw[:, 1]) * len(nodes) + np.maximum(raw[:, 0], raw[:, 1])
+    order = np.argsort(key, kind="stable")
+    differs = np.diff(key[order]) != 0
+    single = np.ones(len(order), dtype=bool)
+    single[1:] &= differs
+    single[:-1] &= differs
+    boundary_rows = np.sort(order[single])  # deterministic: construction order
 
     b_edges = raw[boundary_rows]
-    owners = tri_of_edge[boundary_rows]
+    owners = boundary_rows // 3
     a = nodes[b_edges[:, 0]]
     b = nodes[b_edges[:, 1]]
     ev = b - a
@@ -289,7 +264,7 @@ def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
 
 def _build_quadrature(nodes, triangles, areas, b_edges, b_lengths) -> QuadratureRule:
     corners = nodes[triangles]  # (M, 3, 2)
-    pts = np.einsum("ri,mic->mrc", _INTERIOR_BARY, corners)
+    pts = 0.5 * (corners + corners[:, [1, 2, 0]])  # point r on the edge from corner r to r + 1
     w = np.repeat(areas[:, None] / 3.0, 3, axis=1)
     a = nodes[b_edges[:, 0]]
     b = nodes[b_edges[:, 1]]

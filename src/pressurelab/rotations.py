@@ -19,6 +19,7 @@ _REFINE_TOL = 1e-10      # bracket width at which an isolated minimizer stops re
 _GOLDEN_MAX_ITER = 200   # bracket reductions of `golden_section_min`
 _SUPPORT_MARGIN = 1e-9   # widens a declared support so that rounding in R(alpha) drops no row
 _CHUNK_POINTS = 1 << 16  # rotated rule points per field call in the rotation profiles
+MIN_GRID = 64            # fewest angles of a grid scan
 
 
 class SmoothnessError(ValueError):
@@ -109,65 +110,131 @@ class OptimalSet:
         return seen
 
 
-def _support_rows(mesh: TriMesh, pi: PressureField, alpha: float, boundary: bool = False):
-    """Rows of the interior (or boundary) rule that R(alpha) can carry into the support of pi.
+@dataclass(frozen=True)
+class _RuleTable:
+    """Rows of one quadrature rule with what every angle reads of them, gathered once.
 
-    Every row, in mesh order, when pi declares no support.  Otherwise the rows
-    whose rotated angle lies in the declared sector and whose radius lies in
-    its band, both widened by _SUPPORT_MARGIN; pi still evaluates each of them,
-    so a quadrature sum keeps all of its nonzero terms.
+    A band table holds the rows whose radius lies in a radial band, ordered by
+    polar angle about the origin.  A rotation adds the same angle to every
+    point and keeps every radius, so the rows it carries into a polar sector
+    form at most two runs of it.  The table of a field without support holds
+    every row, in mesh order, and no angles.
+    """
+
+    rows: np.ndarray | slice
+    theta: np.ndarray | None       # increasing polar angles of the rows, in [-pi, pi]
+    points: np.ndarray
+    weights: np.ndarray
+    normals: np.ndarray | None     # boundary rule only: outward normals n,
+    jx: np.ndarray | None          # J x
+    n_jx: np.ndarray | None        # and n . J x
+
+
+def _gather_rows(mesh: TriMesh, rows, boundary: bool, theta=None) -> _RuleTable:
+    if not boundary:
+        return _RuleTable(rows, theta, mesh.interior_points_flat()[rows],
+                          mesh.interior_weights_flat()[rows], None, None, None)
+    pts = mesh.boundary_points_flat()[rows]
+    nrm = mesh.boundary_normals_flat()[rows]
+    jx = pts @ SKEW_GENERATOR.T
+    return _RuleTable(rows, theta, pts, mesh.boundary_weights_flat()[rows], nrm, jx,
+                      np.einsum("ij,ij->i", nrm, jx))
+
+
+def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> _RuleTable:
+    """The table of the interior (or boundary) rule that the angles of pi read.
+
+    With a declared support, the band table of its radial band widened by
+    _SUPPORT_MARGIN, built once per mesh, rule and band and kept with the mesh.
     """
     if pi.support is None:
-        return slice(None)
-    polar = mesh.boundary_polar if boundary else mesh.interior_polar
-    rho_lo, rho_hi, theta_lo, theta_hi = pi.support
+        return _gather_rows(mesh, slice(None), boundary)
+    band = (pi.support[0] - _SUPPORT_MARGIN, pi.support[1] + _SUPPORT_MARGIN)
+    key = ("boundary" if boundary else "interior", band)
+    if key not in mesh.tables:
+        pts = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        rows = np.flatnonzero((rho >= band[0]) & (rho <= band[1]))
+        theta = np.arctan2(pts[:, 1], pts[:, 0])[rows]
+        order = np.argsort(theta, kind="stable")  # equal angles stay in row order
+        mesh.tables[key] = _gather_rows(mesh, rows[order], boundary, theta[order])
+    return mesh.tables[key]
+
+
+def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> list[tuple[slice, ...]]:
+    """Per angle, the slices of the table whose rows R(alpha) can carry into the support of pi.
+
+    Every row when the table has no polar order or the declared sector has
+    the origin as apex or is the whole circle.  Otherwise the rows whose
+    angle lies in the sector rotated back by alpha and widened by
+    _SUPPORT_MARGIN: one slice, or two when it wraps past +-pi.  pi still
+    evaluates each of them, so a quadrature sum keeps all of its nonzero terms.
+    """
+    everything = [(slice(0, len(table.weights)),)] * len(alphas)
+    if table.theta is None:
+        return everything
+    rho_lo, _, theta_lo, theta_hi = pi.support
     width = theta_hi - theta_lo + 2.0 * _SUPPORT_MARGIN
     if rho_lo <= 0.0 or width >= TWO_PI:
-        # the sector has the origin as apex, or is the whole circle
-        runs = [slice(None)]
-    else:
-        # unrotated angles in [lo, lo + width] modulo 2 pi, with lo in [-pi, pi)
-        lo = (theta_lo - _SUPPORT_MARGIN - alpha + math.pi) % TWO_PI - math.pi
-        hi = lo + width
-        runs = [slice(np.searchsorted(polar.theta, lo), np.searchsorted(polar.theta, hi, side="right"))]
-        if hi > math.pi:
-            runs.append(slice(0, np.searchsorted(polar.theta, hi - TWO_PI, side="right")))
-    band_lo, band_hi = rho_lo - _SUPPORT_MARGIN, rho_hi + _SUPPORT_MARGIN
-    return np.concatenate([
-        polar.rows[run][(polar.rho[run] >= band_lo) & (polar.rho[run] <= band_hi)] for run in runs
-    ])
+        return everything
+    # unrotated angles in [lo, lo + width] modulo 2 pi, with lo in [-pi, pi)
+    lo = (theta_lo - _SUPPORT_MARGIN - alphas + math.pi) % TWO_PI - math.pi
+    hi = lo + width
+    starts = np.searchsorted(table.theta, lo).tolist()
+    ends = np.searchsorted(table.theta, hi, side="right").tolist()
+    wraps = np.where(hi > math.pi, np.searchsorted(table.theta, hi - TWO_PI, side="right"), 0).tolist()
+    return [(slice(s, e), slice(0, w)) if w else (slice(s, e),) for s, e, w in zip(starts, ends, wraps)]
 
 
-def _rotated_chunks(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False):
+def _take(values: np.ndarray, segments: tuple[slice, ...]) -> np.ndarray:
+    return values[segments[0]] if len(segments) == 1 else np.concatenate([values[s] for s in segments])
+
+
+def _support_rows(mesh: TriMesh, pi: PressureField, alpha: float, boundary: bool = False):
+    """Rows of the interior (or boundary) rule that R(alpha) can carry into the support of pi:
+    every row, in mesh order, when pi declares no support."""
+    if pi.support is None:
+        return slice(None)
+    table = _rule_table(mesh, pi, boundary)
+    return _take(table.rows, _segments(table, pi, np.array([alpha], dtype=float))[0])
+
+
+def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
     """Support rows and rotated rule points of each angle, grouped into chunks.
 
-    Yields (per-angle list of (alpha, rows, slice), points): `points` stacks
-    the rows of each angle rotated by R(alpha), exactly as a per-angle call
-    rotates them, and `slice` locates that angle's block in it.  A chunk
-    closes once it holds at least _CHUNK_POINTS points, so a profile calls
-    the field once per chunk instead of once per angle.
+    Yields (per-angle list of (alpha, segments, block), points): each angle's
+    rows of the table are rotated by R(alpha), exactly as a per-angle call
+    rotates them, straight into a buffer, and `block` locates them there.  A
+    chunk closes once it holds at least _CHUNK_POINTS points, so a profile
+    calls the field once per chunk instead of once per angle.  The buffer is
+    reused: `points` is valid until the next chunk is requested.
     """
-    pts = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
-    entries, blocks, size = [], [], 0
-    for alpha in np.asarray(alphas, dtype=float).reshape(-1):
-        rows = _support_rows(mesh, pi, alpha, boundary)
-        blocks.append(pts[rows] @ rotation(alpha).T)
-        entries.append((alpha, rows, slice(size, size + len(blocks[-1]))))
-        size += len(blocks[-1])
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    segments = _segments(table, pi, alphas)
+    counts = [sum(s.stop - s.start for s in segs) for segs in segments]
+    if not counts:
+        return
+    buf = np.empty((min(sum(counts), _CHUNK_POINTS - 1 + max(counts)), 2))
+    entries, size = [], 0
+    for alpha, segs, count in zip(alphas, segments, counts):
+        # one product per angle: a matrix of another shape may round differently
+        np.matmul(_take(table.points, segs), rotation(alpha).T, out=buf[size:size + count])
+        entries.append((alpha, segs, slice(size, size + count)))
+        size += count
         if size >= _CHUNK_POINTS:
-            yield entries, np.concatenate(blocks)
-            entries, blocks, size = [], [], 0
+            yield entries, buf[:size]
+            entries, size = [], 0
     if entries:
-        yield entries, np.concatenate(blocks)
+        yield entries, buf[:size]
 
 
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:
     """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles."""
-    w = mesh.interior_weights_flat()
+    table = _rule_table(mesh, pi)
     out = []
-    for entries, points in _rotated_chunks(mesh, pi, alphas):
+    for entries, points in _rotated_chunks(table, pi, alphas):
         vals = np.asarray(pi.evaluate(points), dtype=float)
-        out.extend(float(w[rows] @ vals[block]) for _, rows, block in entries)
+        out.extend(float(_take(table.weights, segs) @ vals[block]) for _, segs, block in entries)
     return np.array(out)
 
 
@@ -190,8 +257,8 @@ def find_optimal_rotations(
     neighborhoods to tie -- the reported set always carries the grid step so
     callers can interpret it.
     """
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
+    if grid_n < MIN_GRID:
+        raise ValueError(f"grid_n must be at least {MIN_GRID}")
     alphas = TWO_PI * np.arange(grid_n) / grid_n
     vals = rotation_functional_profile(mesh, pi, alphas)
     vmin = float(vals.min())
@@ -257,24 +324,21 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
     A = a J, the cost of rotational fluctuations.  second is NaN throughout
     when pi is not C^2; its gradient is then never evaluated.
     """
-    pts = mesh.boundary_points_flat()
-    w = mesh.boundary_weights_flat()
-    nrm = mesh.boundary_normals_flat()
+    table = _rule_table(mesh, pi, boundary=True)
+    ax = a * table.jx
+    ax_n = np.einsum("ij,ij->i", ax, table.normals)
     el, second = [], []
-    for entries, points in _rotated_chunks(mesh, pi, alphas, boundary=True):
+    for entries, points in _rotated_chunks(table, pi, alphas):
         vals = np.asarray(pi.evaluate(points), dtype=float)
         grads = np.asarray(pi.gradient(points), dtype=float) if pi.is_smooth else None
-        for alpha, rows, block in entries:
-            x = pts[rows]
-            jx = x @ SKEW_GENERATOR.T
-            el.append(float(w[rows] @ (vals[block] * np.einsum("ij,ij->i", nrm[rows], jx))))
+        for alpha, segs, block in entries:
+            w = _take(table.weights, segs)
+            el.append(float(w @ (vals[block] * _take(table.n_jx, segs))))
             if grads is None:
                 second.append(math.nan)
                 continue
-            ax = a * jx
-            rax = ax @ rotation(alpha).T
-            second.append(float(w[rows] @ (np.einsum("ij,ij->i", grads[block], rax)
-                                           * np.einsum("ij,ij->i", ax, nrm[rows]))))
+            rax = _take(ax, segs) @ rotation(alpha).T
+            second.append(float(w @ (np.einsum("ij,ij->i", grads[block], rax) * _take(ax_n, segs))))
     return np.array(el), np.array(second)
 
 

@@ -227,6 +227,27 @@ def test_removed_option_is_not_a_config_key(tmp_path, capsys, needle, extra):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, study, needle", [
+    pytest.param("scan-rotations", {"rotation_grid": 32}, "study.rotation_grid", id="rotation_grid"),
+    pytest.param("solve-linear", {"arc_samples": 0}, "study.arc_samples", id="arc_samples"),
+    pytest.param("solve-linear", {"arc_samples": True}, "study.arc_samples", id="arc_samples_bool"),
+    pytest.param("gamma-study", {"resolutions": [0]}, "study.resolutions", id="resolutions"),
+    pytest.param("lambda-study", {"lambda_exponent": "0.4"}, "study.lambda_exponent", id="lambda_exponent"),
+])
+def test_study_values_are_validated(tmp_path, capsys, command, study, needle):
+    path = _write(tmp_path, _base_config(study={"resolutions": [10], "rotation_grid": 128, **study}))
+    assert run(command, path) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["32", "0"])
+def test_grid_flag_is_validated(tmp_path, capsys, grid):
+    # 0 is a grid, not a request for the configured one
+    path = _write(tmp_path, _base_config())
+    assert main(["scan-rotations", "--config", path, "--grid", grid]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_readme_schema_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"### Configuration schema\s+```json\n(.*?)```", readme, re.S).group(1)

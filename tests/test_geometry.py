@@ -257,3 +257,42 @@ def test_array_builders_match_loop_builders(resolution):
             ref = ref.translated(-center)
         for name in ("nodes", "triangles", "areas", "node_masses"):
             assert np.array_equal(getattr(mesh, name), getattr(ref, name)), (built.__name__, name)
+
+
+def _lexsort_boundary(nodes, triangles):
+    """Reference boundary extraction: sorted node pairs ordered by lexsort."""
+    m = len(triangles)
+    tri_of_edge = np.repeat(np.arange(m), 3)
+    raw = np.empty((3 * m, 2), dtype=np.int64)
+    raw[0::3] = triangles[:, [0, 1]]
+    raw[1::3] = triangles[:, [1, 2]]
+    raw[2::3] = triangles[:, [2, 0]]
+    key = np.sort(raw, axis=1)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    sk = key[order]
+    new_group = np.ones(len(sk), dtype=bool)
+    new_group[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    group_id = np.cumsum(new_group) - 1
+    boundary_rows = np.sort(order[np.bincount(group_id)[group_id] == 1])
+    b_edges = raw[boundary_rows]
+    owners = tri_of_edge[boundary_rows]
+    a, b = nodes[b_edges[:, 0]], nodes[b_edges[:, 1]]
+    ev = b - a
+    lengths = np.hypot(ev[:, 0], ev[:, 1])
+    normals = np.stack([ev[:, 1], -ev[:, 0]], axis=1) / lengths[:, None]
+    flip = np.einsum("ij,ij->i", normals, 0.5 * (a + b) - nodes[triangles[owners]].mean(axis=1)) < 0.0
+    normals[flip] *= -1.0
+    return b_edges, normals, lengths
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 8, 16, 32, 64])
+def test_boundary_and_rule_points_match_reference_forms(resolution):
+    for _, _, _, spec in _BUILDERS:
+        mesh = build_domain(spec(resolution))
+        want = _lexsort_boundary(mesh.nodes, mesh.triangles)
+        for name, ref in zip(("boundary_edges", "boundary_normals", "boundary_lengths"), want):
+            assert np.array_equal(getattr(mesh, name), ref), (spec(resolution).kind, name)
+        # the interior rule points are the edge midpoints of the barycentric form
+        q = mesh.quadrature
+        corners = mesh.nodes[mesh.triangles]
+        assert np.array_equal(q.interior_points, np.einsum("ri,mic->mrc", q.interior_bary, corners))

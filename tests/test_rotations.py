@@ -1,9 +1,13 @@
 import dataclasses
+import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pressurelab import builtin_pressure, el_residual, el_volume_form, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
+from pressurelab import DomainSpec, build_domain, builtin_pressure, el_residual, el_volume_form, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
 from pressurelab import rotations
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
@@ -211,17 +215,54 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
     assert sum(points) <= grid_n * len(lobe16.interior_points_flat()) / 10
 
 
-# Reference: the rotation layer one angle at a time, one field call per angle.
+# Reference: the rotation layer one angle at a time, one field call per angle,
+# with support rows picked by masking a run of the rule's full polar order by radius.
+
+_POLAR_ORDERS = {}  # (id(mesh), boundary) -> (mesh, order); the mesh is held so its id stays unique
+
+
+def _reference_polar_order(mesh, boundary):
+    key = (id(mesh), boundary)
+    if key not in _POLAR_ORDERS:
+        points = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
+        theta = np.arctan2(points[:, 1], points[:, 0])
+        rows = np.argsort(theta, kind="stable")
+        order = types.SimpleNamespace(rows=rows, theta=theta[rows],
+                                      rho=np.hypot(points[rows, 0], points[rows, 1]))
+        _POLAR_ORDERS[key] = (mesh, order)
+    return _POLAR_ORDERS[key][1]
+
+
+def _reference_support_rows(mesh, pi, alpha, boundary=False):
+    if pi.support is None:
+        return slice(None)
+    polar = _reference_polar_order(mesh, boundary)
+    rho_lo, rho_hi, theta_lo, theta_hi = pi.support
+    margin = rotations._SUPPORT_MARGIN
+    width = theta_hi - theta_lo + 2.0 * margin
+    if rho_lo <= 0.0 or width >= 2.0 * np.pi:
+        runs = [slice(None)]
+    else:
+        lo = (theta_lo - margin - alpha + np.pi) % (2.0 * np.pi) - np.pi
+        hi = lo + width
+        runs = [slice(np.searchsorted(polar.theta, lo), np.searchsorted(polar.theta, hi, side="right"))]
+        if hi > np.pi:
+            runs.append(slice(0, np.searchsorted(polar.theta, hi - 2.0 * np.pi, side="right")))
+    band_lo, band_hi = rho_lo - margin, rho_hi + margin
+    return np.concatenate([
+        polar.rows[run][(polar.rho[run] >= band_lo) & (polar.rho[run] <= band_hi)] for run in runs
+    ])
+
 
 def _per_angle_functional(mesh, pi, alpha):
-    rows = rotations._support_rows(mesh, pi, alpha)
+    rows = _reference_support_rows(mesh, pi, alpha)
     pts = mesh.interior_points_flat()[rows]
     w = mesh.interior_weights_flat()[rows]
     return float(w @ np.asarray(pi.evaluate(pts @ rotation(alpha).T), dtype=float))
 
 
 def _per_angle_boundary(mesh, pi, alpha, a=1.0):
-    rows = rotations._support_rows(mesh, pi, alpha, boundary=True)
+    rows = _reference_support_rows(mesh, pi, alpha, boundary=True)
     pts = mesh.boundary_points_flat()[rows]
     w = mesh.boundary_weights_flat()[rows]
     nrm = mesh.boundary_normals_flat()[rows]
@@ -302,3 +343,49 @@ def test_batched_profiles_match_per_angle_reference_without_support(lobe32):
             assert np.array_equal(second, want[:, 1])
         else:
             assert np.all(np.isnan(second)) and calls["gradient"] == 0
+
+
+@pytest.fixture(scope="module")
+def annulus16():
+    return build_domain(DomainSpec.annulus(1.0, 2.0, 16))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rho_lo=st.floats(-0.5, 2.5), rho_span=st.floats(0.0, 2.5), theta_lo=st.floats(-3 * math.pi, 5 * math.pi),
+       width=st.floats(0.0, 7.0), alpha=st.floats(-3 * math.pi, 5 * math.pi))
+@example(rho_lo=0.0, rho_span=1.0, theta_lo=0.3, width=1.0, alpha=0.2)             # origin apex
+@example(rho_lo=0.5, rho_span=1.0, theta_lo=-1.0, width=2 * math.pi, alpha=1.0)    # full circle
+@example(rho_lo=0.5, rho_span=1.0, theta_lo=3.0, width=1.0, alpha=0.1)             # wraps past +-pi
+@example(rho_lo=0.5, rho_span=1.0, theta_lo=-0.5, width=0.7, alpha=-2.0)           # angles below 0
+@example(rho_lo=0.5, rho_span=1.0, theta_lo=6.5, width=0.7, alpha=9.0)             # and above 2 pi
+def test_band_table_rows_match_reference(lobe16, disk16, annulus16, flat_bump, rho_lo, rho_span, theta_lo,
+                                         width, alpha):
+    pi = dataclasses.replace(flat_bump, support=(rho_lo, rho_lo + rho_span, theta_lo, theta_lo + width))
+    for mesh in (lobe16, disk16, annulus16):
+        for boundary in (False, True):
+            got = rotations._support_rows(mesh, pi, alpha, boundary)
+            want = _reference_support_rows(mesh, pi, alpha, boundary)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (boundary, len(got), len(want))
+
+
+def test_band_table_is_built_once(monkeypatch, strict_bump):
+    mesh = build_domain(DomainSpec.four_lobe(resolution=8))
+    built = []
+    real = rotations._gather_rows
+
+    def counted(mesh, rows, boundary, theta=None):
+        built.append((boundary, theta is not None))
+        return real(mesh, rows, boundary, theta)
+
+    monkeypatch.setattr(rotations, "_gather_rows", counted)
+    profiles = []
+    real_profile = rotations.rotation_functional_profile
+    monkeypatch.setattr(rotations, "rotation_functional_profile",
+                        lambda *args: profiles.append(1) or real_profile(*args))
+    opt = find_optimal_rotations(mesh, strict_bump, grid_n=128)
+    assert len(opt.angles) == 2 and len(profiles) > 2  # the grid and the golden-section refinement
+    assert built == [(False, True)]
+    for a in (0.1, 0.2):
+        el_residual(mesh, strict_bump, a)
+        el_volume_form(mesh, strict_bump, a)
+    assert built == [(False, True), (True, True)]

@@ -31,7 +31,6 @@ from .pressure import (
 from .rotations import (
     OptimalSet,
     el_residual,
-    el_volume_form,
     find_optimal_rotations,
     rotation_functional,
     second_variation,

@@ -17,8 +17,6 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-_NUMBER = (int, float)
-
 # key -> required; each section of _SECTIONS has its own table
 _DOMAIN_KEYS = {"kind": True, "params": False, "resolution": True}
 _MATERIAL_KEYS = {"c1": True, "c2": True, "p": True, "q": True}
@@ -44,8 +42,17 @@ def _check_section(section, table, prefix):
             raise ConfigError(f"missing key {prefix}.{key}")
 
 
+# JSON true and false load as Python bools, which are ints: neither counts here.
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_integer(value)
+
+
 def _integer_at_least(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    return _is_integer(value) and value >= least
 
 
 def validate_config(cfg: dict) -> None:
@@ -63,15 +70,15 @@ def validate_config(cfg: dict) -> None:
             _check_section(cfg[name], table, name)
 
     for key in ("c1", "c2", "p", "q"):
-        if not isinstance(cfg["material"][key], _NUMBER):
+        if not _is_number(cfg["material"][key]):
             raise ConfigError(f"material.{key} must be a number")
-    if not isinstance(cfg["domain"]["resolution"], int):
+    if not _is_integer(cfg["domain"]["resolution"]):
         raise ConfigError("domain.resolution must be an integer")
     if "eps_list" in cfg:
         eps = cfg["eps_list"]
-        if not isinstance(eps, list) or not eps or not all(isinstance(e, _NUMBER) and e > 0 for e in eps):
+        if not isinstance(eps, list) or not eps or not all(_is_number(e) and e > 0 for e in eps):
             raise ConfigError("eps_list must be a non-empty list of positive numbers")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    if "seed" in cfg and not _is_integer(cfg["seed"]):
         raise ConfigError("seed must be an integer")
     study = cfg.get("study", {})
     for key, least in (("rotation_grid", MIN_GRID), ("arc_samples", 1)):
@@ -80,7 +87,7 @@ def validate_config(cfg: dict) -> None:
     res = study.get("resolutions", [2])
     if not isinstance(res, list) or not res or not all(_integer_at_least(r, 2) for r in res):
         raise ConfigError("study.resolutions must be a non-empty list of integers of at least 2")
-    if "lambda_exponent" in study and not isinstance(study["lambda_exponent"], _NUMBER):
+    if "lambda_exponent" in study and not _is_number(study["lambda_exponent"]):
         raise ConfigError("study.lambda_exponent must be a number")
 
     try:

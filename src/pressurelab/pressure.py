@@ -36,6 +36,10 @@ class PressureField:
     # Polar sector (rho_lo, rho_hi, theta_lo, theta_hi) outside which the value
     # and the gradient are exactly zero; None means they may be nonzero anywhere.
     support: tuple[float, float, float, float] | None = None
+    # Polar factorization (radial, rate, rate_d1): evaluate(x) equals
+    # radial(|x|) * rate(atan2(x2, x1)), rate_d1 is the derivative of rate, and
+    # both rates vanish outside the angular range of `support`.
+    polar: tuple[Callable, Callable, Callable] | None = None
 
     def __post_init__(self):
         if self.sign_class not in ("nonnegative", "signed"):
@@ -46,16 +50,6 @@ class PressureField:
     @property
     def is_smooth(self) -> bool:
         return self.smoothness in ("c2", "c3")
-
-    def hessian(self, points: np.ndarray, step: float = 1e-5) -> np.ndarray:
-        """Second derivatives by central differences of the gradient."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(pts.shape[:-1] + (2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = step
-            out[..., :, j] = (self.gradient(pts + e) - self.gradient(pts - e)) / (2.0 * step)
-        return out
 
 
 def _as_points(points):
@@ -136,10 +130,9 @@ def strict_profile() -> BumpProfile:
         return (c ** 3) * a ** 4 / 4.0 - 0.6 * (c ** 2) * a ** 5 + 0.5 * c * a ** 6 - a ** 7 / 7.0
 
     total = float(angular(c))
-    radial, radial_d1 = _radial_profile()
     return BumpProfile(
         variant="strict", angular=angular, angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=radial, radial_d1=radial_d1, angular_total=total, rate_support=(0.0, c),
+        radial=_radial, radial_d1=_radial_d1, angular_total=total, rate_support=(0.0, c),
     )
 
 
@@ -169,37 +162,37 @@ def flat_profile() -> BumpProfile:
         return scale * w * _bump_int(s)
 
     total = float(angular(lo + w))
-    radial, radial_d1 = _radial_profile()
     return BumpProfile(
         variant="flat", angular=angular, angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=radial, radial_d1=radial_d1, angular_total=total, rate_support=(lo, lo + w),
+        radial=_radial, radial_d1=_radial_d1, angular_total=total, rate_support=(lo, lo + w),
     )
 
 
 _RADIAL_SUPPORT = (1.0, 3.0)   # the radial profile vanishes outside [1, 3]
 
 
-def _radial_profile():
+_RADIAL_SCALE = 20.0 / 9.0
+
+
+# The radial profile is one pair of module functions, shared by every bump, so
+# that tables the rotation layer keys by it serve each field built from it.
+def _radial(rho):
     """(20/9)(rho-1)^3 on [1,2], faded out smoothly on [2,3], zero beyond."""
-    c0 = 20.0 / 9.0
+    rho = np.asarray(rho, dtype=float)
+    base = np.where(rho >= 1.0, _RADIAL_SCALE * (rho - 1.0) ** 3, 0.0)
+    return base * _smoothstep7(3.0 - rho)
 
-    def radial(rho):
-        rho = np.asarray(rho, dtype=float)
-        base = np.where(rho >= 1.0, c0 * (rho - 1.0) ** 3, 0.0)
-        return base * _smoothstep7(3.0 - rho)
 
-    def radial_d1(rho):
-        rho = np.asarray(rho, dtype=float)
-        base = np.where(rho >= 1.0, c0 * (rho - 1.0) ** 3, 0.0)
-        dbase = np.where(rho >= 1.0, 3.0 * c0 * (rho - 1.0) ** 2, 0.0)
-        t = 3.0 - rho
-        cut = _smoothstep7(t)
-        inside = (t > 0.0) & (t < 1.0)
-        tc = np.clip(t, 0.0, 1.0)
-        dcut_dt = np.where(inside, tc ** 3 * (140.0 - 420.0 * tc + 420.0 * tc ** 2 - 140.0 * tc ** 3), 0.0)
-        return dbase * cut - base * dcut_dt
-
-    return radial, radial_d1
+def _radial_d1(rho):
+    rho = np.asarray(rho, dtype=float)
+    base = np.where(rho >= 1.0, _RADIAL_SCALE * (rho - 1.0) ** 3, 0.0)
+    dbase = np.where(rho >= 1.0, 3.0 * _RADIAL_SCALE * (rho - 1.0) ** 2, 0.0)
+    t = 3.0 - rho
+    cut = _smoothstep7(t)
+    inside = (t > 0.0) & (t < 1.0)
+    tc = np.clip(t, 0.0, 1.0)
+    dcut_dt = np.where(inside, tc ** 3 * (140.0 - 420.0 * tc + 420.0 * tc ** 2 - 140.0 * tc ** 3), 0.0)
+    return dbase * cut - base * dcut_dt
 
 
 def profile_for_variant(variant: str) -> BumpProfile:
@@ -247,6 +240,7 @@ def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureFie
         evaluate=evaluate, gradient=gradient, growth=None,
         params={"variant": profile.variant, "profile": profile},
         support=_RADIAL_SUPPORT + profile.rate_support,
+        polar=(profile.radial, profile.angular_rate, profile.angular_rate_d1),
     )
 
 

@@ -14,6 +14,7 @@ from .material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
 from .pressure import PressureField
 
 TWO_PI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI: what rounding takes off a turn
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10      # bracket width at which an isolated minimizer stops refining
 _GOLDEN_MAX_ITER = 200   # bracket reductions of `golden_section_min`
@@ -123,6 +124,7 @@ class _RuleTable:
 
     rows: np.ndarray | slice
     theta: np.ndarray | None       # increasing polar angles of the rows, in [-pi, pi]
+    rho: np.ndarray | None         # and their radii
     points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray | None     # boundary rule only: outward normals n,
@@ -131,14 +133,19 @@ class _RuleTable:
 
 
 def _gather_rows(mesh: TriMesh, rows, boundary: bool, theta=None) -> _RuleTable:
+    pts = (mesh.boundary_points_flat() if boundary else mesh.interior_points_flat())[rows]
+    rho = None if theta is None else np.hypot(pts[:, 0], pts[:, 1])
     if not boundary:
-        return _RuleTable(rows, theta, mesh.interior_points_flat()[rows],
-                          mesh.interior_weights_flat()[rows], None, None, None)
-    pts = mesh.boundary_points_flat()[rows]
+        return _RuleTable(rows, theta, rho, pts, mesh.interior_weights_flat()[rows], None, None, None)
     nrm = mesh.boundary_normals_flat()[rows]
     jx = pts @ SKEW_GENERATOR.T
-    return _RuleTable(rows, theta, pts, mesh.boundary_weights_flat()[rows], nrm, jx,
+    return _RuleTable(rows, theta, rho, pts, mesh.boundary_weights_flat()[rows], nrm, jx,
                       np.einsum("ij,ij->i", nrm, jx))
+
+
+def _table_key(pi: PressureField, boundary: bool):
+    band = (pi.support[0] - _SUPPORT_MARGIN, pi.support[1] + _SUPPORT_MARGIN)
+    return "boundary" if boundary else "interior", band
 
 
 def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> _RuleTable:
@@ -149,8 +156,8 @@ def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> _Ru
     """
     if pi.support is None:
         return _gather_rows(mesh, slice(None), boundary)
-    band = (pi.support[0] - _SUPPORT_MARGIN, pi.support[1] + _SUPPORT_MARGIN)
-    key = ("boundary" if boundary else "interior", band)
+    key = _table_key(pi, boundary)
+    band = key[1]
     if key not in mesh.tables:
         pts = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
         rho = np.hypot(pts[:, 0], pts[:, 1])
@@ -158,6 +165,21 @@ def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> _Ru
         theta = np.arctan2(pts[:, 1], pts[:, 0])[rows]
         order = np.argsort(theta, kind="stable")  # equal angles stay in row order
         mesh.tables[key] = _gather_rows(mesh, rows[order], boundary, theta[order])
+    return mesh.tables[key]
+
+
+def _polar_weights(mesh: TriMesh, pi: PressureField, table: _RuleTable, boundary: bool = False) -> np.ndarray:
+    """The band table's weights times radial(rho), and for the boundary rule
+    times n . J x: every factor of a polar path term that no rotation changes.
+
+    Kept with the mesh under the table's key and the radial callable itself,
+    since fields of different radial profiles can share a band.
+    """
+    radial = pi.polar[0]
+    key = _table_key(pi, boundary) + (radial,)
+    if key not in mesh.tables:
+        w = table.weights * table.n_jx if boundary else table.weights
+        mesh.tables[key] = w * np.asarray(radial(table.rho), dtype=float)
     return mesh.tables[key]
 
 
@@ -190,51 +212,79 @@ def _take(values: np.ndarray, segments: tuple[slice, ...]) -> np.ndarray:
     return values[segments[0]] if len(segments) == 1 else np.concatenate([values[s] for s in segments])
 
 
-def _support_rows(mesh: TriMesh, pi: PressureField, alpha: float, boundary: bool = False):
-    """Rows of the interior (or boundary) rule that R(alpha) can carry into the support of pi:
-    every row, in mesh order, when pi declares no support."""
-    if pi.support is None:
-        return slice(None)
-    table = _rule_table(mesh, pi, boundary)
-    return _take(table.rows, _segments(table, pi, np.array([alpha], dtype=float))[0])
+def _turn_reduced(alpha: float) -> float:
+    """The angle of R(alpha) in [0, 2 pi]: alpha less whole turns of the exact
+    2 pi, as rotation(alpha) reduces it.  Whole turns of TWO_PI would shift
+    the angle by _TWO_PI_LO per turn."""
+    k = math.floor(alpha / TWO_PI)
+    return max(alpha - k * TWO_PI - k * _TWO_PI_LO, 0.0)
+
+
+def _polar_path(table: _RuleTable, pi: PressureField) -> bool:
+    """Whether the profiles read pi through its polar factorization: only on a band table."""
+    return pi.polar is not None and table.theta is not None
 
 
 def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
-    """Support rows and rotated rule points of each angle, grouped into chunks.
+    """Support rows of each angle and where R(alpha) carries them, grouped into chunks.
 
-    Yields (per-angle list of (alpha, segments, block), points): each angle's
-    rows of the table are rotated by R(alpha), exactly as a per-angle call
-    rotates them, straight into a buffer, and `block` locates them there.  A
-    chunk closes once it holds at least _CHUNK_POINTS points, so a profile
-    calls the field once per chunk instead of once per angle.  The buffer is
-    reused: `points` is valid until the next chunk is requested.
+    Yields (per-angle list of (alpha, segments, block), chunk): each angle's
+    rows of the table are written straight into a buffer, and `block`
+    locates them there.  On the generic path the chunk holds the rows' rule
+    points rotated by R(alpha), exactly as a per-angle call rotates them.  On
+    the polar path (`_polar_path`) it holds their rotated polar angles
+    theta + alpha, folded into arctan2's range: alpha is first reduced to
+    [0, 2 pi] (`_turn_reduced`), so one fold of the angles above pi
+    suffices.  A chunk closes once it holds at least _CHUNK_POINTS points,
+    so a profile calls the field once per chunk instead of once per angle.
+    The buffer is reused: the chunk is valid until the next one is requested.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     segments = _segments(table, pi, alphas)
     counts = [sum(s.stop - s.start for s in segs) for segs in segments]
     if not counts:
         return
-    buf = np.empty((min(sum(counts), _CHUNK_POINTS - 1 + max(counts)), 2))
+    polar = _polar_path(table, pi)
+    n = min(sum(counts), _CHUNK_POINTS - 1 + max(counts))
+    buf = np.empty(n if polar else (n, 2))
+
+    def chunk(size):
+        out = buf[:size]
+        if polar:
+            np.subtract(out, TWO_PI, out=out, where=out > math.pi)
+        return out
+
     entries, size = [], 0
     for alpha, segs, count in zip(alphas, segments, counts):
-        # one product per angle: a matrix of another shape may round differently
-        np.matmul(_take(table.points, segs), rotation(alpha).T, out=buf[size:size + count])
+        out = buf[size:size + count]
+        if polar:
+            np.add(_take(table.theta, segs), _turn_reduced(alpha), out=out)
+        else:
+            # one product per angle: a matrix of another shape may round differently
+            np.matmul(_take(table.points, segs), rotation(alpha).T, out=out)
         entries.append((alpha, segs, slice(size, size + count)))
         size += count
         if size >= _CHUNK_POINTS:
-            yield entries, buf[:size]
+            yield entries, chunk(size)
             entries, size = [], 0
     if entries:
-        yield entries, buf[:size]
+        yield entries, chunk(size)
 
 
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:
-    """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles."""
+    """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles.
+
+    On the polar path the value is (w psi(rho)) . rate(theta + alpha).
+    """
     table = _rule_table(mesh, pi)
+    if _polar_path(table, pi):
+        weights, values_at = _polar_weights(mesh, pi, table), pi.polar[1]
+    else:
+        weights, values_at = table.weights, pi.evaluate
     out = []
-    for entries, points in _rotated_chunks(table, pi, alphas):
-        vals = np.asarray(pi.evaluate(points), dtype=float)
-        out.extend(float(_take(table.weights, segs) @ vals[block]) for _, segs, block in entries)
+    for entries, chunk in _rotated_chunks(table, pi, alphas):
+        vals = np.asarray(values_at(chunk), dtype=float)
+        out.extend(float(_take(weights, segs) @ vals[block]) for _, segs, block in entries)
     return np.array(out)
 
 
@@ -322,9 +372,14 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
     Returns (el, second): el is the integral over the boundary of
     pi(R x) (n . J x), second that of (grad pi(R x) . R A x)(A x . n) with
     A = a J, the cost of rotational fluctuations.  second is NaN throughout
-    when pi is not C^2; its gradient is then never evaluated.
+    when pi is not C^2; its gradient is then never evaluated.  On the polar
+    path R A x = a rho e_theta(theta + alpha), so grad pi(R x) . R A x is
+    a psi(rho) rate'(theta + alpha): el is (w (n . J x) psi(rho)) .
+    rate(theta + alpha) and second is a^2 times the same weights . rate_d1.
     """
     table = _rule_table(mesh, pi, boundary=True)
+    if _polar_path(table, pi):
+        return _polar_boundary_profile(mesh, pi, table, alphas, a)
     ax = a * table.jx
     ax_n = np.einsum("ij,ij->i", ax, table.normals)
     el, second = [], []
@@ -342,21 +397,24 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
     return np.array(el), np.array(second)
 
 
+def _polar_boundary_profile(mesh: TriMesh, pi: PressureField, table: _RuleTable, alphas, a: float):
+    weights = _polar_weights(mesh, pi, table, boundary=True)
+    _, rate, rate_d1 = pi.polar
+    el, second = [], []
+    for entries, theta in _rotated_chunks(table, pi, alphas):
+        vals = np.asarray(rate(theta), dtype=float)
+        slopes = np.asarray(rate_d1(theta), dtype=float) if pi.is_smooth else None
+        for _, segs, block in entries:
+            w = _take(weights, segs)
+            el.append(float(w @ vals[block]))
+            second.append(math.nan if slopes is None else a * a * float(w @ slopes[block]))
+    return np.array(el), np.array(second)
+
+
 def el_residual(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
     """Boundary form of the stationarity residual at R(alpha):
     integral over the boundary of pi(R x) (n . J x)."""
     return float(boundary_profile(mesh, pi, [alpha])[0][0])
-
-
-def el_volume_form(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
-    """Interior form of the same residual: integral of grad pi(R x) . R J x."""
-    rows = _support_rows(mesh, pi, alpha)
-    pts = mesh.interior_points_flat()[rows]
-    w = mesh.interior_weights_flat()[rows]
-    R = rotation(alpha)
-    g = np.asarray(pi.gradient(pts @ R.T), dtype=float)
-    rjx = pts @ (R @ SKEW_GENERATOR).T
-    return float(w @ np.einsum("ij,ij->i", g, rjx))
 
 
 def second_variation(mesh: TriMesh, pi: PressureField, alpha: float, a: float = 1.0) -> float:

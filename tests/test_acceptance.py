@@ -17,7 +17,6 @@ from pressurelab import (
     builtin_pressure,
     divergence_form_check,
     el_residual,
-    el_volume_form,
     extend_pressure,
     find_optimal_rotations,
     quadrant_bump_pressure,
@@ -35,6 +34,8 @@ from pressurelab.studies import (
     rebuild_deformation,
     rescaled_displacement,
 )
+
+from conftest import el_volume_form
 
 P0 = 0.1
 EPS_LIST = [0.08, 0.04, 0.02, 0.01]

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -238,6 +239,31 @@ def test_study_values_are_validated(tmp_path, capsys, command, study, needle):
     path = _write(tmp_path, _base_config(study={"resolutions": [10], "rotation_grid": 128, **study}))
     assert run(command, path) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["material.c1", "material.c2", "material.p", "material.q", "eps_list",
+                                 "study.lambda_exponent", "seed", "domain.resolution"])
+def test_booleans_are_not_numbers(tmp_path, capsys, key):
+    # JSON true loads as a Python bool, which is an int
+    cfg = _base_config()
+    if key == "eps_list":
+        cfg["eps_list"] = [0.04, True]
+    elif "." in key:
+        section, name = key.split(".")
+        cfg[section][name] = True
+    else:
+        cfg[key] = True
+    assert run("scan-rotations", _write(tmp_path, cfg)) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_benchmark_workload_configs_validate():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in ("scan-lobe", "gamma-disk"):
+        validate_config(workloads.WORKLOADS[name]["config"])
 
 
 @pytest.mark.parametrize("grid", ["32", "0"])

@@ -4,6 +4,8 @@ import pytest
 from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile, validate_growth
 from pressurelab.pressure import PressureError
 
+from conftest import hessian
+
 
 # --- built-in catalog --------------------------------------------------------
 
@@ -212,7 +214,7 @@ def test_bump_gradient_matches_finite_differences(variant):
 
 def test_bump_hessian_symmetric():
     bump = quadrant_bump_pressure("strict")
-    H = bump.hessian(np.array([[1.3, 0.9], [1.1, 1.4]]))
+    H = hessian(bump, np.array([[1.3, 0.9], [1.1, 1.4]]))
     assert np.allclose(H[..., 0, 1], H[..., 1, 0], atol=1e-6)
 
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pressurelab import DomainSpec, build_domain, builtin_pressure, el_residual, el_volume_form, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
+from pressurelab import DomainSpec, build_domain, builtin_pressure, el_residual, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
 from pressurelab import rotations
+from pressurelab.pressure import PressureField
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
+
+from conftest import el_volume_form, hessian, support_rows
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +176,7 @@ def test_second_variation_matches_interior_form_with_hessian(lobe32, strict_bump
     w = lobe32.interior_weights_flat()
     rx = pts @ R.T
     g = strict_bump.gradient(rx)
-    H = strict_bump.hessian(rx)
+    H = hessian(strict_bump, rx)
     jx = pts @ SKEW_GENERATOR.T
     rjx = jx @ R.T
     rjjx = (jx @ SKEW_GENERATOR.T) @ R.T
@@ -196,6 +199,8 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
     cases = [(lobe16, strict_bump, seams), (lobe16, flat_bump, seams + [np.pi / 4 + 1e-12, np.pi / 4 - 1e-12]),
              (disk16, strict_bump, seams)]
     for mesh, pi, extra in cases:
+        # the generic path: a field that declares no polar factorization
+        pi = dataclasses.replace(pi, polar=None)
         full = dataclasses.replace(pi, support=None)
         for fn in (rotation_functional, el_residual, el_volume_form, second_variation):
             for a in grid + extra:
@@ -211,7 +216,7 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
         return flat_bump.evaluate(pts)
 
     grid_n = 1024
-    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, evaluate=counted), grid_n)
+    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, evaluate=counted, polar=None), grid_n)
     assert sum(points) <= grid_n * len(lobe16.interior_points_flat()) / 10
 
 
@@ -288,7 +293,8 @@ def _counted(pi, forbid_gradient=False):
         calls["gradient"] += 1
         return pi.gradient(pts)
 
-    return dataclasses.replace(pi, evaluate=evaluate, gradient=gradient), calls
+    # without its polar factorization, so that the profiles call the field
+    return dataclasses.replace(pi, evaluate=evaluate, gradient=gradient, polar=None), calls
 
 
 def _grid(n):
@@ -298,7 +304,7 @@ def _grid(n):
 
 @pytest.mark.parametrize("variant, n_interior, n_boundary", [("strict", 128, 2048), ("flat", 256, 8192)])
 def test_batched_profiles_match_per_angle_reference_for_bumps(lobe32, variant, n_interior, n_boundary):
-    pi = quadrant_bump_pressure(variant)
+    pi = dataclasses.replace(quadrant_bump_pressure(variant), polar=None)
     theta_lo, theta_hi = pi.support[2:]
     for n, profile in ((n_interior, "interior"), (n_boundary, "boundary")):
         alphas = _grid(n)
@@ -363,7 +369,7 @@ def test_band_table_rows_match_reference(lobe16, disk16, annulus16, flat_bump, r
     pi = dataclasses.replace(flat_bump, support=(rho_lo, rho_lo + rho_span, theta_lo, theta_lo + width))
     for mesh in (lobe16, disk16, annulus16):
         for boundary in (False, True):
-            got = rotations._support_rows(mesh, pi, alpha, boundary)
+            got = support_rows(mesh, pi, alpha, boundary)
             want = _reference_support_rows(mesh, pi, alpha, boundary)
             assert got.dtype == want.dtype and np.array_equal(got, want), (boundary, len(got), len(want))
 
@@ -389,3 +395,92 @@ def test_band_table_is_built_once(monkeypatch, strict_bump):
         el_residual(mesh, strict_bump, a)
         el_volume_form(mesh, strict_bump, a)
     assert built == [(False, True), (True, True)]
+
+
+# The polar path: a field that declares radial(rho) * rate(theta) is scanned as
+# (w radial(rho)) . rate(theta + alpha) on the band table, without rotating a
+# point or calling the field.  It must agree with the generic path to rounding.
+
+_SEAMS = [s + d for s in (0.0, np.pi, -np.pi, np.pi / 4, 3 * np.pi / 8, np.pi / 2) for d in (-1e-12, 0.0, 1e-12)]
+
+
+@pytest.fixture(scope="module")
+def lobe64():
+    return build_domain(DomainSpec.four_lobe(resolution=64))
+
+
+def _no_points(pts):
+    raise AssertionError("the polar path hands the field no points")
+
+
+def _assert_polar_matches_generic(mesh, pi, alphas):
+    generic = dataclasses.replace(pi, polar=None)
+    polar = dataclasses.replace(pi, evaluate=_no_points, gradient=_no_points)
+    want = rotation_functional_profile(mesh, generic, alphas)
+    checks = [("functional", rotation_functional_profile(mesh, polar, alphas), want, 1e-14 * (1.0 + np.abs(want)))]
+    for a in (1.0, 0.7):
+        el, second = boundary_profile(mesh, polar, alphas, a)
+        el_want, second_want = boundary_profile(mesh, generic, alphas, a)
+        checks.append(("el", el, el_want, 1e-14 * (1.0 + np.abs(el_want))))
+        checks.append((f"second a={a}", second, second_want, 1e-13 * (1.0 + np.max(np.abs(second_want)))))
+    for name, got, want, bound in checks:
+        # an exact zero of the generic path stays exact: the flat arc's ties depend on it
+        assert np.all(got[want == 0.0] == 0.0), name
+        assert np.all(np.abs(got - want) <= bound), (name, np.max(np.abs(got - want)))
+        assert np.any(want != 0.0), name
+
+
+@pytest.mark.parametrize("variant", ["strict", "flat"])
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_polar_path_matches_generic_path(request, resolution, variant):
+    mesh = request.getfixturevalue(f"lobe{resolution}")
+    pi = quadrant_bump_pressure(variant)
+    assert pi.polar is not None
+    _assert_polar_matches_generic(mesh, pi, np.concatenate([_grid(256), _SEAMS]))
+    got = find_optimal_rotations(mesh, pi, grid_n=1024)
+    want = find_optimal_rotations(mesh, dataclasses.replace(pi, polar=None), grid_n=1024)
+    assert got.angles == want.angles and got.arcs == want.arcs
+    assert abs(got.min_value - want.min_value) <= 1e-14 * (1.0 + abs(want.min_value))
+
+
+def _straddling_field():
+    """A separable C^2 field whose angular support [3 pi/4, 5 pi/4] straddles +-pi,
+    so that the polar path folds theta + alpha across the seam of arctan2.  Its
+    rates read angles only in arctan2's range, as the polar contract promises."""
+    prof = strict_profile()
+    lo, width = 0.75 * np.pi, 0.5 * np.pi
+
+    def offset(theta):
+        theta = np.asarray(theta, dtype=float)
+        assert np.all(np.abs(theta) <= np.pi + 1e-15), "an angle outside arctan2's range"
+        return (np.where(theta < 0.0, theta + 2.0 * np.pi, theta) - lo) / width
+
+    def rate(theta):
+        s = offset(theta)
+        return np.where((s > 0.0) & (s < 1.0), (s * (1.0 - s)) ** 4, 0.0)
+
+    def rate_d1(theta):
+        s = offset(theta)
+        return np.where((s > 0.0) & (s < 1.0), 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / width, 0.0)
+
+    def evaluate(pts):
+        rho, theta = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+        return prof.radial(rho) * rate(theta)
+
+    def gradient(pts):
+        rho, theta = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+        e_rho = pts / rho[:, None]
+        e_theta = np.stack([-pts[:, 1], pts[:, 0]], axis=1) / rho[:, None]
+        return ((prof.radial_d1(rho) * rate(theta))[:, None] * e_rho
+                + (prof.radial(rho) * rate_d1(theta) / rho)[:, None] * e_theta)
+
+    return PressureField(name="straddling", sign_class="nonnegative", smoothness="c2", evaluate=evaluate,
+                         gradient=gradient, support=(1.0, 3.0, lo, lo + width),
+                         polar=(prof.radial, rate, rate_d1))
+
+
+def test_polar_path_folds_angles_across_the_seam(lobe16, lobe32, annulus16):
+    pi = _straddling_field()
+    alphas = np.concatenate([_grid(256), _SEAMS])
+    for mesh in (lobe16, lobe32, annulus16):
+        _assert_polar_matches_generic(mesh, pi, alphas)

@@ -51,5 +51,6 @@ def test_wrapped_field_keeps_its_support(tracer):
     field = quadrant_bump_pressure("flat")
     wrapped = tracer.Tracer().wrap_field(field)
     assert wrapped.support == field.support
+    assert wrapped.polar == field.polar
     pts = np.array([[1.5, 1.2], [-0.5, 2.0]])
     assert np.array_equal(wrapped.evaluate(pts), field.evaluate(pts))

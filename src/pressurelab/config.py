@@ -69,6 +69,9 @@ def validate_config(cfg: dict) -> None:
         if name in cfg:
             _check_section(cfg[name], table, name)
 
+    for section in ("domain", "pressure"):
+        if not isinstance(cfg[section].get("params", {}), dict):
+            raise ConfigError(f"{section}.params must be an object")
     for key in ("c1", "c2", "p", "q"):
         if not _is_number(cfg["material"][key]):
             raise ConfigError(f"material.{key} must be a number")
@@ -97,7 +100,8 @@ def validate_config(cfg: dict) -> None:
                          cfg["pressure"].get("variant"))
     except ConfigError:
         raise
-    except Exception as exc:  # normalize construction errors to config errors
+    # what bad values raise (OverflowError: float() of a huge integer); the rest are faults
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

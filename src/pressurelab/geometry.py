@@ -195,7 +195,8 @@ class TriMesh:
     @cached_property
     def tables(self) -> dict:
         """Tables derived from this mesh by the modules that read them, built on
-        first use and kept with the mesh (the rotation layer's band tables)."""
+        first use and kept with the mesh: the rotation layer's band tables and
+        the solvers' sparse P1 gather and scatter operators."""
         return {}
 
     def export_json(self) -> dict:
@@ -374,12 +375,6 @@ def _mass_center(nodes: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def barycenter(mesh: TriMesh) -> np.ndarray:
     """Lumped-mass weighted mean of the nodes."""
     return _mass_center(mesh.nodes, mesh.node_masses)
-
-
-def interior_integral(mesh: TriMesh, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integrate ``integrand(points)`` over the mesh with the interior rule."""
-    pts = mesh.interior_points_flat()
-    return float(mesh.interior_weights_flat() @ np.asarray(integrand(pts), dtype=float))
 
 
 def boundary_integral(

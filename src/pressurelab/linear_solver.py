@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TriMesh
-from .material import MaterialModel, SKEW_GENERATOR, rotation
+from .material import MaterialModel, SKEW_GENERATOR, det2, rotation
 from .pressure import PressureField
 
 _SHIFT = 0.05          # mass shift of the factored stiffness, in units of c1
@@ -116,6 +116,43 @@ class StiffnessPreconditioner:
         return (out.reshape(self.n, 2) @ R.T).ravel()
 
 
+def _p1_operators(mesh: TriMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The P1 gather (5M x N) and scatter (N x 3M) as CSR matrices, kept in ``mesh.tables``.
+
+    The gather stacks G_0, G_1 (row t: d phi_i / d x_b at the corners i of
+    triangle t) and the midpoints (row 3t + q: 0.5 at corners q and q + 1); row
+    n of the scatter holds the k with triangles.ravel()[k] == n, ascending.
+    Each row sums in the order of fancy-indexed kernels (0.5 a + 0.5 b rounds
+    like 0.5 (a + b)), bit-identically; sort_indices, sum_duplicates or a
+    transpose would reorder the sums."""
+    if "p1" not in mesh.tables:
+        tris, m, n = mesh.triangles, len(mesh.triangles), mesh.n_nodes
+        corners, g = tris.ravel(), mesh.basis_gradients
+        edge_ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).ravel()
+        gather = sp.csr_matrix((np.concatenate([g[:, :, 0].ravel(), g[:, :, 1].ravel(), np.full(6 * m, 0.5)]),
+                                np.concatenate([corners, corners, edge_ends]),
+                                np.concatenate([3 * np.arange(2 * m), 6 * m + 2 * np.arange(3 * m + 1)])),
+                               shape=(5 * m, n))
+        starts = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
+        scatter = sp.csr_matrix((np.ones(3 * m), np.argsort(corners, kind="stable"), starts), shape=(n, 3 * m))
+        mesh.tables["p1"] = (gather, scatter)
+    return mesh.tables["p1"]
+
+
+def gather(mesh: TriMesh, y: np.ndarray):
+    """From one product with the P1 gather: the component-major gradient f
+    (2, 2, M), det (M,) and the values (3M, 2) at the interior rule points."""
+    m = len(mesh.triangles)
+    out = _p1_operators(mesh)[0] @ np.asarray(y, dtype=float)
+    f = out[:2 * m].T.reshape(2, 2, m)  # f[a, b] = (G_b @ y)[:, a], a view
+    return f, det2(f), out[2 * m:]
+
+
+def scatter(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
+    """Nodal sums (N, 2) of component-major per-corner values (2, M, 3), in triangle order."""
+    return np.stack([_p1_operators(mesh)[1] @ c.ravel() for c in contrib], axis=1)
+
+
 def zero_average(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
     """Subtract the lumped-mass mean from a nodal vector field."""
     mean = mesh.node_masses @ field / mesh.total_mass
@@ -177,15 +214,13 @@ def assemble_linear_system(mesh: TriMesh, material: MaterialModel, pi: PressureF
 
 def skew_mean(mesh: TriMesh, u: np.ndarray) -> float:
     """Mean antisymmetric part of grad u: 1/2 integral of (d1 u2 - d2 u1)."""
-    G = np.einsum("tia,tib->tab", u[mesh.triangles], mesh.basis_gradients)
-    return float(mesh.areas @ (0.5 * (G[:, 1, 0] - G[:, 0, 1])))
+    f, _, _ = gather(mesh, u)
+    return float(mesh.areas @ (0.5 * (f[1, 0] - f[0, 1])))
 
 
 def _skew_mean_row(mesh: TriMesh) -> np.ndarray:
     """The linear functional skew_mean(mesh, .) as a nodal field (N, 2)."""
-    grad_integral = np.zeros((mesh.n_nodes, 2))
-    np.add.at(grad_integral, mesh.triangles, mesh.areas[:, None, None] * mesh.basis_gradients)
-    return 0.5 * grad_integral @ SKEW_GENERATOR.T
+    return 0.5 * scatter(mesh, np.moveaxis(mesh.areas[:, None, None] * mesh.basis_gradients, 2, 0)) @ SKEW_GENERATOR.T
 
 
 def apply_gauge(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
@@ -243,15 +278,6 @@ def energy_value(system: LinearSystem, u: np.ndarray) -> float:
     return float(0.5 * flat @ (system.stiffness @ flat) + system.load @ flat)
 
 
-def strain_energy(mesh: TriMesh, material: MaterialModel, u: np.ndarray) -> float:
-    """Element-wise 1/2 integral of the strain quadratic form, for cross-checks."""
-    G = np.einsum("tia,tib->tab", np.asarray(u, float)[mesh.triangles], mesh.basis_gradients)
-    sym = 0.5 * (G + np.swapaxes(G, 1, 2))
-    tr = G[:, 0, 0] + G[:, 1, 1]
-    q = material.c1 * np.einsum("tij,tij->t", sym, sym) + material.c2 * tr * tr
-    return float(0.5 * mesh.areas @ q)
-
-
 def divergence_form_check(mesh: TriMesh, pi: PressureField, alpha0: float,
                           u: np.ndarray) -> tuple[float, float]:
     """Boundary and interior quadratures of the same divergence identity.
@@ -271,14 +297,13 @@ def divergence_form_check(mesh: TriMesh, pi: PressureField, alpha0: float,
     ndotu = np.einsum("eqc,ec->eq", u_q, mesh.boundary_normals)
     boundary = float(np.sum(bw * vals * ndotu))
 
-    G = np.einsum("tia,tib->tab", u[mesh.triangles], mesh.basis_gradients)
-    div = G[:, 0, 0] + G[:, 1, 1]
+    f, _, u_int = gather(mesh, u)
+    div = f[0, 0] + f[1, 1]
     ipts = mesh.quadrature.interior_points
     iw = mesh.quadrature.interior_weights
     m = len(mesh.triangles)
     piv = np.asarray(pi.evaluate(ipts.reshape(-1, 2) @ R.T), dtype=float).reshape(m, 3)
     gv = np.asarray(pi.gradient(ipts.reshape(-1, 2) @ R.T), dtype=float).reshape(m, 3, 2)
-    u_int = np.einsum("ri,tic->trc", mesh.quadrature.interior_bary, u[mesh.triangles])
-    grad_chain = np.einsum("trj,jc,trc->tr", gv, R, u_int)  # (R^T grad pi(R x)) . u
+    grad_chain = np.einsum("trj,jc,trc->tr", gv, R, u_int.reshape(m, 3, 2))  # (R^T grad pi(R x)) . u
     volume = float(np.sum(iw * (piv * div[:, None] + grad_chain)))
     return boundary, volume

@@ -70,14 +70,6 @@ def g_mixed(t, r: float):
     return float(out) if out.ndim == 0 else out
 
 
-def g_mixed_derivative(t, r: float):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("g_mixed requires a nonnegative argument")
-    out = np.where(t <= 1.0, t, t ** (r - 1.0))
-    return float(out) if out.ndim == 0 else out
-
-
 def _major(F: np.ndarray) -> np.ndarray:
     """Component-major view f[a, b] = F_ab, batch axes last, of (..., 2, 2) matrices.
     The kernels below take gradients this way: each entry is one contiguous array."""
@@ -116,14 +108,6 @@ def dist_so2(F: np.ndarray):
     """Frobenius distance from F to the rotation group, in closed form."""
     out = _so2_fit(_major(F))[0]
     return float(out) if out.ndim == 0 else out
-
-
-def closest_rotation(F: np.ndarray) -> np.ndarray:
-    """The rotation nearest to F; unique whenever tr F or the skew part is nonzero."""
-    _, a, b, s = _so2_fit(_major(F))
-    if np.any(s == 0.0):
-        raise ValueError("closest rotation is not unique for this matrix")
-    return np.moveaxis(np.array([[a, -b], [b, a]]) / s, (0, 1), (-2, -1))
 
 
 def density_components(model: MaterialModel, f: np.ndarray, det):

@@ -5,11 +5,14 @@ The discrete energy of a nodal deformation y is
     E(y) = sum_T |T| W(grad y_T) + eps * sum_q w_q (pi_hat(y(x_q)) det grad y - pi_hat(x_q))
 
 with +inf whenever some triangle reverses orientation.  An evaluation gathers
-y[triangles] once and uses the component kernels of `material`; a solve
-computes the reference term sum_q w_q pi_hat(x_q) once.  Deformations live in
-the zero-average subspace (lumped masses); the minimizer is a limited-memory
-BFGS iteration, seeded with the factored linear stiffness (splu, ordered by
-MMD_AT_PLUS_A).  Its line search
+F, det F and the deformed rule points in one product with the mesh's sparse P1
+gather (`linear_solver.gather`), scatters the gradient with its P1 scatter and
+uses the component kernels of `material`.  A solve computes the reference term
+sum_q w_q pi_hat(x_q) once, and assembles the gradient and the rounding floor
+at an iterate from the gather and pi_hat values its energy evaluation kept (an
+`EnergyState`).  Deformations live in the zero-average subspace (lumped
+masses); the minimizer is a limited-memory BFGS iteration, seeded with the
+factored linear stiffness (splu, ordered by MMD_AT_PLUS_A).  Its line search
 backtracks on the Armijo condition and rejects inadmissible trial steps
 outright, so every accepted iterate keeps all determinants positive.
 
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
-from .linear_solver import ProblemError, StiffnessPreconditioner, project_gradient, zero_average
-from .material import MaterialModel, cofactor, density_components, det2, dist_so2, g_mixed, rotation, stress_components
+from .linear_solver import ProblemError, StiffnessPreconditioner, gather, project_gradient, scatter, zero_average
+from .material import MaterialModel, cofactor, density_components, dist_so2, g_mixed, rotation, stress_components
 from .pressure import PressureField
 
 _ARMIJO_C = 1e-4
@@ -83,20 +86,9 @@ def rigid_map(mesh: TriMesh, alpha: float) -> np.ndarray:
     return mesh.nodes @ rotation(alpha).T
 
 
-def _gather(mesh: TriMesh, y: np.ndarray):
-    """From one gather of the corner values: the component-major gradient f
-    (2, 2, M), det (M,) and the values (3M, 2) at the interior rule points, the
-    edge midpoints (point q on the edge from corner q to corner q + 1)."""
-    yt = y[mesh.triangles]
-    g = mesh.basis_gradients
-    f = np.array([[yt[:, 0, a] * g[:, 0, b] + yt[:, 1, a] * g[:, 1, b] + yt[:, 2, a] * g[:, 2, b]
-                   for b in range(2)] for a in range(2)])
-    return f, det2(f), (0.5 * (yt + yt[:, [1, 2, 0]])).reshape(-1, 2)
-
-
 def deformation_gradients(mesh: TriMesh, y: np.ndarray):
     """Per-triangle gradient (M, 2, 2) and determinant (M,) of a nodal map."""
-    f, det, _ = _gather(mesh, y)
+    f, det, _ = gather(mesh, y)
     return np.moveaxis(f, (0, 1), (1, 2)), det
 
 
@@ -106,56 +98,74 @@ def _reference_terms(mesh: TriMesh, pi_hat: PressureField) -> tuple[float, float
     return float(np.sum(wpi)), float(np.sum(np.abs(wpi)))
 
 
+@dataclass(frozen=True)
+class EnergyState:
+    """An admissible energy evaluation at y, which the gradient and floor at y reuse."""
+    f: np.ndarray    # (2, 2, M) component-major gradient
+    det: np.ndarray  # (M,)
+    yq: np.ndarray   # (3M, 2) deformed rule points
+    piy: np.ndarray  # (M, 3) pi_hat(yq)
+
+
+def _evaluate(mesh: TriMesh, pi_hat: PressureField, y: np.ndarray) -> EnergyState | None:
+    """One gather of y and pi_hat at its rule points; None when some det <= 0."""
+    f, det, yq = gather(mesh, y)
+    return None if np.any(det <= 0.0) else EnergyState(f, det, yq, np.reshape(pi_hat.evaluate(yq), (-1, 3)))
+
+
 def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                    y: np.ndarray, eps: float, reference: float | None = None) -> float:
+                    y: np.ndarray, eps: float, reference: float | None = None,
+                    with_state: bool = False):
     """Total energy; +inf when orientation is violated anywhere.  ``reference``
-    is sum_q w_q pi_hat(x_q), which `minimize_energy` computes once per solve."""
-    f, det, yq = _gather(mesh, y)
-    if np.any(det <= 0.0):
-        return math.inf
-    elastic = float(mesh.areas @ density_components(material, f, det))
+    is sum_q w_q pi_hat(x_q), which `minimize_energy` computes once per solve.
+    ``with_state`` returns (energy, EnergyState or None when +inf)."""
+    state = _evaluate(mesh, pi_hat, y)
+    if state is None:
+        return (math.inf, None) if with_state else math.inf
+    elastic = float(mesh.areas @ density_components(material, state.f, state.det))
     if reference is None:
         reference = _reference_terms(mesh, pi_hat)[0]
     # sum_q w_q pi_hat(y_q) det - reference, split so that neither part cancels
     # near a rigid state: the sums over q of pi_hat(y_q) and pi_hat(x_q) round alike
-    wpi = mesh.quadrature.interior_weights * np.reshape(pi_hat.evaluate(yq), (-1, 3))
-    pressure = float(np.sum(wpi, axis=1) @ (det - 1.0)) + (float(np.sum(wpi)) - reference)
-    return elastic + eps * pressure
+    wpi = mesh.quadrature.interior_weights * state.piy
+    pressure = float(np.sum(wpi, axis=1) @ (state.det - 1.0)) + (float(np.sum(wpi)) - reference)
+    energy = elastic + eps * pressure
+    return (energy, state) if with_state else energy
 
 
-def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                          y: np.ndarray, eps: float, reference_abs: float) -> float:
-    """Bound on the rounding of `assemble_energy` at an admissible y: eps_mach
-    times 4 |T| (c1 (d + d^2) + c2 (t + t^2)) per triangle, with d = dist(F,
-    SO(2)) and t = |det F - 1|, plus |eps| times sum_q w_q |pi_hat(y_q)| (t + 1)
-    and ``reference_abs`` = sum_q w_q |pi_hat(x_q)|."""
-    f, det, yq = _gather(mesh, y)
-    d = dist_so2(np.moveaxis(f, (0, 1), (1, 2)))
-    t = np.abs(det - 1.0)
+def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, state: EnergyState,
+                          eps: float, reference_abs: float) -> float:
+    """Bound on the rounding of `assemble_energy` at the admissible y of
+    ``state``: eps_mach times 4 |T| (c1 (d + d^2) + c2 (t + t^2)) per triangle,
+    with d = dist(F, SO(2)) and t = |det F - 1|, plus |eps| times sum_q w_q
+    |pi_hat(y_q)| (t + 1) and ``reference_abs`` = sum_q w_q |pi_hat(x_q)|."""
+    d = dist_so2(np.moveaxis(state.f, (0, 1), (1, 2)))
+    t = np.abs(state.det - 1.0)
     elastic = 4.0 * float(mesh.areas @ (material.c1 * (d + d * d) + material.c2 * (t + t * t)))
     w = mesh.quadrature.interior_weights
-    pressure = float(np.sum(w * np.abs(np.reshape(pi_hat.evaluate(yq), (-1, 3))), axis=1) @ (t + 1.0)) + reference_abs
+    pressure = float(np.sum(w * np.abs(state.piy), axis=1) @ (t + 1.0)) + reference_abs
     return float(np.finfo(float).eps) * (elastic + abs(eps) * pressure)
 
 
 def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                      y: np.ndarray, eps: float) -> np.ndarray:
-    """Nodal gradient of the energy, projected onto the zero-average subspace."""
-    f, det, yq = _gather(mesh, y)
-    if np.any(det <= 0.0):
-        raise ValueError("gradient requested at an inadmissible deformation")
+                      y: np.ndarray, eps: float, state: EnergyState | None = None) -> np.ndarray:
+    """Nodal gradient of the energy, projected onto the zero-average subspace;
+    ``state``, from an energy evaluation at this y, saves gathering y again."""
+    if state is None:
+        state = _evaluate(mesh, pi_hat, y)
+        if state is None:
+            raise ValueError("gradient requested at an inadmissible deformation")
+    f, det = state.f, state.det
     w = mesh.quadrature.interior_weights
-    piy = np.reshape(pi_hat.evaluate(yq), w.shape)
-    gpiy = np.reshape(pi_hat.gradient(yq), w.shape + (2,))
+    gpiy = np.reshape(pi_hat.gradient(state.yq), w.shape + (2,))
     # dE/dF per triangle: |T| times the stress, plus eps sum_q w_q pi_hat(y_q) cof F
-    P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * piy, axis=1)) * cofactor(f)
+    P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * state.piy, axis=1)) * cofactor(f)
     # eps w_q det F grad pi_hat(y_q), shared by the two corners of edge q
     h = (eps * w * det[:, None])[:, :, None] * gpiy
     g = mesh.basis_gradients
     edges = np.moveaxis(0.5 * (h + h[:, [2, 0, 1]]), 2, 0)  # corner i: rule points i and i - 1
     contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1] + edges
-    grad = np.stack([np.bincount(mesh.triangles.ravel(), weights=c.ravel(), minlength=len(y)) for c in contrib], axis=1)
-    return project_gradient(mesh, grad)
+    return project_gradient(mesh, scatter(mesh, contrib))
 
 
 def rigid_start(mesh: TriMesh, alpha: float, noise_amplitude: float, rng: np.random.Generator) -> np.ndarray:
@@ -199,24 +209,22 @@ def minimize_energy(
     ``converged``/``stop_reason`` rather than raised.
     """
     y0 = zero_average(mesh, np.asarray(init, dtype=float))
-    if not DeformationField(mesh, y0).admissible:
-        raise ProblemError("initial deformation is inadmissible")
-
     n = mesh.n_nodes
-    if precond is None:
-        precond = StiffnessPreconditioner(mesh, material)
-
     reference, reference_abs = _reference_terms(mesh, pi_hat)
 
-    def energy_only(z):
-        return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps, reference)
+    def energy_at(z):
+        return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps, reference, with_state=True)
 
-    def gradient_at(z):
-        return assemble_gradient(mesh, material, pi_hat, z.reshape(n, 2), eps).ravel()
+    def gradient_at(z, state):
+        return assemble_gradient(mesh, material, pi_hat, z.reshape(n, 2), eps, state).ravel()
 
     z = y0.ravel().copy()
-    f = energy_only(z)
-    g = gradient_at(z)
+    f, state = energy_at(z)
+    if not math.isfinite(f):
+        raise ProblemError("initial deformation is inadmissible")
+    if precond is None:
+        precond = StiffnessPreconditioner(mesh, material)
+    g = gradient_at(z, state)
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
     rho_list: list[float] = []
@@ -240,7 +248,7 @@ def minimize_energy(
         return q
 
     def line_search(d, slope):
-        """Step along d: (z, f, g or None), or None when no step is acceptable.
+        """Step along d: (z, f, state, g or None), or None when no step is acceptable.
 
         Armijo backtracking on the bracket [lo, hi].  A trial that fails
         Armijo with its energy within the rounding floor of f takes the
@@ -254,27 +262,26 @@ def minimize_energy(
 
         def trial(t):
             z_try = zero_average(mesh, (z + t * d).reshape(n, 2)).ravel()
-            f_try = energy_only(z_try)
-            return z_try, f_try, f_try <= f + _ARMIJO_C * t * slope
+            f_try, s_try = energy_at(z_try)
+            return z_try, f_try, s_try, f_try <= f + _ARMIJO_C * t * slope
 
         t, lo, hi = 1.0, 0.0, math.inf
         floor = None
         while t - lo > _STEP_MIN and t < hi:
-            z_try, f_try, armijo = trial(t)
+            z_try, f_try, s_try, armijo = trial(t)
             if armijo:
-                return z_try, f_try, None
+                return z_try, f_try, s_try, None
             backtracks += 1
             if math.isinf(f_try):
                 rejections += 1
                 hi = t
             else:
                 if floor is None:
-                    floor = _energy_rounding_floor(mesh, material, pi_hat, z.reshape(n, 2), eps,
-                                                   reference_abs)
+                    floor = _energy_rounding_floor(mesh, material, state, eps, reference_abs)
                 if f_try - f > floor:
                     hi = t
                 else:
-                    g_try = gradient_at(z_try)
+                    g_try = gradient_at(z_try, s_try)
                     ratio = float(g_try @ (z_try - z)) / (t * slope)
                     if ratio > _WOLFE_SIGMA:
                         lo = t
@@ -285,12 +292,12 @@ def minimize_energy(
             t = t / _BACKTRACK if math.isinf(hi) else lo + _BACKTRACK * (hi - lo)
         else:
             return None
-        candidate = (z_try, f_try, g_try)
+        candidate = (z_try, f_try, s_try, g_try)
         for _ in range(_ARMIJO_RETRIES):
             t *= _BACKTRACK
-            z_try, f_try, armijo = trial(t)
+            z_try, f_try, s_try, armijo = trial(t)
             if armijo:
-                return z_try, f_try, None
+                return z_try, f_try, s_try, None
             backtracks += 1
         return candidate
 
@@ -313,9 +320,9 @@ def minimize_energy(
         if step is None:
             stop_reason = "stalled"
             break
-        z_new, f_new, g_new = step
+        z_new, f_new, state_new, g_new = step
         if g_new is None:
-            g_new = gradient_at(z_new)
+            g_new = gradient_at(z_new, state_new)
         s = z_new - z
         yv = g_new - g
         sy = float(s @ yv)
@@ -325,7 +332,7 @@ def minimize_energy(
             rho_list.append(1.0 / sy)
             if len(s_list) > _MEMORY:
                 s_list.pop(0); y_list.pop(0); rho_list.pop(0)
-        z, f, g = z_new, f_new, g_new
+        z, f, g, state = z_new, f_new, g_new, state_new
     else:
         iterations = max_iter
 

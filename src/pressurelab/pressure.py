@@ -95,21 +95,6 @@ class BumpProfile:
     angular_total: float     # angular(pi/2)
     rate_support: tuple[float, float]   # the rate vanishes outside this angle interval
 
-    def rotation_sweep_value(self, alpha) -> np.ndarray:
-        """Exact integral of the bump over the four-lobe domain rotated by alpha.
-
-        Piecewise in the quarter-turn offset: the sweep rises by the angular
-        profile while a large lobe rotates across the bump support, then falls
-        symmetrically, twice per full turn.
-        """
-        a = np.mod(np.asarray(alpha, dtype=float), 2.0 * math.pi)
-        seg = np.floor(a / HALF_PI).astype(int) % 4
-        local = a - seg * HALF_PI
-        rising = self.angular(local)
-        falling = self.angular_total - rising
-        out = np.where(seg % 2 == 0, rising, falling)
-        return float(out) if out.ndim == 0 else out
-
 
 def strict_profile() -> BumpProfile:
     """Strictly increasing angular profile with rate a^3 (pi/2 - a)^3."""
@@ -205,7 +190,7 @@ def profile_for_variant(variant: str) -> BumpProfile:
 
 def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureField:
     """Smooth nonnegative field psi(|x|) * rate(atan2(x2, x1)) on the first-quadrant outer lobe."""
-    if isinstance(profile, str):
+    if not isinstance(profile, BumpProfile):
         profile = profile_for_variant(profile)
 
     def evaluate(points):

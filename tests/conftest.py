@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from pressurelab import DomainSpec, MaterialModel, TriMesh, build_domain, rotations
-from pressurelab.material import SKEW_GENERATOR, rotation
+from pressurelab.linear_solver import project_gradient
+from pressurelab.material import SKEW_GENERATOR, cofactor, det2, rotation, stress_components
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +51,10 @@ def weak_material():
 
 
 # Oracles that only tests read: the rotation layer's support rows, the interior
-# form of its stationarity residual and a finite-difference Hessian of a field.
+# form of its stationarity residual, a finite-difference Hessian of a field,
+# the exact sweep of a bump over the rotated four-lobe domain, and the
+# fancy-indexed P1 gather, bincount scatter and energy gradient that the
+# sparse P1 operators replaced.
 
 
 def support_rows(mesh, pi, alpha, boundary=False):
@@ -80,3 +86,48 @@ def hessian(pi, points, step=1e-5):
         e[j] = step
         out[..., :, j] = (pi.gradient(pts + e) - pi.gradient(pts - e)) / (2.0 * step)
     return out
+
+
+def fancy_gather(mesh, y):
+    """Component-major gradient f (2, 2, M), det (M,) and rule points (3M, 2) from y[triangles]."""
+    yt = y[mesh.triangles]
+    g = mesh.basis_gradients
+    f = np.array([[yt[:, 0, a] * g[:, 0, b] + yt[:, 1, a] * g[:, 1, b] + yt[:, 2, a] * g[:, 2, b]
+                   for b in range(2)] for a in range(2)])
+    return f, det2(f), (0.5 * (yt + yt[:, [1, 2, 0]])).reshape(-1, 2)
+
+
+def bincount_scatter(mesh, contrib):
+    """Nodal sums (N, 2) of component-major per-corner values (2, M, 3)."""
+    return np.stack([np.bincount(mesh.triangles.ravel(), weights=c.ravel(), minlength=mesh.n_nodes)
+                     for c in contrib], axis=1)
+
+
+def fancy_gradient(mesh, material, pi_hat, y, eps):
+    """The projected energy gradient assembled with `fancy_gather` and `bincount_scatter`."""
+    f, det, yq = fancy_gather(mesh, y)
+    w = mesh.quadrature.interior_weights
+    piy = np.reshape(pi_hat.evaluate(yq), w.shape)
+    gpiy = np.reshape(pi_hat.gradient(yq), w.shape + (2,))
+    P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * piy, axis=1)) * cofactor(f)
+    h = (eps * w * det[:, None])[:, :, None] * gpiy
+    g = mesh.basis_gradients
+    edges = np.moveaxis(0.5 * (h + h[:, [2, 0, 1]]), 2, 0)
+    contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1] + edges  # (2, M, 3)
+    return project_gradient(mesh, bincount_scatter(mesh, contrib))
+
+
+def rotation_sweep_value(profile, alpha):
+    """Exact integral of the bump of ``profile`` over the four-lobe domain rotated by alpha.
+
+    Piecewise in the quarter-turn offset: the sweep rises by the angular
+    profile while a large lobe rotates across the bump support, then falls
+    symmetrically, twice per full turn.
+    """
+    a = np.mod(np.asarray(alpha, dtype=float), 2.0 * math.pi)
+    seg = np.floor(a / (0.5 * math.pi)).astype(int) % 4
+    local = a - seg * (0.5 * math.pi)
+    rising = profile.angular(local)
+    falling = profile.angular_total - rising
+    out = np.where(seg % 2 == 0, rising, falling)
+    return float(out) if out.ndim == 0 else out

@@ -35,7 +35,7 @@ from pressurelab.studies import (
     rescaled_displacement,
 )
 
-from conftest import el_volume_form
+from conftest import el_volume_form, rotation_sweep_value
 
 P0 = 0.1
 EPS_LIST = [0.08, 0.04, 0.02, 0.01]
@@ -104,7 +104,7 @@ def test_criterion_01_rotation_functional_profile(lobe64, strict_bump):
     profile = strict_profile()
     alphas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     got = rotation_functional_profile(lobe64, strict_bump, alphas)
-    want = profile.rotation_sweep_value(alphas)
+    want = rotation_sweep_value(profile, alphas)
     err = float(np.max(np.abs(got - want)))
     elapsed = time.time() - t0
     _report(1, "rotation functional matches the angular sweep profile",

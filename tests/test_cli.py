@@ -257,6 +257,32 @@ def test_booleans_are_not_numbers(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value,needle", [
+    ("domain", "params", [1], "domain.params"),
+    ("domain", "params", "x", "domain.params"),
+    ("pressure", "params", [1], "pressure.params"),
+    ("pressure", "params", "x", "pressure.params"),
+    ("pressure", "variant", [1], "bump variant"),
+])
+def test_malformed_sections_exit_2_naming_the_key(tmp_path, capsys, section, key, value, needle):
+    # these reached the construction step as AttributeErrors before they were checked
+    cfg = _base_config()
+    if key == "variant":
+        cfg["pressure"] = {"name": "quadrant_bump"}
+    cfg[section][key] = value
+    assert run("scan-rotations", _write(tmp_path, cfg)) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_a_fault_while_building_the_config_objects_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the field builder")
+
+    monkeypatch.setattr("pressurelab.config.builtin_pressure", broken)
+    with pytest.raises(RuntimeError, match="bug in the field builder"):
+        run("scan-rotations", _write(tmp_path, _base_config()))
+
+
 def test_benchmark_workload_configs_validate():
     spec = importlib.util.spec_from_file_location(
         "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")

@@ -1,16 +1,21 @@
-"""The one-gather energy and gradient kernels against the matrix formulation,
-the direct path of the pressure extension, and the per-solve reference term."""
+"""The one-gather energy and gradient kernels against the matrix formulation
+and, bit for bit, against the fancy-indexed kernels the sparse P1 operators
+replaced; the reuse of an energy evaluation's state; the direct path of the
+pressure extension, and the per-solve reference term."""
 
 import numpy as np
 import pytest
+from conftest import bincount_scatter, fancy_gather, fancy_gradient
 
-from pressurelab import MaterialModel, builtin_pressure, extend_pressure
+from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure, extend_pressure, nonlinear_solver, rotations
+from pressurelab.linear_solver import gather, scatter
 from pressurelab.material import g_mixed
 from pressurelab.nonlinear_solver import (
     _reference_terms,
     assemble_energy,
     assemble_gradient,
     deformation_gradients,
+    minimize_energy,
     project_gradient,
     rigid_start,
 )
@@ -100,6 +105,69 @@ def test_kernels_match_the_matrix_formulation(mesh_name, request):
                     g_ref = _matrix_gradient(mesh, material, field, y, 0.05)
                     g = assemble_gradient(mesh, material, field, y, 0.05)
                     assert np.max(np.abs(g - g_ref)) <= 1e-13 * (1.0 + np.max(np.abs(g_ref))), (name, variant)
+
+
+@pytest.mark.parametrize("mesh_name", ["disk16", "annulus32", "lobe16", "lobe32"])
+def test_sparse_operators_match_the_fancy_indexed_kernels_bit_for_bit(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(3)
+    contrib = rng.normal(size=(2, len(mesh.triangles), 3))
+    assert np.array_equal(scatter(mesh, contrib), bincount_scatter(mesh, contrib))
+    for y in _random_maps(mesh):
+        reference = fancy_gather(mesh, y)
+        for got, want in zip(gather(mesh, y), reference):
+            assert np.array_equal(got, want)
+        if np.any(reference[1] <= 0.0):
+            continue  # the largest map folds one triangle of annulus32: no gradient there
+        for name, params, variant in FIELDS:
+            hat = _extended(builtin_pressure(name, params, variant), mesh)
+            assert np.array_equal(assemble_gradient(mesh, MATERIALS[1], hat, y, 0.05),
+                                  fancy_gradient(mesh, MATERIALS[1], hat, y, 0.05)), (name, variant)
+
+
+def test_gradient_from_a_kept_energy_state_is_the_fresh_gradient(lobe16):
+    for name, params, variant in FIELDS:
+        hat = _extended(builtin_pressure(name, params, variant), lobe16)
+        for y in _random_maps(lobe16, n=2):
+            energy, state = assemble_energy(lobe16, MATERIALS[0], hat, y, 0.05, with_state=True)
+            assert energy == assemble_energy(lobe16, MATERIALS[0], hat, y, 0.05)
+            assert np.array_equal(assemble_gradient(lobe16, MATERIALS[0], hat, y, 0.05, state),
+                                  assemble_gradient(lobe16, MATERIALS[0], hat, y, 0.05))
+
+
+def test_an_inadmissible_evaluation_keeps_no_state(disk16):
+    hat = _extended(builtin_pressure("constant", {"value": 0.1}), disk16)
+    y = disk16.nodes * np.array([-1.0, 1.0])  # a reflection
+    energy, state = assemble_energy(disk16, MATERIALS[0], hat, y, 0.05, with_state=True)
+    assert energy == np.inf and state is None
+    with pytest.raises(ValueError):
+        assemble_gradient(disk16, MATERIALS[0], hat, y, 0.05, state)
+
+
+def test_a_solve_that_reuses_evaluation_states_matches_one_that_gathers_afresh(disk16, monkeypatch):
+    # the gradient at every accepted step, derivative-tested candidates
+    # included, must come from that step's own energy evaluation
+    hat = _extended(builtin_pressure("constant", {"value": 0.1}), disk16)
+    init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
+    field, diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init, grad_tol=1e-13)
+    assert diags.converged and diags.backtracks > 0
+    reusing = nonlinear_solver.assemble_gradient
+    monkeypatch.setattr(nonlinear_solver, "assemble_gradient", lambda *args: reusing(*args[:5]))
+    fresh_field, fresh_diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init, grad_tol=1e-13)
+    assert np.array_equal(field.values, fresh_field.values) and diags == fresh_diags
+
+
+def test_operators_are_built_once_per_mesh_and_only_by_the_solvers():
+    mesh = build_domain(DomainSpec.four_lobe(resolution=8))
+    pi = builtin_pressure("quadrant_bump", {}, "flat")
+    rotations.find_optimal_rotations(mesh, pi, 256)
+    assert "p1" not in mesh.tables  # the rotation layer gathers no P1 values
+    hat = _extended(pi, mesh)
+    rng = np.random.default_rng(2)
+    minimize_energy(mesh, MATERIALS[0], hat, 0.05, rigid_start(mesh, 0.3, 1e-3, rng), max_iter=5)
+    ops = mesh.tables["p1"]
+    minimize_energy(mesh, MATERIALS[0], hat, 0.05, rigid_start(mesh, 1.3, 1e-3, rng), max_iter=5)
+    assert mesh.tables["p1"] is ops
 
 
 def test_energy_with_and_without_the_precomputed_reference(lobe16, default_material):

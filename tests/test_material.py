@@ -4,7 +4,24 @@ import numpy as np
 import pytest
 
 from pressurelab import MaterialModel, det_expansion, dist_so2, energy_density, g_mixed, quadratic_form, rotation, stress
-from pressurelab.material import SKEW_GENERATOR, closest_rotation, g_mixed_derivative
+from pressurelab.material import SKEW_GENERATOR, _major, _so2_fit
+
+
+def g_mixed_derivative(t, r):
+    """g'(t): t on the quadratic branch and t^(r-1) beyond."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("g_mixed requires a nonnegative argument")
+    out = np.where(t <= 1.0, t, t ** (r - 1.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def closest_rotation(F):
+    """The rotation nearest to F, from the kernels' own fit (cos, sin) = (a, b)/s."""
+    _, a, b, s = _so2_fit(_major(F))
+    if np.any(s == 0.0):
+        raise ValueError("closest rotation is not unique for this matrix")
+    return np.moveaxis(np.array([[a, -b], [b, a]]) / s, (0, 1), (-2, -1))
 
 
 def _random_orientation_preserving(rng, n, det_range=(0.2, 5.0)):

@@ -4,7 +4,7 @@ import pytest
 from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile, validate_growth
 from pressurelab.pressure import PressureError
 
-from conftest import hessian
+from conftest import hessian, rotation_sweep_value
 
 
 # --- built-in catalog --------------------------------------------------------
@@ -107,14 +107,14 @@ def test_rotation_sweep_piecewise_structure():
     prof = strict_profile()
     total = prof.angular_total
     a = 0.3
-    assert abs(prof.rotation_sweep_value(a) - prof.angular(a)) < 1e-15
-    assert abs(prof.rotation_sweep_value(np.pi / 2 + a) - (total - prof.angular(a))) < 1e-15
-    assert abs(prof.rotation_sweep_value(np.pi + a) - prof.angular(a)) < 1e-15
-    assert abs(prof.rotation_sweep_value(3 * np.pi / 2 + a) - (total - prof.angular(a))) < 1e-15
+    assert abs(rotation_sweep_value(prof, a) - prof.angular(a)) < 1e-15
+    assert abs(rotation_sweep_value(prof, np.pi / 2 + a) - (total - prof.angular(a))) < 1e-15
+    assert abs(rotation_sweep_value(prof, np.pi + a) - prof.angular(a)) < 1e-15
+    assert abs(rotation_sweep_value(prof, 3 * np.pi / 2 + a) - (total - prof.angular(a))) < 1e-15
     # continuity at the junctions
     for j in (np.pi / 2, np.pi, 3 * np.pi / 2):
-        lo = prof.rotation_sweep_value(j - 1e-9)
-        hi = prof.rotation_sweep_value(j + 1e-9)
+        lo = rotation_sweep_value(prof, j - 1e-9)
+        hi = rotation_sweep_value(prof, j + 1e-9)
         assert abs(lo - hi) < 1e-7
 
 

@@ -13,7 +13,7 @@ from pressurelab.pressure import PressureField
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
 
-from conftest import el_volume_form, hessian, support_rows
+from conftest import el_volume_form, hessian, rotation_sweep_value, support_rows
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_functional_matches_angular_sweep(lobe32, strict_bump):
     prof = strict_profile()
     alphas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     got = rotation_functional_profile(lobe32, strict_bump, alphas)
-    want = prof.rotation_sweep_value(alphas)
+    want = rotation_sweep_value(prof, alphas)
     assert np.max(np.abs(got - want)) < 2e-3
 
 

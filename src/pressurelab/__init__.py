@@ -19,14 +19,12 @@ from .material import (
 )
 from .pressure import (
     BumpProfile,
-    GrowthReport,
     PressureField,
     builtin_pressure,
     extend_pressure,
     flat_profile,
     quadrant_bump_pressure,
     strict_profile,
-    validate_growth,
 )
 from .rotations import (
     OptimalSet,

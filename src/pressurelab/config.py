@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .geometry import DomainSpec, TriMesh, build_domain
@@ -29,6 +30,16 @@ _TOP_KEYS = {"domain": True, "material": True, "pressure": True, "solver": False
              "study": False, "eps_list": False, "seed": False, "output": False}
 _SECTIONS = {"domain": _DOMAIN_KEYS, "material": _MATERIAL_KEYS, "pressure": _PRESSURE_KEYS,
              "solver": _SOLVER_KEYS, "study": _STUDY_KEYS, "output": _OUTPUT_KEYS}
+# The params each domain kind and pressure name reads; `DomainSpec.from_config`
+# and `builtin_pressure` take a default for a missing one, so a misspelt key
+# would silently become it.
+_DOMAIN_PARAMS = {"disk": {"radius"}, "annulus": {"r_inner", "r_outer"}, "four_lobe": {"r_small", "r_large"}}
+_PRESSURE_PARAMS = {"zero": set(), "constant": {"value"}, "hydrostatic": {"coefficient"},
+                    "quadrant_bump": {"variant"}, "example52": {"variant"}}
+# Mesh size grows with the square of the resolution: the four-lobe mesh has
+# 77 thousand triangles at 64, the largest resolution in use, and about 20
+# million at this cap.
+MAX_RESOLUTION = 1024
 
 
 def _check_section(section, table, prefix):
@@ -51,8 +62,8 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or _is_integer(value)
 
 
-def _integer_at_least(value, least: int) -> bool:
-    return _is_integer(value) and value >= least
+def _integer_in(value, least: int, most: float = math.inf) -> bool:
+    return _is_integer(value) and least <= value <= most
 
 
 def validate_config(cfg: dict) -> None:
@@ -69,14 +80,21 @@ def validate_config(cfg: dict) -> None:
         if name in cfg:
             _check_section(cfg[name], table, name)
 
-    for section in ("domain", "pressure"):
-        if not isinstance(cfg[section].get("params", {}), dict):
+    for section, selector, table in (("domain", "kind", _DOMAIN_PARAMS), ("pressure", "name", _PRESSURE_PARAMS)):
+        params = cfg[section].get("params", {})
+        if not isinstance(params, dict):
             raise ConfigError(f"{section}.params must be an object")
+        choice = cfg[section][selector]
+        # an unknown kind or name is left to `DomainSpec` or `builtin_pressure` to reject
+        known = table.get(choice, set(params)) if isinstance(choice, str) else set(params)
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise ConfigError(f"unknown key {section}.params.{unknown[0]}")
     for key in ("c1", "c2", "p", "q"):
         if not _is_number(cfg["material"][key]):
             raise ConfigError(f"material.{key} must be a number")
-    if not _is_integer(cfg["domain"]["resolution"]):
-        raise ConfigError("domain.resolution must be an integer")
+    if not _integer_in(cfg["domain"]["resolution"], 2, MAX_RESOLUTION):
+        raise ConfigError(f"domain.resolution must be an integer from 2 to {MAX_RESOLUTION}")
     if "eps_list" in cfg:
         eps = cfg["eps_list"]
         if not isinstance(eps, list) or not eps or not all(_is_number(e) and e > 0 for e in eps):
@@ -85,11 +103,11 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("seed must be an integer")
     study = cfg.get("study", {})
     for key, least in (("rotation_grid", MIN_GRID), ("arc_samples", 1)):
-        if key in study and not _integer_at_least(study[key], least):
+        if key in study and not _integer_in(study[key], least):
             raise ConfigError(f"study.{key} must be an integer of at least {least}")
     res = study.get("resolutions", [2])
-    if not isinstance(res, list) or not res or not all(_integer_at_least(r, 2) for r in res):
-        raise ConfigError("study.resolutions must be a non-empty list of integers of at least 2")
+    if not isinstance(res, list) or not res or not all(_integer_in(r, 2, MAX_RESOLUTION) for r in res):
+        raise ConfigError(f"study.resolutions must be a non-empty list of integers from 2 to {MAX_RESOLUTION}")
     if "lambda_exponent" in study and not _is_number(study["lambda_exponent"]):
         raise ConfigError("study.lambda_exponent must be a number")
 

@@ -1,8 +1,9 @@
-"""Pressure intensity fields, their Lipschitz extensions, and growth checks.
+"""Pressure intensity fields and their Lipschitz extensions.
 
 A `PressureField` packs vectorized point evaluation and gradient callables with
-metadata (sign class, smoothness class, growth exponent of the negative part).
-The built-in catalog covers the trivial fields plus a smooth "quadrant bump":
+metadata (sign class, smoothness class, growth exponent of the negative part,
+support and polar factorization).  The built-in catalog covers the trivial
+fields, each separable in polar coordinates, plus a smooth "quadrant bump":
 a compactly supported C^2 field living on {x1 > 0, x2 > 0, |x| > 1}, built from
 a radial profile and the derivative of an angular profile.  That field pairs
 with the four-lobe domain: rotating the domain by alpha sweeps out exactly the
@@ -37,8 +38,11 @@ class PressureField:
     # and the gradient are exactly zero; None means they may be nonzero anywhere.
     support: tuple[float, float, float, float] | None = None
     # Polar factorization (radial, rate, rate_d1): evaluate(x) equals
-    # radial(|x|) * rate(atan2(x2, x1)), rate_d1 is the derivative of rate, and
-    # both rates vanish outside the angular range of `support`.
+    # radial(|x|) * rate(atan2(x2, x1)), rate_d1 is the derivative of rate, and,
+    # when `support` is declared, both rates vanish outside its angular range.
+    # The rotation layer reads a field only through it and rejects a field
+    # without it.  `radial` should be a module-level function: the rotation
+    # layer keys its cached weights by it, and a field is rebuilt on each access.
     polar: tuple[Callable, Callable, Callable] | None = None
 
     def __post_init__(self):
@@ -246,7 +250,19 @@ def builtin_pressure(name: str, params: dict | None = None, variant: str | None 
     raise PressureError(f"unknown pressure name {name!r}")
 
 
+# The radial factors of the constant and hydrostatic fields, module functions
+# for the same reason as the bump's `_radial`.
+def _unit_radial(rho):
+    return np.ones_like(rho, dtype=float)
+
+
+def _linear_radial(rho):
+    return np.asarray(rho, dtype=float)
+
+
 def constant_pressure(value: float, name: str = "constant") -> PressureField:
+    """The field `value` everywhere: radial 1 times the constant rate `value`."""
+
     def evaluate(points):
         pts, scalar = _as_points(points)
         return _scalar_out(np.full(pts.shape[:-1], float(value)), scalar)
@@ -255,16 +271,24 @@ def constant_pressure(value: float, name: str = "constant") -> PressureField:
         pts, scalar = _as_points(points)
         return _vector_out(np.zeros(pts.shape), scalar)
 
+    def rate(theta):
+        return np.full(np.shape(theta), float(value))
+
+    def rate_d1(theta):
+        return np.zeros(np.shape(theta))
+
     sign = "nonnegative" if value >= 0.0 else "signed"
     return PressureField(
         name=name, sign_class=sign, smoothness="c3",
         evaluate=evaluate, gradient=gradient,
         growth=0.0 if value < 0.0 else None, params={"value": value},
+        polar=(_unit_radial, rate, rate_d1),
     )
 
 
 def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
-    """Depth-proportional field: coefficient times the negative part of the height."""
+    """Depth-proportional field: coefficient times the negative part of the height,
+    which is rho times the rate coefficient * max(-sin theta, 0)."""
 
     def evaluate(points):
         pts, scalar = _as_points(points)
@@ -276,9 +300,16 @@ def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
         out[..., 1] = np.where(pts[..., 1] < 0.0, -coefficient, 0.0)
         return _vector_out(out, scalar)
 
+    def rate(theta):
+        return coefficient * np.maximum(-np.sin(theta), 0.0)
+
+    def rate_d1(theta):
+        return np.where(np.sin(theta) < 0.0, -coefficient * np.cos(theta), 0.0)
+
     return PressureField(
         name="hydrostatic", sign_class="nonnegative", smoothness="lipschitz",
         evaluate=evaluate, gradient=gradient, params={"coefficient": coefficient},
+        polar=(_linear_radial, rate, rate_d1),
     )
 
 
@@ -430,41 +461,3 @@ def extend_pressure(
         evaluate=evaluate, gradient=gradient,
         params=dict(pi.params, extension={"r_inner": r_inner, "r_outer": r_outer, "delta": delta, "slope": slope}),
     )
-
-
-# ---------------------------------------------------------------------------
-# growth validation
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    passes: bool
-    constant: float
-    exponent: float
-    trend_ratio: float
-    max_radius: float
-
-
-def validate_growth(pi: PressureField, p: float, q: float, r_reference: float = 2.0) -> GrowthReport:
-    """Fit the smallest constant bounding the negative part on a radial grid.
-
-    For q = 1 the bound is plain boundedness; for q > 1 it is C (1 + |y|^gamma)
-    with gamma = p (q-1)/q.  The check fails when the fitted constant keeps
-    growing toward the outer edge of the grid (radius 10 * r_reference).
-    """
-    gamma = 0.0 if q == 1.0 else p * (q - 1.0) / q
-    r_max = 10.0 * r_reference
-    pts = _sample_annulus(0.0, r_max, 200, 64)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    neg = np.maximum(-np.asarray(pi.evaluate(pts), dtype=float), 0.0)
-    envelope = np.ones_like(r) if q == 1.0 else 1.0 + r ** gamma
-    ratios = neg / envelope
-    constant = float(np.max(ratios))
-    if constant == 0.0:
-        return GrowthReport(True, 0.0, gamma, 0.0, r_max)
-    inner = ratios[r <= 0.5 * r_max]
-    outer = ratios[r > 0.5 * r_max]
-    c_in = float(np.max(inner)) if len(inner) else 0.0
-    c_out = float(np.max(outer)) if len(outer) else 0.0
-    trend = c_out / c_in if c_in > 0.0 else np.inf
-    return GrowthReport(bool(trend <= 1.2), constant, gamma, float(trend), r_max)

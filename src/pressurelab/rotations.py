@@ -1,5 +1,8 @@
 """The rotation functional alpha -> integral of pi over the rotated body,
 its minimizers on the circle, and the first/second variation residuals.
+
+Every one of them reads pi through its polar factorization alone: a rotation
+keeps each radius and adds alpha to each polar angle.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TriMesh
-from .material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
-from .pressure import PressureField
+from .material import SKEW_GENERATOR, angular_distance, wrap_angle
+from .pressure import PressureError, PressureField
 
 TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI: what rounding takes off a turn
@@ -19,7 +22,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10      # bracket width at which an isolated minimizer stops refining
 _GOLDEN_MAX_ITER = 200   # bracket reductions of `golden_section_min`
 _SUPPORT_MARGIN = 1e-9   # widens a declared support so that rounding in R(alpha) drops no row
-_CHUNK_POINTS = 1 << 16  # rotated rule points per field call in the rotation profiles
+_CHUNK_POINTS = 1 << 16  # rotated polar angles per rate call in the rotation profiles
 MIN_GRID = 64            # fewest angles of a grid scan
 
 
@@ -118,82 +121,62 @@ class _RuleTable:
     A band table holds the rows whose radius lies in a radial band, ordered by
     polar angle about the origin.  A rotation adds the same angle to every
     point and keeps every radius, so the rows it carries into a polar sector
-    form at most two runs of it.  The table of a field without support holds
-    every row, in mesh order, and no angles.
+    form at most two runs of it.  The band of a field without support holds
+    every row.
     """
 
-    rows: np.ndarray | slice
-    theta: np.ndarray | None       # increasing polar angles of the rows, in [-pi, pi]
-    rho: np.ndarray | None         # and their radii
-    points: np.ndarray
-    weights: np.ndarray
-    normals: np.ndarray | None     # boundary rule only: outward normals n,
-    jx: np.ndarray | None          # J x
-    n_jx: np.ndarray | None        # and n . J x
+    rows: np.ndarray
+    theta: np.ndarray    # increasing polar angles of the rows, in [-pi, pi]
+    rho: np.ndarray      # and their radii
+    weights: np.ndarray  # rule weights, for the boundary rule times n . J x
 
 
-def _gather_rows(mesh: TriMesh, rows, boundary: bool, theta=None) -> _RuleTable:
-    pts = (mesh.boundary_points_flat() if boundary else mesh.interior_points_flat())[rows]
-    rho = None if theta is None else np.hypot(pts[:, 0], pts[:, 1])
-    if not boundary:
-        return _RuleTable(rows, theta, rho, pts, mesh.interior_weights_flat()[rows], None, None, None)
-    nrm = mesh.boundary_normals_flat()[rows]
-    jx = pts @ SKEW_GENERATOR.T
-    return _RuleTable(rows, theta, rho, pts, mesh.boundary_weights_flat()[rows], nrm, jx,
-                      np.einsum("ij,ij->i", nrm, jx))
+def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> tuple[_RuleTable, np.ndarray]:
+    """The band table of the interior (or boundary) rule that the angles of pi
+    read, and its weights times radial(rho): every factor of a profile term
+    that no rotation changes.
 
-
-def _table_key(pi: PressureField, boundary: bool):
-    band = (pi.support[0] - _SUPPORT_MARGIN, pi.support[1] + _SUPPORT_MARGIN)
-    return "boundary" if boundary else "interior", band
-
-
-def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> _RuleTable:
-    """The table of the interior (or boundary) rule that the angles of pi read.
-
-    With a declared support, the band table of its radial band widened by
-    _SUPPORT_MARGIN, built once per mesh, rule and band and kept with the mesh.
+    The band is the radial band of pi's support widened by _SUPPORT_MARGIN.
+    The table is built once per mesh, rule and band, and its weights once
+    per radial callable, since fields of different radial profiles can
+    share a band; both are kept with the mesh.  The rotation layer reads a
+    field only through its polar factorization, so a field without one
+    raises PressureError.
     """
-    if pi.support is None:
-        return _gather_rows(mesh, slice(None), boundary)
-    key = _table_key(pi, boundary)
-    band = key[1]
-    if key not in mesh.tables:
+    if pi.polar is None:
+        raise PressureError(f"field {pi.name!r} declares no polar factorization to scan rotations with")
+    rule = "boundary" if boundary else "interior"
+    band = (-math.inf, math.inf) if pi.support is None else (
+        pi.support[0] - _SUPPORT_MARGIN, pi.support[1] + _SUPPORT_MARGIN)
+    if (rule, band) not in mesh.tables:
         pts = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
         rho = np.hypot(pts[:, 0], pts[:, 1])
         rows = np.flatnonzero((rho >= band[0]) & (rho <= band[1]))
         theta = np.arctan2(pts[:, 1], pts[:, 0])[rows]
         order = np.argsort(theta, kind="stable")  # equal angles stay in row order
-        mesh.tables[key] = _gather_rows(mesh, rows[order], boundary, theta[order])
-    return mesh.tables[key]
-
-
-def _polar_weights(mesh: TriMesh, pi: PressureField, table: _RuleTable, boundary: bool = False) -> np.ndarray:
-    """The band table's weights times radial(rho), and for the boundary rule
-    times n . J x: every factor of a polar path term that no rotation changes.
-
-    Kept with the mesh under the table's key and the radial callable itself,
-    since fields of different radial profiles can share a band.
-    """
-    radial = pi.polar[0]
-    key = _table_key(pi, boundary) + (radial,)
-    if key not in mesh.tables:
-        w = table.weights * table.n_jx if boundary else table.weights
-        mesh.tables[key] = w * np.asarray(radial(table.rho), dtype=float)
-    return mesh.tables[key]
+        rows = rows[order]
+        weights = (mesh.boundary_weights_flat() if boundary else mesh.interior_weights_flat())[rows]
+        if boundary:
+            jx = pts[rows] @ SKEW_GENERATOR.T
+            weights = weights * np.einsum("ij,ij->i", mesh.boundary_normals_flat()[rows], jx)
+        mesh.tables[rule, band] = _RuleTable(rows, theta[order], rho[rows], weights)
+    table, radial = mesh.tables[rule, band], pi.polar[0]
+    if (rule, band, radial) not in mesh.tables:
+        mesh.tables[rule, band, radial] = table.weights * np.asarray(radial(table.rho), dtype=float)
+    return table, mesh.tables[rule, band, radial]
 
 
 def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> list[tuple[slice, ...]]:
     """Per angle, the slices of the table whose rows R(alpha) can carry into the support of pi.
 
-    Every row when the table has no polar order or the declared sector has
-    the origin as apex or is the whole circle.  Otherwise the rows whose
-    angle lies in the sector rotated back by alpha and widened by
-    _SUPPORT_MARGIN: one slice, or two when it wraps past +-pi.  pi still
-    evaluates each of them, so a quadrature sum keeps all of its nonzero terms.
+    Every row when pi declares no support, or the declared sector has the
+    origin as apex or is the whole circle.  Otherwise the rows whose angle
+    lies in the sector rotated back by alpha and widened by _SUPPORT_MARGIN:
+    one slice, or two when it wraps past +-pi.  The rates are still read at
+    each of them, so a quadrature sum keeps all of its nonzero terms.
     """
     everything = [(slice(0, len(table.weights)),)] * len(alphas)
-    if table.theta is None:
+    if pi.support is None:
         return everything
     rho_lo, _, theta_lo, theta_hi = pi.support
     width = theta_hi - theta_lo + 2.0 * _SUPPORT_MARGIN
@@ -220,49 +203,34 @@ def _turn_reduced(alpha: float) -> float:
     return max(alpha - k * TWO_PI - k * _TWO_PI_LO, 0.0)
 
 
-def _polar_path(table: _RuleTable, pi: PressureField) -> bool:
-    """Whether the profiles read pi through its polar factorization: only on a band table."""
-    return pi.polar is not None and table.theta is not None
-
-
 def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
-    """Support rows of each angle and where R(alpha) carries them, grouped into chunks.
+    """Support rows of each angle and their polar angles under R(alpha), grouped into chunks.
 
-    Yields (per-angle list of (alpha, segments, block), chunk): each angle's
-    rows of the table are written straight into a buffer, and `block`
-    locates them there.  On the generic path the chunk holds the rows' rule
-    points rotated by R(alpha), exactly as a per-angle call rotates them.  On
-    the polar path (`_polar_path`) it holds their rotated polar angles
-    theta + alpha, folded into arctan2's range: alpha is first reduced to
-    [0, 2 pi] (`_turn_reduced`), so one fold of the angles above pi
-    suffices.  A chunk closes once it holds at least _CHUNK_POINTS points,
-    so a profile calls the field once per chunk instead of once per angle.
-    The buffer is reused: the chunk is valid until the next one is requested.
+    Yields (per-angle list of (segments, block), chunk): each angle's rows
+    of the table have their angles theta + alpha written straight into a
+    buffer, and `block` locates them there.  alpha is first reduced to
+    [0, 2 pi] (`_turn_reduced`), so one fold of the angles above pi brings
+    the chunk into arctan2's range.  A chunk closes once it holds at least
+    _CHUNK_POINTS points, so a profile reads the rates once per chunk
+    instead of once per angle.  The buffer is reused: the chunk is valid
+    until the next one is requested.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     segments = _segments(table, pi, alphas)
     counts = [sum(s.stop - s.start for s in segs) for segs in segments]
     if not counts:
         return
-    polar = _polar_path(table, pi)
-    n = min(sum(counts), _CHUNK_POINTS - 1 + max(counts))
-    buf = np.empty(n if polar else (n, 2))
+    buf = np.empty(min(sum(counts), _CHUNK_POINTS - 1 + max(counts)))
 
     def chunk(size):
         out = buf[:size]
-        if polar:
-            np.subtract(out, TWO_PI, out=out, where=out > math.pi)
+        np.subtract(out, TWO_PI, out=out, where=out > math.pi)
         return out
 
     entries, size = [], 0
     for alpha, segs, count in zip(alphas, segments, counts):
-        out = buf[size:size + count]
-        if polar:
-            np.add(_take(table.theta, segs), _turn_reduced(alpha), out=out)
-        else:
-            # one product per angle: a matrix of another shape may round differently
-            np.matmul(_take(table.points, segs), rotation(alpha).T, out=out)
-        entries.append((alpha, segs, slice(size, size + count)))
+        np.add(_take(table.theta, segs), _turn_reduced(alpha), out=buf[size:size + count])
+        entries.append((segs, slice(size, size + count)))
         size += count
         if size >= _CHUNK_POINTS:
             yield entries, chunk(size)
@@ -271,21 +239,30 @@ def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
         yield entries, chunk(size)
 
 
+def _profiles(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False,
+              slopes: bool = False) -> list[np.ndarray]:
+    """(w radial(rho)) . rate(theta + alpha) at each angle, over its rows of
+    the band table of the interior (or boundary) rule; with `slopes`, also
+    the same weights . rate_d1(theta + alpha)."""
+    table, weights = _rule_table(mesh, pi, boundary)
+    rates = pi.polar[1:] if slopes else pi.polar[1:2]
+    out = [[] for _ in rates]
+    for entries, theta in _rotated_chunks(table, pi, alphas):
+        values = [np.asarray(rate(theta), dtype=float) for rate in rates]
+        for segs, block in entries:
+            w = _take(weights, segs)
+            for sums, vals in zip(out, values):
+                sums.append(float(w @ vals[block]))
+    return [np.array(sums) for sums in out]
+
+
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:
     """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles.
 
-    On the polar path the value is (w psi(rho)) . rate(theta + alpha).
+    A rotation keeps every radius and adds alpha to every polar angle, so the
+    value is (w psi(rho)) . rate(theta + alpha) with (psi, rate, _) = pi.polar.
     """
-    table = _rule_table(mesh, pi)
-    if _polar_path(table, pi):
-        weights, values_at = _polar_weights(mesh, pi, table), pi.polar[1]
-    else:
-        weights, values_at = table.weights, pi.evaluate
-    out = []
-    for entries, chunk in _rotated_chunks(table, pi, alphas):
-        vals = np.asarray(values_at(chunk), dtype=float)
-        out.extend(float(_take(weights, segs) @ vals[block]) for _, segs, block in entries)
-    return np.array(out)
+    return _profiles(mesh, pi, alphas)[0]
 
 
 def rotation_functional(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
@@ -371,44 +348,14 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
 
     Returns (el, second): el is the integral over the boundary of
     pi(R x) (n . J x), second that of (grad pi(R x) . R A x)(A x . n) with
-    A = a J, the cost of rotational fluctuations.  second is NaN throughout
-    when pi is not C^2; its gradient is then never evaluated.  On the polar
-    path R A x = a rho e_theta(theta + alpha), so grad pi(R x) . R A x is
+    A = a J, the cost of rotational fluctuations.  Since R A x =
+    a rho e_theta(theta + alpha), grad pi(R x) . R A x is
     a psi(rho) rate'(theta + alpha): el is (w (n . J x) psi(rho)) .
     rate(theta + alpha) and second is a^2 times the same weights . rate_d1.
+    second is NaN throughout when pi is not C^2; rate_d1 is then never read.
     """
-    table = _rule_table(mesh, pi, boundary=True)
-    if _polar_path(table, pi):
-        return _polar_boundary_profile(mesh, pi, table, alphas, a)
-    ax = a * table.jx
-    ax_n = np.einsum("ij,ij->i", ax, table.normals)
-    el, second = [], []
-    for entries, points in _rotated_chunks(table, pi, alphas):
-        vals = np.asarray(pi.evaluate(points), dtype=float)
-        grads = np.asarray(pi.gradient(points), dtype=float) if pi.is_smooth else None
-        for alpha, segs, block in entries:
-            w = _take(table.weights, segs)
-            el.append(float(w @ (vals[block] * _take(table.n_jx, segs))))
-            if grads is None:
-                second.append(math.nan)
-                continue
-            rax = _take(ax, segs) @ rotation(alpha).T
-            second.append(float(w @ (np.einsum("ij,ij->i", grads[block], rax) * _take(ax_n, segs))))
-    return np.array(el), np.array(second)
-
-
-def _polar_boundary_profile(mesh: TriMesh, pi: PressureField, table: _RuleTable, alphas, a: float):
-    weights = _polar_weights(mesh, pi, table, boundary=True)
-    _, rate, rate_d1 = pi.polar
-    el, second = [], []
-    for entries, theta in _rotated_chunks(table, pi, alphas):
-        vals = np.asarray(rate(theta), dtype=float)
-        slopes = np.asarray(rate_d1(theta), dtype=float) if pi.is_smooth else None
-        for _, segs, block in entries:
-            w = _take(weights, segs)
-            el.append(float(w @ vals[block]))
-            second.append(math.nan if slopes is None else a * a * float(w @ slopes[block]))
-    return np.array(el), np.array(second)
+    el, *slopes = _profiles(mesh, pi, alphas, boundary=True, slopes=pi.is_smooth)
+    return el, (a * a * slopes[0] if slopes else np.full(len(el), math.nan))
 
 
 def el_residual(mesh: TriMesh, pi: PressureField, alpha: float) -> float:

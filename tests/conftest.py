@@ -62,7 +62,7 @@ def support_rows(mesh, pi, alpha, boundary=False):
     every row, in mesh order, when pi declares no support."""
     if pi.support is None:
         return slice(None)
-    table = rotations._rule_table(mesh, pi, boundary)
+    table, _ = rotations._rule_table(mesh, pi, boundary)
     return rotations._take(table.rows, rotations._segments(table, pi, np.array([alpha], dtype=float))[0])
 
 

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from pressurelab.cli import main, run, validate_result
-from pressurelab.config import _SECTIONS, _TOP_KEYS, ConfigError, RunContext, config_hash, validate_config
+from pressurelab.config import _SECTIONS, _TOP_KEYS, MAX_RESOLUTION, ConfigError, RunContext, config_hash, validate_config
 from pressurelab.linear_solver import SolverError
 
 
@@ -272,6 +273,62 @@ def test_malformed_sections_exit_2_naming_the_key(tmp_path, capsys, section, key
     cfg[section][key] = value
     assert run("scan-rotations", _write(tmp_path, cfg)) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value, needle", [
+    ("domain", {"kind": "disk", "params": {"radus": 2.0}}, "domain.params.radus"),
+    ("domain", {"kind": "annulus", "params": {"r_inner": 1.0, "r_outr": 2.0}}, "domain.params.r_outr"),
+    ("domain", {"kind": "four_lobe", "params": {"radius": 1.0}}, "domain.params.radius"),
+    ("pressure", {"name": "constant", "params": {"valeu": 0.5}}, "pressure.params.valeu"),
+    ("pressure", {"name": "zero", "params": {"value": 0.5}}, "pressure.params.value"),
+    ("pressure", {"name": "hydrostatic", "params": {"value": 0.5}}, "pressure.params.value"),
+    ("pressure", {"name": "example52", "params": {"varient": "flat"}}, "pressure.params.varient"),
+])
+def test_misspelt_params_exit_2_naming_the_key(tmp_path, capsys, section, value, needle):
+    # a missing param takes its default, so a misspelt one would silently become it
+    cfg = _base_config()
+    cfg[section].update(value)
+    assert run("scan-rotations", _write(tmp_path, cfg)) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_every_documented_param_is_accepted():
+    for kind, params in (("disk", {"radius": 1.5}), ("annulus", {"r_inner": 0.5, "r_outer": 2.0}),
+                         ("four_lobe", {"r_small": 1.0, "r_large": 2.0})):
+        validate_config(_base_config(domain={"kind": kind, "params": params, "resolution": 8}))
+    for name, params in (("zero", {}), ("constant", {"value": 0.5}), ("hydrostatic", {"coefficient": 0.5}),
+                         ("quadrant_bump", {"variant": "flat"}), ("example52", {"variant": "strict"})):
+        validate_config(_base_config(pressure={"name": name, "params": params}))
+
+
+@pytest.mark.parametrize("key, domain_res, study_res", [
+    ("domain.resolution", 10 ** 400, [10]),
+    ("domain.resolution", MAX_RESOLUTION + 1, [10]),
+    ("study.resolutions", 10, [10, 10 ** 400]),
+    ("study.resolutions", 10, [MAX_RESOLUTION + 1]),
+])
+def test_resolution_above_the_cap_exits_2(tmp_path, capsys, key, domain_res, study_res):
+    # a huge resolution used to end in an OverflowError while the mesh was built
+    cfg = _base_config(study={"resolutions": study_res, "rotation_grid": 128})
+    cfg["domain"]["resolution"] = domain_res
+    assert run("gamma-study", _write(tmp_path, cfg)) == 2
+    assert key in capsys.readouterr().err
+    cfg = _base_config(study={"resolutions": [128, MAX_RESOLUTION], "rotation_grid": 128})
+    cfg["domain"]["resolution"] = 128
+    validate_config(cfg)
+
+
+def test_scan_rotations_of_hydrostatic_pressure_on_an_annulus(tmp_path):
+    # a field without a support is scanned through its polar factorization too
+    cfg = _base_config(pressure={"name": "hydrostatic", "params": {"coefficient": 1.0}},
+                       domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8})
+    out = tmp_path / "scan.json"
+    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), grid=64) == 0
+    rows = json.loads(out.read_text())["result"]["rows"]
+    # the functional (7/3) int_pi^2pi (-sin t) dt = 14/3 is the same at every angle
+    values = np.array([row["functional_value"] for row in rows])
+    assert np.max(np.abs(values - 14.0 / 3.0)) < 0.05
+    assert all(math.isnan(row["second_variation_unit"]) for row in rows)
 
 
 def test_a_fault_while_building_the_config_objects_is_not_a_config_error(tmp_path, monkeypatch):

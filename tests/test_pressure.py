@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile, validate_growth
+from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile
 from pressurelab.pressure import PressureError
 
 from conftest import hessian, rotation_sweep_value
@@ -39,6 +39,29 @@ def test_unknown_name_rejected():
 
 def test_bump_accepts_interface_alias():
     assert builtin_pressure("example52", variant="strict").name == "quadrant_bump"
+
+
+@pytest.mark.parametrize("name, params, variant", [
+    ("zero", {}, None), ("constant", {"value": -1.5}, None), ("hydrostatic", {"coefficient": 0.7}, None),
+    ("quadrant_bump", {}, "strict"), ("quadrant_bump", {"variant": "flat"}, None),
+    ("example52", {}, "strict"), ("example52", {}, "flat"),
+])
+def test_builtin_fields_declare_a_sound_polar_factorization(name, params, variant):
+    # the rotation layer reads a field only through radial(|x|) * rate(atan2(x2, x1))
+    field = builtin_pressure(name, params, variant)
+    assert field.polar is not None
+    radial, rate, rate_d1 = field.polar
+    pts = np.random.default_rng(4).uniform(-4.0, 4.0, size=(20000, 2))
+    want = field.evaluate(pts)
+    got = radial(np.hypot(pts[:, 0], pts[:, 1])) * rate(np.arctan2(pts[:, 1], pts[:, 0]))
+    assert np.all(got[want == 0.0] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+    # rate_d1 is the derivative of rate, away from the kinks of the hydrostatic rate at 0 and +-pi
+    t = np.linspace(-np.pi, np.pi, 1001)
+    t = t[np.abs(np.sin(t)) > 1e-3]
+    h = 1e-6
+    fd = (rate(t + h) - rate(t - h)) / (2.0 * h)
+    assert np.max(np.abs(rate_d1(t) - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
 
 
 # --- bump profiles -----------------------------------------------------------
@@ -295,44 +318,3 @@ def test_extension_gradient_consistency():
             fd = (hat.evaluate(p + e) - hat.evaluate(p - e)) / (2.0 * h)
             assert abs(g[j] - fd) <= 2e-5 * (1.0 + abs(fd))
         checked += 1
-
-
-# --- growth validation -------------------------------------------------------
-
-def test_growth_nonnegative_passes_with_zero():
-    rep = validate_growth(builtin_pressure("hydrostatic", {"coefficient": 2.0}), 2.0, 2.0)
-    assert rep.passes and rep.constant == 0.0
-
-
-def test_growth_bounded_negative_part():
-    rep = validate_growth(builtin_pressure("constant", {"value": -3.0}), 2.0, 1.0)
-    assert rep.passes
-    assert abs(rep.constant - 3.0) < 1e-12
-
-
-def test_growth_quadratic_fails():
-    from pressurelab.pressure import PressureField
-
-    def ev(p):
-        p = np.atleast_2d(p)
-        return -(p[..., 0] ** 2 + p[..., 1] ** 2)
-
-    field = PressureField(name="paraboloid", sign_class="signed", smoothness="c3",
-                          evaluate=ev, gradient=lambda p: np.zeros(np.atleast_2d(p).shape),
-                          growth=1.0)
-    rep = validate_growth(field, 2.0, 2.0)
-    assert not rep.passes
-
-
-def test_growth_linear_passes():
-    from pressurelab.pressure import PressureField
-
-    def ev(p):
-        p = np.atleast_2d(p)
-        return p[..., 1]
-
-    field = PressureField(name="height", sign_class="signed", smoothness="c3",
-                          evaluate=ev, gradient=lambda p: np.zeros(np.atleast_2d(p).shape),
-                          growth=1.0)
-    rep = validate_growth(field, 2.0, 2.0)  # p/q' = 1 allows linear growth
-    assert rep.passes

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pressurelab import DomainSpec, build_domain, builtin_pressure, el_residual, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
+from pressurelab import DomainSpec, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
 from pressurelab import rotations
-from pressurelab.pressure import PressureField
+from pressurelab.pressure import PressureError, PressureField
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
 
@@ -199,24 +199,24 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
     cases = [(lobe16, strict_bump, seams), (lobe16, flat_bump, seams + [np.pi / 4 + 1e-12, np.pi / 4 - 1e-12]),
              (disk16, strict_bump, seams)]
     for mesh, pi, extra in cases:
-        # the generic path: a field that declares no polar factorization
-        pi = dataclasses.replace(pi, polar=None)
+        # the profiles on the support rows against the reference on every row
         full = dataclasses.replace(pi, support=None)
-        for fn in (rotation_functional, el_residual, el_volume_form, second_variation):
-            for a in grid + extra:
-                got, want = fn(mesh, pi, a), fn(mesh, full, a)
-                # exact zeros stay exact: the flat arc's ties depend on them
-                assert (got == 0.0) == (want == 0.0), (fn.__name__, a)
-                assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), (fn.__name__, a)
+        _assert_profiles_match_reference(mesh, pi, np.array(grid + extra), reference=full, amplitudes=(1.0,))
+        for a in grid + extra:
+            got, want = el_volume_form(mesh, pi, a), el_volume_form(mesh, full, a)
+            # exact zeros stay exact: the flat arc's ties depend on them
+            assert (got == 0.0) == (want == 0.0), a
+            assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), a
 
     points = []
+    radial, rate, rate_d1 = flat_bump.polar
 
-    def counted(pts):
-        points.append(len(pts))
-        return flat_bump.evaluate(pts)
+    def counted(theta):
+        points.append(len(theta))
+        return rate(theta)
 
     grid_n = 1024
-    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, evaluate=counted, polar=None), grid_n)
+    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, polar=(radial, counted, rate_d1)), grid_n)
     assert sum(points) <= grid_n * len(lobe16.interior_points_flat()) / 10
 
 
@@ -281,20 +281,20 @@ def _per_angle_boundary(mesh, pi, alpha, a=1.0):
     return el, float(w @ (np.einsum("ij,ij->i", g, ax @ R.T) * np.einsum("ij,ij->i", ax, nrm)))
 
 
-def _counted(pi, forbid_gradient=False):
-    calls = {"evaluate": 0, "gradient": 0}
+def _counted(pi, forbid_slope=False):
+    calls = {"rate": 0, "rate_d1": 0}
+    radial, rate, rate_d1 = pi.polar
 
-    def evaluate(pts):
-        calls["evaluate"] += 1
-        return pi.evaluate(pts)
+    def counted_rate(theta):
+        calls["rate"] += 1
+        return rate(theta)
 
-    def gradient(pts):
-        assert not forbid_gradient, "gradient of a field that is not C^2"
-        calls["gradient"] += 1
-        return pi.gradient(pts)
+    def counted_rate_d1(theta):
+        assert not forbid_slope, "rate_d1 of a field that is not C^2"
+        calls["rate_d1"] += 1
+        return rate_d1(theta)
 
-    # without its polar factorization, so that the profiles call the field
-    return dataclasses.replace(pi, evaluate=evaluate, gradient=gradient, polar=None), calls
+    return dataclasses.replace(pi, polar=(radial, counted_rate, counted_rate_d1)), calls
 
 
 def _grid(n):
@@ -302,9 +302,46 @@ def _grid(n):
     return -2.0 * np.pi + 6.0 * np.pi * np.arange(n) / n + 0.1234
 
 
+def _assert_near_reference(name, got, want, bound):
+    # an exact zero of the reference stays exact: the flat arc's ties depend on it
+    assert np.all(got[want == 0.0] == 0.0), name
+    assert np.all(np.abs(got - want) <= bound), (name, np.max(np.abs(got - want)))
+
+
+def _assert_profiles_match_reference(mesh, pi, alphas, reference=None, amplitudes=(1.0, 0.7)):
+    """The profiles of pi against the per-angle references of `reference` (pi itself by default).
+
+    The profiles read pi only through its polar factorization, the references
+    rotate the rule points and evaluate the field, so they differ by rounding:
+    the functional and residual by at most 1e-14 (1 + |v|), the second
+    variation by 1e-13 (1 + max |second|).  Returns the reference values.
+    """
+    reference = pi if reference is None else reference
+    pi = dataclasses.replace(pi, evaluate=_no_points, gradient=_no_points)
+    want = np.array([_per_angle_functional(mesh, reference, a) for a in alphas])
+    _assert_near_reference("functional", rotation_functional_profile(mesh, pi, alphas), want,
+                           1e-14 * (1.0 + np.abs(want)))
+    wants = [want]
+    for amp in amplitudes:
+        el, second = boundary_profile(mesh, pi, alphas, amp)
+        el_want, second_want = np.array([_per_angle_boundary(mesh, reference, a, amp) for a in alphas]).T
+        _assert_near_reference("el", el, el_want, 1e-14 * (1.0 + np.abs(el_want)))
+        if pi.is_smooth:
+            _assert_near_reference(f"second a={amp}", second, second_want,
+                                   1e-13 * (1.0 + np.max(np.abs(second_want))))
+        else:
+            assert np.all(np.isnan(second))
+        wants += [el_want, second_want]
+    return wants
+
+
+def _no_points(pts):
+    raise AssertionError("the rotation layer hands the field no points")
+
+
 @pytest.mark.parametrize("variant, n_interior, n_boundary", [("strict", 128, 2048), ("flat", 256, 8192)])
 def test_batched_profiles_match_per_angle_reference_for_bumps(lobe32, variant, n_interior, n_boundary):
-    pi = dataclasses.replace(quadrant_bump_pressure(variant), polar=None)
+    pi = quadrant_bump_pressure(variant)
     theta_lo, theta_hi = pi.support[2:]
     for n, profile in ((n_interior, "interior"), (n_boundary, "boundary")):
         alphas = _grid(n)
@@ -312,43 +349,60 @@ def test_batched_profiles_match_per_angle_reference_for_bumps(lobe32, variant, n
         lo = np.mod(theta_lo - alphas + np.pi, 2.0 * np.pi) - np.pi
         assert np.any(lo + (theta_hi - theta_lo) > np.pi)
         field, calls = _counted(pi)
+        # each angle's sum over its block of a chunk is the one-angle call's sum
         if profile == "interior":
             got = rotation_functional_profile(lobe32, field, alphas)
-            want = np.array([_per_angle_functional(lobe32, pi, a) for a in alphas])
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, [rotation_functional(lobe32, pi, a) for a in alphas])
         else:
             el, second = boundary_profile(lobe32, field, alphas)
-            want = np.array([_per_angle_boundary(lobe32, pi, a) for a in alphas])
-            assert np.array_equal(el, want[:, 0]) and np.array_equal(second, want[:, 1])
-            assert calls["gradient"] == calls["evaluate"]
-        assert calls["evaluate"] >= 3, profile  # the grid spans several chunks
-    # a fluctuation amplitude other than one, and the one-angle entry points
+            assert np.array_equal(el, [el_residual(lobe32, pi, a) for a in alphas])
+            assert np.array_equal(second, [second_variation(lobe32, pi, a) for a in alphas])
+            assert calls["rate_d1"] == calls["rate"]
+        assert calls["rate"] >= 3, profile  # the grid spans several chunks
+    # a fluctuation amplitude other than one, against one-angle calls and the reference
     alphas = _grid(64)
     _, second = boundary_profile(lobe32, pi, alphas, a=0.7)
-    assert np.array_equal(second, [_per_angle_boundary(lobe32, pi, a, 0.7)[1] for a in alphas])
-    for a in (0.0, 1.1, float(np.pi), 4.0, -0.3):
-        assert rotation_functional(lobe32, pi, a) == _per_angle_functional(lobe32, pi, a)
-        el, sv = _per_angle_boundary(lobe32, pi, a, 1.3)
-        assert el_residual(lobe32, pi, a) == el and second_variation(lobe32, pi, a, 1.3) == sv
+    assert np.array_equal(second, [second_variation(lobe32, pi, a, 0.7) for a in alphas])
+    _assert_profiles_match_reference(lobe32, pi, alphas, amplitudes=(0.7,))
 
 
-def test_batched_profiles_match_per_angle_reference_without_support(lobe32):
-    const = builtin_pressure("constant", {"value": 0.7})
-    hyd = builtin_pressure("hydrostatic", {"coefficient": 1.0})
-    assert const.support is None and hyd.support is None
-    for pi in (const, hyd):
-        field, calls = _counted(pi, forbid_gradient=not pi.is_smooth)
+def test_batched_profiles_match_per_angle_reference_without_support(disk16, annulus16, lobe32):
+    fields = [builtin_pressure("zero"), builtin_pressure("constant", {"value": 0.7}),
+              builtin_pressure("constant", {"value": -1.3}), builtin_pressure("hydrostatic", {"coefficient": 1.0})]
+    for pi in fields:
+        assert pi.support is None and pi.polar is not None
+        field, _ = _counted(pi, forbid_slope=not pi.is_smooth)
+        for mesh in (disk16, annulus16, lobe32):
+            _assert_profiles_match_reference(mesh, field, _grid(64))
         alphas = _grid(16)
         got = rotation_functional_profile(lobe32, field, alphas)
-        assert np.array_equal(got, [_per_angle_functional(lobe32, pi, a) for a in alphas])
-        alphas = _grid(512)
-        el, second = boundary_profile(lobe32, field, alphas)
-        want = np.array([_per_angle_boundary(lobe32, pi, a) for a in alphas])
-        assert np.array_equal(el, want[:, 0])
-        if pi.is_smooth:
-            assert np.array_equal(second, want[:, 1])
-        else:
-            assert np.all(np.isnan(second)) and calls["gradient"] == 0
+        assert np.array_equal(got, [rotation_functional(lobe32, pi, a) for a in alphas])
+        el, _ = boundary_profile(lobe32, field, alphas)
+        assert np.array_equal(el, [el_residual(lobe32, pi, a) for a in alphas])
+
+
+def test_fields_built_separately_share_the_weights():
+    # a field is rebuilt on every access of the run context: its weights are
+    # cached by the radial callable, which every field of one family shares
+    mesh = build_domain(DomainSpec.four_lobe(resolution=8))
+    for build in (lambda: builtin_pressure("constant", {"value": 0.3}),
+                  lambda: builtin_pressure("hydrostatic", {"coefficient": 2.0}),
+                  lambda: quadrant_bump_pressure("strict")):
+        first, second = build(), build()
+        assert first.polar[0] is second.polar[0]
+        for boundary in (False, True):
+            assert rotations._rule_table(mesh, first, boundary)[1] is rotations._rule_table(mesh, second, boundary)[1]
+    # per family, one table for each rule
+    assert sum(isinstance(key, tuple) and len(key) == 3 for key in mesh.tables) == 6
+
+
+def test_field_without_polar_factorization_is_rejected(lobe16):
+    hat = extend_pressure(quadrant_bump_pressure("strict"), None, 2.2, 1.0)
+    assert hat.polar is None
+    with pytest.raises(PressureError):
+        rotation_functional_profile(lobe16, hat, [0.0, 1.0])
+    with pytest.raises(PressureError):
+        boundary_profile(lobe16, hat, [0.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -377,29 +431,32 @@ def test_band_table_rows_match_reference(lobe16, disk16, annulus16, flat_bump, r
 def test_band_table_is_built_once(monkeypatch, strict_bump):
     mesh = build_domain(DomainSpec.four_lobe(resolution=8))
     built = []
-    real = rotations._gather_rows
+    real = rotations._RuleTable
 
-    def counted(mesh, rows, boundary, theta=None):
-        built.append((boundary, theta is not None))
-        return real(mesh, rows, boundary, theta)
+    def counted(rows, theta, rho, weights):
+        built.append(len(rows))
+        return real(rows, theta, rho, weights)
 
-    monkeypatch.setattr(rotations, "_gather_rows", counted)
+    monkeypatch.setattr(rotations, "_RuleTable", counted)
     profiles = []
     real_profile = rotations.rotation_functional_profile
     monkeypatch.setattr(rotations, "rotation_functional_profile",
                         lambda *args: profiles.append(1) or real_profile(*args))
     opt = find_optimal_rotations(mesh, strict_bump, grid_n=128)
     assert len(opt.angles) == 2 and len(profiles) > 2  # the grid and the golden-section refinement
-    assert built == [(False, True)]
+    interior, _ = rotations._rule_table(mesh, strict_bump)
+    assert built == [len(interior.rows)]
     for a in (0.1, 0.2):
         el_residual(mesh, strict_bump, a)
         el_volume_form(mesh, strict_bump, a)
-    assert built == [(False, True), (True, True)]
+    boundary, _ = rotations._rule_table(mesh, strict_bump, boundary=True)
+    assert built == [len(interior.rows), len(boundary.rows)]
 
 
-# The polar path: a field that declares radial(rho) * rate(theta) is scanned as
-# (w radial(rho)) . rate(theta + alpha) on the band table, without rotating a
-# point or calling the field.  It must agree with the generic path to rounding.
+# The rotation layer reads a field only through its polar factorization
+# radial(rho) * rate(theta): it scans (w radial(rho)) . rate(theta + alpha) on
+# the band table, without rotating a point or calling the field.  It must agree
+# with the per-angle references, which do both, to rounding.
 
 _SEAMS = [s + d for s in (0.0, np.pi, -np.pi, np.pi / 4, 3 * np.pi / 8, np.pi / 2) for d in (-1e-12, 0.0, 1e-12)]
 
@@ -409,43 +466,24 @@ def lobe64():
     return build_domain(DomainSpec.four_lobe(resolution=64))
 
 
-def _no_points(pts):
-    raise AssertionError("the polar path hands the field no points")
-
-
-def _assert_polar_matches_generic(mesh, pi, alphas):
-    generic = dataclasses.replace(pi, polar=None)
-    polar = dataclasses.replace(pi, evaluate=_no_points, gradient=_no_points)
-    want = rotation_functional_profile(mesh, generic, alphas)
-    checks = [("functional", rotation_functional_profile(mesh, polar, alphas), want, 1e-14 * (1.0 + np.abs(want)))]
-    for a in (1.0, 0.7):
-        el, second = boundary_profile(mesh, polar, alphas, a)
-        el_want, second_want = boundary_profile(mesh, generic, alphas, a)
-        checks.append(("el", el, el_want, 1e-14 * (1.0 + np.abs(el_want))))
-        checks.append((f"second a={a}", second, second_want, 1e-13 * (1.0 + np.max(np.abs(second_want)))))
-    for name, got, want, bound in checks:
-        # an exact zero of the generic path stays exact: the flat arc's ties depend on it
-        assert np.all(got[want == 0.0] == 0.0), name
-        assert np.all(np.abs(got - want) <= bound), (name, np.max(np.abs(got - want)))
-        assert np.any(want != 0.0), name
-
-
 @pytest.mark.parametrize("variant", ["strict", "flat"])
 @pytest.mark.parametrize("resolution", [16, 32, 64])
 def test_polar_path_matches_generic_path(request, resolution, variant):
     mesh = request.getfixturevalue(f"lobe{resolution}")
     pi = quadrant_bump_pressure(variant)
-    assert pi.polar is not None
-    _assert_polar_matches_generic(mesh, pi, np.concatenate([_grid(256), _SEAMS]))
+    wants = _assert_profiles_match_reference(mesh, pi, np.concatenate([_grid(256), _SEAMS]))
+    assert all(np.any(want != 0.0) for want in wants)
+    # the optimal set is read off the grid values tied with their minimum: the reference's ties
     got = find_optimal_rotations(mesh, pi, grid_n=1024)
-    want = find_optimal_rotations(mesh, dataclasses.replace(pi, polar=None), grid_n=1024)
-    assert got.angles == want.angles and got.arcs == want.arcs
-    assert abs(got.min_value - want.min_value) <= 1e-14 * (1.0 + abs(want.min_value))
+    want = np.array([_per_angle_functional(mesh, pi, a) for a in 2.0 * np.pi * np.arange(1024) / 1024])
+    assert np.array_equal(got.grid_values <= got.min_value + got.value_tolerance,
+                          want <= want.min() + 1e-9 * (1.0 + abs(want.min())))
+    assert abs(got.min_value - want.min()) <= 1e-14 * (1.0 + abs(want.min()))
 
 
 def _straddling_field():
     """A separable C^2 field whose angular support [3 pi/4, 5 pi/4] straddles +-pi,
-    so that the polar path folds theta + alpha across the seam of arctan2.  Its
+    so that the profiles fold theta + alpha across the seam of arctan2.  Its
     rates read angles only in arctan2's range, as the polar contract promises."""
     prof = strict_profile()
     lo, width = 0.75 * np.pi, 0.5 * np.pi
@@ -483,4 +521,4 @@ def test_polar_path_folds_angles_across_the_seam(lobe16, lobe32, annulus16):
     pi = _straddling_field()
     alphas = np.concatenate([_grid(256), _SEAMS])
     for mesh in (lobe16, lobe32, annulus16):
-        _assert_polar_matches_generic(mesh, pi, alphas)
+        _assert_profiles_match_reference(mesh, pi, alphas)

@@ -9,7 +9,7 @@ itself piecewise linear.
 import numpy as np
 
 from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure
-from pressurelab.linear_solver import assemble_linear_system, solve_linearized
+from pressurelab.studies import minimize_limit_energy
 
 p0 = 0.1
 material = MaterialModel(c1=1.0, c2=1.0, p=2.0, q=2.0)
@@ -20,8 +20,7 @@ beta = -p0 / (material.c1 + 2 * material.c2)
 e_exact = -np.pi * p0 ** 2 / (material.c1 + 2 * material.c2)
 for res in (16, 32, 64):
     mesh = build_domain(DomainSpec.disk(1.0, res))
-    system = assemble_linear_system(mesh, material, const, 0.0)
-    disp, e0 = solve_linearized(system)
+    e0, _, disp, _, _ = minimize_limit_energy(mesh, material, const, [0.0])
     u_err = np.linalg.norm(disp.values - beta * mesh.nodes) / np.linalg.norm(beta * mesh.nodes)
     print(f"{res:4d} {e0:14.8f} {e_exact:14.8f} {u_err:10.2e}")
 

@@ -42,8 +42,7 @@ from .nonlinear_solver import (
 )
 from .linear_solver import (
     DisplacementField,
-    LinearSystem,
-    assemble_linear_system,
+    assemble_load,
     divergence_form_check,
     solve_linearized,
 )

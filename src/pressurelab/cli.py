@@ -38,9 +38,9 @@ def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict) ->
         "result": result,
     }
     validate_result(doc)
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)  # strict JSON: no NaN or Infinity
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _emit_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
@@ -79,7 +79,7 @@ def _scan_rotations(ctx: RunContext, args) -> dict:
     residuals, second = rotations.boundary_profile(mesh, pi, alphas)
     rows = [
         {"alpha": float(a), "functional_value": float(v), "el_residual": float(r),
-         "second_variation_unit": float(s)}
+         "second_variation_unit": float(s) if pi.is_smooth else None}  # undefined off C^2
         for a, v, r, s in zip(alphas, values, residuals, second)
     ]
     _emit_csv(args.csv, ["alpha", "functional_value", "el_residual", "second_variation_unit"], rows)

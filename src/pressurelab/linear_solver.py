@@ -4,11 +4,13 @@
           + boundary integral of pi(R0 x) n . u
 
 over displacements with zero lumped-mass average and zero mean skew gradient.
-One StiffnessPreconditioner per (mesh, material) holds the stiffness and its
-factor; the linearized solve swaps only the load per angle and runs CG
-preconditioned by the factor, and the nonlinear solver seeds L-BFGS with it.
-The load component along the rotation generator equals the boundary
-stationarity residual of R0 and is measured and reported.
+The quadratic form depends only on (mesh, material): one StiffnessPreconditioner
+holds the stiffness and its factor, and `solve_linearized(factor, load)` takes
+the load of one angle from `assemble_load` and runs CG preconditioned by the
+factor; the nonlinear solver seeds L-BFGS with the same factor.  The load's
+component along the rotation generator J x equals the boundary stationarity
+residual of R0.  `assemble_load` is the one boundary quadrature of pi(R0 x) n . u;
+the divergence-form check reuses it.
 """
 
 from __future__ import annotations
@@ -39,21 +41,6 @@ class ProblemError(ValueError):
 class DisplacementField:
     mesh: TriMesh
     values: np.ndarray  # (N, 2), gauged to zero lumped mean and zero mean skew gradient
-
-
-@dataclass
-class LinearSystem:
-    mesh: TriMesh
-    material: MaterialModel
-    alpha0: float
-    factor: StiffnessPreconditioner   # the stiffness of (mesh, material) and its factor
-    load: np.ndarray                  # (2N,)
-    kernel: np.ndarray                # (3, 2N): two translations + rotation generator
-    rotation_load_component: float    # load . (J x) pairing, equals the EL residual
-
-    @property
-    def stiffness(self) -> sp.csr_matrix:
-        return self.factor.stiffness
 
 
 def assemble_stiffness(mesh: TriMesh, material: MaterialModel) -> sp.csr_matrix:
@@ -105,7 +92,7 @@ class StiffnessPreconditioner:
         # minimum degree on K + K^T: half the fill of the default ordering
         self._lu = splu((self.stiffness + _SHIFT * material.c1 * sp.diags(mass2)).tocsc(),
                         permc_spec="MMD_AT_PLUS_A")
-        self.n = mesh.n_nodes
+        self.mesh, self.n = mesh, mesh.n_nodes
 
     def solve(self, v: np.ndarray, frame_angle: float = 0.0) -> np.ndarray:
         if frame_angle == 0.0:
@@ -176,40 +163,11 @@ def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray
     w = mesh.quadrature.boundary_weights          # (B, 2)
     bary = mesh.quadrature.boundary_bary          # (2, 2) point x trace-node
     vals = np.asarray(pi.evaluate(pts.reshape(-1, 2) @ R.T), dtype=float).reshape(pts.shape[:2])
-    load = np.zeros((mesh.n_nodes, 2))
     coeff = np.einsum("eq,eq,qi->ei", w, vals, bary)  # (B, 2 trace nodes)
-    for local in range(2):
-        nodes = mesh.boundary_edges[:, local]
-        for a in range(2):
-            np.add.at(load[:, a], nodes, coeff[:, local] * mesh.boundary_normals[:, a])
-    return load.ravel()
-
-
-def rigid_modes(mesh: TriMesh) -> np.ndarray:
-    """Translations and the linearized rotation field J x, flattened."""
-    n = mesh.n_nodes
-    modes = np.zeros((3, 2 * n))
-    modes[0, 0::2] = 1.0
-    modes[1, 1::2] = 1.0
-    jx = mesh.nodes @ SKEW_GENERATOR.T
-    modes[2, 0::2] = jx[:, 0]
-    modes[2, 1::2] = jx[:, 1]
-    return modes
-
-
-def assemble_linear_system(mesh: TriMesh, material: MaterialModel, pi: PressureField,
-                           alpha0: float,
-                           factor: StiffnessPreconditioner | None = None) -> LinearSystem:
-    """The limit problem at alpha0; pass the factor of (mesh, material) to reuse it."""
-    if factor is None:
-        factor = StiffnessPreconditioner(mesh, material)
-    load = assemble_load(mesh, pi, alpha0)
-    kernel = rigid_modes(mesh)
-    rot_component = float(load @ kernel[2])
-    return LinearSystem(
-        mesh=mesh, material=material, alpha0=alpha0, factor=factor, load=load,
-        kernel=kernel, rotation_load_component=rot_component,
-    )
+    # every boundary node closes two edges, so each sum has two terms, in either order
+    nodes, normals = mesh.boundary_edges.ravel(), mesh.boundary_normals
+    return np.stack([np.bincount(nodes, (coeff * normals[:, a, None]).ravel(), minlength=mesh.n_nodes)
+                     for a in range(2)], axis=1).ravel()
 
 
 def skew_mean(mesh: TriMesh, u: np.ndarray) -> float:
@@ -230,29 +188,29 @@ def apply_gauge(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
     return zero_average(mesh, u - omega * (mesh.nodes @ SKEW_GENERATOR.T))
 
 
-def solve_linearized(system: LinearSystem):
-    """Minimize E0 under the gauge constraints: CG preconditioned by the factor.
+def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
+    """Minimize E0 with the stiffness of ``factor`` and the (2N,) ``load`` of
+    one angle under the gauge constraints: CG preconditioned by the factor.
 
     The load is projected onto the range of K by adding multiples of the
     constraint rows (lumped-mass resultant, then skew mean), so the gauged CG
-    solution is the constrained minimizer.  Returns (DisplacementField, E0
-    value); E0 pairs that minimizer with the full load, so adding an
-    infinitesimal rotation changes it exactly by the measured rotation load
-    component.
+    solution is the constrained minimizer.  Returns (DisplacementField, E0 =
+    1/2 u.K u + load.u); E0 pairs that minimizer with the full load, so adding
+    an infinitesimal rotation changes it exactly by load . (J x).
     """
-    mesh = system.mesh
-    K = system.stiffness
-    load = project_gradient(mesh, system.load.reshape(mesh.n_nodes, 2)).ravel()
+    mesh, K = factor.mesh, factor.stiffness
+    jx = (mesh.nodes @ SKEW_GENERATOR.T).ravel()
+    projected = project_gradient(mesh, load.reshape(mesh.n_nodes, 2)).ravel()
     skew_row = _skew_mean_row(mesh).ravel()
-    load -= (load @ system.kernel[2]) / (skew_row @ system.kernel[2]) * skew_row
-    b = -load
+    projected -= (projected @ jx) / (skew_row @ jx) * skew_row
+    b = -projected
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return DisplacementField(mesh, np.zeros((mesh.n_nodes, 2))), 0.0
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = system.factor.solve(r)
+    z = factor.solve(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(_CG_MAX_ITER):
@@ -262,7 +220,7 @@ def solve_linearized(system: LinearSystem):
         r -= alpha * Kp
         if float(np.linalg.norm(r)) <= _CG_REL_TOL * bnorm:
             break
-        z = system.factor.solve(r)
+        z = factor.solve(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -270,12 +228,8 @@ def solve_linearized(system: LinearSystem):
         raise SolverError(f"conjugate gradient did not converge in {_CG_MAX_ITER} iterations")
 
     u = apply_gauge(mesh, x.reshape(mesh.n_nodes, 2))
-    return DisplacementField(mesh, u), energy_value(system, u)
-
-
-def energy_value(system: LinearSystem, u: np.ndarray) -> float:
-    flat = np.asarray(u, dtype=float).ravel()
-    return float(0.5 * flat @ (system.stiffness @ flat) + system.load @ flat)
+    flat = u.ravel()
+    return DisplacementField(mesh, u), float(0.5 * flat @ (K @ flat) + load @ flat)
 
 
 def divergence_form_check(mesh: TriMesh, pi: PressureField, alpha0: float,
@@ -287,15 +241,7 @@ def divergence_form_check(mesh: TriMesh, pi: PressureField, alpha0: float,
     """
     R = rotation(alpha0)
     u = np.asarray(u, dtype=float)
-
-    bpts = mesh.quadrature.boundary_points
-    bw = mesh.quadrature.boundary_weights
-    bary = mesh.quadrature.boundary_bary
-    vals = np.asarray(pi.evaluate(bpts.reshape(-1, 2) @ R.T), dtype=float).reshape(bpts.shape[:2])
-    u_edge = u[mesh.boundary_edges]                      # (B, 2 nodes, 2)
-    u_q = np.einsum("qi,eic->eqc", bary, u_edge)         # (B, 2 pts, 2)
-    ndotu = np.einsum("eqc,ec->eq", u_q, mesh.boundary_normals)
-    boundary = float(np.sum(bw * vals * ndotu))
+    boundary = float(assemble_load(mesh, pi, alpha0) @ u.ravel())
 
     f, _, u_int = gather(mesh, u)
     div = f[0, 0] + f[1, 1]

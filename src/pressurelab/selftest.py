@@ -82,8 +82,8 @@ def run_selftest() -> tuple[bool, list[str]]:
                    "nonlinear: projection removes the translation component", lines)
 
     # linear solver
-    system = linear_solver.assemble_linear_system(mesh, model, zero, 0.0)
-    disp, e0 = linear_solver.solve_linearized(system)
+    factor = linear_solver.StiffnessPreconditioner(mesh, model)
+    disp, e0 = linear_solver.solve_linearized(factor, linear_solver.assemble_load(mesh, zero, 0.0))
     good &= _check(abs(e0) < 1e-14 and np.allclose(disp.values, 0.0, atol=1e-12),
                    "linear: zero load gives the zero minimizer", lines)
     b, v = linear_solver.divergence_form_check(mesh, const, 0.0, np.zeros_like(mesh.nodes))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TriMesh
-from .material import MaterialModel, g_mixed, g_mixed_ratio, rotation, wrap_angle
+from .material import SKEW_GENERATOR, MaterialModel, g_mixed, g_mixed_ratio, rotation, wrap_angle
 from .nonlinear_solver import (
     DeformationField,
     SolveDiagnostics,
@@ -23,7 +23,7 @@ from .nonlinear_solver import (
     rigid_start,
     zero_average,
 )
-from .linear_solver import ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_linear_system, solve_linearized
+from .linear_solver import ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_load, solve_linearized
 from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, golden_section_min, rotation_functional, second_variation
 
@@ -236,14 +236,16 @@ def minimize_limit_energy(
     """
     if factor is None:
         factor = StiffnessPreconditioner(mesh, material)
+    jx = (mesh.nodes @ SKEW_GENERATOR.T).ravel()
     best = None
     table = []
     for alpha0 in angles:
-        system = assemble_linear_system(mesh, material, pi, alpha0, factor)
-        disp, e0 = solve_linearized(system)
-        table.append({"alpha0": alpha0, "E0": e0, "rotation_load": system.rotation_load_component})
+        load = assemble_load(mesh, pi, alpha0)
+        disp, e0 = solve_linearized(factor, load)
+        rotation_load = float(load @ jx)  # equals the EL residual at alpha0
+        table.append({"alpha0": alpha0, "E0": e0, "rotation_load": rotation_load})
         if best is None or e0 < best[0]:
-            best = (e0, alpha0, disp, system.rotation_load_component)
+            best = (e0, alpha0, disp, rotation_load)
     assert best is not None
     return best[0], best[1], best[2], table, best[3]
 
@@ -343,7 +345,7 @@ def gamma_study(
     bounds = [max(-row["energy"], 0.0) / row["eps"] ** 2 for row in report.rows if "energy" in row]
     report.limits["scaling_constant_max"] = max(bounds) if bounds else 0.0
     report.limits["scaling_constant_ratio"] = (
-        max(bounds) / min(bounds) if bounds and min(bounds) > 0.0 else float("inf")
+        max(bounds) / min(bounds) if bounds and min(bounds) > 0.0 else None  # undefined when a minimum is zero
     )
     return report
 

@@ -52,9 +52,9 @@ def weak_material():
 
 # Oracles that only tests read: the rotation layer's support rows, the interior
 # form of its stationarity residual, a finite-difference Hessian of a field,
-# the exact sweep of a bump over the rotated four-lobe domain, and the
+# the exact sweep of a bump over the rotated four-lobe domain, the
 # fancy-indexed P1 gather, bincount scatter and energy gradient that the
-# sparse P1 operators replaced.
+# sparse P1 operators replaced, and the edge-by-edge boundary load scatter.
 
 
 def support_rows(mesh, pi, alpha, boundary=False):
@@ -131,3 +131,17 @@ def rotation_sweep_value(profile, alpha):
     falling = profile.angular_total - rising
     out = np.where(seg % 2 == 0, rising, falling)
     return float(out) if out.ndim == 0 else out
+
+
+def add_at_load(mesh, pi, alpha0):
+    """The boundary load of `assemble_load`, scattered edge by edge with np.add.at."""
+    R = rotation(alpha0)
+    pts = mesh.quadrature.boundary_points
+    vals = np.asarray(pi.evaluate(pts.reshape(-1, 2) @ R.T), dtype=float).reshape(pts.shape[:2])
+    coeff = np.einsum("eq,eq,qi->ei", mesh.quadrature.boundary_weights, vals, mesh.quadrature.boundary_bary)
+    load = np.zeros((mesh.n_nodes, 2))
+    for local in range(2):
+        nodes = mesh.boundary_edges[:, local]
+        for a in range(2):
+            np.add.at(load[:, a], nodes, coeff[:, local] * mesh.boundary_normals[:, a])
+    return load.ravel()

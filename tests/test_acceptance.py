@@ -157,13 +157,12 @@ def test_criterion_03_stationarity_and_second_variation(lobe64, strict_bump, fla
 
 
 def test_criterion_04_linear_benchmark(material):
-    from pressurelab.linear_solver import assemble_linear_system, solve_linearized
+    from pressurelab.linear_solver import StiffnessPreconditioner, assemble_load, solve_linearized
 
     t0 = time.time()
     mesh = build_domain(DomainSpec.disk(1.0, 64))
     const = builtin_pressure("constant", {"value": P0})
-    system = assemble_linear_system(mesh, material, const, 0.0)
-    disp, e0 = solve_linearized(system)
+    disp, e0 = solve_linearized(StiffnessPreconditioner(mesh, material), assemble_load(mesh, const, 0.0))
     beta = -P0 / (material.c1 + 2.0 * material.c2)
     exact = beta * mesh.nodes
     u_err = float(np.linalg.norm(disp.values - exact) / np.linalg.norm(exact))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pressurelab.cli import main, run, validate_result
+from pressurelab.cli import _emit_json, main, run, validate_result
 from pressurelab.config import _SECTIONS, _TOP_KEYS, MAX_RESOLUTION, ConfigError, RunContext, config_hash, validate_config
 from pressurelab.linear_solver import SolverError
 
@@ -328,7 +328,40 @@ def test_scan_rotations_of_hydrostatic_pressure_on_an_annulus(tmp_path):
     # the functional (7/3) int_pi^2pi (-sin t) dt = 14/3 is the same at every angle
     values = np.array([row["functional_value"] for row in rows])
     assert np.max(np.abs(values - 14.0 / 3.0)) < 0.05
-    assert all(math.isnan(row["second_variation_unit"]) for row in rows)
+    assert all(row["second_variation_unit"] is None for row in rows)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_undefined_values_are_written_as_null(tmp_path):
+    # a merely Lipschitz field has no second variation, and a sweep whose
+    # minima all vanish has no scaling-constant ratio: both are null, so the
+    # run JSON parses under a strict reader, and the CSV cell is empty
+    cfg = _base_config(pressure={"name": "hydrostatic", "params": {"coefficient": 0.1}},
+                       domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8})
+    out, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
+    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), csv_path=str(csv_path), grid=64) == 0
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)["result"]["rows"]
+    assert len(rows) == 64 and all(row["second_variation_unit"] is None for row in rows)
+    with open(csv_path, newline="") as fh:
+        assert all(row["second_variation_unit"] == "" for row in csv.DictReader(fh))
+
+    cfg = _base_config(pressure={"name": "zero", "params": {}},
+                       study={"resolutions": [6], "rotation_grid": 128})
+    out = tmp_path / "gamma.json"
+    assert run("gamma-study", _write(tmp_path, cfg, "zero.json"), out=str(out)) == 0
+    limits = json.loads(out.read_text(), parse_constant=_reject_constant)["result"]["limits"]
+    assert limits["6"]["scaling_constant_ratio"] is None
+
+
+def test_a_non_finite_result_is_not_written(tmp_path):
+    out = tmp_path / "run.json"
+    ctx = RunContext.from_config(_base_config())
+    with pytest.raises(ValueError):
+        _emit_json(str(out), "selftest", ctx, {"value": math.nan})
+    assert not out.exists()
 
 
 def test_a_fault_while_building_the_config_objects_is_not_a_config_error(tmp_path, monkeypatch):

@@ -1,12 +1,14 @@
 """Command-line entry point: config-driven runs with JSON/CSV/SVG outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure or a problem
-the solvers do not take (`ProblemError`, `PressureError`).
+the solvers do not take (`ProblemError`, `PressureError`).  A malformed config
+or flag exits 2 naming the key or flag, and never produces a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from . import rotations, studies, svgplot
-from .config import ConfigError, RunContext, load_config
+from .config import GRID, NUMBER, POSITIVE, ConfigError, Rule, RunContext, load_config, validate_config
 from .linear_solver import ProblemError, SolverError
 from .material import wrap_angle
 from .pressure import PressureError
@@ -37,7 +39,6 @@ def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict) ->
         "meta": {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()},
         "result": result,
     }
-    validate_result(doc)
     text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)  # strict JSON: no NaN or Infinity
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -55,8 +56,6 @@ def _emit_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
 
 def validate_result(doc: dict) -> None:
     """Structural re-validation of an emitted run document."""
-    from .config import validate_config
-
     for key in ("schema", "command", "config", "config_hash", "meta", "result"):
         if key not in doc:
             raise ConfigError(f"missing key {key}")
@@ -67,10 +66,17 @@ def validate_result(doc: dict) -> None:
     validate_config(doc["config"])
 
 
+def _flag(name: str, value, rule: Rule):
+    """The value of a command-line flag, checked with the rule of the config key it stands in for."""
+    with contextlib.suppress(ValueError):  # --alpha0 arrives as text
+        value = float(value) if isinstance(value, str) else value
+    if not rule.test(value):
+        raise ConfigError(f"{name} must be {rule.text}")
+    return value
+
+
 def _scan_rotations(ctx: RunContext, args) -> dict:
-    grid = ctx.rotation_grid if args.grid is None else int(args.grid)
-    if grid < rotations.MIN_GRID:
-        raise ConfigError(f"--grid must be at least {rotations.MIN_GRID}")
+    grid = ctx.settings["study"]["rotation_grid"] if args.grid is None else _flag("--grid", args.grid, GRID)
     mesh = ctx.mesh()
     pi = ctx.pressure
     optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)
@@ -102,10 +108,10 @@ def _solve_linear(ctx: RunContext, args) -> dict:
     mesh = ctx.mesh()
     pi = ctx.pressure
     if args.alpha0 in (None, "auto"):
-        optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=ctx.rotation_grid)
-        angles = optimal.sample_angles(per_arc=ctx.arc_samples)
+        optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=ctx.settings["study"]["rotation_grid"])
+        angles = optimal.sample_angles(per_arc=ctx.settings["study"]["arc_samples"])
     else:
-        angles = [wrap_angle(float(args.alpha0))]
+        angles = [wrap_angle(_flag("--alpha0", args.alpha0, NUMBER))]
     e0, alpha0, disp, _, rot_load = studies.minimize_limit_energy(mesh, ctx.material, pi, angles)
     return {
         "alpha0": float(alpha0),
@@ -118,9 +124,9 @@ def _solve_linear(ctx: RunContext, args) -> dict:
 
 def _solve_nonlinear(ctx: RunContext, args) -> dict:
     mesh = ctx.mesh()
-    eps = float(args.eps) if args.eps else ctx.eps_list[0]
+    eps = ctx.eps_list[0] if args.eps is None else float(_flag("--eps", args.eps, POSITIVE))
     fld, diag, table = multistart_minimize(
-        mesh, ctx.material, ctx.pressure_extended, eps, ctx.solver_options, ctx.seed)
+        mesh, ctx.material, ctx.pressure_extended, eps, ctx.solver_options, ctx.settings["seed"])
     alpha = extract_rotation(mesh, ctx.material, fld.values)
     u = rescaled_displacement(mesh, fld.values, alpha, eps)
     return {
@@ -142,19 +148,20 @@ def _solve_nonlinear(ctx: RunContext, args) -> dict:
 
 def _run_study(ctx: RunContext, kind: str) -> StudyReport:
     merged = StudyReport(kind=kind, config_hash=ctx.hash)
+    study = ctx.settings["study"]
     for res in ctx.study_resolutions:
         mesh = ctx.mesh(res)
         common = dict(
             mesh=mesh, material=ctx.material, pi=ctx.pressure, pi_hat=ctx.pressure_extended,
-            eps_list=ctx.eps_list, options=ctx.solver_options, seed=ctx.seed,
-            rotation_grid=ctx.rotation_grid, resolution=res,
+            eps_list=ctx.eps_list, options=ctx.solver_options, seed=ctx.settings["seed"],
+            rotation_grid=study["rotation_grid"], resolution=res,
         )
         if kind == "gamma":
-            rep = studies.gamma_study(arc_samples=ctx.arc_samples, **common)
+            rep = studies.gamma_study(arc_samples=study["arc_samples"], **common)
         elif kind == "refined":
             rep = studies.refined_study(**common)
         else:
-            rep = studies.almost_minimizer_scaling(exponent=ctx.lambda_exponent, **common)
+            rep = studies.almost_minimizer_scaling(exponent=study["lambda_exponent"], **common)
         merged.rows.extend(rep.rows)
         merged.limits[str(res)] = rep.limits
     return merged
@@ -207,12 +214,11 @@ def _dispatch(command: str, config_path: str, args) -> int:
     try:
         cfg = load_config(config_path)
         if getattr(args, "seed", None) is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = args.seed
         ctx = RunContext.from_config(cfg)
-        paths = cfg.get("output", {}) or {}
         for attr, key in (("out", "json"), ("csv", "csv"), ("svg", "svg")):
             if getattr(args, attr, None) is None:
-                setattr(args, attr, paths.get(key))
+                setattr(args, attr, ctx.settings["output"][key])
         handler = {"scan-rotations": _scan_rotations, "solve-linear": _solve_linear,
                    "solve-nonlinear": _solve_nonlinear, "selftest": _selftest}.get(command)
         if handler is not None:

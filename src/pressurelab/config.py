@@ -1,11 +1,13 @@
-"""Run configuration: strict JSON schema, canonical hashing, object builders."""
+"""Run configuration: one schema table, canonical hashing, object builders."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .geometry import DomainSpec, TriMesh, build_domain
 from .material import MaterialModel
@@ -18,119 +20,140 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-# key -> required; each section of _SECTIONS has its own table
-_DOMAIN_KEYS = {"kind": True, "params": False, "resolution": True}
-_MATERIAL_KEYS = {"c1": True, "c2": True, "p": True, "q": True}
-_PRESSURE_KEYS = {"name": True, "params": False, "variant": False}
-_SOLVER_KEYS = {"grad_tol": False, "max_iter": False, "multistart_angles": False}
-_STUDY_KEYS = {"resolutions": False, "rotation_grid": False, "lambda_exponent": False,
-               "arc_samples": False}
-_OUTPUT_KEYS = {"json": False, "csv": False, "svg": False}
-_TOP_KEYS = {"domain": True, "material": True, "pressure": True, "solver": False,
-             "study": False, "eps_list": False, "seed": False, "output": False}
-_SECTIONS = {"domain": _DOMAIN_KEYS, "material": _MATERIAL_KEYS, "pressure": _PRESSURE_KEYS,
-             "solver": _SOLVER_KEYS, "study": _STUDY_KEYS, "output": _OUTPUT_KEYS}
-# The params each domain kind and pressure name reads; `DomainSpec.from_config`
-# and `builtin_pressure` take a default for a missing one, so a misspelt key
-# would silently become it.
-_DOMAIN_PARAMS = {"disk": {"radius"}, "annulus": {"r_inner", "r_outer"}, "four_lobe": {"r_small", "r_large"}}
-_PRESSURE_PARAMS = {"zero": set(), "constant": {"value"}, "hydrostatic": {"coefficient"},
-                    "quadrant_bump": {"variant"}, "example52": {"variant"}}
 # Mesh size grows with the square of the resolution: the four-lobe mesh has
 # 77 thousand triangles at 64, the largest resolution in use, and about 20
 # million at this cap.
 MAX_RESOLUTION = 1024
 
 
-def _check_section(section, table, prefix):
+class Rule(NamedTuple):
+    """What a value must be: `test` decides, `text` completes "<key> must be"."""
+    text: str
+    test: Callable[[object], bool]
+
+
+def _finite(value) -> bool:
+    # a bool is an int but never a number; NaN, the infinities and huge integers fail the bound
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _integer(least: int, most: float = math.inf) -> Rule:
+    text = f"an integer from {least} to {most}" if most < math.inf else f"an integer of at least {least}"
+    return Rule(text, lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most)
+
+
+def _one_of(*choices: str) -> Rule:
+    return Rule("one of " + ", ".join(map(repr, choices)), lambda v: isinstance(v, str) and v in choices)
+
+
+def _list_of(item: Rule, distinct: bool = False) -> Rule:
+    text = f"a non-empty list{' of distinct entries' if distinct else ''}, each {item.text}"
+    return Rule(text, lambda v: isinstance(v, list) and len(v) > 0 and all(map(item.test, v))
+                and not (distinct and len(set(v)) < len(v)))
+
+
+class Per(NamedTuple):
+    """A key's rules by the value of its section's `selector`; a value without one rejects the key."""
+    selector: str
+    rules: dict
+
+
+NUMBER = Rule("a finite number", _finite)
+POSITIVE = Rule("a positive finite number", lambda v: _finite(v) and v > 0)
+GRID = _integer(MIN_GRID)
+_RESOLUTION = _integer(2, MAX_RESOLUTION)
+REQUIRED = object()  # the default of a key that has none
+# Each domain kind and pressure name reads only its own params.  Value errors
+# across keys (r_inner < r_outer) or owned by the model classes (c1 > 0,
+# p in (1, 2]) are left to building the objects.
+_DOMAIN_PARAMS = Per("kind", {
+    "disk": {"radius": (NUMBER, 1.0)},
+    "annulus": {"r_inner": (NUMBER, 1.0), "r_outer": (NUMBER, 2.0)},
+    "four_lobe": {"r_small": (NUMBER, 1.0), "r_large": (NUMBER, 2.0)},
+})
+_PRESSURE_PARAMS = Per("name", {
+    "zero": {}, "constant": {"value": (NUMBER, 1.0)}, "hydrostatic": {"coefficient": (NUMBER, 1.0)},
+    "quadrant_bump": {}, "example52": {},  # example52: legacy alias of quadrant_bump
+})
+
+# The one table of config keys: key -> (rule, default).  A rule is a `Rule`, the
+# table of the section the key opens, or a `Per`; a section's selector comes first.
+SCHEMA = {
+    "domain": ({
+        "kind": (_one_of(*_DOMAIN_PARAMS.rules), REQUIRED),
+        "params": (_DOMAIN_PARAMS, {}),
+        "resolution": (_RESOLUTION, REQUIRED),
+    }, REQUIRED),
+    "material": ({name: (NUMBER, REQUIRED) for name in ("c1", "c2", "p", "q")}, REQUIRED),
+    "pressure": ({
+        "name": (_one_of(*_PRESSURE_PARAMS.rules), REQUIRED),
+        "params": (_PRESSURE_PARAMS, {}),
+        "variant": (Per("name", dict.fromkeys(("quadrant_bump", "example52"), _one_of("strict", "flat"))), "strict"),
+    }, REQUIRED),
+    "solver": ({  # the defaults are SolverOptions' own
+        "grad_tol": (POSITIVE, SolverOptions.grad_tol),
+        "max_iter": (_integer(1), SolverOptions.max_iter),
+        "multistart_angles": (_list_of(NUMBER), SolverOptions.multistart_angles),
+    }, {}),
+    "study": ({
+        "resolutions": (_list_of(_RESOLUTION, distinct=True), None),  # None: [domain.resolution]
+        "rotation_grid": (GRID, 1024),
+        "lambda_exponent": (NUMBER, 0.4),
+        "arc_samples": (_integer(1), 5),
+    }, {}),
+    "eps_list": (_list_of(POSITIVE, distinct=True), (0.08, 0.04, 0.02, 0.01)),
+    "seed": (_integer(0), 0),
+    "output": ({name: (Rule("a non-empty string", lambda v: isinstance(v, str) and v != ""), None)
+                for name in ("json", "csv", "svg")}, {}),  # None: no file
+}
+
+
+def _walk(section, table: dict, prefix: str) -> dict:
+    """Check `section` against `table`; return it with every default filled in."""
     if not isinstance(section, dict):
-        raise ConfigError(f"section {prefix!r} must be an object")
+        raise ConfigError(f"{prefix[:-1] or 'configuration'} must be an object")
     for key in section:
         if key not in table:
-            raise ConfigError(f"unknown key {prefix}.{key}")
-    for key, required in table.items():
-        if required and key not in section:
-            raise ConfigError(f"missing key {prefix}.{key}")
+            raise ConfigError(f"unknown key {prefix}{key}")
+    out = {}
+    for key, (rule, default) in table.items():
+        if isinstance(rule, Per):
+            choice = out[rule.selector]
+            if choice not in rule.rules:
+                if key in section:
+                    raise ConfigError(f"{prefix}{key} does not apply to {prefix}{rule.selector} {choice!r}")
+                continue
+            rule = rule.rules[choice]
+        if key in section:
+            value = section[key]
+            if not isinstance(rule, dict) and not rule.test(value):
+                raise ConfigError(f"{prefix}{key} must be {rule.text}")
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {prefix}{key}")
+        else:
+            value = default
+        out[key] = _walk(value, rule, f"{prefix}{key}.") if isinstance(rule, dict) else value
+    return out
 
 
-# JSON true and false load as Python bools, which are ints: neither counts here.
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, float) or _is_integer(value)
-
-
-def _integer_in(value, least: int, most: float = math.inf) -> bool:
-    return _is_integer(value) and least <= value <= most
-
-
-def validate_config(cfg: dict) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("configuration must be a JSON object")
-    for key in cfg:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key {key}")
-    for key, required in _TOP_KEYS.items():
-        if required and key not in cfg:
-            raise ConfigError(f"missing key {key}")
-
-    for name, table in _SECTIONS.items():
-        if name in cfg:
-            _check_section(cfg[name], table, name)
-
-    for section, selector, table in (("domain", "kind", _DOMAIN_PARAMS), ("pressure", "name", _PRESSURE_PARAMS)):
-        params = cfg[section].get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{section}.params must be an object")
-        choice = cfg[section][selector]
-        # an unknown kind or name is left to `DomainSpec` or `builtin_pressure` to reject
-        known = table.get(choice, set(params)) if isinstance(choice, str) else set(params)
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ConfigError(f"unknown key {section}.params.{unknown[0]}")
-    for key in ("c1", "c2", "p", "q"):
-        if not _is_number(cfg["material"][key]):
-            raise ConfigError(f"material.{key} must be a number")
-    if not _integer_in(cfg["domain"]["resolution"], 2, MAX_RESOLUTION):
-        raise ConfigError(f"domain.resolution must be an integer from 2 to {MAX_RESOLUTION}")
-    if "eps_list" in cfg:
-        eps = cfg["eps_list"]
-        if not isinstance(eps, list) or not eps or not all(_is_number(e) and e > 0 for e in eps):
-            raise ConfigError("eps_list must be a non-empty list of positive numbers")
-    if "seed" in cfg and not _is_integer(cfg["seed"]):
-        raise ConfigError("seed must be an integer")
-    study = cfg.get("study", {})
-    for key, least in (("rotation_grid", MIN_GRID), ("arc_samples", 1)):
-        if key in study and not _integer_in(study[key], least):
-            raise ConfigError(f"study.{key} must be an integer of at least {least}")
-    res = study.get("resolutions", [2])
-    if not isinstance(res, list) or not res or not all(_integer_in(r, 2, MAX_RESOLUTION) for r in res):
-        raise ConfigError(f"study.resolutions must be a non-empty list of integers from 2 to {MAX_RESOLUTION}")
-    if "lambda_exponent" in study and not _is_number(study["lambda_exponent"]):
-        raise ConfigError("study.lambda_exponent must be a number")
-
+def validate_config(cfg: dict) -> dict:
+    """Check `cfg` against SCHEMA and build its objects once; return it with every default filled in."""
+    settings = _walk(cfg, SCHEMA, "")
     try:
-        DomainSpec.from_config(cfg["domain"]).validate()
-        MaterialModel.from_config(cfg["material"])
-        builtin_pressure(cfg["pressure"]["name"], cfg["pressure"].get("params"),
-                         cfg["pressure"].get("variant"))
-    except ConfigError:
-        raise
-    # what bad values raise (OverflowError: float() of a huge integer); the rest are faults
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        DomainSpec.from_config(settings["domain"]).validate()
+        MaterialModel.from_config(settings["material"])
+        builtin_pressure(**settings["pressure"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return settings
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text at all
+        raise ConfigError(f"cannot read the config {path} as JSON: {exc}") from exc
     validate_config(cfg)
     return cfg
 
@@ -148,35 +171,26 @@ class RunContext:
     hash: str
 
     def __post_init__(self):
+        self.settings = validate_config(self.config)  # every key, a default where the config has none
         self._meshes: dict[int, TriMesh] = {}
         self._pi_hat: PressureField | None = None
 
     @classmethod
     def from_config(cls, cfg: dict) -> "RunContext":
-        validate_config(cfg)
         return cls(config=cfg, hash=config_hash(cfg))
 
     @property
-    def seed(self) -> int:
-        return int(self.config.get("seed", 0))
-
-    @property
     def material(self) -> MaterialModel:
-        return MaterialModel.from_config(self.config["material"])
+        return MaterialModel.from_config(self.settings["material"])
 
     @property
     def pressure(self) -> PressureField:
-        sec = self.config["pressure"]
-        return builtin_pressure(sec["name"], sec.get("params"), sec.get("variant"))
-
-    @property
-    def domain_spec(self) -> DomainSpec:
-        return DomainSpec.from_config(self.config["domain"])
+        return builtin_pressure(**self.settings["pressure"])
 
     def mesh(self, resolution: int | None = None) -> TriMesh:
-        res = int(resolution) if resolution is not None else self.domain_spec.resolution
+        res = self.settings["domain"]["resolution"] if resolution is None else int(resolution)
         if res not in self._meshes:
-            spec = DomainSpec.from_config({**self.config["domain"], "resolution": res})
+            spec = DomainSpec.from_config({**self.settings["domain"], "resolution": res})
             self._meshes[res] = build_domain(spec)
         return self._meshes[res]
 
@@ -187,7 +201,7 @@ class RunContext:
         leaves, and tapered over half the outer radius (half the trusted inner
         radius on the annulus)."""
         if self._pi_hat is None:
-            spec = self.domain_spec
+            spec = DomainSpec.from_config(self.settings["domain"])
             r_out = 1.1 * spec.outer_radius
             if spec.inner_radius > 0.0:
                 r_in = 0.9 * spec.inner_radius
@@ -200,27 +214,14 @@ class RunContext:
 
     @property
     def solver_options(self) -> SolverOptions:
-        return SolverOptions.from_config(self.config.get("solver"))
+        sec = self.settings["solver"]
+        return SolverOptions(grad_tol=float(sec["grad_tol"]), max_iter=sec["max_iter"],
+                             multistart_angles=tuple(float(a) for a in sec["multistart_angles"]))
 
     @property
     def eps_list(self) -> list[float]:
-        return [float(e) for e in self.config.get("eps_list", [0.08, 0.04, 0.02, 0.01])]
+        return [float(e) for e in self.settings["eps_list"]]
 
     @property
     def study_resolutions(self) -> list[int]:
-        study = self.config.get("study", {}) or {}
-        if "resolutions" in study:
-            return [int(r) for r in study["resolutions"]]
-        return [self.domain_spec.resolution]
-
-    @property
-    def rotation_grid(self) -> int:
-        return int((self.config.get("study", {}) or {}).get("rotation_grid", 1024))
-
-    @property
-    def lambda_exponent(self) -> float:
-        return float((self.config.get("study", {}) or {}).get("lambda_exponent", 0.4))
-
-    @property
-    def arc_samples(self) -> int:
-        return int((self.config.get("study", {}) or {}).get("arc_samples", 5))
+        return self.settings["study"]["resolutions"] or [self.settings["domain"]["resolution"]]

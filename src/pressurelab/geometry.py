@@ -51,24 +51,9 @@ class DomainSpec:
 
     @classmethod
     def from_config(cls, section: dict) -> "DomainSpec":
-        kind = section["kind"]
-        params = section.get("params", {}) or {}
-        res = int(section["resolution"])
-        if kind == "disk":
-            return cls.disk(radius=float(params.get("radius", 1.0)), resolution=res)
-        if kind == "annulus":
-            return cls.annulus(
-                r_inner=float(params.get("r_inner", 1.0)),
-                r_outer=float(params.get("r_outer", 2.0)),
-                resolution=res,
-            )
-        if kind == "four_lobe":
-            return cls.four_lobe(
-                r_small=float(params.get("r_small", 1.0)),
-                r_large=float(params.get("r_large", 2.0)),
-                resolution=res,
-            )
-        raise DomainError(f"unknown domain kind {kind!r}")
+        """The spec of a config's `domain` section; a param it omits keeps the field default."""
+        params = {key: float(value) for key, value in (section.get("params") or {}).items()}
+        return cls(kind=section["kind"], resolution=int(section["resolution"]), **params)
 
     def validate(self) -> None:
         if self.kind not in ("disk", "annulus", "four_lobe"):

@@ -55,10 +55,7 @@ class MaterialModel:
 
     @classmethod
     def from_config(cls, section: dict) -> "MaterialModel":
-        return cls(
-            c1=float(section["c1"]), c2=float(section["c2"]),
-            p=float(section["p"]), q=float(section["q"]),
-        )
+        return cls(**{key: float(value) for key, value in section.items()})
 
 
 def g_mixed(t, r: float):

@@ -145,15 +145,6 @@ class SolverOptions:
     max_iter: int = 5000
     multistart_angles: tuple[float, ...] = (0.0,)
 
-    @classmethod
-    def from_config(cls, section: dict | None) -> "SolverOptions":
-        section = section or {}
-        return cls(
-            grad_tol=float(section.get("grad_tol", 1e-9)),
-            max_iter=int(section.get("max_iter", 5000)),
-            multistart_angles=tuple(float(a) for a in section.get("multistart_angles", [0.0])),
-        )
-
 
 def multistart_minimize(
     mesh: TriMesh,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pressurelab.cli import _emit_json, main, run, validate_result
-from pressurelab.config import _SECTIONS, _TOP_KEYS, MAX_RESOLUTION, ConfigError, RunContext, config_hash, validate_config
+from pressurelab.config import MAX_RESOLUTION, REQUIRED, SCHEMA, ConfigError, Per, RunContext, config_hash, validate_config
 from pressurelab.linear_solver import SolverError
 
 
@@ -263,7 +263,7 @@ def test_booleans_are_not_numbers(tmp_path, capsys, key):
     ("domain", "params", "x", "domain.params"),
     ("pressure", "params", [1], "pressure.params"),
     ("pressure", "params", "x", "pressure.params"),
-    ("pressure", "variant", [1], "bump variant"),
+    ("pressure", "variant", [1], "pressure.variant"),
 ])
 def test_malformed_sections_exit_2_naming_the_key(tmp_path, capsys, section, key, value, needle):
     # these reached the construction step as AttributeErrors before they were checked
@@ -297,8 +297,10 @@ def test_every_documented_param_is_accepted():
                          ("four_lobe", {"r_small": 1.0, "r_large": 2.0})):
         validate_config(_base_config(domain={"kind": kind, "params": params, "resolution": 8}))
     for name, params in (("zero", {}), ("constant", {"value": 0.5}), ("hydrostatic", {"coefficient": 0.5}),
-                         ("quadrant_bump", {"variant": "flat"}), ("example52", {"variant": "strict"})):
+                         ("quadrant_bump", {}), ("example52", {})):
         validate_config(_base_config(pressure={"name": name, "params": params}))
+    for name, variant in (("quadrant_bump", "flat"), ("example52", "strict")):
+        validate_config(_base_config(pressure={"name": name, "variant": variant}))
 
 
 @pytest.mark.parametrize("key, domain_res, study_res", [
@@ -378,7 +380,7 @@ def test_benchmark_workload_configs_validate():
         "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for name in ("scan-lobe", "gamma-disk"):
+    for name in ("scan-lobe", "gamma-disk", "lambda-lobe"):
         validate_config(workloads.WORKLOADS[name]["config"])
 
 
@@ -390,13 +392,162 @@ def test_grid_flag_is_validated(tmp_path, capsys, grid):
     assert "--grid" in capsys.readouterr().err
 
 
+def _schema_keys(table=SCHEMA, path=(), at=None):
+    """(dotted key, the (section, selector, choice) it depends on or None, rule, default)
+    for every key of the schema, sections and params included."""
+    for key, (rule, default) in table.items():
+        for choice, sub in (rule.rules.items() if isinstance(rule, Per) else [(None, rule)]):
+            where = at if choice is None else (path[-1], rule.selector, choice)
+            yield ".".join(path + (key,)), where, sub, default
+            if isinstance(sub, dict):
+                yield from _schema_keys(sub, path + (key,), where)
+
+
+def _readme_row(key, at, rule, default):
+    where = "" if at is None else f"{at[1]} `{at[2]}`"
+    shown = "required" if default is REQUIRED else "none" if default is None else f"`{json.dumps(default)}`"
+    return f"| `{key}` | {where} | {rule.text} | {shown} |"
+
+
+def _config_at(key, at, value=None, omit=False):
+    """The base config with `key` set to `value` (or left out), under the
+    selector choice the key depends on."""
+    cfg = _base_config()
+    if at is not None:
+        section, selector, choice = at
+        cfg[section] = {selector: choice, **({"resolution": 8} if section == "domain" else {})}
+    *parents, last = key.split(".")
+    target = cfg
+    for part in parents:
+        target = target.setdefault(part, {})
+    if omit:
+        target.pop(last, None)
+    else:
+        target[last] = value
+    return cfg
+
+
+_KEYS = sorted({(key, at) for key, at, _, _ in _schema_keys()}, key=str)
+_OPTIONAL = [(key, at, default) for key, at, rule, default in _schema_keys()
+             if default is not REQUIRED and not isinstance(rule, dict)]
+
+
+@pytest.mark.parametrize("key, at", _KEYS, ids=[f"{k}-{a[2]}" if a else k for k, a in _KEYS])
+def test_every_key_rejects_wrong_typed_values(tmp_path, capsys, key, at):
+    values = [True, "x", None, [], math.nan]
+    if key.startswith("output."):
+        values.remove("x")  # a file name
+    for value in values:
+        assert run("scan-rotations", _write(tmp_path, _config_at(key, at, value))) == 2, value
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err, (value, err)
+
+
+# how a run reads a key; any other key is read from the filled-in settings
+_READ = {
+    "solver.grad_tol": lambda ctx: ctx.solver_options.grad_tol,
+    "solver.max_iter": lambda ctx: ctx.solver_options.max_iter,
+    "solver.multistart_angles": lambda ctx: ctx.solver_options.multistart_angles,
+    "eps_list": lambda ctx: ctx.eps_list,
+    "study.resolutions": lambda ctx: ctx.study_resolutions,
+    "pressure.params.value": lambda ctx: ctx.pressure.params["value"],
+    "pressure.params.coefficient": lambda ctx: ctx.pressure.params["coefficient"],
+    "pressure.variant": lambda ctx: ctx.pressure.params["variant"],
+}
+
+
+def _setting(ctx, key):
+    value = ctx.settings
+    for part in key.split("."):
+        value = value[part]
+    return value
+
+
+@pytest.mark.parametrize("key, at, default", _OPTIONAL, ids=[f"{k}-{a[2]}" if a else k for k, a, _ in _OPTIONAL])
+def test_an_omitted_key_takes_its_documented_default(key, at, default):
+    cfg = _config_at(key, at, omit=True)
+    ctx = RunContext.from_config(cfg)
+    value = _READ[key](ctx) if key in _READ else _setting(ctx, key)
+    if key == "study.resolutions":  # documented as none: the domain's resolution
+        default = [cfg["domain"]["resolution"]]
+    if isinstance(default, tuple):
+        value = tuple(value)
+    assert value == default
+
+
 def test_readme_schema_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"### Configuration schema\s+```json\n(.*?)```", readme, re.S).group(1)
-    schema = json.loads(block)
-    assert set(schema) == set(_TOP_KEYS)
-    for name, table in _SECTIONS.items():
-        assert set(schema[name]) == set(table), name
+    text = readme.split("### Configuration schema")[1].split("\n### ")[0]
+    schema = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    assert set(schema) == set(SCHEMA)
+    for name, (table, _) in SCHEMA.items():
+        if isinstance(table, dict):
+            assert set(schema[name]) == set(table), name
+    rows = {line for line in text.splitlines() if line.startswith("| `")}
+    assert rows == {_readme_row(*key) for key in _schema_keys() if not isinstance(key[2], dict)}
+
+
+_PROBES = [
+    ("scan-rotations", ("solver", "grad_tol"), "abc"),
+    ("scan-rotations", ("solver", "grad_tol"), True),
+    ("scan-rotations", ("solver", "grad_tol"), -1.0),
+    ("scan-rotations", ("solver", "multistart_angles"), "ab"),
+    ("scan-rotations", ("solver", "multistart_angles"), []),
+    ("scan-rotations", ("solver", "max_iter"), 0),
+    ("scan-rotations", ("solver", "max_iter"), 2.7),
+    ("scan-rotations", ("output", "json"), True),
+    ("scan-rotations", ("output", "csv"), 2),
+    ("scan-rotations", ("output", "svg"), ["a"]),
+    ("scan-rotations", ("domain", "params", "radius"), True),
+    ("scan-rotations", ("domain", "params", "radius"), "2"),
+    ("scan-rotations", ("pressure", "params", "value"), True),
+    ("scan-rotations", ("pressure", "params", "value"), math.nan),
+    ("scan-rotations", ("seed",), -1),
+    ("solve-nonlinear", ("eps_list",), [math.inf]),
+    ("solve-linear", ("eps_list",), [math.inf]),
+    ("gamma-study", ("eps_list",), [0.05, 0.05]),
+    ("gamma-study", ("study", "resolutions"), [4, 4]),
+]
+
+
+@pytest.mark.parametrize("command, path, value", _PROBES,
+                         ids=[f"{'.'.join(p)}={v!r}" for _, p, v in _PROBES])
+def test_values_outside_the_schema_exit_2_naming_the_key(tmp_path, capsys, command, path, value):
+    # each of these used to run, or to end in a traceback
+    cfg = _base_config(output={})
+    target = cfg
+    for part in path[:-1]:
+        target = target.setdefault(part, {})
+    target[path[-1]] = value
+    assert run(command, _write(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert ".".join(path) in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("pressure, needle", [
+    ({"name": "quadrant_bump", "params": {"variant": "flat"}}, "pressure.params.variant"),
+    ({"name": "quadrant_bump", "variant": "strict", "params": {"variant": "flat"}}, "pressure.params.variant"),
+    ({"name": "constant", "params": {"value": 0.1}, "variant": "flat"}, "pressure.variant"),
+    ({"name": "hydrostatic", "variant": "strict"}, "pressure.variant"),
+])
+def test_the_bump_variant_has_one_key(tmp_path, capsys, pressure, needle):
+    # pressure.variant is the one key, and only a field with variants takes it
+    assert run("scan-rotations", _write(tmp_path, _base_config(pressure=pressure))) == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve-nonlinear", "--eps", "0"), ("solve-nonlinear", "--eps", "-0.1"),
+    ("solve-nonlinear", "--eps", "nan"), ("solve-nonlinear", "--eps", "inf"),
+    ("solve-linear", "--alpha0", "abc"), ("solve-linear", "--alpha0", "nan"),
+    ("solve-linear", "--alpha0", "inf"),
+])
+def test_malformed_flags_exit_2_naming_the_flag(tmp_path, capsys, command, flag, value):
+    # --eps 0 used to run at eps_list[0]; the others ended in tracebacks
+    path = _write(tmp_path, _base_config())
+    assert main([command, "--config", path, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err, err
 
 
 def test_study_svg_with_an_error_row(tmp_path, monkeypatch):

@@ -7,17 +7,16 @@ minimizer in the discrete Sobolev norm; the determinant and gradient
 compactness diagnostics settle at their scaling constants.
 """
 
-from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure, extend_pressure
-from pressurelab.studies import SolverOptions, gamma_study
+from pressurelab import DomainSpec, MaterialModel, Plan, Problem, build_domain, builtin_pressure, extend_pressure
+from pressurelab.studies import gamma_study
 
-material = MaterialModel()
 const = builtin_pressure("constant", {"value": 0.1})
-hat = extend_pressure(const, None, 1.1, 0.5)
-mesh = build_domain(DomainSpec.disk(1.0, 24))
-options = SolverOptions(grad_tol=1e-12, max_iter=5000, multistart_angles=(0.0,))
+problem = Problem(mesh=build_domain(DomainSpec.disk(1.0, 24)), material=MaterialModel(), pi=const,
+                  pi_hat=extend_pressure(const, None, 1.1, 0.5), resolution=24)
+plan = Plan(grad_tol=1e-12, max_iter=5000, multistart_angles=(0.0,),
+            eps_list=(0.08, 0.04, 0.02, 0.01), seed=1, rotation_grid=256)
 
-report = gamma_study(mesh, material, const, hat, [0.08, 0.04, 0.02, 0.01],
-                     options, seed=1, rotation_grid=256, resolution=24)
+report = gamma_study(problem, plan)
 
 print(f"limit value  min_E0 = {report.limits['min_E0']:.8f}  at alpha0 = {report.limits['alpha0']}")
 print(f"{'eps':>6s} {'E/eps^2':>12s} {'gap':>10s} {'|u-u0|':>10s} {'det diag':>10s} {'grad diag':>10s} {'iters':>6s}")

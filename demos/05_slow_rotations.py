@@ -9,18 +9,16 @@ lambda from the optimal set, far beyond the sqrt(eps) scale of rigid loads.
 
 import numpy as np
 
-from pressurelab import DomainSpec, MaterialModel, build_domain, extend_pressure, quadrant_bump_pressure
-from pressurelab.studies import SolverOptions, almost_minimizer_scaling
+from pressurelab import DomainSpec, MaterialModel, Plan, Problem, build_domain, extend_pressure, quadrant_bump_pressure
+from pressurelab.studies import almost_minimizer_scaling
 
-material = MaterialModel()
 bump = quadrant_bump_pressure("strict")
-hat = extend_pressure(bump, None, 2.2, 1.0)
-mesh = build_domain(DomainSpec.four_lobe(resolution=24))
-options = SolverOptions(grad_tol=1e-10, max_iter=2000, multistart_angles=(0.0, np.pi))
+problem = Problem(mesh=build_domain(DomainSpec.four_lobe(resolution=24)), material=MaterialModel(), pi=bump,
+                  pi_hat=extend_pressure(bump, None, 2.2, 1.0), resolution=24)
+plan = Plan(grad_tol=1e-10, max_iter=2000, multistart_angles=(0.0, np.pi),
+            eps_list=(0.08, 0.04, 0.02, 0.01), seed=1, rotation_grid=512, lambda_exponent=0.4)
 
-report = almost_minimizer_scaling(mesh, material, bump, hat, [0.08, 0.04, 0.02, 0.01],
-                                  options, exponent=0.4, seed=1, rotation_grid=512,
-                                  resolution=24)
+report = almost_minimizer_scaling(problem, plan)
 
 print(f"{'eps':>6s} {'lambda':>8s} {'rem*eps/l^3':>12s} {'E/eps^2':>10s} {'gap':>10s} {'dist/lam':>9s}")
 for row in report.rows:

@@ -47,6 +47,8 @@ from .linear_solver import (
     solve_linearized,
 )
 from .studies import (
+    Plan,
+    Problem,
     StudyReport,
     almost_minimizer_scaling,
     extract_rotation,
@@ -54,6 +56,6 @@ from .studies import (
     refined_study,
     rescaled_displacement,
 )
-from .config import ConfigError, RunContext, config_hash, load_config, validate_config
+from .config import ConfigError, RunContext, config_hash, load_config
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure or a problem
 the solvers do not take (`ProblemError`, `PressureError`).  A malformed config
-or flag exits 2 naming the key or flag, and never produces a traceback.
+or flag, or an output path whose directory does not exist, exits 2 naming the
+key or flag before any work is done, and never produces a traceback.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import rotations, studies, svgplot
-from .config import GRID, NUMBER, POSITIVE, ConfigError, Rule, RunContext, load_config, validate_config
+from .config import GRID, NUMBER, POSITIVE, ConfigError, Rule, RunContext, load_config
+from .geometry import build_domain
 from .linear_solver import ProblemError, SolverError
 from .material import wrap_angle
 from .pressure import PressureError
@@ -54,18 +57,6 @@ def _emit_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def validate_result(doc: dict) -> None:
-    """Structural re-validation of an emitted run document."""
-    for key in ("schema", "command", "config", "config_hash", "meta", "result"):
-        if key not in doc:
-            raise ConfigError(f"missing key {key}")
-    if doc["schema"] != "pressurelab/run-v1":
-        raise ConfigError("unknown result schema")
-    if doc["command"] not in COMMANDS:
-        raise ConfigError("unknown command in result")
-    validate_config(doc["config"])
-
-
 def _flag(name: str, value, rule: Rule):
     """The value of a command-line flag, checked with the rule of the config key it stands in for."""
     with contextlib.suppress(ValueError):  # --alpha0 arrives as text
@@ -76,8 +67,8 @@ def _flag(name: str, value, rule: Rule):
 
 
 def _scan_rotations(ctx: RunContext, args) -> dict:
-    grid = ctx.settings["study"]["rotation_grid"] if args.grid is None else _flag("--grid", args.grid, GRID)
-    mesh = ctx.mesh()
+    grid = ctx.plan.rotation_grid if args.grid is None else _flag("--grid", args.grid, GRID)
+    mesh = build_domain(ctx.domain)  # the scan needs no problem: neither the solvers' field nor a factor
     pi = ctx.pressure
     optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)
     alphas = 2.0 * np.pi * np.arange(grid) / grid
@@ -105,14 +96,13 @@ def _scan_rotations(ctx: RunContext, args) -> dict:
 
 
 def _solve_linear(ctx: RunContext, args) -> dict:
-    mesh = ctx.mesh()
-    pi = ctx.pressure
+    problem = ctx.problem()
     if args.alpha0 in (None, "auto"):
-        optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=ctx.settings["study"]["rotation_grid"])
-        angles = optimal.sample_angles(per_arc=ctx.settings["study"]["arc_samples"])
+        optimal = rotations.find_optimal_rotations(problem.mesh, problem.pi, grid_n=ctx.plan.rotation_grid)
+        angles = optimal.sample_angles(per_arc=ctx.plan.arc_samples)
     else:
         angles = [wrap_angle(_flag("--alpha0", args.alpha0, NUMBER))]
-    e0, alpha0, disp, _, rot_load = studies.minimize_limit_energy(mesh, ctx.material, pi, angles)
+    e0, alpha0, disp, _, rot_load = studies.minimize_limit_energy(problem, angles)
     return {
         "alpha0": float(alpha0),
         "E0": float(e0),
@@ -123,12 +113,11 @@ def _solve_linear(ctx: RunContext, args) -> dict:
 
 
 def _solve_nonlinear(ctx: RunContext, args) -> dict:
-    mesh = ctx.mesh()
-    eps = ctx.eps_list[0] if args.eps is None else float(_flag("--eps", args.eps, POSITIVE))
-    fld, diag, table = multistart_minimize(
-        mesh, ctx.material, ctx.pressure_extended, eps, ctx.solver_options, ctx.settings["seed"])
-    alpha = extract_rotation(mesh, ctx.material, fld.values)
-    u = rescaled_displacement(mesh, fld.values, alpha, eps)
+    problem = ctx.problem()
+    eps = ctx.plan.eps_list[0] if args.eps is None else float(_flag("--eps", args.eps, POSITIVE))
+    fld, diag, table = multistart_minimize(problem, eps, ctx.plan)
+    alpha = extract_rotation(problem.mesh, problem.material, fld.values)
+    u = rescaled_displacement(problem.mesh, fld.values, alpha, eps)
     return {
         "eps": eps,
         "energy": diag.energy,
@@ -146,22 +135,14 @@ def _solve_nonlinear(ctx: RunContext, args) -> dict:
     }
 
 
+# the study of each "<kind>-study" command, looked up in `studies` when it runs
+_STUDIES = {"gamma": "gamma_study", "refined": "refined_study", "lambda": "almost_minimizer_scaling"}
+
+
 def _run_study(ctx: RunContext, kind: str) -> StudyReport:
     merged = StudyReport(kind=kind, config_hash=ctx.hash)
-    study = ctx.settings["study"]
     for res in ctx.study_resolutions:
-        mesh = ctx.mesh(res)
-        common = dict(
-            mesh=mesh, material=ctx.material, pi=ctx.pressure, pi_hat=ctx.pressure_extended,
-            eps_list=ctx.eps_list, options=ctx.solver_options, seed=ctx.settings["seed"],
-            rotation_grid=study["rotation_grid"], resolution=res,
-        )
-        if kind == "gamma":
-            rep = studies.gamma_study(arc_samples=study["arc_samples"], **common)
-        elif kind == "refined":
-            rep = studies.refined_study(**common)
-        else:
-            rep = studies.almost_minimizer_scaling(exponent=study["lambda_exponent"], **common)
+        rep = getattr(studies, _STUDIES[kind])(ctx.problem(res), ctx.plan)
         merged.rows.extend(rep.rows)
         merged.limits[str(res)] = rep.limits
     return merged
@@ -210,15 +191,26 @@ def run(command: str, config_path: str, *, out: str | None = None, csv_path: str
     return _dispatch(command, config_path, ns)
 
 
+def _merge_outputs(ctx: RunContext, args) -> None:
+    """Fill each output flag left out from its config key; check that every
+    output path's directory exists before any work is done."""
+    for attr, key in (("out", "json"), ("csv", "csv"), ("svg", "svg")):
+        name = f"--{attr}"
+        if getattr(args, attr, None) is None:
+            name = f"output.{key}"
+            setattr(args, attr, ctx.settings["output"][key])
+        path = getattr(args, attr)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"the directory of {name} {path!r} does not exist")
+
+
 def _dispatch(command: str, config_path: str, args) -> int:
     try:
         cfg = load_config(config_path)
         if getattr(args, "seed", None) is not None:
             cfg["seed"] = args.seed
         ctx = RunContext.from_config(cfg)
-        for attr, key in (("out", "json"), ("csv", "csv"), ("svg", "svg")):
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, ctx.settings["output"][key])
+        _merge_outputs(ctx, args)
         handler = {"scan-rotations": _scan_rotations, "solve-linear": _solve_linear,
                    "solve-nonlinear": _solve_nonlinear, "selftest": _selftest}.get(command)
         if handler is not None:

@@ -1,4 +1,5 @@
-"""Run configuration: one schema table, canonical hashing, object builders."""
+"""Run configuration: one schema table, canonical hashing, and the run context
+that validates a config once and builds its problems and plan."""
 
 from __future__ import annotations
 
@@ -6,14 +7,14 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .geometry import DomainSpec, TriMesh, build_domain
+from .geometry import DomainSpec, build_domain
 from .material import MaterialModel
 from .pressure import PressureField, builtin_pressure, extend_pressure
 from .rotations import MIN_GRID
-from .studies import SolverOptions
+from .studies import Plan, Problem
 
 
 class ConfigError(ValueError):
@@ -90,19 +91,19 @@ SCHEMA = {
         "params": (_PRESSURE_PARAMS, {}),
         "variant": (Per("name", dict.fromkeys(("quadrant_bump", "example52"), _one_of("strict", "flat"))), "strict"),
     }, REQUIRED),
-    "solver": ({  # the defaults are SolverOptions' own
-        "grad_tol": (POSITIVE, SolverOptions.grad_tol),
-        "max_iter": (_integer(1), SolverOptions.max_iter),
-        "multistart_angles": (_list_of(NUMBER), SolverOptions.multistart_angles),
+    "solver": ({  # the defaults of solver, study, eps_list and seed are Plan's own
+        "grad_tol": (POSITIVE, Plan.grad_tol),
+        "max_iter": (_integer(1), Plan.max_iter),
+        "multistart_angles": (_list_of(NUMBER), Plan.multistart_angles),
     }, {}),
     "study": ({
         "resolutions": (_list_of(_RESOLUTION, distinct=True), None),  # None: [domain.resolution]
-        "rotation_grid": (GRID, 1024),
-        "lambda_exponent": (NUMBER, 0.4),
-        "arc_samples": (_integer(1), 5),
+        "rotation_grid": (GRID, Plan.rotation_grid),
+        "lambda_exponent": (NUMBER, Plan.lambda_exponent),
+        "arc_samples": (_integer(1), Plan.arc_samples),
     }, {}),
-    "eps_list": (_list_of(POSITIVE, distinct=True), (0.08, 0.04, 0.02, 0.01)),
-    "seed": (_integer(0), 0),
+    "eps_list": (_list_of(POSITIVE, distinct=True), Plan.eps_list),
+    "seed": (_integer(0), Plan.seed),
     "output": ({name: (Rule("a non-empty string", lambda v: isinstance(v, str) and v != ""), None)
                 for name in ("json", "csv", "svg")}, {}),  # None: no file
 }
@@ -136,26 +137,13 @@ def _walk(section, table: dict, prefix: str) -> dict:
     return out
 
 
-def validate_config(cfg: dict) -> dict:
-    """Check `cfg` against SCHEMA and build its objects once; return it with every default filled in."""
-    settings = _walk(cfg, SCHEMA, "")
-    try:
-        DomainSpec.from_config(settings["domain"]).validate()
-        MaterialModel.from_config(settings["material"])
-        builtin_pressure(**settings["pressure"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return settings
-
-
 def load_config(path: str) -> dict:
+    """The config at `path` as it is written; `RunContext` validates it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text at all
         raise ConfigError(f"cannot read the config {path} as JSON: {exc}") from exc
-    validate_config(cfg)
-    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -165,63 +153,69 @@ def config_hash(cfg: dict) -> str:
 
 @dataclass
 class RunContext:
-    """Validated configuration plus lazily built solver inputs."""
+    """A config checked against SCHEMA once, and what it builds: the domain
+    spec, the material and the pressure field once, one `Problem` per
+    resolution and one `Plan`."""
 
     config: dict
     hash: str
 
     def __post_init__(self):
-        self.settings = validate_config(self.config)  # every key, a default where the config has none
-        self._meshes: dict[int, TriMesh] = {}
+        self.settings = _walk(self.config, SCHEMA, "")  # every key, a default where the config has none
+        try:
+            self.domain = DomainSpec.from_config(self.settings["domain"])
+            self.domain.validate()
+            self._material = MaterialModel.from_config(self.settings["material"])
+            self._pi = builtin_pressure(**self.settings["pressure"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self._pi_hat: PressureField | None = None
+        self._problems: dict[int, Problem] = {}
+        solver, study = self.settings["solver"], self.settings["study"]
+        self.plan = Plan(
+            grad_tol=float(solver["grad_tol"]), max_iter=solver["max_iter"],
+            multistart_angles=tuple(float(a) for a in solver["multistart_angles"]),
+            eps_list=tuple(float(e) for e in self.settings["eps_list"]), seed=self.settings["seed"],
+            rotation_grid=study["rotation_grid"], arc_samples=study["arc_samples"],
+            lambda_exponent=study["lambda_exponent"],
+        )
 
     @classmethod
     def from_config(cls, cfg: dict) -> "RunContext":
         return cls(config=cfg, hash=config_hash(cfg))
 
     @property
-    def material(self) -> MaterialModel:
-        return MaterialModel.from_config(self.settings["material"])
-
-    @property
     def pressure(self) -> PressureField:
-        return builtin_pressure(**self.settings["pressure"])
-
-    def mesh(self, resolution: int | None = None) -> TriMesh:
-        res = self.settings["domain"]["resolution"] if resolution is None else int(resolution)
-        if res not in self._meshes:
-            spec = DomainSpec.from_config({**self.settings["domain"], "resolution": res})
-            self._meshes[res] = build_domain(spec)
-        return self._meshes[res]
+        return self._pi
 
     @property
     def pressure_extended(self) -> PressureField:
         """The field trusted out to 1.1 times the outer domain radius (in to 0.9
         times the inner one on the annulus), which the rotated body never
         leaves, and tapered over half the outer radius (half the trusted inner
-        radius on the annulus)."""
+        radius on the annulus); built on first use."""
         if self._pi_hat is None:
-            spec = DomainSpec.from_config(self.settings["domain"])
-            r_out = 1.1 * spec.outer_radius
-            if spec.inner_radius > 0.0:
-                r_in = 0.9 * spec.inner_radius
+            r_out = 1.1 * self.domain.outer_radius
+            if self.domain.inner_radius > 0.0:
+                r_in = 0.9 * self.domain.inner_radius
                 delta = 0.5 * r_in
             else:
                 r_in = None
-                delta = 0.5 * spec.outer_radius
+                delta = 0.5 * self.domain.outer_radius
             self._pi_hat = extend_pressure(self.pressure, r_in, r_out, delta)
         return self._pi_hat
 
-    @property
-    def solver_options(self) -> SolverOptions:
-        sec = self.settings["solver"]
-        return SolverOptions(grad_tol=float(sec["grad_tol"]), max_iter=sec["max_iter"],
-                             multistart_angles=tuple(float(a) for a in sec["multistart_angles"]))
+    def problem(self, resolution: int | None = None) -> Problem:
+        """The problem on the mesh of `resolution` (domain.resolution when None), built once.
 
-    @property
-    def eps_list(self) -> list[float]:
-        return [float(e) for e in self.settings["eps_list"]]
+        Its fields are read through the `pressure` and `pressure_extended`
+        properties, which `benchmarks/tracer.py` wraps to count field calls."""
+        res = self.domain.resolution if resolution is None else resolution
+        if res not in self._problems:
+            mesh = build_domain(replace(self.domain, resolution=res))
+            self._problems[res] = Problem(mesh, self._material, self.pressure, self.pressure_extended, res)
+        return self._problems[res]
 
     @property
     def study_resolutions(self) -> list[int]:
-        return self.settings["study"]["resolutions"] or [self.settings["domain"]["resolution"]]
+        return self.settings["study"]["resolutions"] or [self.domain.resolution]

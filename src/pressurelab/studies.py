@@ -1,12 +1,14 @@
 """Extraction of (rotation, displacement) pairs from finite-strain minimizers
 and the epsilon-sweep studies: limit of rescaled minima, refined rotational
-fluctuations, and the slow-rotation almost-minimizer construction.
+fluctuations, and the slow-rotation almost-minimizer construction.  Each study
+takes one `Problem` (what is fixed while eps varies) and one `Plan`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,23 +141,41 @@ def w1p_norm(mesh: TriMesh, u: np.ndarray, p: float) -> float:
 # solver orchestration shared by the studies
 
 
-@dataclass
-class SolverOptions:
+@dataclass(frozen=True)
+class Problem:
+    """One fixed problem of a sweep: the mesh, the energy density, the pressure
+    pi on the body and its extension pi_hat, which the nonlinear solves read.
+    `resolution` labels the rows of a study (-1 when None)."""
+
+    mesh: TriMesh
+    material: MaterialModel
+    pi: PressureField
+    pi_hat: PressureField
+    resolution: int | None = None
+
+    @cached_property
+    def factor(self) -> StiffnessPreconditioner:
+        """The one stiffness factorization of (mesh, material): the limit solves
+        and the L-BFGS seed of every nonlinear solve share it."""
+        return StiffnessPreconditioner(self.mesh, self.material)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What a run does with a problem; `config.SCHEMA` takes its defaults from here."""
+
     grad_tol: float = 1e-9
     max_iter: int = 5000
     multistart_angles: tuple[float, ...] = (0.0,)
+    eps_list: tuple[float, ...] = (0.08, 0.04, 0.02, 0.01)
+    seed: int = 0
+    rotation_grid: int = 1024
+    arc_samples: int = 5
+    lambda_exponent: float = 0.4
 
 
-def multistart_minimize(
-    mesh: TriMesh,
-    material: MaterialModel,
-    pi_hat: PressureField,
-    eps: float,
-    options: SolverOptions,
-    seed: int,
-    precond: StiffnessPreconditioner | None = None,
-) -> tuple[DeformationField, SolveDiagnostics, list[dict]]:
-    """Run the minimizer from each configured rigid start; keep the lowest energy.
+def multistart_minimize(problem: Problem, eps: float, plan: Plan) -> tuple[DeformationField, SolveDiagnostics, list[dict]]:
+    """Run the minimizer from each of the plan's rigid starts; keep the lowest energy.
 
     Each start is the rotated reference map plus uniform nodal noise of
     amplitude 1e-3 times the mesh diameter, seeded by (seed, eps, start index).
@@ -167,21 +187,20 @@ def multistart_minimize(
     lowers the energy.  Energies rise along the way by at most the rounding
     floor of the minimizer's derivative-accepted steps.
     """
+    mesh, material, pi_hat = problem.mesh, problem.material, problem.pi_hat
     amp = 1e-3 * mesh.diameter
-    if precond is None:
-        precond = StiffnessPreconditioner(mesh, material)
-    multi = len(options.multistart_angles) > 1
-    scout_tol = max(options.grad_tol, 1e-8) if multi else options.grad_tol
-    scout_iters = min(options.max_iter, 400) if multi else options.max_iter
+    multi = len(plan.multistart_angles) > 1
+    scout_tol = max(plan.grad_tol, 1e-8) if multi else plan.grad_tol
+    scout_iters = min(plan.max_iter, 400) if multi else plan.max_iter
     best: tuple[DeformationField, SolveDiagnostics] | None = None
     table: list[dict] = []
-    for k, alpha in enumerate(options.multistart_angles):
-        rng = np.random.default_rng([seed, int(round(eps * 1e9)), k])
+    for k, alpha in enumerate(plan.multistart_angles):
+        rng = np.random.default_rng([plan.seed, int(round(eps * 1e9)), k])
         init = rigid_start(mesh, alpha, amp, rng)
         fld, diag = minimize_energy(
             mesh, material, pi_hat, eps, init,
             grad_tol=scout_tol, max_iter=scout_iters,
-            precond=precond, frame_angle=alpha,
+            precond=problem.factor, frame_angle=alpha,
         )
         table.append({
             "start_alpha": alpha, "energy": diag.energy, "iterations": diag.iterations,
@@ -195,8 +214,8 @@ def multistart_minimize(
         frame = extract_rotation_l2(mesh, fld.values)
         fld2, diag2 = minimize_energy(
             mesh, material, pi_hat, eps, fld.values,
-            grad_tol=options.grad_tol, max_iter=options.max_iter,
-            precond=precond, frame_angle=frame,
+            grad_tol=plan.grad_tol, max_iter=plan.max_iter,
+            precond=problem.factor, frame_angle=frame,
         )
         if diag.converged or diag2.converged or diag2.energy < diag.energy:
             fld, keep = fld2, diag2
@@ -212,27 +231,20 @@ def multistart_minimize(
     return fld, diag, table
 
 
-def minimize_limit_energy(
-    mesh: TriMesh,
-    material: MaterialModel,
-    pi: PressureField,
-    angles: list[float],
-    factor: StiffnessPreconditioner | None = None,
-):
+def minimize_limit_energy(problem: Problem, angles: list[float]):
     """Linearized solves over the given limit angles; returns the best.
 
-    Every angle reuses one stiffness factor of (mesh, material), built here
-    when not given.  Returns (min_value, best_alpha0, gauged displacement
-    field, per-angle table, rotation load component at the best angle).
+    Every angle reuses the problem's stiffness factor.  Returns (min_value,
+    best_alpha0, gauged displacement field, per-angle table, rotation load
+    component at the best angle).
     """
-    if factor is None:
-        factor = StiffnessPreconditioner(mesh, material)
+    mesh = problem.mesh
     jx = (mesh.nodes @ SKEW_GENERATOR.T).ravel()
     best = None
     table = []
     for alpha0 in angles:
-        load = assemble_load(mesh, pi, alpha0)
-        disp, e0 = solve_linearized(factor, load)
+        load = assemble_load(mesh, problem.pi, alpha0)
+        disp, e0 = solve_linearized(problem.factor, load)
         rotation_load = float(load @ jx)  # equals the EL residual at alpha0
         table.append({"alpha0": alpha0, "E0": e0, "rotation_load": rotation_load})
         if best is None or e0 < best[0]:
@@ -245,30 +257,26 @@ def minimize_limit_energy(
 # the three studies
 
 
-def _sweep(kind, mesh, material, pi, pi_hat, eps_list, options, seed, rotation_grid,
-           resolution, setup) -> tuple[StudyReport, OptimalSet]:
+def _sweep(kind: str, problem: Problem, plan: Plan, setup) -> tuple[StudyReport, OptimalSet]:
     """The eps-sweep shared by the studies; returns the report and the optimal set.
 
     The identity must be an optimal rotation: the energy subtracts pi_hat(x),
-    so every rescaled energy is measured against the identity.  The stiffness
-    is assembled and factored once for the sweep.  ``setup(optimal, report,
-    factor)`` computes the study's limit quantities and returns its row
+    so every rescaled energy is measured against the identity.  ``setup(optimal,
+    report)`` computes the study's limit quantities and returns its row
     function ``row(eps, field, diagnostics, starts) -> dict``.  Per eps, in
-    descending order, one multistart minimization runs, preconditioned by the
-    same factor; an eps whose solve raises SolverError becomes an error row
-    and the sweep goes on.
+    descending order, one multistart minimization runs; the limit solves and
+    every minimization share the problem's one stiffness factor.  An eps whose
+    solve raises SolverError becomes an error row and the sweep goes on.
     """
-    optimal = find_optimal_rotations(mesh, pi, grid_n=rotation_grid)
+    optimal = find_optimal_rotations(problem.mesh, problem.pi, grid_n=plan.rotation_grid)
     if optimal.distance(0.0) > optimal.grid_step:
         raise ProblemError("the identity rotation is not optimal for this configuration")
     report = StudyReport(kind=kind, config_hash="")
-    precond = StiffnessPreconditioner(mesh, material)
-    row = setup(optimal, report, precond)
-    label = resolution if resolution is not None else -1
-    for eps in sorted((float(e) for e in eps_list), reverse=True):
+    row = setup(optimal, report)
+    label = problem.resolution if problem.resolution is not None else -1
+    for eps in sorted(plan.eps_list, reverse=True):
         try:
-            fld, diag, starts = multistart_minimize(mesh, material, pi_hat, eps, options, seed,
-                                                    precond=precond)
+            fld, diag, starts = multistart_minimize(problem, eps, plan)
         except SolverError as exc:
             report.rows.append({"resolution": label, "eps": eps, "error": str(exc)})
             continue
@@ -276,18 +284,7 @@ def _sweep(kind, mesh, material, pi, pi_hat, eps_list, options, seed, rotation_g
     return report, optimal
 
 
-def gamma_study(
-    mesh: TriMesh,
-    material: MaterialModel,
-    pi: PressureField,
-    pi_hat: PressureField,
-    eps_list: list[float],
-    options: SolverOptions,
-    seed: int = 0,
-    rotation_grid: int = 1024,
-    arc_samples: int = 5,
-    resolution: int | None = None,
-) -> StudyReport:
+def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
     """Sweep of rescaled minima against the limit value on one mesh.
 
     Per eps (descending): multistart minimize, extract the rotation and the
@@ -296,9 +293,11 @@ def gamma_study(
     diagnostics, and the Sobolev distance of the displacement to the limit
     minimizer.
     """
-    def setup(optimal, report, factor):
+    mesh, material = problem.mesh, problem.material
+
+    def setup(optimal, report):
         min_e0, alpha0, disp0, e0_table, rot_load = minimize_limit_energy(
-            mesh, material, pi, optimal.sample_angles(per_arc=arc_samples), factor)
+            problem, optimal.sample_angles(per_arc=plan.arc_samples))
         u0 = disp0.values
         report.limits = {
             "min_E0": min_e0,
@@ -331,8 +330,7 @@ def gamma_study(
             }
         return row
 
-    report, _ = _sweep("gamma", mesh, material, pi, pi_hat, eps_list, options, seed,
-                       rotation_grid, resolution, setup)
+    report, _ = _sweep("gamma", problem, plan, setup)
     bounds = [max(-row["energy"], 0.0) / row["eps"] ** 2 for row in report.rows if "energy" in row]
     report.limits["scaling_constant_max"] = max(bounds) if bounds else 0.0
     report.limits["scaling_constant_ratio"] = (
@@ -345,17 +343,7 @@ def w1p_distance(mesh: TriMesh, u: np.ndarray, v: np.ndarray, p: float) -> float
     return w1p_norm(mesh, np.asarray(u, float) - np.asarray(v, float), p)
 
 
-def refined_study(
-    mesh: TriMesh,
-    material: MaterialModel,
-    pi: PressureField,
-    pi_hat: PressureField,
-    eps_list: list[float],
-    options: SolverOptions,
-    seed: int = 0,
-    rotation_grid: int = 1024,
-    resolution: int | None = None,
-) -> StudyReport:
+def refined_study(problem: Problem, plan: Plan) -> StudyReport:
     """Track the rotational fluctuation of minimizers around the optimal set.
 
     Per eps: decompose the extracted angle as nearest-optimal plus offset
@@ -363,10 +351,11 @@ def refined_study(
     second-variation form at the limit with the recorded amplitude.  The full
     sequence is reported; no limit is forced when it fails to settle.
     """
-    if not pi.is_smooth:
+    if not problem.pi.is_smooth:
         raise ProblemError("refined study needs a C^2 pressure field")
+    mesh, material = problem.mesh, problem.material
 
-    def setup(optimal, report, factor):
+    def setup(optimal, report):
         def row(eps, fld, diag, starts):
             alpha = extract_rotation(mesh, material, fld.values)
             s_near = optimal.nearest(alpha)
@@ -383,8 +372,7 @@ def refined_study(
             }
         return row
 
-    report, optimal = _sweep("refined", mesh, material, pi, pi_hat, eps_list, options, seed,
-                             rotation_grid, resolution, setup)
+    report, optimal = _sweep("refined", problem, plan, setup)
     solved = [row for row in report.rows if "error" not in row]
     scaled_seq = [row["offset_scaled"] for row in solved]
     s_last = solved[-1]["nearest_optimal"] if solved else 0.0
@@ -395,7 +383,7 @@ def refined_study(
         "A0_sequence": scaled_seq,
         "A0_settled": bool(settled),
         "s_limit": s_last,
-        "second_variation_at_limit": second_variation(mesh, pi, s_last, a=a0),
+        "second_variation_at_limit": second_variation(mesh, problem.pi, s_last, a=a0),
         "optimal_angles": list(optimal.angles),
         "optimal_arcs": [list(a) for a in optimal.arcs],
     }
@@ -407,18 +395,7 @@ def _signed_offset(alpha: float, base: float) -> float:
     return d if d <= math.pi else d - TWO_PI
 
 
-def almost_minimizer_scaling(
-    mesh: TriMesh,
-    material: MaterialModel,
-    pi: PressureField,
-    pi_hat: PressureField,
-    eps_list: list[float],
-    options: SolverOptions,
-    exponent: float = 0.4,
-    seed: int = 0,
-    rotation_grid: int = 1024,
-    resolution: int | None = None,
-) -> StudyReport:
+def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
     """Slow-rotation almost minimizers: rotate the limit state by eps^exponent.
 
     Requires the strictly increasing bump variant (isolated optimal angles
@@ -427,14 +404,15 @@ def almost_minimizer_scaling(
     angle, and records the excess rotation-functional remainder against the
     lambda^3/eps target plus the rescaled-energy gap to the solved minimum.
     """
+    exponent = plan.lambda_exponent
     if not (1.0 / 3.0 < exponent < 0.5):
         raise ProblemError("exponent must lie in (1/3, 1/2)")
-    if pi.params.get("variant") != "strict":
+    if problem.pi.params.get("variant") != "strict":
         raise ProblemError("the scaling study requires the strict bump variant")
+    mesh, material, pi = problem.mesh, problem.material, problem.pi
 
-    def setup(optimal, report, factor):
-        min_e0, alpha0, disp_star, _, _ = minimize_limit_energy(
-            mesh, material, pi, optimal.sample_angles(per_arc=3), factor)
+    def setup(optimal, report):
+        min_e0, alpha0, disp_star, _, _ = minimize_limit_energy(problem, optimal.sample_angles(per_arc=3))
         base_value = rotation_functional(mesh, pi, alpha0)
         report.limits = {
             "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,
@@ -445,7 +423,7 @@ def almost_minimizer_scaling(
             lam = eps ** exponent
             y = zero_average(mesh, rebuild_deformation(mesh, disp_star.values, alpha0 + lam, eps))
             remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
-            energy = assemble_energy(mesh, material, pi_hat, y, eps)
+            energy = assemble_energy(mesh, material, problem.pi_hat, y, eps)
             alpha_hat = extract_rotation(mesh, material, y)
             dist = optimal.distance(alpha_hat)
             return {
@@ -461,6 +439,5 @@ def almost_minimizer_scaling(
             }
         return row
 
-    report, _ = _sweep("lambda", mesh, material, pi, pi_hat, eps_list, options, seed,
-                       rotation_grid, resolution, setup)
+    report, _ = _sweep("lambda", problem, plan, setup)
     return report

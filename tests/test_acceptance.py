@@ -27,7 +27,8 @@ from pressurelab.material import angular_distance, dist_so2, energy_density, g_m
 from pressurelab.nonlinear_solver import rigid_map, zero_average
 from pressurelab.rotations import rotation_functional_profile
 from pressurelab.studies import (
-    SolverOptions,
+    Plan,
+    Problem,
     almost_minimizer_scaling,
     extract_rotation,
     gamma_study,
@@ -77,13 +78,13 @@ def bench_reports(material):
     """Constant-pressure sweep at two resolutions (criteria 5 through 8)."""
     const = builtin_pressure("constant", {"value": P0})
     hat = extend_pressure(const, None, 1.1, 0.5)
-    opts = SolverOptions(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,))
+    plan = Plan(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,), eps_list=tuple(EPS_LIST),
+                seed=2024, rotation_grid=256)
     t0 = time.time()
     reports = {}
     for res in (32, 64):
         mesh = build_domain(DomainSpec.disk(1.0, res))
-        reports[res] = gamma_study(mesh, material, const, hat, EPS_LIST, opts,
-                                   seed=2024, rotation_grid=256, resolution=res)
+        reports[res] = gamma_study(Problem(mesh, material, const, hat, resolution=res), plan)
     reports["elapsed"] = time.time() - t0
     return reports
 
@@ -91,10 +92,10 @@ def bench_reports(material):
 @pytest.fixture(scope="module")
 def lambda_report(lobe64, material, strict_bump):
     hat = extend_pressure(strict_bump, None, 2.2, 1.0)
-    opts = SolverOptions(grad_tol=1e-11, max_iter=2000, multistart_angles=(0.0, np.pi))
+    plan = Plan(grad_tol=1e-11, max_iter=2000, multistart_angles=(0.0, np.pi), eps_list=tuple(EPS_LIST),
+                lambda_exponent=0.4, seed=2024, rotation_grid=1024)
     t0 = time.time()
-    rep = almost_minimizer_scaling(lobe64, material, strict_bump, hat, EPS_LIST, opts,
-                                   exponent=0.4, seed=2024, rotation_grid=1024, resolution=64)
+    rep = almost_minimizer_scaling(Problem(lobe64, material, strict_bump, hat, resolution=64), plan)
     rep.meta["elapsed"] = time.time() - t0
     return rep
 

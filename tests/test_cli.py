@@ -9,9 +9,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pressurelab.cli import _emit_json, main, run, validate_result
-from pressurelab.config import MAX_RESOLUTION, REQUIRED, SCHEMA, ConfigError, Per, RunContext, config_hash, validate_config
+from pressurelab.cli import COMMANDS, _emit_json, main, run
+from pressurelab.config import MAX_RESOLUTION, REQUIRED, SCHEMA, ConfigError, Per, RunContext, config_hash
 from pressurelab.linear_solver import SolverError
+
+
+def validate_config(cfg: dict) -> dict:
+    """Check `cfg` as a run does, by building its run context; return the filled-in settings."""
+    return RunContext.from_config(cfg).settings
+
+
+def validate_result(doc: dict) -> None:
+    """Structural re-validation of an emitted run document."""
+    for key in ("schema", "command", "config", "config_hash", "meta", "result"):
+        if key not in doc:
+            raise ConfigError(f"missing key {key}")
+    if doc["schema"] != "pressurelab/run-v1":
+        raise ConfigError("unknown result schema")
+    if doc["command"] not in COMMANDS:
+        raise ConfigError("unknown command in result")
+    validate_config(doc["config"])
 
 
 def _base_config(**overrides):
@@ -204,7 +221,7 @@ def test_plain_value_error_in_a_study_is_not_exit_3(tmp_path, monkeypatch):
     # only the named problem errors become exit 3; any other ValueError is a fault
     import pressurelab.studies as ST
 
-    def broken(**kwargs):
+    def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(ST, "gamma_study", broken)
@@ -443,12 +460,15 @@ def test_every_key_rejects_wrong_typed_values(tmp_path, capsys, key, at):
         assert key in err and "Traceback" not in err, (value, err)
 
 
-# how a run reads a key; any other key is read from the filled-in settings
+# how a run reads a key; any other key is read from the filled-in settings.  The
+# solver and study keys, eps_list and seed are read from the plan the studies receive.
 _READ = {
-    "solver.grad_tol": lambda ctx: ctx.solver_options.grad_tol,
-    "solver.max_iter": lambda ctx: ctx.solver_options.max_iter,
-    "solver.multistart_angles": lambda ctx: ctx.solver_options.multistart_angles,
-    "eps_list": lambda ctx: ctx.eps_list,
+    **{f"solver.{name}": (lambda ctx, name=name: getattr(ctx.plan, name))
+       for name in ("grad_tol", "max_iter", "multistart_angles")},
+    **{f"study.{name}": (lambda ctx, name=name: getattr(ctx.plan, name))
+       for name in ("rotation_grid", "arc_samples", "lambda_exponent")},
+    "eps_list": lambda ctx: ctx.plan.eps_list,
+    "seed": lambda ctx: ctx.plan.seed,
     "study.resolutions": lambda ctx: ctx.study_resolutions,
     "pressure.params.value": lambda ctx: ctx.pressure.params["value"],
     "pressure.params.coefficient": lambda ctx: ctx.pressure.params["coefficient"],
@@ -556,10 +576,10 @@ def test_study_svg_with_an_error_row(tmp_path, monkeypatch):
 
     real = ST.multistart_minimize
 
-    def failing(mesh, material, pi_hat, eps, *args, **kwargs):
+    def failing(problem, eps, plan):
         if eps == 0.02:
             raise SolverError("forced failure")
-        return real(mesh, material, pi_hat, eps, *args, **kwargs)
+        return real(problem, eps, plan)
 
     monkeypatch.setattr(ST, "multistart_minimize", failing)
     path = _write(tmp_path, _base_config())
@@ -637,11 +657,57 @@ def test_output_paths_from_config(tmp_path):
     validate_result(doc)
 
 
+@pytest.mark.parametrize("key", ["output.json", "output.csv", "output.svg", "--out", "--csv", "--svg"])
+def test_an_output_directory_that_does_not_exist_exits_2_before_any_work(tmp_path, capsys, monkeypatch, key):
+    import pressurelab.rotations as R
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the output paths were checked")
+
+    monkeypatch.setattr(R, "find_optimal_rotations", no_scan)
+    missing = tmp_path / "missing" / "run.out"
+    cfg, argv = _base_config(), []
+    if key.startswith("output."):
+        cfg["output"] = {key.split(".")[1]: str(missing)}
+    else:
+        argv = [key, str(missing)]
+    assert main(["scan-rotations", "--config", _write(tmp_path, cfg), *argv]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err, err
+    assert not missing.parent.exists()
+
+
+def test_a_study_validates_once_and_builds_each_object_once(tmp_path, monkeypatch):
+    # one schema walk, one material, one field and one extension per run, and
+    # one stiffness factor per resolution
+    import pressurelab.config as C
+    from pressurelab.material import MaterialModel
+    from pressurelab.nonlinear_solver import StiffnessPreconditioner
+
+    counts = {"walk": 0, "material": 0, "pressure": 0, "extension": 0, "factor": 0}
+
+    def counting(name, fn, when=lambda *args: True):
+        def wrapped(*args, **kwargs):
+            counts[name] += bool(when(*args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(C, "_walk", counting("walk", C._walk, when=lambda section, table, prefix: prefix == ""))
+    monkeypatch.setattr(MaterialModel, "__post_init__", counting("material", MaterialModel.__post_init__))
+    monkeypatch.setattr(C, "builtin_pressure", counting("pressure", C.builtin_pressure))
+    monkeypatch.setattr(C, "extend_pressure", counting("extension", C.extend_pressure))
+    monkeypatch.setattr(StiffnessPreconditioner, "__init__", counting("factor", StiffnessPreconditioner.__init__))
+    cfg = _base_config(study={"resolutions": [8, 12], "rotation_grid": 128}, eps_list=[0.04])
+    cfg["solver"]["grad_tol"] = 1e-8
+    assert run("gamma-study", _write(tmp_path, cfg)) == 0
+    assert counts == {"walk": 1, "material": 1, "pressure": 1, "extension": 1, "factor": 2}
+
+
 def test_run_context_defaults():
     ctx = RunContext.from_config(_base_config())
-    assert ctx.eps_list == [0.04, 0.02]
+    assert ctx.plan.eps_list == (0.04, 0.02)
     assert ctx.study_resolutions == [10]
-    assert ctx.solver_options.multistart_angles == (0.0,)
-    mesh = ctx.mesh()
+    assert ctx.plan.multistart_angles == (0.0,)
+    mesh = ctx.problem().mesh
     assert mesh.n_nodes > 0
     assert ctx.pressure_extended.evaluate(np.array([0.2, 0.1])) == 0.1

@@ -15,7 +15,7 @@ from pressurelab import (
 )
 from pressurelab.linear_solver import StiffnessPreconditioner, apply_gauge, skew_mean, solve_linearized
 from pressurelab.material import SKEW_GENERATOR
-from pressurelab.studies import minimize_limit_energy
+from pressurelab.studies import Problem, minimize_limit_energy
 
 from conftest import add_at_load
 
@@ -248,7 +248,7 @@ def test_constant_pressure_limit_is_p1_exact(spec, p0):
     mesh = build_domain(spec)
     material = MaterialModel(c1=1.3, c2=0.7)
     const = builtin_pressure("constant", {"value": p0})
-    e0, _, disp, table, _ = minimize_limit_energy(mesh, material, const, [0.0, 2.0])
+    e0, _, disp, table, _ = minimize_limit_energy(Problem(mesh, material, const, const), [0.0, 2.0])
     stiff = material.c1 + 2.0 * material.c2
     want = -mesh.total_area * p0 ** 2 / stiff
     beta = -p0 / stiff

@@ -6,7 +6,8 @@ from pressurelab.linear_solver import SolverError
 from pressurelab.material import angular_distance
 from pressurelab.nonlinear_solver import rigid_map, zero_average
 from pressurelab.studies import (
-    SolverOptions,
+    Plan,
+    Problem,
     almost_minimizer_scaling,
     extract_rotation,
     extract_rotation_l2,
@@ -204,10 +205,9 @@ def test_w1p_norm_basics(disk16):
 @pytest.fixture(scope="module")
 def bench_report(disk16, default_material, bench_fields):
     const, hat = bench_fields
-    opts = SolverOptions(grad_tol=1e-12, max_iter=4000, multistart_angles=(0.0,))
-    return gamma_study(disk16, default_material, const, hat,
-                       [0.08, 0.04, 0.02, 0.01], opts, seed=7,
-                       rotation_grid=128, resolution=16)
+    plan = Plan(grad_tol=1e-12, max_iter=4000, multistart_angles=(0.0,),
+                eps_list=(0.08, 0.04, 0.02, 0.01), seed=7, rotation_grid=128)
+    return gamma_study(Problem(disk16, default_material, const, hat, resolution=16), plan)
 
 
 def test_gamma_study_energy_window(bench_report):
@@ -247,11 +247,12 @@ def test_gamma_sweep_reaches_grad_tol(disk16, default_material, bench_fields, mo
         return fld, diag
 
     monkeypatch.setattr(ST, "minimize_energy", recording)
-    opts = SolverOptions(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,))
+    problem = Problem(disk16, default_material, const, hat, resolution=16)
     area = float(disk16.areas.sum())
     for seed in (601032, 602016):
-        rep = ST.gamma_study(disk16, default_material, const, hat, [0.08, 0.04, 0.02, 0.01], opts,
-                             seed=seed, rotation_grid=256, resolution=16)
+        plan = Plan(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,),
+                    eps_list=(0.08, 0.04, 0.02, 0.01), seed=seed, rotation_grid=256)
+        rep = ST.gamma_study(problem, plan)
         assert len(rep.rows) == 4
         for row in rep.rows:
             assert row["stop_reason"] == "gradient" and row["converged"]
@@ -292,10 +293,9 @@ def test_gamma_study_row_order(bench_report):
 
 def test_strict_multistart_finds_optimal_rotations(lobe16, default_material, bump_fields):
     bump, hat = bump_fields
-    opts = SolverOptions(grad_tol=1e-10, max_iter=900,
-                         multistart_angles=(0.0, np.pi / 2, np.pi, 3 * np.pi / 2))
-    rep = gamma_study(lobe16, default_material, bump, hat, [0.02, 0.01], opts,
-                      seed=11, rotation_grid=512, resolution=16)
+    plan = Plan(grad_tol=1e-10, max_iter=900, multistart_angles=(0.0, np.pi / 2, np.pi, 3 * np.pi / 2),
+                eps_list=(0.02, 0.01), seed=11, rotation_grid=512)
+    rep = gamma_study(Problem(lobe16, default_material, bump, hat, resolution=16), plan)
     for row in rep.rows:
         assert row["dist_to_optimal"] <= 2.0 * np.pi / 512
         assert row["energy"] <= 1e-10  # the infimum is zero for this load
@@ -304,9 +304,9 @@ def test_strict_multistart_finds_optimal_rotations(lobe16, default_material, bum
 
 def test_refined_study_tracks_fluctuations(lobe16, default_material, bump_fields):
     bump, hat = bump_fields
-    opts = SolverOptions(grad_tol=1e-10, max_iter=600, multistart_angles=(0.0,))
-    rep = refined_study(lobe16, default_material, bump, hat, [0.04, 0.01], opts,
-                        seed=13, rotation_grid=512, resolution=16)
+    plan = Plan(grad_tol=1e-10, max_iter=600, multistart_angles=(0.0,), eps_list=(0.04, 0.01),
+                seed=13, rotation_grid=512)
+    rep = refined_study(Problem(lobe16, default_material, bump, hat, resolution=16), plan)
     assert -1.0 <= rep.limits["A0_scalar"] <= 1.0
     for row in rep.rows:
         assert -1.0 <= row["offset_scaled"] <= 1.0
@@ -316,16 +316,15 @@ def test_refined_study_tracks_fluctuations(lobe16, default_material, bump_fields
 def test_refined_study_needs_smooth_pressure(disk16, default_material):
     hyd = builtin_pressure("hydrostatic", {"coefficient": 1.0})
     with pytest.raises(ValueError):
-        refined_study(disk16, default_material, hyd, hyd, [0.04], SolverOptions(), seed=1)
+        refined_study(Problem(disk16, default_material, hyd, hyd), Plan(eps_list=(0.04,), seed=1))
 
 
 @pytest.fixture(scope="module")
 def lambda_report(lobe16, default_material, bump_fields):
     bump, hat = bump_fields
-    opts = SolverOptions(grad_tol=1e-10, max_iter=900, multistart_angles=(0.0, np.pi))
-    return almost_minimizer_scaling(lobe16, default_material, bump, hat,
-                                    [0.08, 0.04, 0.02, 0.01], opts, exponent=0.4,
-                                    seed=17, rotation_grid=512, resolution=16)
+    plan = Plan(grad_tol=1e-10, max_iter=900, multistart_angles=(0.0, np.pi),
+                eps_list=(0.08, 0.04, 0.02, 0.01), lambda_exponent=0.4, seed=17, rotation_grid=512)
+    return almost_minimizer_scaling(Problem(lobe16, default_material, bump, hat, resolution=16), plan)
 
 
 def test_lambda_study_remainder_ratio_window(lambda_report):
@@ -349,21 +348,21 @@ def test_lambda_study_requires_strict_variant(lobe16, default_material):
     flat = quadrant_bump_pressure("flat")
     hat = extend_pressure(flat, None, 2.2, 1.0)
     with pytest.raises(ValueError):
-        almost_minimizer_scaling(lobe16, default_material, flat, hat, [0.04],
-                                 SolverOptions(), exponent=0.4)
+        almost_minimizer_scaling(Problem(lobe16, default_material, flat, hat),
+                                 Plan(eps_list=(0.04,), lambda_exponent=0.4))
 
 
 def test_lambda_study_exponent_window(lobe16, default_material, bump_fields):
     bump, hat = bump_fields
     with pytest.raises(ValueError):
-        almost_minimizer_scaling(lobe16, default_material, bump, hat, [0.04],
-                                 SolverOptions(), exponent=0.6)
+        almost_minimizer_scaling(Problem(lobe16, default_material, bump, hat),
+                                 Plan(eps_list=(0.04,), lambda_exponent=0.6))
 
 
 def test_multistart_reports_all_starts(disk16, default_material, bench_fields):
-    _, hat = bench_fields
-    opts = SolverOptions(grad_tol=1e-8, max_iter=300, multistart_angles=(0.0, np.pi))
-    fld, diag, table = multistart_minimize(disk16, default_material, hat, 0.02, opts, seed=3)
+    const, hat = bench_fields
+    plan = Plan(grad_tol=1e-8, max_iter=300, multistart_angles=(0.0, np.pi), seed=3)
+    fld, diag, table = multistart_minimize(Problem(disk16, default_material, const, hat), 0.02, plan)
     assert len(table) == 2
     assert diag.energy <= min(row["energy"] for row in table) + 1e-15
 
@@ -375,15 +374,16 @@ def test_gamma_study_records_per_eps_failures(disk16, default_material, bench_fi
     real = ST.multistart_minimize
     failure = SolverError
 
-    def flaky(mesh, material, pi_hat, eps, options, seed, precond=None):
+    def flaky(problem, eps, plan):
         if eps == 0.04:
             raise failure("synthetic failure")
-        return real(mesh, material, pi_hat, eps, options, seed, precond=precond)
+        return real(problem, eps, plan)
 
     monkeypatch.setattr(ST, "multistart_minimize", flaky)
-    opts = SolverOptions(grad_tol=1e-8, max_iter=400, multistart_angles=(0.0,))
-    rep = ST.gamma_study(disk16, default_material, const, hat, [0.04, 0.02], opts,
-                         seed=1, rotation_grid=128, resolution=16)
+    problem = Problem(disk16, default_material, const, hat, resolution=16)
+    plan = Plan(grad_tol=1e-8, max_iter=400, multistart_angles=(0.0,), eps_list=(0.04, 0.02),
+                seed=1, rotation_grid=128)
+    rep = ST.gamma_study(problem, plan)
     errors = [r for r in rep.rows if "error" in r]
     solved = [r for r in rep.rows if "energy" in r]
     assert errors == [{"resolution": 16, "eps": 0.04, "error": "synthetic failure"}]
@@ -393,8 +393,7 @@ def test_gamma_study_records_per_eps_failures(disk16, default_material, bench_fi
     # any other exception is a fault of the program, not of one eps: it propagates
     failure = RuntimeError
     with pytest.raises(RuntimeError, match="synthetic failure"):
-        ST.gamma_study(disk16, default_material, const, hat, [0.04, 0.02], opts,
-                       seed=1, rotation_grid=128, resolution=16)
+        ST.gamma_study(problem, plan)
 
 
 def test_gamma_study_requires_optimal_identity(default_material, monkeypatch):
@@ -411,8 +410,8 @@ def test_gamma_study_requires_optimal_identity(default_material, monkeypatch):
     monkeypatch.setattr(ST, "minimize_limit_energy", no_solve)
     monkeypatch.setattr(ST, "multistart_minimize", no_solve)
     with pytest.raises(ValueError, match="identity rotation is not optimal"):
-        ST.gamma_study(mesh, default_material, hyd, hyd, [0.04], SolverOptions(),
-                       seed=1, rotation_grid=128)
+        ST.gamma_study(Problem(mesh, default_material, hyd, hyd),
+                       Plan(eps_list=(0.04,), seed=1, rotation_grid=128))
 
 
 def test_annulus_pipeline_with_lipschitz_pressure(default_material):
@@ -431,8 +430,8 @@ def test_annulus_pipeline_with_lipschitz_pressure(default_material):
 
     _, min_e0 = solve_linearized(StiffnessPreconditioner(mesh, default_material), assemble_load(mesh, hyd, 0.0))
     eps = 0.02
-    opts = SolverOptions(grad_tol=1e-9, max_iter=2000, multistart_angles=(0.0,))
-    fld, diag, _ = multistart_minimize(mesh, default_material, hat, eps, opts, seed=4)
+    plan = Plan(grad_tol=1e-9, max_iter=2000, multistart_angles=(0.0,), seed=4)
+    fld, diag, _ = multistart_minimize(Problem(mesh, default_material, hyd, hat), eps, plan)
     assert fld.admissible
     assert min_e0 * 1.2 <= diag.energy / eps ** 2 <= 0.0
     assert abs(diag.energy / eps ** 2 - min_e0) <= 0.2 * abs(min_e0)
@@ -446,7 +445,8 @@ def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatc
     from pressurelab import DomainSpec, build_domain
 
     mesh = build_domain(DomainSpec.annulus(1.0, 2.0, 8))
-    hat = extend_pressure(builtin_pressure("hydrostatic", {"coefficient": 0.1}), 0.9, 2.2, 0.45)
+    hyd = builtin_pressure("hydrostatic", {"coefficient": 0.1})
+    hat = extend_pressure(hyd, 0.9, 2.2, 0.45)
     passes = []
     real = ST.minimize_energy
 
@@ -455,11 +455,11 @@ def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatc
         return passes[-1]
 
     monkeypatch.setattr(ST, "minimize_energy", spy)
+    problem = Problem(mesh, default_material, hyd, hat)
     lowered = []
     for seed in (1, 2, 3):
         passes.clear()
-        fld, diag, _ = multistart_minimize(mesh, default_material, hat, 0.04,
-                                           SolverOptions(grad_tol=1e-10), seed=seed)
+        fld, diag, _ = multistart_minimize(problem, 0.04, Plan(grad_tol=1e-10, seed=seed))
         (f1, d1), (f2, d2) = passes
         assert not (d1.converged or d2.converged)
         lowered.append(d2.energy < d1.energy)
@@ -517,10 +517,10 @@ def test_study_assembles_and_factors_the_stiffness_once(disk16, lobe16, default_
     monkeypatch.setattr(StiffnessPreconditioner, "solve", apply)
     monkeypatch.setattr(ST, "assemble_load", record_angle)
     monkeypatch.setattr(ST, "solve_linearized", solve)
-    opts = SolverOptions(grad_tol=1e-8, max_iter=300, multistart_angles=(0.0,))
-
     const, hat = bench_fields
-    gamma_study(disk16, default_material, const, hat, [0.04], opts, seed=1, rotation_grid=128)
+    gamma_study(Problem(disk16, default_material, const, hat),
+                Plan(grad_tol=1e-8, max_iter=300, multistart_angles=(0.0,), eps_list=(0.04,),
+                     seed=1, rotation_grid=128))
     assert (counts["assemble"], counts["factor"]) == (1, 1)
     assert len(per_solve) == 4
     assert all(1 <= k <= 10 for _, k in per_solve)
@@ -528,8 +528,9 @@ def test_study_assembles_and_factors_the_stiffness_once(disk16, lobe16, default_
     counts.update(assemble=0, factor=0)
     per_solve.clear()
     bump, bump_hat = bump_fields
-    almost_minimizer_scaling(lobe16, default_material, bump, bump_hat, [0.04], opts,
-                             exponent=0.4, seed=1, rotation_grid=256)
+    almost_minimizer_scaling(Problem(lobe16, default_material, bump, bump_hat),
+                             Plan(grad_tol=1e-8, max_iter=300, multistart_angles=(0.0,), eps_list=(0.04,),
+                                  lambda_exponent=0.4, seed=1, rotation_grid=256))
     assert (counts["assemble"], counts["factor"]) == (1, 1)
     assert sorted(round(a, 12) for a, _ in per_solve) == [0.0, round(np.pi, 12)]
     assert all(k <= 10 for _, k in per_solve)

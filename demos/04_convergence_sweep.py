@@ -12,7 +12,7 @@ from pressurelab.studies import gamma_study
 
 const = builtin_pressure("constant", {"value": 0.1})
 problem = Problem(mesh=build_domain(DomainSpec.disk(1.0, 24)), material=MaterialModel(), pi=const,
-                  pi_hat=extend_pressure(const, None, 1.1, 0.5), resolution=24)
+                  extension=extend_pressure(const, None, 1.1, 0.5), resolution=24)
 plan = Plan(grad_tol=1e-12, max_iter=5000, multistart_angles=(0.0,),
             eps_list=(0.08, 0.04, 0.02, 0.01), seed=1, rotation_grid=256)
 

@@ -28,7 +28,7 @@ from .pressure import PressureError
 from .studies import StudyReport, extract_rotation, multistart_minimize, rescaled_displacement
 
 COMMANDS = ("scan-rotations", "solve-linear", "solve-nonlinear",
-            "gamma-study", "refined-study", "lambda-study", "selftest")
+            "gamma-study", "refined-study", "lambda-study")
 
 
 def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict) -> None:
@@ -171,17 +171,6 @@ def _study_command(ctx: RunContext, args, kind: str) -> dict:
     return report.to_json_dict()
 
 
-def _selftest(ctx: RunContext, args) -> dict:
-    from .selftest import run_selftest
-
-    good, lines = run_selftest()
-    for line in lines:
-        print(line)
-    if not good:
-        raise SolverError("selftest failed")
-    return {"checks": lines, "passed": True}
-
-
 def run(command: str, config_path: str, *, out: str | None = None, csv_path: str | None = None,
         svg: str | None = None, grid: int | None = None, eps: float | None = None,
         alpha0: str | None = None, seed: int | None = None) -> int:
@@ -205,21 +194,21 @@ def _merge_outputs(ctx: RunContext, args) -> None:
 
 
 def _dispatch(command: str, config_path: str, args) -> int:
+    if command not in COMMANDS:  # before any work on the config
+        print(f"error: unknown command {command!r}", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(config_path)
-        if getattr(args, "seed", None) is not None:
+        if getattr(args, "seed", None) is not None and isinstance(cfg, dict):  # RunContext rejects a non-object
             cfg["seed"] = args.seed
         ctx = RunContext.from_config(cfg)
         _merge_outputs(ctx, args)
         handler = {"scan-rotations": _scan_rotations, "solve-linear": _solve_linear,
-                   "solve-nonlinear": _solve_nonlinear, "selftest": _selftest}.get(command)
+                   "solve-nonlinear": _solve_nonlinear}.get(command)
         if handler is not None:
             result = handler(ctx, args)
-        elif command in COMMANDS:  # the three studies, "<kind>-study"
+        else:  # the three studies, "<kind>-study"
             result = _study_command(ctx, args, command[:-len("-study")])
-        else:
-            print(f"error: unknown command {command!r}", file=sys.stderr)
-            return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -209,11 +209,12 @@ class RunContext:
         """The problem on the mesh of `resolution` (domain.resolution when None), built once.
 
         Its fields are read through the `pressure` and `pressure_extended`
-        properties, which `benchmarks/tracer.py` wraps to count field calls."""
+        properties, which `benchmarks/tracer.py` wraps to count field calls;
+        the extension only when the problem's `pi_hat` is first read."""
         res = self.domain.resolution if resolution is None else resolution
         if res not in self._problems:
             mesh = build_domain(replace(self.domain, resolution=res))
-            self._problems[res] = Problem(mesh, self._material, self.pressure, self.pressure_extended, res)
+            self._problems[res] = Problem(mesh, self._material, self.pressure, lambda: self.pressure_extended, res)
         return self._problems[res]
 
     @property

@@ -227,7 +227,7 @@ def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureFie
     return PressureField(
         name="quadrant_bump", sign_class="nonnegative", smoothness="c2",
         evaluate=evaluate, gradient=gradient, growth=None,
-        params={"variant": profile.variant, "profile": profile},
+        params={"variant": profile.variant},
         support=_RADIAL_SUPPORT + profile.rate_support,
         polar=(profile.radial, profile.angular_rate, profile.angular_rate_d1),
     )

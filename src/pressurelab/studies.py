@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -144,14 +145,21 @@ def w1p_norm(mesh: TriMesh, u: np.ndarray, p: float) -> float:
 @dataclass(frozen=True)
 class Problem:
     """One fixed problem of a sweep: the mesh, the energy density, the pressure
-    pi on the body and its extension pi_hat, which the nonlinear solves read.
-    `resolution` labels the rows of a study (-1 when None)."""
+    pi on the body and its `extension` pi_hat, given as a field or as a
+    function that builds it.  `resolution` labels the rows of a study (-1
+    when None)."""
 
     mesh: TriMesh
     material: MaterialModel
     pi: PressureField
-    pi_hat: PressureField
+    extension: PressureField | Callable[[], PressureField]
     resolution: int | None = None
+
+    @cached_property
+    def pi_hat(self) -> PressureField:
+        """The extension that the nonlinear solves read, built on first read:
+        a problem that only the limit solves use never builds it."""
+        return self.extension() if callable(self.extension) else self.extension
 
     @cached_property
     def factor(self) -> StiffnessPreconditioner:

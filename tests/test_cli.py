@@ -379,7 +379,7 @@ def test_a_non_finite_result_is_not_written(tmp_path):
     out = tmp_path / "run.json"
     ctx = RunContext.from_config(_base_config())
     with pytest.raises(ValueError):
-        _emit_json(str(out), "selftest", ctx, {"value": math.nan})
+        _emit_json(str(out), "scan-rotations", ctx, {"value": math.nan})
     assert not out.exists()
 
 
@@ -602,10 +602,29 @@ def test_seed_flag_changes_output(tmp_path):
     assert d1["config_hash"] != d2["config_hash"]  # seed is part of the config
 
 
-def test_selftest_command(tmp_path, capsys):
+def test_selftest_command_is_gone(tmp_path, capsys):
+    # its structural checks are unit tests; a half-removed command would still run or crash
+    # an unknown command is rejected before its config is read
     path = _write(tmp_path, _base_config())
-    assert run("selftest", path) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    assert "selftest" not in COMMANDS
+    for config in (path, str(tmp_path / "missing.json")):
+        assert run("selftest", config) == 2
+        err = capsys.readouterr().err
+        assert "unknown command 'selftest'" in err and "config" not in err, err
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--config", path])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"text"'])
+def test_seed_flag_with_a_config_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run("scan-rotations", str(path), seed=3) == 2
+    assert main(["scan-rotations", "--config", str(path), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration must be an object") == 2 and "Traceback" not in err, err
 
 
 def test_lambda_study_wrong_variant_is_solver_error(tmp_path, capsys):
@@ -678,8 +697,8 @@ def test_an_output_directory_that_does_not_exist_exits_2_before_any_work(tmp_pat
 
 
 def test_a_study_validates_once_and_builds_each_object_once(tmp_path, monkeypatch):
-    # one schema walk, one material, one field and one extension per run, and
-    # one stiffness factor per resolution
+    # one schema walk, one material and one field per run, one extension where
+    # a nonlinear solve reads it, and one stiffness factor per resolution solved
     import pressurelab.config as C
     from pressurelab.material import MaterialModel
     from pressurelab.nonlinear_solver import StiffnessPreconditioner
@@ -699,8 +718,12 @@ def test_a_study_validates_once_and_builds_each_object_once(tmp_path, monkeypatc
     monkeypatch.setattr(StiffnessPreconditioner, "__init__", counting("factor", StiffnessPreconditioner.__init__))
     cfg = _base_config(study={"resolutions": [8, 12], "rotation_grid": 128}, eps_list=[0.04])
     cfg["solver"]["grad_tol"] = 1e-8
-    assert run("gamma-study", _write(tmp_path, cfg)) == 0
-    assert counts == {"walk": 1, "material": 1, "pressure": 1, "extension": 1, "factor": 2}
+    path = _write(tmp_path, cfg)
+    for command, extension, factor in (("gamma-study", 1, 2), ("solve-linear", 0, 1), ("scan-rotations", 0, 0)):
+        counts.update(dict.fromkeys(counts, 0))
+        assert run(command, path) == 0
+        expected = {"walk": 1, "material": 1, "pressure": 1, "extension": extension, "factor": factor}
+        assert counts == expected, command
 
 
 def test_run_context_defaults():

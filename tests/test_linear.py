@@ -185,6 +185,8 @@ def test_divergence_check_constant_displacement(disk16):
     u = np.tile([0.3, -0.4], (disk16.n_nodes, 1))
     b, v = divergence_form_check(disk16, const, 0.0, u)
     assert abs(b) < 1e-12 and abs(v) < 1e-12
+    b, v = divergence_form_check(disk16, const, 0.0, np.zeros_like(disk16.nodes))
+    assert b == 0.0 and v == 0.0  # the zero field, exactly
 
 
 def test_divergence_check_identity_field(disk32):

@@ -27,10 +27,11 @@ def bump_hat():
     return extend_pressure(quadrant_bump_pressure("strict"), None, 2.2, 1.0)
 
 
-def test_identity_map_has_zero_energy(disk16, default_material, const_hat):
-    y = identity_map(disk16)
-    for eps in (0.0, 0.02, 0.08):
-        assert abs(assemble_energy(disk16, default_material, const_hat, y, eps)) < 1e-14
+def test_identity_map_has_zero_energy(disk16, lobe16, default_material, const_hat, bump_hat):
+    for mesh, pi_hat in ((disk16, const_hat), (lobe16, bump_hat)):
+        y = identity_map(mesh)
+        for eps in (0.0, 0.02, 0.08):
+            assert abs(assemble_energy(mesh, default_material, pi_hat, y, eps)) < 1e-14
 
 
 def test_energy_at_rotations_equals_functional_difference(lobe16, default_material):

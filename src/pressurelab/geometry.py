@@ -133,7 +133,7 @@ class TriMesh:
         grads /= (2.0 * areas)[:, None, None]
 
         b_edges, b_normals, b_lengths = _extract_boundary(nodes, triangles)
-        quad = _build_quadrature(nodes, triangles, areas, b_edges, b_lengths)
+        quad = _build_quadrature(nodes, (v0, v1, v2), areas, b_edges, b_lengths)
 
         lo = nodes.min(axis=0)
         hi = nodes.max(axis=0)
@@ -248,9 +248,11 @@ def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     return b_edges, normals, lengths
 
 
-def _build_quadrature(nodes, triangles, areas, b_edges, b_lengths) -> QuadratureRule:
-    corners = nodes[triangles]  # (M, 3, 2)
-    pts = 0.5 * (corners + corners[:, [1, 2, 0]])  # point r on the edge from corner r to r + 1
+def _build_quadrature(nodes, corners, areas, b_edges, b_lengths) -> QuadratureRule:
+    """The rules of a triangulation from its corner coordinates (v0, v1, v2) and areas."""
+    pts = np.empty((len(areas), 3, 2))
+    for r in range(3):  # point r on the edge from corner r to r + 1
+        pts[:, r] = 0.5 * (corners[r] + corners[(r + 1) % 3])
     w = np.repeat(areas[:, None] / 3.0, 3, axis=1)
     a = nodes[b_edges[:, 0]]
     b = nodes[b_edges[:, 1]]

@@ -82,21 +82,20 @@ def _smoothstep7(t):
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Angular profile (through its rate) and radial profile of the bump field.
+    """Angular rate and radial profile of the bump field.
 
-    The angular profile `angular` is nonnegative, vanishes at 0, peaks at pi/2,
-    and has three vanishing derivatives at both endpoints.  The radial profile
-    vanishes to second order at 1 and integrates to one against rho drho over
-    [1, 2].
+    The angular rate is nonnegative on [0, pi/2] and has three vanishing
+    derivatives at both ends of its support, so its integral from 0, the
+    angular profile that a rotation of the four-lobe domain sweeps out, rises
+    from 0 to its peak at pi/2.  The radial profile vanishes to second order
+    at 1 and integrates to one against rho drho over [1, 2].
     """
 
     variant: str
-    angular: Callable        # alpha in [0, pi/2] -> value
-    angular_rate: Callable   # derivative of `angular`
+    angular_rate: Callable   # alpha in [0, pi/2] -> value
     angular_rate_d1: Callable
     radial: Callable         # rho >= 1 -> value
     radial_d1: Callable
-    angular_total: float     # angular(pi/2)
     rate_support: tuple[float, float]   # the rate vanishes outside this angle interval
 
 
@@ -114,14 +113,9 @@ def strict_profile() -> BumpProfile:
         inside = (a >= 0.0) & (a <= c)
         return np.where(inside, 3.0 * a ** 2 * (c - a) ** 2 * (c - 2.0 * a), 0.0)
 
-    def angular(a):
-        a = np.clip(np.asarray(a, dtype=float), 0.0, c)
-        return (c ** 3) * a ** 4 / 4.0 - 0.6 * (c ** 2) * a ** 5 + 0.5 * c * a ** 6 - a ** 7 / 7.0
-
-    total = float(angular(c))
     return BumpProfile(
-        variant="strict", angular=angular, angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=_radial, radial_d1=_radial_d1, angular_total=total, rate_support=(0.0, c),
+        variant="strict", angular_rate=rate, angular_rate_d1=rate_d1,
+        radial=_radial, radial_d1=_radial_d1, rate_support=(0.0, c),
     )
 
 
@@ -143,17 +137,9 @@ def flat_profile() -> BumpProfile:
         s = np.clip(s, 0.0, 1.0)
         return np.where(inside, scale * 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / w, 0.0)
 
-    def _bump_int(s):
-        return s ** 5 / 5.0 - 2.0 * s ** 6 / 3.0 + 6.0 * s ** 7 / 7.0 - s ** 8 / 2.0 + s ** 9 / 9.0
-
-    def angular(a):
-        s = np.clip((np.asarray(a, dtype=float) - lo) / w, 0.0, 1.0)
-        return scale * w * _bump_int(s)
-
-    total = float(angular(lo + w))
     return BumpProfile(
-        variant="flat", angular=angular, angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=_radial, radial_d1=_radial_d1, angular_total=total, rate_support=(lo, lo + w),
+        variant="flat", angular_rate=rate, angular_rate_d1=rate_d1,
+        radial=_radial, radial_d1=_radial_d1, rate_support=(lo, lo + w),
     )
 
 

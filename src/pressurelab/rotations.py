@@ -119,29 +119,33 @@ class _RuleTable:
     """Rows of one quadrature rule with what every angle reads of them, gathered once.
 
     A band table holds the rows whose radius lies in a radial band, ordered by
-    polar angle about the origin.  A rotation adds the same angle to every
-    point and keeps every radius, so the rows it carries into a polar sector
-    form at most two runs of it.  The band of a field without support holds
-    every row.
+    polar angle about the origin, and the distinct angles among them: on a
+    polar mesh the rule points along one ray share their angle bit for bit.
+    A rotation adds the same angle to every point and keeps every radius, so
+    the angles it carries into a polar sector form at most two runs of
+    `theta`.  The band of a field without support holds every row.
     """
 
     rows: np.ndarray
-    theta: np.ndarray    # increasing polar angles of the rows, in [-pi, pi]
-    rho: np.ndarray      # and their radii
-    weights: np.ndarray  # rule weights, for the boundary rule times n . J x
+    theta: np.ndarray    # increasing distinct polar angles of the rows, in [-pi, pi]
+    starts: np.ndarray   # index in `rows` of the first row at each angle
+    rho: np.ndarray      # radii of the rows
+    weights: np.ndarray  # rule weights of the rows, for the boundary rule times n . J x
 
 
 def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> tuple[_RuleTable, np.ndarray]:
     """The band table of the interior (or boundary) rule that the angles of pi
-    read, and its weights times radial(rho): every factor of a profile term
-    that no rotation changes.
+    read, and, per distinct angle, the sum of its rows' weights times
+    radial(rho): every factor of a profile term that no rotation changes.
 
     The band is the radial band of pi's support widened by _SUPPORT_MARGIN.
-    The table is built once per mesh, rule and band, and its weights once
-    per radial callable, since fields of different radial profiles can
-    share a band; both are kept with the mesh.  The rotation layer reads a
-    field only through its polar factorization, so a field without one
-    raises PressureError.
+    Rows are grouped only when their angles are bitwise equal, so each row
+    meets the rate at the very angle it would alone; merging changes only
+    the order of the sum.  The table is built once per mesh, rule and band,
+    and its merged weights once per radial callable, since fields of
+    different radial profiles can share a band; both are kept with the
+    mesh.  The rotation layer reads a field only through its polar
+    factorization, so a field without one raises PressureError.
     """
     if pi.polar is None:
         raise PressureError(f"field {pi.name!r} declares no polar factorization to scan rotations with")
@@ -154,28 +158,33 @@ def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> tup
         rows = np.flatnonzero((rho >= band[0]) & (rho <= band[1]))
         theta = np.arctan2(pts[:, 1], pts[:, 0])[rows]
         order = np.argsort(theta, kind="stable")  # equal angles stay in row order
-        rows = rows[order]
+        rows, theta = rows[order], theta[order]
+        new = np.ones(len(theta), dtype=bool)
+        new[1:] = np.diff(theta.view(np.int64)) != 0  # bitwise, not numeric, equality
+        starts = np.flatnonzero(new)
         weights = (mesh.boundary_weights_flat() if boundary else mesh.interior_weights_flat())[rows]
         if boundary:
             jx = pts[rows] @ SKEW_GENERATOR.T
             weights = weights * np.einsum("ij,ij->i", mesh.boundary_normals_flat()[rows], jx)
-        mesh.tables[rule, band] = _RuleTable(rows, theta[order], rho[rows], weights)
+        mesh.tables[rule, band] = _RuleTable(rows, theta[starts], starts, rho[rows], weights)
     table, radial = mesh.tables[rule, band], pi.polar[0]
     if (rule, band, radial) not in mesh.tables:
-        mesh.tables[rule, band, radial] = table.weights * np.asarray(radial(table.rho), dtype=float)
+        group = np.repeat(np.arange(len(table.starts)), np.diff(table.starts, append=len(table.rows)))
+        mesh.tables[rule, band, radial] = np.bincount(
+            group, weights=table.weights * np.asarray(radial(table.rho), dtype=float), minlength=len(table.theta))
     return table, mesh.tables[rule, band, radial]
 
 
 def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> list[tuple[slice, ...]]:
-    """Per angle, the slices of the table whose rows R(alpha) can carry into the support of pi.
+    """Per angle, the slices of the table's angles that R(alpha) can carry into the support of pi.
 
-    Every row when pi declares no support, or the declared sector has the
-    origin as apex or is the whole circle.  Otherwise the rows whose angle
-    lies in the sector rotated back by alpha and widened by _SUPPORT_MARGIN:
+    Every angle when pi declares no support, or the declared sector has the
+    origin as apex or is the whole circle.  Otherwise the angles that lie
+    in the sector rotated back by alpha and widened by _SUPPORT_MARGIN:
     one slice, or two when it wraps past +-pi.  The rates are still read at
     each of them, so a quadrature sum keeps all of its nonzero terms.
     """
-    everything = [(slice(0, len(table.weights)),)] * len(alphas)
+    everything = [(slice(0, len(table.theta)),)] * len(alphas)
     if pi.support is None:
         return everything
     rho_lo, _, theta_lo, theta_hi = pi.support
@@ -204,11 +213,11 @@ def _turn_reduced(alpha: float) -> float:
 
 
 def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
-    """Support rows of each angle and their polar angles under R(alpha), grouped into chunks.
+    """The table's angles that each R(alpha) carries into the support, rotated, grouped into chunks.
 
-    Yields (per-angle list of (segments, block), chunk): each angle's rows
-    of the table have their angles theta + alpha written straight into a
-    buffer, and `block` locates them there.  alpha is first reduced to
+    Yields (per-angle list of (segments, block), chunk): each alpha's angles
+    of the table are written as theta + alpha straight into a buffer, and
+    `block` locates them there.  alpha is first reduced to
     [0, 2 pi] (`_turn_reduced`), so one fold of the angles above pi brings
     the chunk into arctan2's range.  A chunk closes once it holds at least
     _CHUNK_POINTS points, so a profile reads the rates once per chunk
@@ -241,9 +250,10 @@ def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
 
 def _profiles(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False,
               slopes: bool = False) -> list[np.ndarray]:
-    """(w radial(rho)) . rate(theta + alpha) at each angle, over its rows of
-    the band table of the interior (or boundary) rule; with `slopes`, also
-    the same weights . rate_d1(theta + alpha)."""
+    """(w radial(rho)) . rate(theta + alpha) at each angle, over its angles of
+    the band table of the interior (or boundary) rule, with the weights of
+    the rows at one angle summed; with `slopes`, also the same weights .
+    rate_d1(theta + alpha)."""
     table, weights = _rule_table(mesh, pi, boundary)
     rates = pi.polar[1:] if slopes else pi.polar[1:2]
     out = [[] for _ in rates]

@@ -52,9 +52,10 @@ def weak_material():
 
 # Oracles that only tests read: the rotation layer's support rows, the interior
 # form of its stationarity residual, a finite-difference Hessian of a field,
-# the exact sweep of a bump over the rotated four-lobe domain, the
-# fancy-indexed P1 gather, bincount scatter and energy gradient that the
-# sparse P1 operators replaced, and the edge-by-edge boundary load scatter.
+# the angular profile of a bump and its exact sweep over the rotated four-lobe
+# domain, the fancy-indexed P1 gather, bincount scatter and energy gradient
+# that the sparse P1 operators replaced, and the edge-by-edge boundary load
+# scatter.
 
 
 def support_rows(mesh, pi, alpha, boundary=False):
@@ -63,7 +64,9 @@ def support_rows(mesh, pi, alpha, boundary=False):
     if pi.support is None:
         return slice(None)
     table, _ = rotations._rule_table(mesh, pi, boundary)
-    return rotations._take(table.rows, rotations._segments(table, pi, np.array([alpha], dtype=float))[0])
+    bounds = np.append(table.starts, len(table.rows))  # the table's angle k holds rows bounds[k]:bounds[k + 1]
+    segments = rotations._segments(table, pi, np.array([alpha], dtype=float))[0]
+    return rotations._take(table.rows, tuple(slice(bounds[s.start], bounds[s.stop]) for s in segments))
 
 
 def el_volume_form(mesh, pi, alpha):
@@ -117,6 +120,22 @@ def fancy_gradient(mesh, material, pi_hat, y, eps):
     return project_gradient(mesh, bincount_scatter(mesh, contrib))
 
 
+def angular_profile(profile, alpha):
+    """Closed form of the integral of the bump's angular rate from 0 to alpha in [0, pi/2]."""
+    lo, hi = profile.rate_support
+    if profile.variant == "strict":
+        a = np.clip(np.asarray(alpha, dtype=float), lo, hi)
+        return hi ** 3 * a ** 4 / 4.0 - 0.6 * hi ** 2 * a ** 5 + 0.5 * hi * a ** 6 - a ** 7 / 7.0
+    # the flat rate is 256 (s (1 - s))^4 in s = (alpha - lo) / (hi - lo)
+    s = np.clip((np.asarray(alpha, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
+    return 256.0 * (hi - lo) * (s ** 5 / 5.0 - 2.0 * s ** 6 / 3.0 + 6.0 * s ** 7 / 7.0 - s ** 8 / 2.0 + s ** 9 / 9.0)
+
+
+def angular_total(profile):
+    """The angular profile's peak, reached at the end of the rate's support."""
+    return float(angular_profile(profile, profile.rate_support[1]))
+
+
 def rotation_sweep_value(profile, alpha):
     """Exact integral of the bump of ``profile`` over the four-lobe domain rotated by alpha.
 
@@ -127,8 +146,8 @@ def rotation_sweep_value(profile, alpha):
     a = np.mod(np.asarray(alpha, dtype=float), 2.0 * math.pi)
     seg = np.floor(a / (0.5 * math.pi)).astype(int) % 4
     local = a - seg * (0.5 * math.pi)
-    rising = profile.angular(local)
-    falling = profile.angular_total - rising
+    rising = angular_profile(profile, local)
+    falling = angular_total(profile) - rising
     out = np.where(seg % 2 == 0, rising, falling)
     return float(out) if out.ndim == 0 else out
 

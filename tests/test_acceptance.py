@@ -36,7 +36,7 @@ from pressurelab.studies import (
     rescaled_displacement,
 )
 
-from conftest import el_volume_form, rotation_sweep_value
+from conftest import angular_total, el_volume_form, rotation_sweep_value
 
 P0 = 0.1
 EPS_LIST = [0.08, 0.04, 0.02, 0.01]
@@ -136,7 +136,7 @@ def test_criterion_02_optimal_rotation_recovery(lobe64, strict_bump, flat_bump, 
 
 def test_criterion_03_stationarity_and_second_variation(lobe64, strict_bump, flat_bump, strict_optimal):
     t0 = time.time()
-    scale = strict_profile().angular_total
+    scale = angular_total(strict_profile())
     checks = []
     for a0 in strict_optimal.angles:
         checks.append(abs(el_residual(lobe64, strict_bump, a0)) <= 1e-3 * scale)

@@ -4,7 +4,7 @@ import pytest
 from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile
 from pressurelab.pressure import PressureError
 
-from conftest import hessian, rotation_sweep_value
+from conftest import angular_profile, angular_total, hessian, rotation_sweep_value
 
 
 # --- built-in catalog --------------------------------------------------------
@@ -68,7 +68,7 @@ def test_builtin_fields_declare_a_sound_polar_factorization(name, params, varian
 
 def test_strict_total_matches_closed_form():
     # closed form (pi/2)^7 / 140 of the accumulated angular rate
-    assert abs(strict_profile().angular_total - (np.pi / 2) ** 7 / 140.0) < 1e-14
+    assert abs(angular_total(strict_profile()) - (np.pi / 2) ** 7 / 140.0) < 1e-14
 
 
 def test_radial_profile_normalization():
@@ -96,21 +96,21 @@ def test_radial_profile_endpoint_conditions():
 def test_angular_profile_conditions(prof_fn):
     prof = prof_fn()
     c = np.pi / 2.0
-    assert prof.angular(0.0) == 0.0
-    assert abs(prof.angular(c) - prof.angular_total) < 1e-15
+    assert angular_profile(prof, 0.0) == 0.0
+    assert abs(angular_profile(prof, c) - angular_total(prof)) < 1e-15
     for a in (0.0, c):
         assert abs(prof.angular_rate(a)) < 1e-15
         assert abs(prof.angular_rate_d1(a)) < 1e-15
     grid = np.linspace(0.0, c, 200)
     assert np.all(prof.angular_rate(grid) >= 0.0)
-    assert np.all(np.diff(prof.angular(grid)) >= -1e-15)
+    assert np.all(np.diff(angular_profile(prof, grid)) >= -1e-15)
 
 
 def test_angular_rate_consistency_with_profile():
     prof = strict_profile()
     grid = np.linspace(0.01, np.pi / 2 - 0.01, 50)
     h = 1e-7
-    fd = (prof.angular(grid + h) - prof.angular(grid - h)) / (2.0 * h)
+    fd = (angular_profile(prof, grid + h) - angular_profile(prof, grid - h)) / (2.0 * h)
     assert np.max(np.abs(fd - prof.angular_rate(grid))) < 1e-6
 
 
@@ -128,12 +128,12 @@ def test_flat_rate_support():
 
 def test_rotation_sweep_piecewise_structure():
     prof = strict_profile()
-    total = prof.angular_total
+    total = angular_total(prof)
     a = 0.3
-    assert abs(rotation_sweep_value(prof, a) - prof.angular(a)) < 1e-15
-    assert abs(rotation_sweep_value(prof, np.pi / 2 + a) - (total - prof.angular(a))) < 1e-15
-    assert abs(rotation_sweep_value(prof, np.pi + a) - prof.angular(a)) < 1e-15
-    assert abs(rotation_sweep_value(prof, 3 * np.pi / 2 + a) - (total - prof.angular(a))) < 1e-15
+    assert abs(rotation_sweep_value(prof, a) - angular_profile(prof, a)) < 1e-15
+    assert abs(rotation_sweep_value(prof, np.pi / 2 + a) - (total - angular_profile(prof, a))) < 1e-15
+    assert abs(rotation_sweep_value(prof, np.pi + a) - angular_profile(prof, a)) < 1e-15
+    assert abs(rotation_sweep_value(prof, 3 * np.pi / 2 + a) - (total - angular_profile(prof, a))) < 1e-15
     # continuity at the junctions
     for j in (np.pi / 2, np.pi, 3 * np.pi / 2):
         lo = rotation_sweep_value(prof, j - 1e-9)

@@ -13,7 +13,7 @@ from pressurelab.pressure import PressureError, PressureField
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
 
-from conftest import el_volume_form, hessian, rotation_sweep_value, support_rows
+from conftest import angular_total, el_volume_form, hessian, rotation_sweep_value, support_rows
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_el_residual_vanishes_at_optima(lobe32, strict_bump):
 
 
 def test_el_boundary_matches_volume_form(lobe32, strict_bump):
-    scale = strict_profile().angular_total
+    scale = angular_total(strict_profile())
     for a in (0.4, 0.7, 2.0, 3.6):
         b = el_residual(lobe32, strict_bump, a)
         v = el_volume_form(lobe32, strict_bump, a)
@@ -282,11 +282,12 @@ def _per_angle_boundary(mesh, pi, alpha, a=1.0):
 
 
 def _counted(pi, forbid_slope=False):
-    calls = {"rate": 0, "rate_d1": 0}
+    calls = {"rate": 0, "rate_d1": 0, "points": 0}
     radial, rate, rate_d1 = pi.polar
 
     def counted_rate(theta):
         calls["rate"] += 1
+        calls["points"] += len(theta)
         return rate(theta)
 
     def counted_rate_d1(theta):
@@ -339,7 +340,7 @@ def _no_points(pts):
     raise AssertionError("the rotation layer hands the field no points")
 
 
-@pytest.mark.parametrize("variant, n_interior, n_boundary", [("strict", 128, 2048), ("flat", 256, 8192)])
+@pytest.mark.parametrize("variant, n_interior, n_boundary", [("strict", 256, 2048), ("flat", 1024, 8192)])
 def test_batched_profiles_match_per_angle_reference_for_bumps(lobe32, variant, n_interior, n_boundary):
     pi = quadrant_bump_pressure(variant)
     theta_lo, theta_hi = pi.support[2:]
@@ -433,9 +434,9 @@ def test_band_table_is_built_once(monkeypatch, strict_bump):
     built = []
     real = rotations._RuleTable
 
-    def counted(rows, theta, rho, weights):
+    def counted(rows, theta, starts, rho, weights):
         built.append(len(rows))
-        return real(rows, theta, rho, weights)
+        return real(rows, theta, starts, rho, weights)
 
     monkeypatch.setattr(rotations, "_RuleTable", counted)
     profiles = []
@@ -451,6 +452,39 @@ def test_band_table_is_built_once(monkeypatch, strict_bump):
         el_volume_form(mesh, strict_bump, a)
     boundary, _ = rotations._rule_table(mesh, strict_bump, boundary=True)
     assert built == [len(interior.rows), len(boundary.rows)]
+
+
+def test_rates_read_each_distinct_angle_once(lobe32, flat_bump):
+    # on a polar mesh the rule points along one ray share their angle bit for bit
+    field, calls = _counted(flat_bump)
+    alphas = 2.0 * np.pi * np.arange(256) / 256
+    rotation_functional_profile(lobe32, field, alphas)
+    pts = lobe32.interior_points_flat()
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    rows = [support_rows(lobe32, flat_bump, a) for a in alphas]
+    distinct = sum(len(np.unique(theta[r].view(np.int64))) for r in rows)
+    assert calls["points"] == distinct
+    assert 3 * distinct < sum(len(r) for r in rows)
+    # each angle's weight is the sum of its rows' w psi(rho): only the order of the sum changes
+    for boundary in (False, True):
+        table, merged = rotations._rule_table(lobe32, flat_bump, boundary)
+        wpsi = table.weights * flat_bump.polar[0](table.rho)
+        assert len(merged) == len(table.theta) < len(table.rows)
+        assert abs(merged.sum() - wpsi.sum()) <= 1e-15 * np.abs(wpsi).sum()
+
+
+def test_empty_band_scans_to_exact_zeros(disk16, strict_bump):
+    # the bump lives at radii [1, 3], and every rule point of the unit disk lies inside radius 1
+    for boundary in (False, True):
+        table, merged = rotations._rule_table(disk16, strict_bump, boundary)
+        assert len(table.rows) == len(table.theta) == len(merged) == 0
+    alphas = _grid(64)
+    assert np.all(rotation_functional_profile(disk16, strict_bump, alphas) == 0.0)
+    el, second = boundary_profile(disk16, strict_bump, alphas)
+    assert np.all(el == 0.0) and np.all(second == 0.0)
+    opt = find_optimal_rotations(disk16, strict_bump, grid_n=64)
+    assert opt.arcs == ((0.0, 2.0 * np.pi),) and opt.angles == ()
+    assert opt.min_value == 0.0 and np.all(opt.grid_values == 0.0)
 
 
 # The rotation layer reads a field only through its polar factorization

@@ -19,10 +19,12 @@ from .material import (
 )
 from .pressure import (
     BumpProfile,
+    Polar,
     PressureField,
     builtin_pressure,
     extend_pressure,
     flat_profile,
+    polar_field,
     quadrant_bump_pressure,
     strict_profile,
 )

@@ -1,28 +1,48 @@
 """Pressure intensity fields and their Lipschitz extensions.
 
-A `PressureField` packs vectorized point evaluation and gradient callables with
-metadata (sign class, smoothness class, growth exponent of the negative part,
-support and polar factorization).  The built-in catalog covers the trivial
-fields, each separable in polar coordinates, plus a smooth "quadrant bump":
-a compactly supported C^2 field living on {x1 > 0, x2 > 0, |x| > 1}, built from
-a radial profile and the derivative of an angular profile.  That field pairs
-with the four-lobe domain: rotating the domain by alpha sweeps out exactly the
-angular profile, which is what the optimal-rotation studies exercise.
+Every built-in field is defined by its polar factors alone (`Polar`), its
+value at x being radial(|x|) * rate(atan2(x2, x1)).  One pass, `_polar_pass`,
+derives from them the value and gradient a `PressureField` carries, for the
+field and for its tapered extension; the rotation layer reads the factors
+themselves.  A factor that does not vary is given as its number, and costs the
+pass nothing.  The catalog covers the trivial fields plus a smooth "quadrant
+bump": a compactly supported C^2 field on {x1 > 0, x2 > 0, |x| > 1}, built
+from a radial profile and the derivative of an angular profile.  Rotating the
+four-lobe domain by alpha sweeps out exactly that angular profile, which is
+what the optimal-rotation studies exercise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-HALF_PI = 0.5 * math.pi
+_TINY = 1e-300  # floor of a radius that divides: unit vectors at the origin are 0, not NaN
 
 
 class PressureError(ValueError):
     """Invalid pressure construction or misuse of a field."""
+
+
+class Polar(NamedTuple):
+    """Polar factors of a field, whose value at x is radial(|x|) * rate(atan2(x2, x1)):
+    each a callable of an array or, when it does not vary, its number.  `radial`
+    should be a module function (or a number): the rotation layer keys cached
+    weights by it, and a field is rebuilt on each access."""
+
+    radial: Callable | float
+    rate: Callable | float
+    rate_d1: Callable | float    # derivative of rate
+    radial_d1: Callable | float  # derivative of radial
+
+
+def polar_factor(factor, x):
+    """A polar factor at x: a callable's values there, or the number it is given as."""
+    return factor(x) if callable(factor) else factor
 
 
 @dataclass(frozen=True)
@@ -34,16 +54,12 @@ class PressureField:
     gradient: Callable[[np.ndarray], np.ndarray]
     growth: float | None = None   # exponent bounding the negative part, if signed
     params: dict = field(default_factory=dict)
-    # Polar sector (rho_lo, rho_hi, theta_lo, theta_hi) outside which the value
-    # and the gradient are exactly zero; None means they may be nonzero anywhere.
+    # Polar sector (rho_lo, rho_hi, theta_lo, theta_hi), read modulo 2 pi, outside
+    # which the value and the gradient are exactly zero (and so are the rates).
     support: tuple[float, float, float, float] | None = None
-    # Polar factorization (radial, rate, rate_d1): evaluate(x) equals
-    # radial(|x|) * rate(atan2(x2, x1)), rate_d1 is the derivative of rate, and,
-    # when `support` is declared, both rates vanish outside its angular range.
-    # The rotation layer reads a field only through it and rejects a field
-    # without it.  `radial` should be a module-level function: the rotation
-    # layer keys its cached weights by it, and a field is rebuilt on each access.
-    polar: tuple[Callable, Callable, Callable] | None = None
+    # The factors `evaluate` and `gradient` derive from; the rotation layer and
+    # the extension read a field only through them, and reject it without them.
+    polar: Polar | None = None
 
     def __post_init__(self):
         if self.sign_class not in ("nonnegative", "signed"):
@@ -56,18 +72,105 @@ class PressureField:
         return self.smoothness in ("c2", "c3")
 
 
-def _as_points(points):
+class _Taper(NamedTuple):  # the radial taper of an extension outside its core [r_in, r_out]
+    r_in: float    # 0 in the ball case
+    r_out: float
+    delta: float
+    slope: float
+    lift: tuple[float, float] | None  # (cbar, gamma) of the majorant that lifts a signed field
+
+
+def _majorant(lift, rho, d1=False):
+    """h(rho) = max(cbar (1 + rho^gamma), 1 + cbar), or its derivative."""
+    cbar, gamma = lift
+    h = cbar * (1.0 + rho ** gamma)
+    if not d1:
+        return np.maximum(h, 1.0 + cbar)
+    return np.where(h > 1.0 + cbar, cbar * gamma * np.maximum(rho, _TINY) ** (gamma - 1.0), 0.0)
+
+
+def _on_rows(values, rows, n):
+    out = np.zeros(n)
+    out[rows] = values
+    return out
+
+
+def _polar_pass(polar: Polar, support, taper: _Taper | None, gradient: bool, points):
+    """The value (or gradient) at `points` of the field of `polar` and `support`,
+    tapered outside its core by `taper` when given.
+
+    The factors are read only within delta of the core, where the angle and
+    r = rho clipped to the core lie in the support.  In the core the gradient
+    is radial_d1 rate e_rho + radial rate_d1 / rho e_theta.  In the taper the
+    value is max(radial(r) rate - K |rho - r|, 0), zero beyond delta, and the
+    gradient, where that is positive, -+K e_rho + radial(r) rate_d1 / rho
+    e_theta.  A signed field is lifted there by its majorant h: the value is
+    max(pi + h(r) - K |rho - r|, 0) - h(rho)."""
     pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 1
-    return np.atleast_2d(pts), scalar
+    shape = pts.shape if gradient else pts.shape[:-1]
+    pts = pts.reshape(-1, 2)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    if taper is not None:
+        core = (rho >= taper.r_in) & (rho <= taper.r_out)
+        if core.all():
+            taper = None  # every point is trusted: the field as it is
+    r, rows = rho, None
+    if taper is not None:
+        r = np.clip(rho, taper.r_in, taper.r_out)
+        rows = live = (rho >= taper.r_in - taper.delta) & (rho <= taper.r_out + taper.delta)
+    if support is not None:
+        band = (r >= support[0]) & (r <= support[1])
+        rows = band if rows is None else rows & band
+    rows = slice(None) if rows is None else np.flatnonzero(rows)
+    radial, rate, rate_d1, radial_d1 = polar
+    theta = None
+    if support is not None or callable(rate) or (gradient and callable(rate_d1)):
+        theta = np.arctan2(pts[rows, 1], pts[rows, 0])
+        if support is not None:  # the sector, modulo 2 pi
+            inside = np.flatnonzero(np.mod(theta - support[2], 2.0 * np.pi) <= support[3] - support[2])
+            rows, theta = rows[inside], theta[inside]
+    r_rows = r[rows]
+    if not gradient or taper is not None:
+        value = _on_rows(polar_factor(radial, r_rows) * polar_factor(rate, theta), rows, len(rho))
+    if taper is not None:
+        base = value if taper.lift is None else value + _majorant(taper.lift, r)
+        base = np.where(live, base - taper.slope * np.abs(rho - r), 0.0)
+    if not gradient:
+        if taper is not None:
+            lowered = 0.0 if taper.lift is None else _majorant(taper.lift, rho)
+            value = np.where(core, value, np.maximum(base, 0.0) - lowered)
+        return value.reshape(shape)[()]
+
+    # the coefficients of e_rho and e_theta: the field's own on the rows
+    a = polar_factor(radial_d1, r_rows) * polar_factor(rate, theta)
+    b = polar_factor(radial, r_rows) * polar_factor(rate_d1, theta)
+    if taper is not None:
+        positive = base > 0.0
+        a = np.where(core, _on_rows(a, rows, len(rho)), np.where(positive, -np.sign(rho - r) * taper.slope, 0.0))
+        b = np.where(core | positive, _on_rows(b, rows, len(rho)), 0.0)
+        if taper.lift is not None:
+            a -= np.where(core, 0.0, _majorant(taper.lift, rho, d1=True))
+        rows = slice(None)
+    out = np.zeros((len(rho), 2))
+    if np.ndim(a) or np.ndim(b) or a or b:  # factors given as 0 leave nothing to assemble
+        safe = np.maximum(rho[rows], _TINY)
+        e_rho = pts[rows] / safe[:, None]
+        e_theta = np.stack([-e_rho[:, 1], e_rho[:, 0]], axis=1)
+        out[rows] = np.asarray(a)[..., None] * e_rho + np.asarray(b / safe)[..., None] * e_theta
+    return out.reshape(shape)[()]
 
 
-def _scalar_out(vals, scalar):
-    return float(vals[0]) if scalar else vals
-
-
-def _vector_out(vals, scalar):
-    return vals[0] if scalar else vals
+def polar_field(name: str, sign_class: str, smoothness: str, polar: Polar,
+                support: tuple[float, float, float, float] | None = None,
+                growth: float | None = None, params: dict | None = None) -> PressureField:
+    """The field of the polar factors `polar`, zero outside `support`: its
+    value and gradient come from the polar pass."""
+    return PressureField(
+        name=name, sign_class=sign_class, smoothness=smoothness,
+        evaluate=partial(_polar_pass, polar, support, None, False),
+        gradient=partial(_polar_pass, polar, support, None, True),
+        growth=growth, params=dict(params or {}), support=support, polar=polar,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +204,15 @@ class BumpProfile:
 
 def strict_profile() -> BumpProfile:
     """Strictly increasing angular profile with rate a^3 (pi/2 - a)^3."""
-    c = HALF_PI
+    c = 0.5 * math.pi
 
     def rate(a):
         a = np.asarray(a, dtype=float)
-        inside = (a >= 0.0) & (a <= c)
-        return np.where(inside, a ** 3 * (c - a) ** 3, 0.0)
+        return np.where((a >= 0.0) & (a <= c), a ** 3 * (c - a) ** 3, 0.0)
 
     def rate_d1(a):
         a = np.asarray(a, dtype=float)
-        inside = (a >= 0.0) & (a <= c)
-        return np.where(inside, 3.0 * a ** 2 * (c - a) ** 2 * (c - 2.0 * a), 0.0)
+        return np.where((a >= 0.0) & (a <= c), 3.0 * a ** 2 * (c - a) ** 2 * (c - 2.0 * a), 0.0)
 
     return BumpProfile(
         variant="strict", angular_rate=rate, angular_rate_d1=rate_d1,
@@ -125,16 +226,16 @@ def flat_profile() -> BumpProfile:
     w = math.pi / 8.0
     scale = 256.0  # peak rate 1 at the center of the support
 
-    def rate(a):
+    def offset(a):
         s = (np.asarray(a, dtype=float) - lo) / w
-        inside = (s > 0.0) & (s < 1.0)
-        s = np.clip(s, 0.0, 1.0)
+        return (s > 0.0) & (s < 1.0), np.clip(s, 0.0, 1.0)
+
+    def rate(a):
+        inside, s = offset(a)
         return np.where(inside, scale * (s * (1.0 - s)) ** 4, 0.0)
 
     def rate_d1(a):
-        s = (np.asarray(a, dtype=float) - lo) / w
-        inside = (s > 0.0) & (s < 1.0)
-        s = np.clip(s, 0.0, 1.0)
+        inside, s = offset(a)
         return np.where(inside, scale * 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / w, 0.0)
 
     return BumpProfile(
@@ -144,8 +245,6 @@ def flat_profile() -> BumpProfile:
 
 
 _RADIAL_SUPPORT = (1.0, 3.0)   # the radial profile vanishes outside [1, 3]
-
-
 _RADIAL_SCALE = 20.0 / 9.0
 
 
@@ -170,52 +269,16 @@ def _radial_d1(rho):
     return dbase * cut - base * dcut_dt
 
 
-def profile_for_variant(variant: str) -> BumpProfile:
-    if variant == "strict":
-        return strict_profile()
-    if variant == "flat":
-        return flat_profile()
-    raise PressureError(f"unknown bump variant {variant!r}")
-
-
 def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureField:
     """Smooth nonnegative field psi(|x|) * rate(atan2(x2, x1)) on the first-quadrant outer lobe."""
     if not isinstance(profile, BumpProfile):
-        profile = profile_for_variant(profile)
-
-    def evaluate(points):
-        pts, scalar = _as_points(points)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        rho = np.hypot(x1, x2)
-        vals = np.zeros(pts.shape[:-1])
-        mask = (x1 > 0.0) & (x2 > 0.0) & (rho > 1.0)
-        if np.any(mask):
-            theta = np.arctan2(x2[mask], x1[mask])
-            vals[mask] = profile.radial(rho[mask]) * profile.angular_rate(theta)
-        return _scalar_out(vals, scalar)
-
-    def gradient(points):
-        pts, scalar = _as_points(points)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        rho = np.hypot(x1, x2)
-        out = np.zeros(pts.shape)
-        mask = (x1 > 0.0) & (x2 > 0.0) & (rho > 1.0)
-        if np.any(mask):
-            r = rho[mask]
-            theta = np.arctan2(x2[mask], x1[mask])
-            er = np.stack([x1[mask] / r, x2[mask] / r], axis=-1)
-            et = np.stack([-x2[mask] / r, x1[mask] / r], axis=-1)
-            radial_part = profile.radial_d1(r) * profile.angular_rate(theta)
-            angular_part = profile.radial(r) * profile.angular_rate_d1(theta) / r
-            out[mask] = radial_part[..., None] * er + angular_part[..., None] * et
-        return _vector_out(out, scalar)
-
-    return PressureField(
-        name="quadrant_bump", sign_class="nonnegative", smoothness="c2",
-        evaluate=evaluate, gradient=gradient, growth=None,
-        params={"variant": profile.variant},
-        support=_RADIAL_SUPPORT + profile.rate_support,
-        polar=(profile.radial, profile.angular_rate, profile.angular_rate_d1),
+        if profile not in ("strict", "flat"):
+            raise PressureError(f"unknown bump variant {profile!r}")
+        profile = strict_profile() if profile == "strict" else flat_profile()
+    return polar_field(
+        "quadrant_bump", "nonnegative", "c2",
+        Polar(profile.radial, profile.angular_rate, profile.angular_rate_d1, profile.radial_d1),
+        support=_RADIAL_SUPPORT + profile.rate_support, params={"variant": profile.variant},
     )
 
 
@@ -224,7 +287,7 @@ def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureFie
 
 
 def builtin_pressure(name: str, params: dict | None = None, variant: str | None = None) -> PressureField:
-    params = dict(params or {})
+    params = params or {}
     if name == "zero":
         return constant_pressure(0.0, name="zero")
     if name == "constant":
@@ -232,59 +295,29 @@ def builtin_pressure(name: str, params: dict | None = None, variant: str | None 
     if name == "hydrostatic":
         return hydrostatic_pressure(float(params.get("coefficient", 1.0)))
     if name in ("quadrant_bump", "example52"):
-        return quadrant_bump_pressure(variant or params.get("variant", "strict"))
+        return quadrant_bump_pressure(variant or "strict")
     raise PressureError(f"unknown pressure name {name!r}")
 
 
-# The radial factors of the constant and hydrostatic fields, module functions
-# for the same reason as the bump's `_radial`.
-def _unit_radial(rho):
-    return np.ones_like(rho, dtype=float)
-
-
+# The radial factor of the hydrostatic field, a module function for the same
+# reason as the bump's `_radial`.
 def _linear_radial(rho):
     return np.asarray(rho, dtype=float)
 
 
 def constant_pressure(value: float, name: str = "constant") -> PressureField:
-    """The field `value` everywhere: radial 1 times the constant rate `value`."""
-
-    def evaluate(points):
-        pts, scalar = _as_points(points)
-        return _scalar_out(np.full(pts.shape[:-1], float(value)), scalar)
-
-    def gradient(points):
-        pts, scalar = _as_points(points)
-        return _vector_out(np.zeros(pts.shape), scalar)
-
-    def rate(theta):
-        return np.full(np.shape(theta), float(value))
-
-    def rate_d1(theta):
-        return np.zeros(np.shape(theta))
-
-    sign = "nonnegative" if value >= 0.0 else "signed"
-    return PressureField(
-        name=name, sign_class=sign, smoothness="c3",
-        evaluate=evaluate, gradient=gradient,
+    """The field `value` everywhere: radial 1 times the constant rate `value`.
+    A negative value is signed, with growth 0."""
+    return polar_field(
+        name, "signed" if value < 0.0 else "nonnegative", "c3", Polar(1.0, float(value), 0.0, 0.0),
         growth=0.0 if value < 0.0 else None, params={"value": value},
-        polar=(_unit_radial, rate, rate_d1),
     )
 
 
 def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
     """Depth-proportional field: coefficient times the negative part of the height,
-    which is rho times the rate coefficient * max(-sin theta, 0)."""
-
-    def evaluate(points):
-        pts, scalar = _as_points(points)
-        return _scalar_out(coefficient * np.maximum(-pts[..., 1], 0.0), scalar)
-
-    def gradient(points):
-        pts, scalar = _as_points(points)
-        out = np.zeros(pts.shape)
-        out[..., 1] = np.where(pts[..., 1] < 0.0, -coefficient, 0.0)
-        return _vector_out(out, scalar)
+    which is rho times the rate coefficient * max(-sin theta, 0).  A negative
+    coefficient is signed, with growth 1."""
 
     def rate(theta):
         return coefficient * np.maximum(-np.sin(theta), 0.0)
@@ -292,10 +325,10 @@ def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
     def rate_d1(theta):
         return np.where(np.sin(theta) < 0.0, -coefficient * np.cos(theta), 0.0)
 
-    return PressureField(
-        name="hydrostatic", sign_class="nonnegative", smoothness="lipschitz",
-        evaluate=evaluate, gradient=gradient, params={"coefficient": coefficient},
-        polar=(_linear_radial, rate, rate_d1),
+    return polar_field(
+        "hydrostatic", "signed" if coefficient < 0.0 else "nonnegative", "lipschitz",
+        Polar(_linear_radial, rate, rate_d1, 1.0),
+        growth=1.0 if coefficient < 0.0 else None, params={"coefficient": coefficient},
     )
 
 
@@ -305,11 +338,6 @@ def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
 _EXTENSION_SAMPLES = 1024  # points on each trusted circle (and 1/8 of that per probe ring) that fit the taper slope
 
 
-def _sample_circle(radius: float, n: int) -> np.ndarray:
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-
-
 def _sample_annulus(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
     r = np.linspace(max(r_lo, 1e-9), r_hi, n_r)
     t = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
@@ -317,23 +345,20 @@ def _sample_annulus(r_lo: float, r_hi: float, n_r: int, n_t: int) -> np.ndarray:
     return np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
 
 
-def extend_pressure(
-    pi: PressureField,
-    r_inner: float | None,
-    r_outer: float,
-    delta: float,
-) -> PressureField:
+def extend_pressure(pi: PressureField, r_inner: float | None, r_outer: float, delta: float) -> PressureField:
     """Taper `pi` radially outside the annulus (or ball) where it is trusted.
 
     Inside [r_inner, r_outer] (or [0, r_outer] when r_inner is None) the output
     coincides with `pi`.  Going outward (and inward, in the annulus case) the
     value decreases at the sampled slope K = max(Lipschitz bound, M/delta) and
     is clamped at zero, which keeps the result everywhere <= `pi` and, for a
-    nonnegative field, nonnegative with compact support.  Signed fields are
-    first shifted up by their growth majorant, whose constant is fitted to
-    the negative part on a probe grid, extended, and shifted back.
-    Points that all lie in the trusted region go to `pi` as they are.
+    nonnegative field, nonnegative with compact support.  A signed field is
+    lifted by its growth majorant, fitted to the negative part on a probe
+    grid, tapered, and lowered again.  The polar pass derives the extension
+    from the factors of `pi`: a field without them raises PressureError.
     """
+    if pi.polar is None:
+        raise PressureError(f"field {pi.name!r} declares no polar factors to extend")
     if delta <= 0.0:
         raise PressureError("extension margin delta must be positive")
     ball_case = r_inner is None or r_inner <= 0.0
@@ -342,6 +367,7 @@ def extend_pressure(
     if r_outer <= 0.0 or (not ball_case and r_inner >= r_outer):
         raise PressureError("extension requires 0 < r_inner < r_outer")
 
+    lift = None
     if pi.sign_class == "signed":
         gamma = pi.growth
         if gamma is None:
@@ -349,101 +375,25 @@ def extend_pressure(
         probe = _sample_annulus(0.0, 10.0 * r_outer, 160, 64)
         neg = np.maximum(-pi.evaluate(probe), 0.0)
         cbar = max(float(np.max(neg / (1.0 + np.hypot(probe[:, 0], probe[:, 1]) ** gamma))), 1e-12)
+        lift = (cbar, gamma)
 
-        def majorant(pts):
-            pts, scalar = _as_points(pts)
-            h = np.maximum(cbar * (1.0 + np.hypot(pts[..., 0], pts[..., 1]) ** gamma), 1.0 + cbar)
-            return _scalar_out(h, scalar)
-
-        def majorant_grad(pts):
-            pts, scalar = _as_points(pts)
-            r = np.hypot(pts[..., 0], pts[..., 1])
-            active = cbar * (1.0 + r ** gamma) > (1.0 + cbar)
-            mag = np.where(active & (r > 0.0), cbar * gamma * np.maximum(r, 1e-300) ** (gamma - 1.0), 0.0)
-            out = np.zeros(pts.shape)
-            nonzero = r > 0.0
-            out[nonzero] = (mag[nonzero] / r[nonzero])[:, None] * pts[nonzero]
-            return _vector_out(out, scalar)
-
-        shifted = PressureField(
-            name=pi.name + "+majorant", sign_class="nonnegative", smoothness="lipschitz",
-            evaluate=lambda pts: pi.evaluate(pts) + majorant(pts),
-            gradient=lambda pts: pi.gradient(pts) + majorant_grad(pts),
-        )
-        hat = extend_pressure(shifted, r_inner, r_outer, delta)
-        return PressureField(
-            name=pi.name + "_extended", sign_class="signed", smoothness="lipschitz",
-            evaluate=lambda pts: hat.evaluate(pts) - majorant(pts),
-            gradient=lambda pts: hat.gradient(pts) - majorant_grad(pts),
-            growth=gamma, params=dict(pi.params, extension={"r_inner": r_inner, "r_outer": r_outer, "delta": delta}),
-        )
-
-    # Sampled Lipschitz and circle-maximum bounds.
+    # Sampled Lipschitz and circle-maximum bounds of the (lifted) field.
     lo = 0.0 if ball_case else r_inner - delta
     probe = _sample_annulus(lo, r_outer + delta, 96, _EXTENSION_SAMPLES // 8)
-    lip = float(np.max(np.hypot(*pi.gradient(probe).T))) if len(probe) else 0.0
-    circles = [_sample_circle(r_outer, _EXTENSION_SAMPLES)]
-    if not ball_case:
-        circles.append(_sample_circle(r_inner, _EXTENSION_SAMPLES))
-    m_top = float(max(np.max(pi.evaluate(c)) for c in circles))
-    m_top = max(m_top, 0.0)
-    slope = max(lip, m_top / delta)
+    circles = np.concatenate([_sample_annulus(r, r, 1, _EXTENSION_SAMPLES) for r in ([r_outer] if ball_case else [r_outer, r_inner])])
+    grad, top = pi.gradient(probe), pi.evaluate(circles)
+    if lift is not None:
+        rho = np.hypot(probe[:, 0], probe[:, 1])
+        grad = grad + (_majorant(lift, rho, d1=True) / np.maximum(rho, _TINY))[:, None] * probe
+        top = top + _majorant(lift, np.hypot(circles[:, 0], circles[:, 1]))
+    lip = float(np.max(np.hypot(*grad.T)))
+    slope = max(lip, max(float(np.max(top)), 0.0) / delta)
 
-    r_in = 0.0 if ball_case else float(r_inner)
-
-    def evaluate(points):
-        pts, scalar = _as_points(points)
-        s = np.hypot(pts[..., 0], pts[..., 1])
-        core = (s <= r_outer) if ball_case else ((s >= r_in) & (s <= r_outer))
-        if np.all(core):
-            return pi.evaluate(points)
-        out = np.zeros(pts.shape[:-1])
-        if np.any(core):
-            out[core] = pi.evaluate(pts[core])
-        outer = (s > r_outer) & (s <= r_outer + delta)
-        if np.any(outer):
-            proj = pts[outer] * (r_outer / s[outer])[:, None]
-            out[outer] = np.maximum(pi.evaluate(proj) - slope * (s[outer] - r_outer), 0.0)
-        if not ball_case:
-            inner = (s < r_in) & (s >= r_in - delta)
-            if np.any(inner):
-                safe = np.maximum(s[inner], 1e-300)
-                proj = pts[inner] * (r_in / safe)[:, None]
-                out[inner] = np.maximum(pi.evaluate(proj) - slope * (r_in - s[inner]), 0.0)
-        return _scalar_out(out, scalar)
-
-    def gradient(points):
-        pts, scalar = _as_points(points)
-        s = np.hypot(pts[..., 0], pts[..., 1])
-        core = (s <= r_outer) if ball_case else ((s >= r_in) & (s <= r_outer))
-        if np.all(core):
-            return pi.gradient(points)
-        out = np.zeros(pts.shape)
-        if np.any(core):
-            out[core] = pi.gradient(pts[core])
-
-        def taper_grad(sel, r_ref, sgn):
-            safe = np.maximum(s[sel], 1e-300)
-            unit = pts[sel] / safe[:, None]
-            proj = pts[sel] * (r_ref / safe)[:, None]
-            base = pi.evaluate(proj) - slope * sgn * (s[sel] - r_ref)
-            g_proj = pi.gradient(proj)
-            tangential = g_proj - np.einsum("ij,ij->i", g_proj, unit)[:, None] * unit
-            g = (r_ref / safe)[:, None] * tangential - (sgn * slope) * unit
-            g[base <= 0.0] = 0.0
-            out[sel] = g
-
-        outer = (s > r_outer) & (s <= r_outer + delta)
-        if np.any(outer):
-            taper_grad(outer, r_outer, +1.0)
-        if not ball_case:
-            inner = (s < r_in) & (s >= r_in - delta)
-            if np.any(inner):
-                taper_grad(inner, r_in, -1.0)
-        return _vector_out(out, scalar)
-
+    taper = _Taper(0.0 if ball_case else float(r_inner), r_outer, delta, slope, lift)
     return PressureField(
-        name=pi.name + "_extended", sign_class="nonnegative", smoothness="lipschitz",
-        evaluate=evaluate, gradient=gradient,
+        name=pi.name + "_extended", sign_class=pi.sign_class, smoothness="lipschitz",
+        evaluate=partial(_polar_pass, pi.polar, pi.support, taper, False),
+        gradient=partial(_polar_pass, pi.polar, pi.support, taper, True),
+        growth=pi.growth if lift else None,
         params=dict(pi.params, extension={"r_inner": r_inner, "r_outer": r_outer, "delta": delta, "slope": slope}),
     )

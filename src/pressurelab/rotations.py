@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import TriMesh
 from .material import SKEW_GENERATOR, angular_distance, wrap_angle
-from .pressure import PressureError, PressureField
+from .pressure import PressureError, PressureField, polar_factor
 
 TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI: what rounding takes off a turn
@@ -167,11 +167,11 @@ def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> tup
             jx = pts[rows] @ SKEW_GENERATOR.T
             weights = weights * np.einsum("ij,ij->i", mesh.boundary_normals_flat()[rows], jx)
         mesh.tables[rule, band] = _RuleTable(rows, theta[starts], starts, rho[rows], weights)
-    table, radial = mesh.tables[rule, band], pi.polar[0]
+    table, radial = mesh.tables[rule, band], pi.polar.radial
     if (rule, band, radial) not in mesh.tables:
         group = np.repeat(np.arange(len(table.starts)), np.diff(table.starts, append=len(table.rows)))
         mesh.tables[rule, band, radial] = np.bincount(
-            group, weights=table.weights * np.asarray(radial(table.rho), dtype=float), minlength=len(table.theta))
+            group, weights=table.weights * polar_factor(radial, table.rho), minlength=len(table.theta))
     return table, mesh.tables[rule, band, radial]
 
 
@@ -255,10 +255,11 @@ def _profiles(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False,
     the rows at one angle summed; with `slopes`, also the same weights .
     rate_d1(theta + alpha)."""
     table, weights = _rule_table(mesh, pi, boundary)
-    rates = pi.polar[1:] if slopes else pi.polar[1:2]
+    rates = (pi.polar.rate, pi.polar.rate_d1) if slopes else (pi.polar.rate,)
     out = [[] for _ in rates]
     for entries, theta in _rotated_chunks(table, pi, alphas):
-        values = [np.asarray(rate(theta), dtype=float) for rate in rates]
+        # a rate given as a number is spread over the chunk, and summed like any other
+        values = [np.full(theta.shape, v) if np.ndim(v) == 0 else v for v in (polar_factor(r, theta) for r in rates)]
         for segs, block in entries:
             w = _take(weights, segs)
             for sums, vals in zip(out, values):
@@ -270,7 +271,7 @@ def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.
     """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles.
 
     A rotation keeps every radius and adds alpha to every polar angle, so the
-    value is (w psi(rho)) . rate(theta + alpha) with (psi, rate, _) = pi.polar.
+    value is (w psi(rho)) . rate(theta + alpha) with psi, rate = pi.polar[:2].
     """
     return _profiles(mesh, pi, alphas)[0]
 

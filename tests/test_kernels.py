@@ -19,6 +19,7 @@ from pressurelab.nonlinear_solver import (
     project_gradient,
     rigid_start,
 )
+from pressurelab.pressure import polar_factor
 
 FIELDS = [("zero", {}, None), ("constant", {"value": 0.1}, None), ("constant", {"value": -0.3}, None),
           ("hydrostatic", {"coefficient": 0.5}, None), ("quadrant_bump", {}, "strict"),
@@ -180,10 +181,12 @@ def test_energy_with_and_without_the_precomputed_reference(lobe16, default_mater
 
 
 def _taper(pi, pts, r_ref, slope, sgn):
-    """Reference value of the radial taper outside (sgn = +1) or inside (-1) the core."""
+    """Reference value of the radial taper outside (sgn = +1) or inside (-1) the
+    core: the field's factors at (r_ref, theta), less the slope times the gap."""
     s = np.hypot(pts[:, 0], pts[:, 1])
-    proj = pts * (r_ref / s)[:, None]
-    return np.maximum(pi.evaluate(proj) - sgn * slope * (s - r_ref), 0.0)
+    radial, rate = pi.polar[:2]
+    edge = polar_factor(radial, np.full(len(s), r_ref)) * polar_factor(rate, np.arctan2(pts[:, 1], pts[:, 0]))
+    return np.maximum(edge - sgn * slope * (s - r_ref), 0.0)
 
 
 @pytest.mark.parametrize("r_inner", [None, 1.0])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile
-from pressurelab.pressure import PressureError
+from pressurelab.pressure import PressureError, hydrostatic_pressure, polar_factor
 
 from conftest import angular_profile, angular_total, hessian, rotation_sweep_value
 
@@ -41,27 +43,125 @@ def test_bump_accepts_interface_alias():
     assert builtin_pressure("example52", variant="strict").name == "quadrant_bump"
 
 
-@pytest.mark.parametrize("name, params, variant", [
+CATALOG = [
     ("zero", {}, None), ("constant", {"value": -1.5}, None), ("hydrostatic", {"coefficient": 0.7}, None),
-    ("quadrant_bump", {}, "strict"), ("quadrant_bump", {"variant": "flat"}, None),
-    ("example52", {}, "strict"), ("example52", {}, "flat"),
-])
+    ("quadrant_bump", {}, "strict"), ("quadrant_bump", {}, "flat"),
+    ("example52", {}, "strict"), ("example52", {}, "flat"), ("hydrostatic", {"coefficient": -1.2}, None),
+]
+
+
+def _closed_form(name, params, variant, pts):
+    """Each built-in field written out in Cartesian terms, apart from its factors."""
+    x1, x2 = pts[:, 0], pts[:, 1]
+    if name == "zero":
+        return np.zeros(len(pts))
+    if name == "constant":
+        return np.full(len(pts), params["value"])
+    if name == "hydrostatic":
+        return params["coefficient"] * np.maximum(-x2, 0.0)
+    rho, theta = np.hypot(x1, x2), np.arctan2(x2, x1)
+    t = np.clip(3.0 - rho, 0.0, 1.0)
+    psi = np.where(rho >= 1.0, 20.0 / 9.0 * (rho - 1.0) ** 3, 0.0) * t ** 4 * (35.0 - 84.0 * t + 70.0 * t ** 2 - 20.0 * t ** 3)
+    if variant == "strict":
+        rate = np.where((theta >= 0.0) & (theta <= np.pi / 2), theta ** 3 * (np.pi / 2 - theta) ** 3, 0.0)
+    else:
+        u = (theta - np.pi / 4) / (np.pi / 8)
+        rate = np.where((u > 0.0) & (u < 1.0), 256.0 * (u * (1.0 - u)) ** 4, 0.0)
+    return psi * rate
+
+
+def _assert_derivative(f, df, x, h=1e-6):
+    """df is the derivative of the polar factor f at x, by central differences; a
+    factor given as a number has the number 0 as its derivative."""
+    if not callable(f):
+        assert not callable(df) and df == 0.0
+        return
+    fd = (f(x + h) - f(x - h)) / (2.0 * h)
+    got = np.broadcast_to(polar_factor(df, x), x.shape)
+    assert np.max(np.abs(got - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("name, params, variant", CATALOG)
 def test_builtin_fields_declare_a_sound_polar_factorization(name, params, variant):
-    # the rotation layer reads a field only through radial(|x|) * rate(atan2(x2, x1))
+    # each field is its closed form, and its factors' derivatives are sound
     field = builtin_pressure(name, params, variant)
-    assert field.polar is not None
-    radial, rate, rate_d1 = field.polar
     pts = np.random.default_rng(4).uniform(-4.0, 4.0, size=(20000, 2))
-    want = field.evaluate(pts)
-    got = radial(np.hypot(pts[:, 0], pts[:, 1])) * rate(np.arctan2(pts[:, 1], pts[:, 0]))
+    want = _closed_form(name, params, variant, pts)
+    got = field.evaluate(pts)
     assert np.all(got[want == 0.0] == 0.0)
     assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
-    # rate_d1 is the derivative of rate, away from the kinks of the hydrostatic rate at 0 and +-pi
+    # rate_d1 and radial_d1 are the derivatives of rate and radial, away from
+    # the kinks of the hydrostatic rate at 0 and +-pi
     t = np.linspace(-np.pi, np.pi, 1001)
     t = t[np.abs(np.sin(t)) > 1e-3]
-    h = 1e-6
-    fd = (rate(t + h) - rate(t - h)) / (2.0 * h)
-    assert np.max(np.abs(rate_d1(t) - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+    _assert_derivative(field.polar.rate, field.polar.rate_d1, t)
+    _assert_derivative(field.polar.radial, field.polar.radial_d1, np.linspace(0.01, 4.0, 1000))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, -1.2, 3e5])
+def test_hydrostatic_field_is_its_cartesian_form(c):
+    # the factors' rounding, bounded absolutely: relative to the value it
+    # grows without bound as theta nears +-pi, where the depth vanishes
+    h = hydrostatic_pressure(c)
+    rng = np.random.default_rng(8)
+    t = np.concatenate([rng.uniform(-np.pi, np.pi, 4000), [np.pi, -np.pi, 0.0, -np.pi / 2, np.pi - 1e-9]])
+    r = np.concatenate([rng.uniform(0.0, 5.0, 4000), [2.0, 2.0, 1.0, 3.0, 2.0]])
+    pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+    pts = np.concatenate([pts, [[-2.0, 0.0], [-2.0, -0.0], [0.0, 0.0]]])
+    value = c * np.maximum(-pts[:, 1], 0.0)
+    assert np.all(np.abs(h.evaluate(pts) - value) <= 1e-15 * abs(c) * np.hypot(pts[:, 0], pts[:, 1]))
+    # the gradient off the kink at x2 = 0, where either side's is right
+    deep, grad = pts[:, 1] < 0.0, h.gradient(pts)
+    assert np.max(np.abs(grad[deep] - [0.0, -c])) <= 1e-15 * abs(c)
+    assert np.max(np.abs(grad[pts[:, 1] > 0.0])) <= 1e-15 * abs(c)
+
+
+def test_negative_hydrostatic_extension_is_continuous_and_below():
+    h = builtin_pressure("hydrostatic", {"coefficient": -1.0})
+    assert h.sign_class == "signed" and h.growth == 1.0
+    for r_inner in (None, 0.6):
+        hat = extend_pressure(h, r_inner, 1.1, 0.5)
+        t = np.linspace(-np.pi, np.pi, 721)
+        for rad in [1.1] + ([] if r_inner is None else [0.6]):
+            inside = (rad * (1.0 - 1e-9 * np.sign(rad - 1.0)))[None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+            outside = (rad * (1.0 + 1e-9 * np.sign(rad - 1.0)))[None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+            assert np.max(np.abs(hat.evaluate(outside) - hat.evaluate(inside))) <= 1e-8
+        assert abs(hat.evaluate(np.array([0.0, -1.1001])) - (-1.1001)) <= 1e-3
+        pts = np.random.default_rng(6).uniform(-4.0, 4.0, size=(5000, 2))
+        assert np.all(hat.evaluate(pts) <= h.evaluate(pts) + 1e-12)
+
+
+def _extensions(field):
+    return [extend_pressure(field, None, 1.5, 0.5), extend_pressure(field, 1.0, 1.8, 0.5)]
+
+
+@pytest.mark.parametrize("name, params, variant", CATALOG)
+def test_fields_and_extensions_are_finite_on_the_axes(name, params, variant):
+    # the origin (no polar angle) and the seam of arctan2 on both sides
+    pts = np.array([[0.0, 0.0], [-2.0, 0.0], [-2.0, -0.0]])
+    field = builtin_pressure(name, params, variant)
+    for f in [field] + _extensions(field):
+        assert np.all(np.isfinite(f.evaluate(pts))) and np.all(np.isfinite(f.gradient(pts))), f.name
+
+
+def test_factors_given_as_numbers_take_no_angle(monkeypatch):
+    # the constant field's rates are numbers: neither it nor its extension, in
+    # the core or in the taper, takes arctan2
+    c = builtin_pressure("constant", {"value": 0.4})
+    fields = [c, extend_pressure(c, None, 1.5, 0.5), extend_pressure(c, 1.0, 1.5, 0.5)]
+    pts = np.random.default_rng(1).uniform(-3.0, 3.0, size=(500, 2))
+    want = [(f.evaluate(pts), f.gradient(pts)) for f in fields]
+    monkeypatch.setattr(np, "arctan2", lambda *args: pytest.fail("an angle was taken"))
+    for f, (value, grad) in zip(fields, want):
+        assert np.array_equal(f.evaluate(pts), value) and np.array_equal(f.gradient(pts), grad)
+
+
+def test_extension_needs_polar_factors():
+    c = builtin_pressure("constant", {"value": 1.0})
+    with pytest.raises(PressureError):
+        extend_pressure(dataclasses.replace(c, polar=None), None, 2.0, 0.5)
+    with pytest.raises(PressureError):
+        extend_pressure(extend_pressure(c, None, 2.0, 0.5), None, 3.0, 0.5)
 
 
 # --- bump profiles -----------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pressurelab import DomainSpec, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
+from pressurelab import DomainSpec, Polar, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, polar_field, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
 from pressurelab import rotations
-from pressurelab.pressure import PressureError, PressureField
+from pressurelab.pressure import PressureError
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
 
@@ -209,14 +209,13 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
             assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), a
 
     points = []
-    radial, rate, rate_d1 = flat_bump.polar
 
     def counted(theta):
         points.append(len(theta))
-        return rate(theta)
+        return flat_bump.polar.rate(theta)
 
     grid_n = 1024
-    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, polar=(radial, counted, rate_d1)), grid_n)
+    find_optimal_rotations(lobe16, dataclasses.replace(flat_bump, polar=flat_bump.polar._replace(rate=counted)), grid_n)
     assert sum(points) <= grid_n * len(lobe16.interior_points_flat()) / 10
 
 
@@ -282,8 +281,9 @@ def _per_angle_boundary(mesh, pi, alpha, a=1.0):
 
 
 def _counted(pi, forbid_slope=False):
+    """pi with its rates wrapped to count their calls; a rate given as a number is not called."""
     calls = {"rate": 0, "rate_d1": 0, "points": 0}
-    radial, rate, rate_d1 = pi.polar
+    rate, rate_d1 = pi.polar.rate, pi.polar.rate_d1
 
     def counted_rate(theta):
         calls["rate"] += 1
@@ -295,7 +295,9 @@ def _counted(pi, forbid_slope=False):
         calls["rate_d1"] += 1
         return rate_d1(theta)
 
-    return dataclasses.replace(pi, polar=(radial, counted_rate, counted_rate_d1)), calls
+    polar = pi.polar._replace(rate=counted_rate if callable(rate) else rate,
+                              rate_d1=counted_rate_d1 if callable(rate_d1) else rate_d1)
+    return dataclasses.replace(pi, polar=polar), calls
 
 
 def _grid(n):
@@ -390,7 +392,7 @@ def test_fields_built_separately_share_the_weights():
                   lambda: builtin_pressure("hydrostatic", {"coefficient": 2.0}),
                   lambda: quadrant_bump_pressure("strict")):
         first, second = build(), build()
-        assert first.polar[0] is second.polar[0]
+        assert first.polar.radial is second.polar.radial
         for boundary in (False, True):
             assert rotations._rule_table(mesh, first, boundary)[1] is rotations._rule_table(mesh, second, boundary)[1]
     # per family, one table for each rule
@@ -468,7 +470,7 @@ def test_rates_read_each_distinct_angle_once(lobe32, flat_bump):
     # each angle's weight is the sum of its rows' w psi(rho): only the order of the sum changes
     for boundary in (False, True):
         table, merged = rotations._rule_table(lobe32, flat_bump, boundary)
-        wpsi = table.weights * flat_bump.polar[0](table.rho)
+        wpsi = table.weights * flat_bump.polar.radial(table.rho)
         assert len(merged) == len(table.theta) < len(table.rows)
         assert abs(merged.sum() - wpsi.sum()) <= 1e-15 * np.abs(wpsi).sum()
 
@@ -517,8 +519,10 @@ def test_polar_path_matches_generic_path(request, resolution, variant):
 
 def _straddling_field():
     """A separable C^2 field whose angular support [3 pi/4, 5 pi/4] straddles +-pi,
-    so that the profiles fold theta + alpha across the seam of arctan2.  Its
-    rates read angles only in arctan2's range, as the polar contract promises."""
+    so that the profiles fold theta + alpha across the seam of arctan2, built
+    from its polar factors, and the same field written with Cartesian
+    closures as the oracle.  Its rates read angles only in arctan2's range,
+    as the polar contract promises."""
     prof = strict_profile()
     lo, width = 0.75 * np.pi, 0.5 * np.pi
 
@@ -546,13 +550,21 @@ def _straddling_field():
         return ((prof.radial_d1(rho) * rate(theta))[:, None] * e_rho
                 + (prof.radial(rho) * rate_d1(theta) / rho)[:, None] * e_theta)
 
-    return PressureField(name="straddling", sign_class="nonnegative", smoothness="c2", evaluate=evaluate,
-                         gradient=gradient, support=(1.0, 3.0, lo, lo + width),
-                         polar=(prof.radial, rate, rate_d1))
+    field = polar_field("straddling", "nonnegative", "c2", Polar(prof.radial, rate, rate_d1, prof.radial_d1),
+                        support=(1.0, 3.0, lo, lo + width))
+    return field, dataclasses.replace(field, evaluate=evaluate, gradient=gradient)
 
 
 def test_polar_path_folds_angles_across_the_seam(lobe16, lobe32, annulus16):
-    pi = _straddling_field()
+    pi, oracle = _straddling_field()
     alphas = np.concatenate([_grid(256), _SEAMS])
     for mesh in (lobe16, lobe32, annulus16):
-        _assert_profiles_match_reference(mesh, pi, alphas)
+        _assert_profiles_match_reference(mesh, pi, alphas, reference=oracle)
+    # the field built from its factors is the oracle, zero outside the sector
+    t = np.linspace(-np.pi, np.pi, 721)
+    pts = np.concatenate([rad * np.stack([np.cos(t), np.sin(t)], axis=1) for rad in (0.5, 1.2, 1.7, 2.6, 3.5)])
+    want_v, want_g = oracle.evaluate(pts), oracle.gradient(pts)
+    assert np.any(want_v != 0.0)
+    assert np.all(pi.evaluate(pts)[want_v == 0.0] == 0.0)
+    assert np.max(np.abs(pi.evaluate(pts) - want_v)) <= 1e-15
+    assert np.max(np.abs(pi.gradient(pts) - want_g)) <= 1e-14

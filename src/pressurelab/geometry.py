@@ -235,16 +235,10 @@ def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     boundary_rows = np.sort(order[single])  # deterministic: construction order
 
     b_edges = raw[boundary_rows]
-    owners = boundary_rows // 3
-    a = nodes[b_edges[:, 0]]
-    b = nodes[b_edges[:, 1]]
-    ev = b - a
+    ev = nodes[b_edges[:, 1]] - nodes[b_edges[:, 0]]
     lengths = np.hypot(ev[:, 0], ev[:, 1])
+    # the edge runs counterclockwise around its triangle, so its right-hand normal points out
     normals = np.stack([ev[:, 1], -ev[:, 0]], axis=1) / lengths[:, None]
-    centroids = nodes[triangles[owners]].mean(axis=1)
-    mid = 0.5 * (a + b)
-    flip = np.einsum("ij,ij->i", normals, mid - centroids) < 0.0
-    normals[flip] *= -1.0
     return b_edges, normals, lengths
 
 

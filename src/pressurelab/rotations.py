@@ -72,17 +72,7 @@ class OptimalSet:
 
     def distance(self, alpha: float) -> float:
         """Intrinsic angular distance from alpha to the set."""
-        a = wrap_angle(alpha)
-        best = math.inf
-        for ang in self.angles:
-            best = min(best, angular_distance(a, ang))
-        for lo, hi in self.arcs:
-            for shift in (-TWO_PI, 0.0, TWO_PI):
-                aa = a + shift
-                if lo <= aa <= hi:
-                    return 0.0
-                best = min(best, abs(aa - lo), abs(aa - hi))
-        return best
+        return angular_distance(wrap_angle(alpha), self.nearest(alpha))
 
     def nearest(self, alpha: float) -> float:
         """Nearest point of the set, as an angle in [0, 2*pi)."""
@@ -175,16 +165,18 @@ def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> tup
     return table, mesh.tables[rule, band, radial]
 
 
-def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> list[tuple[slice, ...]]:
-    """Per angle, the slices of the table's angles that R(alpha) can carry into the support of pi.
+def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per angle, the cyclic run (start, count) of the table's angles that
+    R(alpha) can carry into the support of pi.
 
     Every angle when pi declares no support, or the declared sector has the
     origin as apex or is the whole circle.  Otherwise the angles that lie
-    in the sector rotated back by alpha and widened by _SUPPORT_MARGIN:
-    one slice, or two when it wraps past +-pi.  The rates are still read at
-    each of them, so a quadrature sum keeps all of its nonzero terms.
+    in the sector rotated back by alpha and widened by _SUPPORT_MARGIN; a
+    run that wraps past +-pi goes on from the first angle of the table.
+    The rates are still read at each of them, so a quadrature sum keeps
+    all of its nonzero terms.
     """
-    everything = [(slice(0, len(table.theta)),)] * len(alphas)
+    everything = np.zeros(len(alphas), dtype=np.intp), np.full(len(alphas), len(table.theta), dtype=np.intp)
     if pi.support is None:
         return everything
     rho_lo, _, theta_lo, theta_hi = pi.support
@@ -194,77 +186,59 @@ def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> list[
     # unrotated angles in [lo, lo + width] modulo 2 pi, with lo in [-pi, pi)
     lo = (theta_lo - _SUPPORT_MARGIN - alphas + math.pi) % TWO_PI - math.pi
     hi = lo + width
-    starts = np.searchsorted(table.theta, lo).tolist()
-    ends = np.searchsorted(table.theta, hi, side="right").tolist()
-    wraps = np.where(hi > math.pi, np.searchsorted(table.theta, hi - TWO_PI, side="right"), 0).tolist()
-    return [(slice(s, e), slice(0, w)) if w else (slice(s, e),) for s, e, w in zip(starts, ends, wraps)]
+    start = np.searchsorted(table.theta, lo)
+    count = np.searchsorted(table.theta, hi, side="right") - start
+    count += np.where(hi > math.pi, np.searchsorted(table.theta, hi - TWO_PI, side="right"), 0)
+    return start, count
 
 
-def _take(values: np.ndarray, segments: tuple[slice, ...]) -> np.ndarray:
-    return values[segments[0]] if len(segments) == 1 else np.concatenate([values[s] for s in segments])
-
-
-def _turn_reduced(alpha: float) -> float:
-    """The angle of R(alpha) in [0, 2 pi]: alpha less whole turns of the exact
-    2 pi, as rotation(alpha) reduces it.  Whole turns of TWO_PI would shift
-    the angle by _TWO_PI_LO per turn."""
-    k = math.floor(alpha / TWO_PI)
-    return max(alpha - k * TWO_PI - k * _TWO_PI_LO, 0.0)
-
-
-def _rotated_chunks(table: _RuleTable, pi: PressureField, alphas):
-    """The table's angles that each R(alpha) carries into the support, rotated, grouped into chunks.
-
-    Yields (per-angle list of (segments, block), chunk): each alpha's angles
-    of the table are written as theta + alpha straight into a buffer, and
-    `block` locates them there.  alpha is first reduced to
-    [0, 2 pi] (`_turn_reduced`), so one fold of the angles above pi brings
-    the chunk into arctan2's range.  A chunk closes once it holds at least
-    _CHUNK_POINTS points, so a profile reads the rates once per chunk
-    instead of once per angle.  The buffer is reused: the chunk is valid
-    until the next one is requested.
-    """
-    alphas = np.asarray(alphas, dtype=float).reshape(-1)
-    segments = _segments(table, pi, alphas)
-    counts = [sum(s.stop - s.start for s in segs) for segs in segments]
-    if not counts:
-        return
-    buf = np.empty(min(sum(counts), _CHUNK_POINTS - 1 + max(counts)))
-
-    def chunk(size):
-        out = buf[:size]
-        np.subtract(out, TWO_PI, out=out, where=out > math.pi)
-        return out
-
-    entries, size = [], 0
-    for alpha, segs, count in zip(alphas, segments, counts):
-        np.add(_take(table.theta, segs), _turn_reduced(alpha), out=buf[size:size + count])
-        entries.append((segs, slice(size, size + count)))
-        size += count
-        if size >= _CHUNK_POINTS:
-            yield entries, chunk(size)
-            entries, size = [], 0
-    if entries:
-        yield entries, chunk(size)
+def _turn_reduced(alphas: np.ndarray) -> np.ndarray:
+    """The angles of R(alpha) in [0, 2 pi]: alpha less whole turns of the
+    exact 2 pi, as rotation(alpha) reduces it.  Whole turns of TWO_PI would
+    shift an angle by _TWO_PI_LO per turn."""
+    k = np.floor(alphas / TWO_PI)
+    return np.maximum(alphas - k * TWO_PI - k * _TWO_PI_LO, 0.0)
 
 
 def _profiles(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False,
               slopes: bool = False) -> list[np.ndarray]:
-    """(w radial(rho)) . rate(theta + alpha) at each angle, over its angles of
+    """(w radial(rho)) . rate(theta + alpha) at each angle, over its run of
     the band table of the interior (or boundary) rule, with the weights of
     the rows at one angle summed; with `slopes`, also the same weights .
-    rate_d1(theta + alpha)."""
+    rate_d1(theta + alpha).
+
+    The rotations with a nonempty run are taken in chunks of whole runs
+    that close once they hold at least _CHUNK_POINTS angles.  A chunk
+    concatenates its runs, adds to each its alpha reduced to [0, 2 pi]
+    (`_turn_reduced`) and folds the angles above pi into arctan2's range;
+    it reads each rate once and sums each run with one reduceat.  A
+    rotation with an empty run stays 0.
+    """
     table, weights = _rule_table(mesh, pi, boundary)
     rates = (pi.polar.rate, pi.polar.rate_d1) if slopes else (pi.polar.rate,)
-    out = [[] for _ in rates]
-    for entries, theta in _rotated_chunks(table, pi, alphas):
-        # a rate given as a number is spread over the chunk, and summed like any other
-        values = [np.full(theta.shape, v) if np.ndim(v) == 0 else v for v in (polar_factor(r, theta) for r in rates)]
-        for segs, block in entries:
-            w = _take(weights, segs)
-            for sums, vals in zip(out, values):
-                sums.append(float(w @ vals[block]))
-    return [np.array(sums) for sums in out]
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    start, count = _segments(table, pi, alphas)
+    filled = np.flatnonzero(count)
+    start, count, turned = start[filled], count[filled], _turn_reduced(alphas[filled])
+    n, stop, ends = len(table.theta), start + count, np.cumsum(count)
+    firsts = ends - count
+    # each run as slices of the table: from its start, then from the first angle when it wraps past +-pi
+    cuts = np.stack([start, np.minimum(stop, n), np.zeros_like(stop), stop - n], axis=1).reshape(-1, 2)
+    kept = cuts[:, 0] < cuts[:, 1]
+    bounds = np.append(0, np.cumsum(kept)[1::2]).tolist()  # the slices of run k are cuts[bounds[k]:bounds[k + 1]]
+    cuts = cuts[kept].tolist()
+    out = np.zeros((len(rates), len(alphas)))
+    lo = 0
+    while lo < len(filled):
+        hi = min(int(np.searchsorted(ends, firsts[lo] + _CHUNK_POINTS)) + 1, len(filled))
+        theta = np.concatenate([table.theta[i:j] for i, j in cuts[bounds[lo]:bounds[hi]]])
+        w = np.concatenate([weights[i:j] for i, j in cuts[bounds[lo]:bounds[hi]]])
+        theta += np.repeat(turned[lo:hi], count[lo:hi])
+        np.subtract(theta, TWO_PI, out=theta, where=theta > math.pi)
+        for sums, rate in zip(out, rates):
+            sums[filled[lo:hi]] = np.add.reduceat(w * polar_factor(rate, theta), firsts[lo:hi] - firsts[lo])
+        lo = hi
+    return list(out)
 
 
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:

@@ -69,13 +69,13 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray) -> f
     """Angle minimizing the area-weighted mixed penalty of grad y minus a rotation.
 
     The objective is sum_T |T| g(d_T(alpha)) with d_T^2 = |F|^2 + 2 -
-    2 (a cos alpha + b sin alpha).  For p >= 2, g(d) >= d^2/2 with equality
-    for d <= 1, so the least-squares angle atan2(sum |T| b, sum |T| a), which
-    minimizes the quadratic lower bound, is the exact minimizer whenever every
-    triangle's distance there is at most 1.  Otherwise: grid scan, then
-    bisection of the grid bracket on the sign of the objective's derivative.
-    Deterministic.
+    2 (a cos alpha + b sin alpha).  For p = 2, g(d) = d^2/2 at every
+    distance, so the least-squares angle atan2(sum |T| b, sum |T| a) is the
+    exact minimizer.  Below p = 2: grid scan, then bisection of the grid
+    bracket on the sign of the objective's derivative.  Deterministic.
     """
+    if material.p == 2.0:
+        return extract_rotation_l2(mesh, y)
     F, _ = deformation_gradients(mesh, y)
     a = F[:, 0, 0] + F[:, 1, 1]
     b = F[:, 1, 0] - F[:, 0, 1]
@@ -84,11 +84,6 @@ def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray) -> f
 
     def dist_sq(alpha):
         return np.maximum(norm_sq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0)
-
-    if material.p >= 2.0:
-        a_fit = extract_rotation_l2(mesh, y)
-        if np.all(dist_sq(a_fit) <= 1.0):
-            return a_fit
 
     def objective(alpha):
         return float(areas @ g_mixed(np.sqrt(dist_sq(alpha)), material.p))

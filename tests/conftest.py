@@ -65,8 +65,10 @@ def support_rows(mesh, pi, alpha, boundary=False):
         return slice(None)
     table, _ = rotations._rule_table(mesh, pi, boundary)
     bounds = np.append(table.starts, len(table.rows))  # the table's angle k holds rows bounds[k]:bounds[k + 1]
-    segments = rotations._segments(table, pi, np.array([alpha], dtype=float))[0]
-    return rotations._take(table.rows, tuple(slice(bounds[s.start], bounds[s.stop]) for s in segments))
+    start, count = (int(v[0]) for v in rotations._segments(table, pi, np.array([alpha], dtype=float)))
+    stop, n = start + count, len(table.theta)  # the run of angles start, ..., stop - 1, modulo n
+    runs = (slice(bounds[start], bounds[min(stop, n)]), slice(0, bounds[max(stop - n, 0)]))
+    return np.concatenate([table.rows[s] for s in runs])
 
 
 def el_volume_form(mesh, pi, alpha):

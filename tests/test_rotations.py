@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pressurelab import DomainSpec, Polar, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, polar_field, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
 from pressurelab import rotations
 from pressurelab.pressure import PressureError
-from pressurelab.material import SKEW_GENERATOR, rotation
-from pressurelab.rotations import SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
+from pressurelab.material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
+from pressurelab.rotations import OptimalSet, SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
 
 from conftest import angular_total, el_volume_form, hessian, rotation_sweep_value, support_rows
 
@@ -82,6 +82,34 @@ def test_constant_pressure_whole_circle(disk16):
     opt = find_optimal_rotations(disk16, const, grid_n=128)
     assert opt.arcs == ((0.0, 2.0 * np.pi),)
     assert opt.distance(1.234) == 0.0
+
+
+def _distance_by_shifted_arcs(opt, alpha):
+    """Distance to the set by comparing alpha, shifted by -2 pi, 0 and 2 pi, with every arc."""
+    a = wrap_angle(alpha)
+    best = min((angular_distance(a, ang) for ang in opt.angles), default=math.inf)
+    for lo, hi in opt.arcs:
+        for aa in (a - 2.0 * np.pi, a, a + 2.0 * np.pi):
+            if lo <= aa <= hi:
+                return 0.0
+            best = min(best, abs(aa - lo), abs(aa - hi))
+    return best
+
+
+def test_distance_is_the_distance_to_the_nearest_point():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        angles = tuple(rng.uniform(0.0, 2.0 * np.pi, rng.integers(0, 3)))
+        lows = rng.uniform(0.0, 2.0 * np.pi, rng.integers(0 if angles else 1, 3))
+        arcs = tuple((lo, lo + rng.uniform(0.0, np.pi)) for lo in lows)  # some wrap past 2 pi
+        opt = OptimalSet(angles, arcs, 0.0, 0.0, 0.01, np.zeros(0))
+        ends = [end + shift for arc in arcs for end in arc for shift in (-2.0 * np.pi, 0.0)]
+        for alpha in [*rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 5), *ends]:
+            want = _distance_by_shifted_arcs(opt, alpha)
+            # equal but for the rounding of an arc end to [0, 2 pi)
+            assert abs(opt.distance(alpha) - want) <= np.spacing(2.0 * np.pi), (opt, alpha)
+            if not arcs:
+                assert opt.distance(alpha) == want
 
 
 def test_grid_floor_rejected(disk16):
@@ -168,7 +196,7 @@ def test_optimal_set_attains_minimum(lobe32, flat_bump):
 def test_second_variation_matches_interior_form_with_hessian(lobe32, strict_bump):
     # interior oracle built from the finite-difference Hessian of the field
     import numpy as np
-    from pressurelab.material import SKEW_GENERATOR, rotation
+    from pressurelab.material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
 
     a = 1.1
     R = rotation(a)
@@ -487,6 +515,36 @@ def test_empty_band_scans_to_exact_zeros(disk16, strict_bump):
     opt = find_optimal_rotations(disk16, strict_bump, grid_n=64)
     assert opt.arcs == ((0.0, 2.0 * np.pi),) and opt.angles == ()
     assert opt.min_value == 0.0 and np.all(opt.grid_values == 0.0)
+
+
+def test_rotation_with_an_empty_run_sums_to_exact_zero(lobe16):
+    # a sector far narrower than the gaps between the rules' polar angles
+    prof = strict_profile()
+    lo, width = 0.3, 1e-6
+    pi = polar_field("sliver", "nonnegative", "c2", Polar(prof.radial, lambda t: 1.0 + t * t, lambda t: 2.0 * t,
+                                                          prof.radial_d1), support=(1.0, 3.0, lo, lo + width))
+    for boundary in (False, True):
+        theta = rotations._rule_table(lobe16, pi, boundary)[0].theta[10:13]
+        hits = lo + 0.5 * width - theta  # carry one angle of the table into the sector
+        misses = lo - 0.5 * (theta[:-1] + theta[1:])  # carry the sector between two of them
+        alphas = np.array([hits[0], misses[0], hits[1], misses[1], hits[2]])
+        assert [len(support_rows(lobe16, pi, a, boundary)) for a in alphas][1::2] == [0, 0]
+        profiles = boundary_profile(lobe16, pi, alphas) if boundary else [rotation_functional_profile(lobe16, pi, alphas)]
+        for got in profiles:
+            assert np.all(got[0::2] != 0.0) and np.all(got[1::2] == 0.0)
+        # one chunk holds them all, and each value is its one-angle call's
+        if boundary:
+            assert np.array_equal(profiles[0], [el_residual(lobe16, pi, a) for a in alphas])
+            assert np.array_equal(profiles[1], [second_variation(lobe16, pi, a) for a in alphas])
+        else:
+            assert np.array_equal(profiles[0], [rotation_functional(lobe16, pi, a) for a in alphas])
+
+
+def test_an_empty_angle_list_gives_empty_profiles(lobe16, strict_bump):
+    for pi in (strict_bump, builtin_pressure("constant", {"value": 0.7}), builtin_pressure("zero")):
+        assert rotation_functional_profile(lobe16, pi, []).shape == (0,)
+        el, second = boundary_profile(lobe16, pi, np.array([]))
+        assert el.shape == second.shape == (0,)
 
 
 # The rotation layer reads a field only through its polar factorization

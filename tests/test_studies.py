@@ -128,6 +128,12 @@ def test_extract_rotation_closed_form_is_the_exact_minimizer(disk16, default_mat
     # below p = 2 the penalty is not bounded below by its quadratic part: scan
     ST.extract_rotation(disk16, weak_material, y)
     assert len(scans) == 1
+    scans.clear()
+    # g(d) = d^2/2 past d = 1 too at p = 2: a map at distance sqrt(2) from every rotation takes no scan
+    y = 2.0 * rigid_map(disk16, 0.3)
+    got = ST.extract_rotation(disk16, default_material, y)
+    assert scans == []
+    assert angular_distance(got, 0.3) <= 1e-15
 
 
 def test_extract_rotation_scan_resolves_the_stationary_angle(disk16, default_material):

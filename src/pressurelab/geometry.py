@@ -1,13 +1,24 @@
 """Structured triangulations of the disk, annulus, and four-lobe test domains.
 
-All meshes are polar grids (radial rings x uniform angular divisions) whose
-quads are split into triangle pairs; nodes sit on the exact circles, so curved
-boundaries become inscribed polygons.  `build_domain` translates the result so
-that the lumped-mass barycenter is the origin.
+All meshes are polar grids of m radial rings whose quads are split into
+triangle pairs; nodes sit on the exact circles, so curved boundaries become
+inscribed polygons.  The annulus and the four-lobe's extension keep the
+boundary's 4 ceil(pi m / 2) nodes on every ring.  The disk, which is also the
+four-lobe's core, is graded: going inward, a ring takes half the count of the
+ring outside it while that count is even and the halved angular spacing stays
+within 1.5 radial steps, and a ring of twice the count of the one inside it
+is joined to it by three triangles per inner segment.  Its outer ring, and so
+the boundary polygon, is that of uniform rings: disk 16/32/64 has 846/3,469/
+13,737 nodes (1,665/6,529/25,857 with uniform rings), four-lobe 16/64
+1,710/26,793 (2,529/38,913).  The ring counts do not nest under refinement
+(51/102/204 at resolution 32, 101/202/404 at 64); nesting needs another outer
+count.  `build_domain` translates the result so that the lumped-mass
+barycenter is the origin.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,9 +158,6 @@ class TriMesh:
             boundary_lengths=b_lengths, quadrature=quad, diameter=diameter,
         )
 
-    def translated(self, shift: np.ndarray) -> "TriMesh":
-        return TriMesh.from_arrays(self.nodes + np.asarray(shift, dtype=float), self.triangles)
-
     @property
     def total_area(self) -> float:
         return float(self.areas.sum())
@@ -288,15 +296,49 @@ def _quad_strip(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)], axis=-2).reshape(-1, 3)
 
 
+def _ring_counts(resolution: int) -> list[int]:
+    """Node counts of the disk's rings 1..m, the outer one 4 ceil(pi m / 2).
+
+    Going inward, ring j takes half the count n of the ring outside it when n
+    is even and the halved angular spacing stays within 1.5 radial steps,
+    2 pi j / (n / 2) <= 1.5; otherwise it keeps n.
+    """
+    counts = [4 * _angular_quarter(resolution)]
+    for j in range(resolution - 1, 0, -1):
+        n = counts[-1]
+        counts.append(n // 2 if n % 2 == 0 and 2.0 * math.pi * j / (n // 2) <= 1.5 else n)
+    return counts[::-1]
+
+
+def _halving_strip(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Triangles (a, b, e), (a, e, d), (d, e, c) between a closed row of node
+    indices and the closed row outside it, which has twice its segments.
+
+    a, d are inner[k], inner[k+1] and b, e, c are outer[2k], outer[2k+1],
+    outer[2k+2]: node k of the inner ring sits at the angle of node 2k.
+    """
+    a, d = inner[:-1], inner[1:]
+    b, e, c = outer[:-2:2], outer[1::2], outer[2::2]
+    return np.stack([np.stack(t, axis=-1) for t in ((a, b, e), (a, e, d), (d, e, c))], axis=-2).reshape(-1, 3)
+
+
 def _polar_disk(radius: float, resolution: int):
     m = resolution
-    n_a = 4 * _angular_quarter(resolution)
-    ks = np.arange(n_a)
-    nodes = np.vstack([np.zeros((1, 2)), _ring_nodes(radius * np.arange(1, m + 1) / m, ks, n_a)])
-    # node index of ring j (1..m) at angle k, with column n_a closing the ring
-    ring = 1 + np.arange(m)[:, None] * n_a + np.append(ks, 0)[None, :]
-    fan = np.stack([np.zeros(n_a, dtype=np.int64), ring[0, :-1], ring[0, 1:]], axis=1)
-    return nodes, np.vstack([fan, _quad_strip(ring[:-1], ring[1:])])
+    parts, tris = [np.zeros((1, 2))], []
+    first, j, inner = 1, 1, None  # next node index, first ring of the run, closed row inside it
+    for n, run in itertools.groupby(_ring_counts(m)):
+        size = len(list(run))
+        ks = np.arange(n)
+        parts.append(_ring_nodes(radius * np.arange(j, j + size) / m, ks, n))
+        # node index of the run's ring i at angle k, with column n closing the ring
+        ring = first + np.arange(size)[:, None] * n + np.append(ks, 0)[None, :]
+        if inner is None:
+            tris.append(np.stack([np.zeros(n, dtype=np.int64), ring[0, :-1], ring[0, 1:]], axis=1))
+        else:
+            tris.append(_halving_strip(inner, ring[0]))
+        tris.append(_quad_strip(ring[:-1], ring[1:]))
+        first, j, inner = first + size * n, j + size, ring[-1]
+    return np.vstack(parts), np.vstack(tris)
 
 
 def _polar_annulus(r_inner: float, r_outer: float, resolution: int):
@@ -323,7 +365,7 @@ def _four_lobe(r_small: float, r_large: float, resolution: int):
     nodes = _ring_nodes(ext_radii, ext_ks.reshape(-1), n_a)
     # node indices of ring jj (0 is the disk's outer ring), sector, k
     rings = np.empty((len(ext_radii) + 1,) + ext_ks.shape, dtype=np.int64)
-    rings[0] = 1 + (m - 1) * n_a + ext_ks % n_a
+    rings[0] = len(disk_nodes) - n_a + ext_ks % n_a
     rings[1:] = (len(disk_nodes) + np.arange(ext_ks.size).reshape(ext_ks.shape)
                  + ext_ks.size * np.arange(len(ext_radii))[:, None, None])
     return np.vstack([disk_nodes, nodes]), np.vstack([disk_tris, _quad_strip(rings[:-1], rings[1:])])

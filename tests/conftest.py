@@ -50,12 +50,22 @@ def weak_material():
     return MaterialModel(c1=1.3, c2=0.7, p=1.5, q=1.5)
 
 
-# Oracles that only tests read: the rotation layer's support rows, the interior
-# form of its stationarity residual, a finite-difference Hessian of a field,
-# the angular profile of a bump and its exact sweep over the rotated four-lobe
-# domain, the fancy-indexed P1 gather, bincount scatter and energy gradient
-# that the sparse P1 operators replaced, and the edge-by-edge boundary load
-# scatter.
+# Helpers and oracles that only tests read: a translated mesh, the identity
+# map, the rotation layer's support rows, the interior form of its
+# stationarity residual, a finite-difference Hessian of a field, the angular
+# profile of a bump and its exact sweep over the rotated four-lobe domain, the
+# fancy-indexed P1 gather, bincount scatter and energy gradient that the
+# sparse P1 operators replaced, and the edge-by-edge boundary load scatter.
+
+
+def translated(mesh, shift):
+    """The mesh with every node moved by shift."""
+    return TriMesh.from_arrays(mesh.nodes + np.asarray(shift, dtype=float), mesh.triangles)
+
+
+def identity_map(mesh):
+    """The reference configuration as a nodal map."""
+    return mesh.nodes.copy()
 
 
 def support_rows(mesh, pi, alpha, boundary=False):

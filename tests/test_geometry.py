@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pressurelab import DomainSpec, TriMesh, barycenter, boundary_integral, build_domain
-from pressurelab.geometry import DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk
+from pressurelab.geometry import DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk, _ring_counts
+
+from conftest import translated
 
 
 def interior_integral(mesh, integrand):
@@ -35,7 +37,7 @@ def test_normalized_barycenter(disk32, annulus32, lobe16):
 
 def test_barycenter_translates_linearly(disk16):
     t = np.array([0.37, -1.2])
-    shifted = disk16.translated(t)
+    shifted = translated(disk16, t)
     assert np.allclose(barycenter(shifted), t, atol=1e-12)
 
 
@@ -178,24 +180,32 @@ def _loop_ring_point(r, k, n_angular):
     return (r * math.cos(t), r * math.sin(t))
 
 
-def _loop_disk(radius, resolution):
+def _loop_disk(radius, resolution, uniform=False):
+    """Center node, then ring j = 1..m with n_j nodes at radius j/m: the graded
+    counts, or the boundary's count on every ring.  Equal rings are joined by
+    quad pairs, a ring of twice the inner count by three triangles per inner
+    segment."""
     m = resolution
-    n_a = 4 * _angular_quarter(resolution)
-    nodes = [(0.0, 0.0)]
+    counts = [4 * _angular_quarter(resolution)] * m if uniform else _ring_counts(resolution)
+    nodes, first = [(0.0, 0.0)], [0]
     for j in range(1, m + 1):
-        r = radius * j / m
-        for k in range(n_a):
-            nodes.append(_loop_ring_point(r, k, n_a))
+        first.append(len(nodes))
+        for k in range(counts[j - 1]):
+            nodes.append(_loop_ring_point(radius * j / m, k, counts[j - 1]))
 
     def idx(j, k):
-        return 0 if j == 0 else 1 + (j - 1) * n_a + (k % n_a)
+        return first[j] + k % counts[j - 1]
 
-    tris = [(0, idx(1, k), idx(1, k + 1)) for k in range(n_a)]
+    tris = [(0, idx(1, k), idx(1, k + 1)) for k in range(counts[0])]
     for j in range(2, m + 1):
-        for k in range(n_a):
-            a, b, c, d = idx(j - 1, k), idx(j, k), idx(j, k + 1), idx(j - 1, k + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
+        for k in range(counts[j - 2]):
+            a, d = idx(j - 1, k), idx(j - 1, k + 1)
+            if counts[j - 1] == counts[j - 2]:
+                b, c = idx(j, k), idx(j, k + 1)
+                tris += [(a, b, c), (a, c, d)]
+            else:
+                b, e, c = idx(j, 2 * k), idx(j, 2 * k + 1), idx(j, 2 * k + 2)
+                tris += [(a, b, e), (a, e, d), (d, e, c)]
     return np.array(nodes), np.array(tris)
 
 
@@ -216,19 +226,19 @@ def _loop_annulus(r_inner, r_outer, resolution):
     return np.array(nodes), np.array(tris)
 
 
-def _loop_four_lobe(r_small, r_large, resolution):
+def _loop_four_lobe(r_small, r_large, resolution, uniform=False):
     m = resolution
     n_q = _angular_quarter(resolution)
     n_a = 4 * n_q
-    disk_nodes, disk_tris = _loop_disk(r_small, resolution)
+    disk_nodes, disk_tris = _loop_disk(r_small, resolution, uniform)
     m_ext = max(1, round((r_large - r_small) / (r_small / m)))
     ext_radii = np.linspace(r_small, r_large, m_ext + 1)[1:]
     ext_ks = list(range(n_q, 2 * n_q + 1)) + list(range(3 * n_q, 4 * n_q + 1))
     slot = {k: i for i, k in enumerate(ext_ks)}
 
     def idx(jj, k):
-        if jj < 0:
-            return 1 + (m - 1) * n_a + (k % n_a)
+        if jj < 0:  # the core's outer ring, its last n_a nodes
+            return len(disk_nodes) - n_a + (k % n_a)
         return len(disk_nodes) + jj * len(ext_ks) + slot[k]
 
     nodes = [_loop_ring_point(r, k, n_a) for r in ext_radii for k in ext_ks]
@@ -260,9 +270,46 @@ def test_array_builders_match_loop_builders(resolution):
         ref = TriMesh.from_arrays(ref_nodes, ref_tris)
         center = barycenter(ref)
         if np.hypot(*center) > 0.0:
-            ref = ref.translated(-center)
+            ref = translated(ref, -center)
         for name in ("nodes", "triangles", "areas", "node_masses"):
             assert np.array_equal(getattr(mesh, name), getattr(ref, name)), (built.__name__, name)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 8, 16, 32, 64])
+def test_grading_keeps_the_uniform_boundary_polygon(resolution):
+    for built, reference, radii, spec in (_BUILDERS[0], _BUILDERS[2]):
+        mesh = TriMesh.from_arrays(*built(*radii, resolution))
+        uniform = TriMesh.from_arrays(*reference(*radii, resolution, uniform=True))
+        assert mesh.n_nodes < uniform.n_nodes
+        assert np.array_equal(mesh.nodes[mesh.boundary_edges], uniform.nodes[uniform.boundary_edges])
+        for name in ("boundary_lengths", "boundary_normals"):
+            assert np.array_equal(getattr(mesh, name), getattr(uniform, name)), (built.__name__, name)
+        # the same polygon summed over other triangles, before and after the barycenter shift
+        for area in (mesh.total_area, build_domain(spec(resolution)).total_area):
+            assert abs(area - uniform.total_area) <= 4.0 * np.spacing(uniform.total_area)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 8, 16, 32, 64])
+def test_ring_counts_halve_inward_while_the_spacing_allows(resolution):
+    m, radius = resolution, 1.3
+    nodes, _ = _polar_disk(radius, m)
+    counts = np.bincount(np.rint(np.hypot(nodes[:, 0], nodes[:, 1]) * m / radius).astype(int))
+    assert counts[0] == 1 and counts[1:].tolist() == _ring_counts(m)
+    assert counts[m] == 4 * math.ceil(math.pi * m / 2)
+    for j in range(1, m):  # ring j inside ring j + 1 of n nodes
+        n = counts[j + 1]
+        halves = n % 2 == 0 and 2.0 * math.pi * j / (n // 2) <= 1.5
+        assert counts[j] == (n // 2 if halves else n), j
+
+
+def test_graded_disk_bounds_the_center_aspect():
+    assert [len(_polar_disk(1.0, m)[0]) for m in (16, 32, 64)] == [846, 3469, 13737]
+    assert [len(_four_lobe(1.0, 2.0, m)[0]) for m in (16, 64)] == [1710, 26793]
+    mesh = build_domain(DomainSpec.disk(1.0, 64))
+    corners = mesh.nodes[mesh.triangles]
+    longest = np.max(np.sum((corners - np.roll(corners, 1, axis=1)) ** 2, axis=2), axis=1)
+    # aspect longest edge^2 / (2 area): 64 with the boundary's 404 nodes on every ring
+    assert np.max(longest / (2.0 * mesh.areas)) <= 17.0
 
 
 def _lexsort_boundary(nodes, triangles):

@@ -9,12 +9,13 @@ from pressurelab.nonlinear_solver import (
     _energy_rounding_floor,
     _reference_terms,
     deformation_gradients,
-    identity_map,
     project_gradient,
     rigid_map,
     rigid_start,
     zero_average,
 )
+
+from conftest import identity_map
 
 
 @pytest.fixture(scope="module")

@@ -561,6 +561,13 @@ def lobe64():
 
 
 @pytest.mark.parametrize("variant", ["strict", "flat"])
+def test_interior_band_lies_outside_the_graded_core(lobe64, variant):
+    # the bump's radial support |x| >= 1 reaches no graded ring of the core
+    table, _ = rotations._rule_table(lobe64, quadrant_bump_pressure(variant))
+    assert len(table.rows) == 77366
+
+
+@pytest.mark.parametrize("variant", ["strict", "flat"])
 @pytest.mark.parametrize("resolution", [16, 32, 64])
 def test_polar_path_matches_generic_path(request, resolution, variant):
     mesh = request.getfixturevalue(f"lobe{resolution}")

@@ -44,32 +44,18 @@ class DisplacementField:
 
 
 def assemble_stiffness(mesh: TriMesh, material: MaterialModel) -> sp.csr_matrix:
-    """Sparse symmetric operator with u^T K u = integral of the strain quadratic form."""
-    tris = mesh.triangles
-    g = mesh.basis_gradients
-    areas = mesh.areas
-    c1, c2 = material.c1, material.c2
+    """Sparse symmetric operator with u^T K u = integral of the strain quadratic form:
+    c1 (e11^T A e11 + e22^T A e22 + 2 e12^T A e12) + c2 div^T A div, A = diag(areas),
+    with the strain rows taken from the G_0, G_1 rows of the P1 gather."""
+    m, G = len(mesh.triangles), _p1_gather(mesh)
+    # d[a][b] @ u.ravel() = d_b u_a per triangle
+    d = [[sp.kron(G[b * m:(b + 1) * m], np.eye(2)[a:a + 1], format="csr") for b in range(2)] for a in range(2)]
+    e12, div, A = 0.5 * (d[0][1] + d[1][0]), d[0][0] + d[1][1], sp.diags(mesh.areas)
 
-    m = len(tris)
-    rows = np.empty(36 * m, dtype=np.int64)
-    cols = np.empty(36 * m, dtype=np.int64)
-    vals = np.empty(36 * m)
-    pos = 0
-    gdots = np.einsum("tia,tja->tij", g, g)
-    for i in range(3):
-        for j in range(3):
-            for a in range(2):
-                for b in range(2):
-                    block = areas * (
-                        0.5 * c1 * ((a == b) * gdots[:, i, j] + g[:, i, b] * g[:, j, a])
-                        + c2 * g[:, i, a] * g[:, j, b]
-                    )
-                    rows[pos:pos + m] = 2 * tris[:, i] + a
-                    cols[pos:pos + m] = 2 * tris[:, j] + b
-                    vals[pos:pos + m] = block
-                    pos += m
-    n2 = 2 * mesh.n_nodes
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n2, n2)).tocsr()
+    def form(e):
+        return e.T @ A @ e
+
+    return (material.c1 * (form(d[0][0]) + form(d[1][1]) + 2.0 * form(e12)) + material.c2 * form(div)).tocsr()
 
 
 class StiffnessPreconditioner:
@@ -103,26 +89,23 @@ class StiffnessPreconditioner:
         return (out.reshape(self.n, 2) @ R.T).ravel()
 
 
-def _p1_operators(mesh: TriMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The P1 gather (5M x N) and scatter (N x 3M) as CSR matrices, kept in ``mesh.tables``.
+def _p1_gather(mesh: TriMesh) -> sp.csr_matrix:
+    """The P1 gather (5M x N) as a CSR matrix, kept in ``mesh.tables``.
 
-    The gather stacks G_0, G_1 (row t: d phi_i / d x_b at the corners i of
-    triangle t) and the midpoints (row 3t + q: 0.5 at corners q and q + 1); row
-    n of the scatter holds the k with triangles.ravel()[k] == n, ascending.
-    Each row sums in the order of fancy-indexed kernels (0.5 a + 0.5 b rounds
-    like 0.5 (a + b)), bit-identically; sort_indices, sum_duplicates or a
-    transpose would reorder the sums."""
+    Rows G_0, then G_1 (row t: d phi_i / d x_b at the corners i of triangle
+    t), then the midpoints (row 3t + q: 0.5 at corners q and q + 1).  Each row
+    sums in the order of fancy-indexed kernels (0.5 a + 0.5 b rounds like
+    0.5 (a + b)), bit-identically; sort_indices or sum_duplicates would
+    reorder the sums."""
     if "p1" not in mesh.tables:
-        tris, m, n = mesh.triangles, len(mesh.triangles), mesh.n_nodes
+        tris, m = mesh.triangles, len(mesh.triangles)
         corners, g = tris.ravel(), mesh.basis_gradients
         edge_ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).ravel()
-        gather = sp.csr_matrix((np.concatenate([g[:, :, 0].ravel(), g[:, :, 1].ravel(), np.full(6 * m, 0.5)]),
-                                np.concatenate([corners, corners, edge_ends]),
-                                np.concatenate([3 * np.arange(2 * m), 6 * m + 2 * np.arange(3 * m + 1)])),
-                               shape=(5 * m, n))
-        starts = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
-        scatter = sp.csr_matrix((np.ones(3 * m), np.argsort(corners, kind="stable"), starts), shape=(n, 3 * m))
-        mesh.tables["p1"] = (gather, scatter)
+        mesh.tables["p1"] = sp.csr_matrix(
+            (np.concatenate([g[:, :, 0].ravel(), g[:, :, 1].ravel(), np.full(6 * m, 0.5)]),
+             np.concatenate([corners, corners, edge_ends]),
+             np.concatenate([3 * np.arange(2 * m), 6 * m + 2 * np.arange(3 * m + 1)])),
+            shape=(5 * m, mesh.n_nodes))
     return mesh.tables["p1"]
 
 
@@ -130,14 +113,17 @@ def gather(mesh: TriMesh, y: np.ndarray):
     """From one product with the P1 gather: the component-major gradient f
     (2, 2, M), det (M,) and the values (3M, 2) at the interior rule points."""
     m = len(mesh.triangles)
-    out = _p1_operators(mesh)[0] @ np.asarray(y, dtype=float)
+    out = _p1_gather(mesh) @ np.asarray(y, dtype=float)
     f = out[:2 * m].T.reshape(2, 2, m)  # f[a, b] = (G_b @ y)[:, a], a view
     return f, det2(f), out[2 * m:]
 
 
-def scatter(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
-    """Nodal sums (N, 2) of component-major per-corner values (2, M, 3), in triangle order."""
-    return np.stack([_p1_operators(mesh)[1] @ c.ravel() for c in contrib], axis=1)
+def gather_transpose(mesh: TriMesh, f_bar: np.ndarray, q_bar: np.ndarray | None = None) -> np.ndarray:
+    """The transpose of `gather`: the nodal field (N, 2) that pairs with y as
+    the cotangents f_bar (2, 2, M), of the gradient, and q_bar (3M, 2), of the
+    rule-point values (zero when not given), pair with gather(mesh, y)."""
+    q_bar = np.zeros((3 * len(mesh.triangles), 2)) if q_bar is None else q_bar
+    return _p1_gather(mesh).T @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar])
 
 
 def zero_average(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
@@ -170,15 +156,15 @@ def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray
                      for a in range(2)], axis=1).ravel()
 
 
-def skew_mean(mesh: TriMesh, u: np.ndarray) -> float:
-    """Mean antisymmetric part of grad u: 1/2 integral of (d1 u2 - d2 u1)."""
-    f, _, _ = gather(mesh, u)
-    return float(mesh.areas @ (0.5 * (f[1, 0] - f[0, 1])))
-
-
 def _skew_mean_row(mesh: TriMesh) -> np.ndarray:
-    """The linear functional skew_mean(mesh, .) as a nodal field (N, 2)."""
-    return 0.5 * scatter(mesh, np.moveaxis(mesh.areas[:, None, None] * mesh.basis_gradients, 2, 0)) @ SKEW_GENERATOR.T
+    """Mean antisymmetric part of grad u, 1/2 integral of (d1 u2 - d2 u1), as a
+    nodal field (N, 2): the transpose of the area-weighted skew cotangent."""
+    return gather_transpose(mesh, SKEW_GENERATOR[:, :, None] * (0.5 * mesh.areas))
+
+
+def skew_mean(mesh: TriMesh, u: np.ndarray) -> float:
+    """The functional of `_skew_mean_row` at the nodal field u."""
+    return float(_skew_mean_row(mesh).ravel() @ np.ravel(u))
 
 
 def apply_gauge(mesh: TriMesh, u: np.ndarray) -> np.ndarray:

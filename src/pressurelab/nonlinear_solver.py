@@ -6,15 +6,16 @@ The discrete energy of a nodal deformation y is
 
 with +inf whenever some triangle reverses orientation.  An evaluation gathers
 F, det F and the deformed rule points in one product with the mesh's sparse P1
-gather (`linear_solver.gather`), scatters the gradient with its P1 scatter and
-uses the component kernels of `material`.  A solve computes the reference term
-sum_q w_q pi_hat(x_q) once, and assembles the gradient and the rounding floor
-at an iterate from the gather and pi_hat values its energy evaluation kept (an
-`EnergyState`).  Deformations live in the zero-average subspace (lumped
-masses); the minimizer is a limited-memory BFGS iteration, seeded with the
-factored linear stiffness (splu, ordered by MMD_AT_PLUS_A).  Its line search
-backtracks on the Armijo condition and rejects inadmissible trial steps
-outright, so every accepted iterate keeps all determinants positive.
+gather (`linear_solver.gather`), takes the gradient through the transpose of
+that gather (`linear_solver.gather_transpose`) and uses the component kernels
+of `material`.  A solve computes the reference term sum_q w_q pi_hat(x_q)
+once, and assembles the gradient and the rounding floor at an iterate from the
+gather and pi_hat values its energy evaluation kept (an `EnergyState`).
+Deformations live in the zero-average subspace (lumped masses); the minimizer
+is a limited-memory BFGS iteration, seeded with the factored linear stiffness
+(splu, ordered by MMD_AT_PLUS_A).  Its line search backtracks on the Armijo
+condition and rejects inadmissible trial steps outright, so every accepted
+iterate keeps all determinants positive.
 
 Near a minimizer the energy change of a step falls below the rounding error
 of the energy itself, while the gradient still resolves the slope.  A trial
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
-from .linear_solver import ProblemError, StiffnessPreconditioner, gather, project_gradient, scatter, zero_average
+from .linear_solver import ProblemError, StiffnessPreconditioner, gather, gather_transpose, project_gradient, zero_average
 from .material import MaterialModel, cofactor, density_components, dist_so2, g_mixed, rotation, stress_components
 from .pressure import PressureField
 
@@ -153,15 +154,12 @@ def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFi
             raise ValueError("gradient requested at an inadmissible deformation")
     f, det = state.f, state.det
     w = mesh.quadrature.interior_weights
-    gpiy = np.reshape(pi_hat.gradient(state.yq), w.shape + (2,))
+    gpiy = np.reshape(pi_hat.gradient(state.yq), (-1, 2))
     # dE/dF per triangle: |T| times the stress, plus eps sum_q w_q pi_hat(y_q) cof F
     P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * state.piy, axis=1)) * cofactor(f)
-    # eps w_q det F grad pi_hat(y_q), shared by the two corners of edge q
-    h = (eps * w * det[:, None])[:, :, None] * gpiy
-    g = mesh.basis_gradients
-    edges = np.moveaxis(0.5 * (h + h[:, [2, 0, 1]]), 2, 0)  # corner i: rule points i and i - 1
-    contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1] + edges
-    return project_gradient(mesh, scatter(mesh, contrib))
+    # dE/dy_q: eps w_q det F grad pi_hat(y_q)
+    h = np.reshape(eps * w * det[:, None], (-1, 1)) * gpiy
+    return project_gradient(mesh, gather_transpose(mesh, P, h))
 
 
 def rigid_start(mesh: TriMesh, alpha: float, noise_amplitude: float, rng: np.random.Generator) -> np.ndarray:

@@ -55,7 +55,9 @@ def weak_material():
 # stationarity residual, a finite-difference Hessian of a field, the angular
 # profile of a bump and its exact sweep over the rotated four-lobe domain, the
 # fancy-indexed P1 gather, bincount scatter and energy gradient that the
-# sparse P1 operators replaced, and the edge-by-edge boundary load scatter.
+# sparse P1 gather and its transpose replaced (the gather matches them bit for
+# bit, the gradient to 1e-14 of its largest entry, since the transpose sums in
+# another order), and the edge-by-edge boundary load scatter.
 
 
 def translated(mesh, shift):

@@ -1,14 +1,16 @@
 """The one-gather energy and gradient kernels against the matrix formulation
-and, bit for bit, against the fancy-indexed kernels the sparse P1 operators
-replaced; the reuse of an energy evaluation's state; the direct path of the
-pressure extension, and the per-solve reference term."""
+and against the fancy-indexed kernels the sparse P1 gather replaced (the
+gather bit for bit, the gradient through its transpose to rounding); the
+transpose as the adjoint of the gather; the reuse of an energy evaluation's
+state; the direct path of the pressure extension, and the per-solve reference
+term."""
 
 import numpy as np
 import pytest
-from conftest import bincount_scatter, fancy_gather, fancy_gradient
+from conftest import fancy_gather, fancy_gradient
 
 from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure, extend_pressure, nonlinear_solver, rotations
-from pressurelab.linear_solver import gather, scatter
+from pressurelab.linear_solver import gather, gather_transpose
 from pressurelab.material import g_mixed
 from pressurelab.nonlinear_solver import (
     _reference_terms,
@@ -109,11 +111,10 @@ def test_kernels_match_the_matrix_formulation(mesh_name, request):
 
 
 @pytest.mark.parametrize("mesh_name", ["disk16", "annulus32", "lobe16", "lobe32"])
-def test_sparse_operators_match_the_fancy_indexed_kernels_bit_for_bit(mesh_name, request):
+def test_gather_and_its_transpose_match_the_fancy_indexed_kernels(mesh_name, request):
+    # the gather sums each row in the fancy-indexed order, bit for bit; the
+    # gradient goes through its transpose, which sums in another order
     mesh = request.getfixturevalue(mesh_name)
-    rng = np.random.default_rng(3)
-    contrib = rng.normal(size=(2, len(mesh.triangles), 3))
-    assert np.array_equal(scatter(mesh, contrib), bincount_scatter(mesh, contrib))
     for y in _random_maps(mesh):
         reference = fancy_gather(mesh, y)
         for got, want in zip(gather(mesh, y), reference):
@@ -122,8 +123,23 @@ def test_sparse_operators_match_the_fancy_indexed_kernels_bit_for_bit(mesh_name,
             continue  # the largest map folds one triangle of annulus32: no gradient there
         for name, params, variant in FIELDS:
             hat = _extended(builtin_pressure(name, params, variant), mesh)
-            assert np.array_equal(assemble_gradient(mesh, MATERIALS[1], hat, y, 0.05),
-                                  fancy_gradient(mesh, MATERIALS[1], hat, y, 0.05)), (name, variant)
+            g_ref = fancy_gradient(mesh, MATERIALS[1], hat, y, 0.05)
+            g = assemble_gradient(mesh, MATERIALS[1], hat, y, 0.05)
+            assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref)), (name, variant)
+
+
+@pytest.mark.parametrize("mesh_name", ["disk16", "annulus32", "lobe16"])
+def test_gather_transpose_is_the_adjoint_of_the_gather(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    m = len(mesh.triangles)
+    rng = np.random.default_rng(11)
+    for q_bar in (None, rng.normal(size=(3 * m, 2))):
+        y = rng.normal(size=(mesh.n_nodes, 2))
+        f_bar = rng.normal(size=(2, 2, m))
+        f, _, yq = gather(mesh, y)
+        terms = np.concatenate([(f * f_bar).ravel(), (yq * (0.0 if q_bar is None else q_bar)).ravel()])
+        adjoint = float(np.sum(y * gather_transpose(mesh, f_bar, q_bar)))
+        assert abs(np.sum(terms) - adjoint) <= 1e-13 * np.sum(np.abs(terms))
 
 
 def test_gradient_from_a_kept_energy_state_is_the_fresh_gradient(lobe16):

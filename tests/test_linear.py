@@ -100,14 +100,15 @@ def test_rotation_load_component_equals_el_residual(lobe16, default_material):
     assert abs(res) > 1e-4  # the check is non-trivial at this angle
 
 
-def test_assembled_quadratic_form_matches_elementwise(disk16, weak_material):
-    K = StiffnessPreconditioner(disk16, weak_material).stiffness
+def test_assembled_quadratic_form_matches_elementwise(disk16, annulus32, lobe16, weak_material):
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        u = rng.normal(size=(disk16.n_nodes, 2))
-        quad = 0.5 * float(u.ravel() @ (K @ u.ravel()))
-        elem = strain_energy(disk16, weak_material, u)
-        assert abs(quad - elem) <= 1e-12 * (1.0 + abs(elem))
+    for mesh in (disk16, annulus32, lobe16):
+        K = StiffnessPreconditioner(mesh, weak_material).stiffness
+        for _ in range(10):
+            u = rng.normal(size=(mesh.n_nodes, 2))
+            quad = 0.5 * float(u.ravel() @ (K @ u.ravel()))
+            elem = strain_energy(mesh, weak_material, u)
+            assert abs(quad - elem) <= 1e-12 * (1.0 + abs(elem))
 
 
 def test_benchmark_solution_is_radial(bench_system, disk32, default_material):

@@ -1,16 +1,16 @@
 """P1 assembly and solve of the small-pressure limit energy
 
-    E0(u) = 1/2 * integral of (c1 |sym grad u|^2 + c2 (div u)^2)
-          + boundary integral of pi(R0 x) n . u
+    E0(u) = 1/2 * integral of (c1 |sym grad u|^2 + c2 (div u)^2) + load . u
 
 over displacements with zero lumped-mass average and zero mean skew gradient.
 The quadratic form depends only on (mesh, material): one StiffnessPreconditioner
 holds the stiffness and its factor, and `solve_linearized(factor, load)` takes
 the load of one angle from `assemble_load` and runs CG preconditioned by the
-factor; the nonlinear solver seeds L-BFGS with the same factor.  The load's
-component along the rotation generator J x equals the boundary stationarity
-residual of R0.  `assemble_load` is the one boundary quadrature of pi(R0 x) n . u;
-the divergence-form check reuses it.
+factor; the nonlinear solver seeds L-BFGS with the same factor.  The load is
+the first variation at R0 x of the pressure work that the nonlinear energy
+and the rotation functional integrate (`pressure_cotangents`), so its
+component along J x is the rotation functional's slope at R0; as h -> 0 it
+tends to the boundary integral of pi(R0 x) n . u (`divergence_form_check`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TriMesh
-from .material import MaterialModel, SKEW_GENERATOR, det2, rotation
+from .material import MaterialModel, SKEW_GENERATOR, cofactor, det2, rotation
 from .pressure import PressureField
 
 _SHIFT = 0.05          # mass shift of the factored stiffness, in units of c1
@@ -126,6 +126,16 @@ def gather_transpose(mesh: TriMesh, f_bar: np.ndarray, q_bar: np.ndarray | None 
     return _p1_gather(mesh).T @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar])
 
 
+def pressure_cotangents(mesh: TriMesh, f: np.ndarray, det: np.ndarray, piy: np.ndarray,
+                        gpiy: np.ndarray, scale: float):
+    """The cotangents, for `gather_transpose`, of scale times the pressure
+    work sum_q w_q pi(y_q) det F at a gather (f, det) whose rule points carry
+    pi values piy (M, 3) and gradients gpiy (3M, 2): (scale sum_q w_q pi_q)
+    cof F of the gradient and scale w_q det F grad pi_q of the rule points."""
+    w = mesh.quadrature.interior_weights
+    return (scale * np.sum(w * piy, axis=1)) * cofactor(f), np.reshape(scale * w * det[:, None], (-1, 1)) * gpiy
+
+
 def zero_average(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
     """Subtract the lumped-mass mean from a nodal vector field."""
     mean = mesh.node_masses @ field / mesh.total_mass
@@ -143,13 +153,23 @@ def project_gradient(mesh: TriMesh, grad: np.ndarray) -> np.ndarray:
 
 
 def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray:
-    """Boundary pressure load: l[(i,a)] = integral of pi(R0 x) n_a phi_i over the boundary."""
-    R = rotation(alpha0)
-    pts = mesh.quadrature.boundary_points         # (B, 2, 2)
-    w = mesh.quadrature.boundary_weights          # (B, 2)
-    bary = mesh.quadrature.boundary_bary          # (2, 2) point x trace-node
-    vals = np.asarray(pi.evaluate(pts.reshape(-1, 2) @ R.T), dtype=float).reshape(pts.shape[:2])
-    coeff = np.einsum("eq,eq,qi->ei", w, vals, bary)  # (B, 2 trace nodes)
+    """Limit load (2N,): the first variation at R0 x of the pressure work of
+    `pressure_cotangents`, taken in the reference frame as its gradient at the
+    identity map for the field pi(R0 .): l . u = sum_T s_T div u_T + sum_q w_q
+    grad pi(R0 x_q) R0 u(x_q) with s_T = sum_q w_q pi(R0 x_q)."""
+    R, m = rotation(alpha0), len(mesh.triangles)
+    pts = mesh.interior_points_flat() @ R.T
+    f_bar, q_bar = pressure_cotangents(mesh, np.repeat(np.eye(2)[:, :, None], m, axis=2), np.ones(m),
+                                       np.reshape(pi.evaluate(pts), (m, 3)), pi.gradient(pts) @ R, 1.0)
+    return gather_transpose(mesh, f_bar, q_bar).ravel()
+
+
+def _boundary_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray:
+    """Boundary quadrature of the load's continuum limit:
+    l[(i,a)] = integral of pi(R0 x) n_a phi_i over the boundary."""
+    R, w = rotation(alpha0), mesh.quadrature.boundary_weights  # (B, 2): 2 Gauss points per edge
+    vals = np.reshape(pi.evaluate(mesh.boundary_points_flat() @ R.T), w.shape)
+    coeff = np.einsum("eq,eq,qi->ei", w, vals, mesh.quadrature.boundary_bary)  # (B, 2 trace nodes)
     # every boundary node closes two edges, so each sum has two terms, in either order
     nodes, normals = mesh.boundary_edges.ravel(), mesh.boundary_normals
     return np.stack([np.bincount(nodes, (coeff * normals[:, a, None]).ravel(), minlength=mesh.n_nodes)
@@ -182,7 +202,8 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
     constraint rows (lumped-mass resultant, then skew mean), so the gauged CG
     solution is the constrained minimizer.  Returns (DisplacementField, E0 =
     1/2 u.K u + load.u); E0 pairs that minimizer with the full load, so adding
-    an infinitesimal rotation changes it exactly by load . (J x).
+    an infinitesimal rotation changes it exactly by load . (J x), the slope of
+    the rotation functional at the load's angle.
     """
     mesh, K = factor.mesh, factor.stiffness
     jx = (mesh.nodes @ SKEW_GENERATOR.T).ravel()
@@ -220,22 +241,8 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
 
 def divergence_form_check(mesh: TriMesh, pi: PressureField, alpha0: float,
                           u: np.ndarray) -> tuple[float, float]:
-    """Boundary and interior quadratures of the same divergence identity.
-
-    Returns (boundary integral of pi(R0 x) n . u,
-             interior integral of div(pi(R0 x) u)).
-    """
-    R = rotation(alpha0)
-    u = np.asarray(u, dtype=float)
-    boundary = float(assemble_load(mesh, pi, alpha0) @ u.ravel())
-
-    f, _, u_int = gather(mesh, u)
-    div = f[0, 0] + f[1, 1]
-    ipts = mesh.quadrature.interior_points
-    iw = mesh.quadrature.interior_weights
-    m = len(mesh.triangles)
-    piv = np.asarray(pi.evaluate(ipts.reshape(-1, 2) @ R.T), dtype=float).reshape(m, 3)
-    gv = np.asarray(pi.gradient(ipts.reshape(-1, 2) @ R.T), dtype=float).reshape(m, 3, 2)
-    grad_chain = np.einsum("trj,jc,trc->tr", gv, R, u_int.reshape(m, 3, 2))  # (R^T grad pi(R x)) . u
-    volume = float(np.sum(iw * (piv * div[:, None] + grad_chain)))
-    return boundary, volume
+    """Boundary and interior quadratures of the same divergence identity: (the
+    boundary integral of pi(R0 x) n . u, assemble_load . u, which is the
+    interior rule's integral of div(pi(R0 x) u))."""
+    u = np.ravel(np.asarray(u, dtype=float))
+    return float(_boundary_load(mesh, pi, alpha0) @ u), float(assemble_load(mesh, pi, alpha0) @ u)

@@ -7,10 +7,12 @@ The discrete energy of a nodal deformation y is
 with +inf whenever some triangle reverses orientation.  An evaluation gathers
 F, det F and the deformed rule points in one product with the mesh's sparse P1
 gather (`linear_solver.gather`), takes the gradient through the transpose of
-that gather (`linear_solver.gather_transpose`) and uses the component kernels
-of `material`.  A solve computes the reference term sum_q w_q pi_hat(x_q)
-once, and assembles the gradient and the rounding floor at an iterate from the
-gather and pi_hat values its energy evaluation kept (an `EnergyState`).
+that gather (`linear_solver.gather_transpose`) with the pressure cotangents
+that the limit load shares (`linear_solver.pressure_cotangents`) and uses the
+component kernels of `material`.  A solve computes the reference term
+sum_q w_q pi_hat(x_q) once, and assembles the gradient and the rounding floor
+at an iterate from the gather and pi_hat values its energy evaluation kept (an
+`EnergyState`).
 Deformations live in the zero-average subspace (lumped masses); the minimizer
 is a limited-memory BFGS iteration, seeded with the factored linear stiffness
 (splu, ordered by MMD_AT_PLUS_A).  Its line search backtracks on the Armijo
@@ -41,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
-from .linear_solver import ProblemError, StiffnessPreconditioner, gather, gather_transpose, project_gradient, zero_average
-from .material import MaterialModel, cofactor, density_components, dist_so2, g_mixed, rotation, stress_components
+from .linear_solver import (ProblemError, StiffnessPreconditioner, gather, gather_transpose, pressure_cotangents,
+                            project_gradient, zero_average)
+from .material import MaterialModel, density_components, dist_so2, g_mixed, rotation, stress_components
 from .pressure import PressureField
 
 _ARMIJO_C = 1e-4
@@ -153,13 +156,10 @@ def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFi
         if state is None:
             raise ValueError("gradient requested at an inadmissible deformation")
     f, det = state.f, state.det
-    w = mesh.quadrature.interior_weights
     gpiy = np.reshape(pi_hat.gradient(state.yq), (-1, 2))
-    # dE/dF per triangle: |T| times the stress, plus eps sum_q w_q pi_hat(y_q) cof F
-    P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * state.piy, axis=1)) * cofactor(f)
-    # dE/dy_q: eps w_q det F grad pi_hat(y_q)
-    h = np.reshape(eps * w * det[:, None], (-1, 1)) * gpiy
-    return project_gradient(mesh, gather_transpose(mesh, P, h))
+    # dE/dF per triangle: |T| times the stress plus the pressure cotangent; dE/dy_q: the pressure's alone
+    P, h = pressure_cotangents(mesh, f, det, state.piy, gpiy, eps)
+    return project_gradient(mesh, gather_transpose(mesh, mesh.areas * stress_components(material, f, det) + P, h))
 
 
 def rigid_start(mesh: TriMesh, alpha: float, noise_amplitude: float, rng: np.random.Generator) -> np.ndarray:

@@ -185,20 +185,17 @@ def _smoothstep7(t):
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Angular rate and radial profile of the bump field.
+    """Angular rate of the bump field, whose radial profile is `_radial`.
 
     The angular rate is nonnegative on [0, pi/2] and has three vanishing
     derivatives at both ends of its support, so its integral from 0, the
     angular profile that a rotation of the four-lobe domain sweeps out, rises
-    from 0 to its peak at pi/2.  The radial profile vanishes to second order
-    at 1 and integrates to one against rho drho over [1, 2].
+    from 0 to its peak at pi/2.
     """
 
     variant: str
     angular_rate: Callable   # alpha in [0, pi/2] -> value
     angular_rate_d1: Callable
-    radial: Callable         # rho >= 1 -> value
-    radial_d1: Callable
     rate_support: tuple[float, float]   # the rate vanishes outside this angle interval
 
 
@@ -214,10 +211,7 @@ def strict_profile() -> BumpProfile:
         a = np.asarray(a, dtype=float)
         return np.where((a >= 0.0) & (a <= c), 3.0 * a ** 2 * (c - a) ** 2 * (c - 2.0 * a), 0.0)
 
-    return BumpProfile(
-        variant="strict", angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=_radial, radial_d1=_radial_d1, rate_support=(0.0, c),
-    )
+    return BumpProfile(variant="strict", angular_rate=rate, angular_rate_d1=rate_d1, rate_support=(0.0, c))
 
 
 def flat_profile() -> BumpProfile:
@@ -238,10 +232,7 @@ def flat_profile() -> BumpProfile:
         inside, s = offset(a)
         return np.where(inside, scale * 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / w, 0.0)
 
-    return BumpProfile(
-        variant="flat", angular_rate=rate, angular_rate_d1=rate_d1,
-        radial=_radial, radial_d1=_radial_d1, rate_support=(lo, lo + w),
-    )
+    return BumpProfile(variant="flat", angular_rate=rate, angular_rate_d1=rate_d1, rate_support=(lo, lo + w))
 
 
 _RADIAL_SUPPORT = (1.0, 3.0)   # the radial profile vanishes outside [1, 3]
@@ -251,7 +242,8 @@ _RADIAL_SCALE = 20.0 / 9.0
 # The radial profile is one pair of module functions, shared by every bump, so
 # that tables the rotation layer keys by it serve each field built from it.
 def _radial(rho):
-    """(20/9)(rho-1)^3 on [1,2], faded out smoothly on [2,3], zero beyond."""
+    """(20/9)(rho-1)^3 on [1,2], faded out smoothly on [2,3], zero beyond: it
+    vanishes to second order at 1 and integrates to one against rho drho over [1, 2]."""
     rho = np.asarray(rho, dtype=float)
     base = np.where(rho >= 1.0, _RADIAL_SCALE * (rho - 1.0) ** 3, 0.0)
     return base * _smoothstep7(3.0 - rho)
@@ -277,7 +269,7 @@ def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureFie
         profile = strict_profile() if profile == "strict" else flat_profile()
     return polar_field(
         "quadrant_bump", "nonnegative", "c2",
-        Polar(profile.radial, profile.angular_rate, profile.angular_rate_d1, profile.radial_d1),
+        Polar(_radial, profile.angular_rate, profile.angular_rate_d1, _radial_d1),
         support=_RADIAL_SUPPORT + profile.rate_support, params={"variant": profile.variant},
     )
 

@@ -64,7 +64,7 @@ class OptimalSet:
     """Minimizers of the rotation functional: isolated angles and/or flat arcs."""
 
     angles: tuple[float, ...]              # isolated minimizers in [0, 2*pi)
-    arcs: tuple[tuple[float, float], ...]  # closed arcs [lo, hi], hi may exceed 2*pi when wrapping
+    arcs: tuple[tuple[float, float], ...]  # closed arcs [lo, hi], hi <= 2*pi; an arc that wraps has lo < 0
     min_value: float
     value_tolerance: float
     grid_step: float

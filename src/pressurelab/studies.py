@@ -239,7 +239,7 @@ def minimize_limit_energy(problem: Problem, angles: list[float]):
 
     Every angle reuses the problem's stiffness factor.  Returns (min_value,
     best_alpha0, gauged displacement field, per-angle table, rotation load
-    component at the best angle).
+    component at the best angle: the slope of the rotation functional).
     """
     mesh = problem.mesh
     jx = (mesh.nodes @ SKEW_GENERATOR.T).ravel()
@@ -248,7 +248,7 @@ def minimize_limit_energy(problem: Problem, angles: list[float]):
     for alpha0 in angles:
         load = assemble_load(mesh, problem.pi, alpha0)
         disp, e0 = solve_linearized(problem.factor, load)
-        rotation_load = float(load @ jx)  # equals the EL residual at alpha0
+        rotation_load = float(load @ jx)  # the rotation functional's slope at alpha0
         table.append({"alpha0": alpha0, "E0": e0, "rotation_load": rotation_load})
         if best is None or e0 < best[0]:
             best = (e0, alpha0, disp, rotation_load)

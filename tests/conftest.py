@@ -167,7 +167,7 @@ def rotation_sweep_value(profile, alpha):
 
 
 def add_at_load(mesh, pi, alpha0):
-    """The boundary load of `assemble_load`, scattered edge by edge with np.add.at."""
+    """The boundary load of `linear_solver._boundary_load`, scattered edge by edge with np.add.at."""
     R = rotation(alpha0)
     pts = mesh.quadrature.boundary_points
     vals = np.asarray(pi.evaluate(pts.reshape(-1, 2) @ R.T), dtype=float).reshape(pts.shape[:2])

@@ -10,14 +10,14 @@ from pressurelab import (
     builtin_pressure,
     build_domain,
     divergence_form_check,
-    el_residual,
     quadrant_bump_pressure,
 )
-from pressurelab.linear_solver import StiffnessPreconditioner, apply_gauge, skew_mean, solve_linearized
-from pressurelab.material import SKEW_GENERATOR
+from pressurelab.linear_solver import StiffnessPreconditioner, _boundary_load, apply_gauge, skew_mean, solve_linearized
+from pressurelab.material import SKEW_GENERATOR, rotation
+from pressurelab.nonlinear_solver import assemble_energy
 from pressurelab.studies import Problem, minimize_limit_energy
 
-from conftest import add_at_load
+from conftest import add_at_load, el_volume_form
 
 
 def strain_energy(mesh, material, u):
@@ -92,12 +92,39 @@ def test_kernel_dimension_exactly_three(default_material):
 
 
 def test_rotation_load_component_equals_el_residual(lobe16, default_material):
+    # the load is the first variation of the interior pressure work, so its
+    # rotation component is the interior form of the stationarity residual:
+    # the slope of the rotation functional that the optimal set minimizes
     bump = quadrant_bump_pressure("strict")
     alpha0 = 0.6  # deliberately non-optimal
     rotation_load = float(assemble_load(lobe16, bump, alpha0) @ rotation_field(lobe16))
-    res = el_residual(lobe16, bump, alpha0)
-    assert abs(rotation_load - res) <= 1e-13 * (1.0 + abs(res))
+    res = el_volume_form(lobe16, bump, alpha0)
+    assert abs(rotation_load - res) <= 1e-12 * abs(res)
     assert abs(res) > 1e-4  # the check is non-trivial at this angle
+
+
+@pytest.mark.parametrize("spec,field,alpha0", [
+    pytest.param(DomainSpec.four_lobe(resolution=16), quadrant_bump_pressure("strict"), 0.6, id="lobe16-strict_bump"),
+    pytest.param(DomainSpec.annulus(1.0, 2.0, 16), builtin_pressure("hydrostatic", {"coefficient": 1.0}), 0.3,
+                 id="annulus16-hydrostatic"),
+])
+def test_load_is_first_variation_of_pressure_work(spec, field, alpha0, default_material):
+    # the central difference of the nonlinear energy's pressure term along
+    # y = R0 (x + h v) is the load . v up to O(h^2); a boundary quadrature of
+    # the load misses it by its own discretization error at fixed h
+    mesh = build_domain(spec)
+    x, R, h = mesh.nodes, rotation(alpha0), 1e-5
+    rng = np.random.default_rng(17)
+    v = np.stack([np.sin(x[:, 0]) + x[:, 1] ** 2, x[:, 0] * np.cos(x[:, 1])], axis=1) + 0.1 * rng.normal(size=x.shape)
+
+    def work(t):
+        y = (x + t * v) @ R.T
+        return (assemble_energy(mesh, default_material, field, y, 1.0)
+                - assemble_energy(mesh, default_material, field, y, 0.0))
+
+    slope = (work(h) - work(-h)) / (2.0 * h)
+    want = float(assemble_load(mesh, field, alpha0) @ v.ravel())
+    assert abs(slope - want) <= 1e-8 * abs(want)
 
 
 def test_assembled_quadratic_form_matches_elementwise(disk16, annulus32, lobe16, weak_material):
@@ -234,9 +261,22 @@ def test_load_scatter_matches_add_at_oracle(spec, field):
     # each boundary node closes exactly two edges, so the bincount sums equal
     # the edge-by-edge np.add.at sums to the bit
     mesh = build_domain(spec)
-    load = assemble_load(mesh, field, 0.6)
+    load = _boundary_load(mesh, field, 0.6)
     assert np.any(load != 0.0)
     assert np.array_equal(load, add_at_load(mesh, field, 0.6))
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec.disk(1.0, 16), DomainSpec.annulus(1.0, 2.0, 8), DomainSpec.four_lobe(resolution=16),
+], ids=["disk16", "annulus8", "lobe16"])
+def test_constant_pressure_load_is_the_boundary_load(spec):
+    # for constant pressure the first variation is p0 sum_T |T| grad phi_i,
+    # which is the boundary integral of p0 n phi_i over the polygon exactly
+    mesh = build_domain(spec)
+    const = builtin_pressure("constant", {"value": 0.7})
+    load = assemble_load(mesh, const, 0.6)
+    assert np.max(np.abs(load - add_at_load(mesh, const, 0.6))) <= 1e-15 * np.max(np.abs(load))
+    assert np.array_equal(load, assemble_load(mesh, const, 0.0))  # built in the reference frame
 
 
 @pytest.mark.parametrize("p0", [0.1, -0.3])
@@ -245,9 +285,10 @@ def test_load_scatter_matches_add_at_oracle(spec, field):
 ], ids=["disk12", "annulus8", "lobe8"])
 def test_constant_pressure_limit_is_p1_exact(spec, p0):
     # under constant pressure the limit minimizer is beta x with beta =
-    # -p0/(c1 + 2 c2) on any domain; it is P1, and the boundary load of a P1
-    # field is exactly the integral of its divergence over the polygon, so the
-    # discrete minimum is -|Omega_h| p0^2/(c1 + 2 c2) up to rounding
+    # -p0/(c1 + 2 c2) on any domain; it is P1, and the load of a constant
+    # pressure is p0 times the divergence integrated over the polygon, which
+    # no angle changes, so the discrete minimum is -|Omega_h| p0^2/(c1 + 2 c2)
+    # up to rounding
     mesh = build_domain(spec)
     material = MaterialModel(c1=1.3, c2=0.7)
     const = builtin_pressure("constant", {"value": p0})

@@ -173,23 +173,23 @@ def test_strict_total_matches_closed_form():
 
 def test_radial_profile_normalization():
     # independent Gauss-Legendre quadrature of rho * psi over [1, 2]
-    prof = strict_profile()
+    polar = quadrant_bump_pressure("strict").polar
     xs, ws = np.polynomial.legendre.leggauss(40)
     r = 1.5 + 0.5 * xs
-    val = 0.5 * np.sum(ws * r * prof.radial(r))
+    val = 0.5 * np.sum(ws * r * polar.radial(r))
     assert abs(val - 1.0) < 1e-8
 
 
 def test_radial_profile_endpoint_conditions():
-    prof = strict_profile()
-    assert prof.radial(1.0) == 0.0
-    assert prof.radial_d1(1.0) == 0.0
+    polar = quadrant_bump_pressure("strict").polar
+    assert polar.radial(1.0) == 0.0
+    assert polar.radial_d1(1.0) == 0.0
     h = 1e-12
-    assert abs(prof.radial_d1(1.0 + h) / h) < 1e-10  # second derivative vanishes at the edge
-    assert prof.radial(3.5) == 0.0 and prof.radial(10.0) == 0.0
+    assert abs(polar.radial_d1(1.0 + h) / h) < 1e-10  # second derivative vanishes at the edge
+    assert polar.radial(3.5) == 0.0 and polar.radial(10.0) == 0.0
     samples = np.linspace(1.0, 6.0, 400)
-    assert np.all(np.isfinite(prof.radial(samples)))
-    assert np.max(np.abs(prof.radial_d1(samples))) < 50.0
+    assert np.all(np.isfinite(polar.radial(samples)))
+    assert np.max(np.abs(polar.radial_d1(samples))) < 50.0
 
 
 @pytest.mark.parametrize("prof_fn", [strict_profile, flat_profile])
@@ -285,9 +285,8 @@ def test_bump_point_value():
     bump = quadrant_bump_pressure("strict")
     pt = 1.5 * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
     assert abs(bump.evaluate(pt) - 0.06519837738547798) < 1e-14
-    prof = strict_profile()
-    assert abs(prof.radial(1.5) - 20.0 / 72.0) < 1e-15
-    assert abs(prof.angular_rate(np.pi / 4) - (np.pi / 4) ** 6) < 1e-15
+    assert abs(bump.polar.radial(1.5) - 20.0 / 72.0) < 1e-15
+    assert abs(strict_profile().angular_rate(np.pi / 4) - (np.pi / 4) ** 6) < 1e-15
 
 
 def test_bump_vanishes_outside_support():

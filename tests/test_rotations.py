@@ -48,6 +48,17 @@ def test_functional_matches_angular_sweep(lobe32, strict_bump):
     assert np.max(np.abs(got - want)) < 2e-3
 
 
+def test_rotation_functional_error_is_second_order(lobe16, lobe32, strict_bump):
+    # against the exact sweep, the interior quadrature on the polygon errs by
+    # 4.55e-4 and 1.18e-4 at resolutions 16 and 32 (64 angles): order 2
+    alphas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    want = rotation_sweep_value(strict_profile(), alphas)
+    e16, e32 = (np.max(np.abs(rotation_functional_profile(mesh, strict_bump, alphas) - want))
+                for mesh in (lobe16, lobe32))
+    assert e16 / e32 >= 3.5
+    assert e32 <= 1.5e-4
+
+
 def test_functional_periodicity(lobe16, strict_bump):
     for a in (0.3, 2.0):
         v1 = rotation_functional(lobe16, strict_bump, a)
@@ -75,6 +86,9 @@ def test_flat_optimal_arc_covers_quarter(lobe32, flat_bump):
         assert opt.distance(a) <= 2.0 * opt.grid_step
     # and stays away from the peak direction
     assert opt.distance(np.pi / 2) > 0.2
+    # the arc through angle 0 wraps: it starts at a negative angle and ends within a turn
+    [(lo, hi)] = [arc for arc in opt.arcs if arc[0] <= 0.0 <= arc[1]]
+    assert lo < 0.0 <= hi <= 2.0 * np.pi
 
 
 def test_constant_pressure_whole_circle(disk16):
@@ -519,7 +533,7 @@ def test_empty_band_scans_to_exact_zeros(disk16, strict_bump):
 
 def test_rotation_with_an_empty_run_sums_to_exact_zero(lobe16):
     # a sector far narrower than the gaps between the rules' polar angles
-    prof = strict_profile()
+    prof = quadrant_bump_pressure("strict").polar
     lo, width = 0.3, 1e-6
     pi = polar_field("sliver", "nonnegative", "c2", Polar(prof.radial, lambda t: 1.0 + t * t, lambda t: 2.0 * t,
                                                           prof.radial_d1), support=(1.0, 3.0, lo, lo + width))
@@ -588,7 +602,7 @@ def _straddling_field():
     from its polar factors, and the same field written with Cartesian
     closures as the oracle.  Its rates read angles only in arctan2's range,
     as the polar contract promises."""
-    prof = strict_profile()
+    prof = quadrant_bump_pressure("strict").polar
     lo, width = 0.75 * np.pi, 0.5 * np.pi
 
     def offset(theta):

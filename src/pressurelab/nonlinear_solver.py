@@ -162,22 +162,22 @@ def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFi
     return project_gradient(mesh, gather_transpose(mesh, mesh.areas * stress_components(material, f, det) + P, h))
 
 
-def rigid_start(mesh: TriMesh, alpha: float, noise_amplitude: float, rng: np.random.Generator) -> np.ndarray:
-    """Rotated reference map plus admissible nodal noise, zero-averaged.
+def admissible_start(mesh: TriMesh, alpha: float, offset: np.ndarray) -> np.ndarray:
+    """zero_average(R(alpha) x + d), with d = ``offset`` halved until every
+    triangle keeps a positive determinant.
 
-    The requested amplitude is halved until every triangle keeps a positive
-    determinant: an amplitude tied to the diameter can exceed the shortest
-    edges, which on a polar mesh lie on the innermost rings (on disk 64, ring
-    1's 101 segments of 9.7e-4 against a diameter of 2.83).
+    An offset tied to the diameter, such as seeded noise, can exceed the
+    shortest edges, which on a polar mesh lie on the innermost rings; an
+    offset of a predicted displacement can still fold a thin triangle.  After
+    80 halvings the rigid map itself is returned.
     """
     base = rigid_map(mesh, alpha)
-    noise = rng.uniform(-1.0, 1.0, size=base.shape)
-    amp = noise_amplitude
+    d = np.asarray(offset, dtype=float)
     for _ in range(80):
-        y = zero_average(mesh, base + amp * noise)
+        y = zero_average(mesh, base + d)
         if DeformationField(mesh, y).admissible:
             return y
-        amp *= 0.5
+        d = 0.5 * d
     return zero_average(mesh, base)
 
 

@@ -18,12 +18,12 @@ from .material import SKEW_GENERATOR, MaterialModel, g_mixed, g_mixed_ratio, rot
 from .nonlinear_solver import (
     DeformationField,
     SolveDiagnostics,
+    admissible_start,
     assemble_energy,
     det_deviation_sq,
     deformation_gradients,
     gp_gradient_integral,
     minimize_energy,
-    rigid_start,
     zero_average,
 )
 from .linear_solver import ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_load, solve_linearized
@@ -171,17 +171,21 @@ class Plan:
     max_iter: int = 5000
     multistart_angles: tuple[float, ...] = (0.0,)
     eps_list: tuple[float, ...] = (0.08, 0.04, 0.02, 0.01)
-    seed: int = 0
+    seed: int = 0  # seeds the start noise of a solve without a limit (`solve-nonlinear`)
     rotation_grid: int = 1024
     arc_samples: int = 5
     lambda_exponent: float = 0.4
 
 
-def multistart_minimize(problem: Problem, eps: float, plan: Plan) -> tuple[DeformationField, SolveDiagnostics, list[dict]]:
-    """Run the minimizer from each of the plan's rigid starts; keep the lowest energy.
+def multistart_minimize(problem: Problem, eps: float, plan: Plan,
+                        u0: np.ndarray | None = None) -> tuple[DeformationField, SolveDiagnostics, list[dict]]:
+    """Run the minimizer from each of the plan's start angles; keep the lowest energy.
 
-    Each start is the rotated reference map plus uniform nodal noise of
-    amplitude 1e-3 times the mesh diameter, seeded by (seed, eps, start index).
+    Given the limit minimizer ``u0``, start k is the Gamma-limit prediction
+    R(alpha_k)(x + eps u0), with no noise, so the seed plays no part.  Without
+    it (`solve-nonlinear`), start k is R(alpha_k) x plus uniform nodal noise
+    of amplitude 1e-3 times the mesh diameter, seeded by (seed, eps, k).
+    Either offset is halved until the start is admissible (`admissible_start`).
     With several starts the exploration pass runs at a capped iteration count
     and moderate tolerance to rank the basins, and only the winner is polished
     to the requested tolerance (warm-started, preconditioned in its own
@@ -191,15 +195,18 @@ def multistart_minimize(problem: Problem, eps: float, plan: Plan) -> tuple[Defor
     floor of the minimizer's derivative-accepted steps.
     """
     mesh, material, pi_hat = problem.mesh, problem.material, problem.pi_hat
-    amp = 1e-3 * mesh.diameter
     multi = len(plan.multistart_angles) > 1
     scout_tol = max(plan.grad_tol, 1e-8) if multi else plan.grad_tol
     scout_iters = min(plan.max_iter, 400) if multi else plan.max_iter
     best: tuple[DeformationField, SolveDiagnostics] | None = None
     table: list[dict] = []
     for k, alpha in enumerate(plan.multistart_angles):
-        rng = np.random.default_rng([plan.seed, int(round(eps * 1e9)), k])
-        init = rigid_start(mesh, alpha, amp, rng)
+        if u0 is None:
+            rng = np.random.default_rng([plan.seed, int(round(eps * 1e9)), k])
+            offset = 1e-3 * mesh.diameter * rng.uniform(-1.0, 1.0, size=mesh.nodes.shape)
+        else:
+            offset = eps * u0 @ rotation(alpha).T
+        init = admissible_start(mesh, alpha, offset)
         fld, diag = minimize_energy(
             mesh, material, pi_hat, eps, init,
             grad_tol=scout_tol, max_iter=scout_iters,
@@ -237,7 +244,9 @@ def multistart_minimize(problem: Problem, eps: float, plan: Plan) -> tuple[Defor
 def minimize_limit_energy(problem: Problem, angles: list[float]):
     """Linearized solves over the given limit angles; returns the best.
 
-    Every angle reuses the problem's stiffness factor.  Returns (min_value,
+    Every angle reuses the problem's stiffness factor, and an angle whose load
+    is bitwise equal to an earlier angle's (constant pressure gives one load
+    at every angle) reuses that angle's solve.  Returns (min_value,
     best_alpha0, gauged displacement field, per-angle table, rotation load
     component at the best angle: the slope of the rotation functional).
     """
@@ -245,9 +254,14 @@ def minimize_limit_energy(problem: Problem, angles: list[float]):
     jx = (mesh.nodes @ SKEW_GENERATOR.T).ravel()
     best = None
     table = []
+    solved = []  # (load, displacement, E0) of each distinct load
     for alpha0 in angles:
         load = assemble_load(mesh, problem.pi, alpha0)
-        disp, e0 = solve_linearized(problem.factor, load)
+        hit = next((s for s in solved if np.array_equal(s[0], load)), None)
+        if hit is None:
+            hit = (load, *solve_linearized(problem.factor, load))
+            solved.append(hit)
+        _, disp, e0 = hit
         rotation_load = float(load @ jx)  # the rotation functional's slope at alpha0
         table.append({"alpha0": alpha0, "E0": e0, "rotation_load": rotation_load})
         if best is None or e0 < best[0]:
@@ -264,22 +278,28 @@ def _sweep(kind: str, problem: Problem, plan: Plan, setup) -> tuple[StudyReport,
     """The eps-sweep shared by the studies; returns the report and the optimal set.
 
     The identity must be an optimal rotation: the energy subtracts pi_hat(x),
-    so every rescaled energy is measured against the identity.  ``setup(optimal,
-    report)`` computes the study's limit quantities and returns its row
+    so every rescaled energy is measured against the identity.  The limit is
+    solved once, over ``plan.arc_samples`` angles per optimal arc, and
+    ``setup(optimal, limit, report)``, given that `minimize_limit_energy`
+    result, computes the study's limit quantities and returns its row
     function ``row(eps, field, diagnostics, starts) -> dict``.  Per eps, in
-    descending order, one multistart minimization runs; the limit solves and
-    every minimization share the problem's one stiffness factor.  An eps whose
-    solve raises SolverError becomes an error row and the sweep goes on.
+    descending order, one multistart minimization runs from the limit's
+    prediction R(alpha_k)(x + eps u0), so no start draws noise; the limit
+    solves and every minimization share the problem's one stiffness factor.
+    An eps whose solve raises SolverError becomes an error row and the sweep
+    goes on.
     """
     optimal = find_optimal_rotations(problem.mesh, problem.pi, grid_n=plan.rotation_grid)
     if optimal.distance(0.0) > optimal.grid_step:
         raise ProblemError("the identity rotation is not optimal for this configuration")
+    limit = minimize_limit_energy(problem, optimal.sample_angles(per_arc=plan.arc_samples))
     report = StudyReport(kind=kind, config_hash="")
-    row = setup(optimal, report)
+    row = setup(optimal, limit, report)
+    u0 = limit[2].values  # the limit minimizer's displacement
     label = problem.resolution if problem.resolution is not None else -1
     for eps in sorted(plan.eps_list, reverse=True):
         try:
-            fld, diag, starts = multistart_minimize(problem, eps, plan)
+            fld, diag, starts = multistart_minimize(problem, eps, plan, u0)
         except SolverError as exc:
             report.rows.append({"resolution": label, "eps": eps, "error": str(exc)})
             continue
@@ -298,9 +318,8 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
     """
     mesh, material = problem.mesh, problem.material
 
-    def setup(optimal, report):
-        min_e0, alpha0, disp0, e0_table, rot_load = minimize_limit_energy(
-            problem, optimal.sample_angles(per_arc=plan.arc_samples))
+    def setup(optimal, limit, report):
+        min_e0, alpha0, disp0, e0_table, rot_load = limit
         u0 = disp0.values
         report.limits = {
             "min_E0": min_e0,
@@ -352,13 +371,14 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
     Per eps: decompose the extracted angle as nearest-optimal plus offset
     a_eps, record a_eps / max(|a_eps|, sqrt(eps)), and evaluate the boundary
     second-variation form at the limit with the recorded amplitude.  The full
-    sequence is reported; no limit is forced when it fails to settle.
+    sequence is reported; no limit is forced when it fails to settle.  The
+    linearized limit is solved only for the starts of the sweep's solves.
     """
     if not problem.pi.is_smooth:
         raise ProblemError("refined study needs a C^2 pressure field")
     mesh, material = problem.mesh, problem.material
 
-    def setup(optimal, report):
+    def setup(optimal, limit, report):
         def row(eps, fld, diag, starts):
             alpha = extract_rotation(mesh, material, fld.values)
             s_near = optimal.nearest(alpha)
@@ -414,8 +434,8 @@ def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
         raise ProblemError("the scaling study requires the strict bump variant")
     mesh, material, pi = problem.mesh, problem.material, problem.pi
 
-    def setup(optimal, report):
-        min_e0, alpha0, disp_star, _, _ = minimize_limit_energy(problem, optimal.sample_angles(per_arc=3))
+    def setup(optimal, limit, report):
+        min_e0, alpha0, disp_star, _, _ = limit
         base_value = rotation_functional(mesh, pi, alpha0)
         report.limits = {
             "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,

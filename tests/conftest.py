@@ -6,6 +6,7 @@ import pytest
 from pressurelab import DomainSpec, MaterialModel, TriMesh, build_domain, rotations
 from pressurelab.linear_solver import project_gradient
 from pressurelab.material import SKEW_GENERATOR, cofactor, det2, rotation, stress_components
+from pressurelab.nonlinear_solver import admissible_start
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +69,12 @@ def translated(mesh, shift):
 def identity_map(mesh):
     """The reference configuration as a nodal map."""
     return mesh.nodes.copy()
+
+
+def noisy_start(mesh, alpha, amplitude, rng):
+    """R(alpha) x plus uniform nodal noise of the given amplitude, halved until
+    admissible: the start `multistart_minimize` builds when it has no limit."""
+    return admissible_start(mesh, alpha, amplitude * rng.uniform(-1.0, 1.0, size=mesh.nodes.shape))
 
 
 def support_rows(mesh, pi, alpha, boundary=False):

@@ -576,10 +576,10 @@ def test_study_svg_with_an_error_row(tmp_path, monkeypatch):
 
     real = ST.multistart_minimize
 
-    def failing(problem, eps, plan):
+    def failing(problem, eps, plan, u0=None):
         if eps == 0.02:
             raise SolverError("forced failure")
-        return real(problem, eps, plan)
+        return real(problem, eps, plan, u0)
 
     monkeypatch.setattr(ST, "multistart_minimize", failing)
     path = _write(tmp_path, _base_config())
@@ -600,6 +600,26 @@ def test_seed_flag_changes_output(tmp_path):
     d1 = json.loads(out1.read_text())
     d2 = json.loads(out2.read_text())
     assert d1["config_hash"] != d2["config_hash"]  # seed is part of the config
+    assert d1["result"]["y_nodal"] != d2["result"]["y_nodal"]  # and seeds the start noise
+
+
+@pytest.mark.parametrize("command", ["gamma-study", "refined-study", "lambda-study"])
+def test_study_result_does_not_depend_on_seed(tmp_path, command):
+    # a sweep starts every solve at the limit's prediction R(alpha_k)(x + eps u0): no noise
+    cfg = _base_config()
+    if command != "gamma-study":
+        cfg.update(pressure={"name": "quadrant_bump", "variant": "strict"},
+                   domain={"kind": "four_lobe", "params": {}, "resolution": 8},
+                   study={"resolutions": [8], "rotation_grid": 128})
+    path = _write(tmp_path, cfg)
+    results = []
+    for seed in (5, 99):
+        out = tmp_path / f"s{seed}.json"
+        assert run(command, path, out=str(out), seed=seed) == 0
+        doc = json.loads(out.read_text())
+        assert doc["result"].pop("config_hash") == doc["config_hash"]
+        results.append(doc["result"])
+    assert results[0] == results[1]
 
 
 def test_selftest_command_is_gone(tmp_path, capsys):

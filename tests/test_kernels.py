@@ -7,7 +7,7 @@ term."""
 
 import numpy as np
 import pytest
-from conftest import fancy_gather, fancy_gradient
+from conftest import fancy_gather, fancy_gradient, noisy_start
 
 from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure, extend_pressure, nonlinear_solver, rotations
 from pressurelab.linear_solver import gather, gather_transpose
@@ -19,7 +19,6 @@ from pressurelab.nonlinear_solver import (
     deformation_gradients,
     minimize_energy,
     project_gradient,
-    rigid_start,
 )
 from pressurelab.pressure import polar_factor
 
@@ -83,7 +82,7 @@ def _random_maps(mesh, n=3):
     rng = np.random.default_rng(17)
     maps = []
     for alpha, amp in zip((0.0, 2.2, 4.0), (1e-3, 1e-2, 3e-2)[:n]):
-        y = rigid_start(mesh, alpha, amp * mesh.diameter, rng)
+        y = noisy_start(mesh, alpha, amp * mesh.diameter, rng)
         # a smooth dilation by 0.7 to 2.7 moves triangles off the quadratic branches
         maps.append(y * (1.7 + np.sin(0.25 * mesh.nodes[:, :1] + alpha)))
     return maps
@@ -165,7 +164,7 @@ def test_a_solve_that_reuses_evaluation_states_matches_one_that_gathers_afresh(d
     # the gradient at every accepted step, derivative-tested candidates
     # included, must come from that step's own energy evaluation
     hat = _extended(builtin_pressure("constant", {"value": 0.1}), disk16)
-    init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
+    init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
     field, diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init, grad_tol=1e-13)
     assert diags.converged and diags.backtracks > 0
     reusing = nonlinear_solver.assemble_gradient
@@ -181,9 +180,9 @@ def test_operators_are_built_once_per_mesh_and_only_by_the_solvers():
     assert "p1" not in mesh.tables  # the rotation layer gathers no P1 values
     hat = _extended(pi, mesh)
     rng = np.random.default_rng(2)
-    minimize_energy(mesh, MATERIALS[0], hat, 0.05, rigid_start(mesh, 0.3, 1e-3, rng), max_iter=5)
+    minimize_energy(mesh, MATERIALS[0], hat, 0.05, noisy_start(mesh, 0.3, 1e-3, rng), max_iter=5)
     ops = mesh.tables["p1"]
-    minimize_energy(mesh, MATERIALS[0], hat, 0.05, rigid_start(mesh, 1.3, 1e-3, rng), max_iter=5)
+    minimize_energy(mesh, MATERIALS[0], hat, 0.05, noisy_start(mesh, 1.3, 1e-3, rng), max_iter=5)
     assert mesh.tables["p1"] is ops
 
 

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from pressurelab import TriMesh, assemble_energy, assemble_gradient, builtin_pressure, extend_pressure, minimize_energy, quadrant_bump_pressure, rotation_functional
+from pressurelab.material import rotation
 from pressurelab.nonlinear_solver import (
     StiffnessPreconditioner,
     _energy_rounding_floor,
     _reference_terms,
+    admissible_start,
     deformation_gradients,
     project_gradient,
     rigid_map,
-    rigid_start,
     zero_average,
 )
 
-from conftest import identity_map
+from conftest import identity_map, noisy_start
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def test_gradient_matches_finite_differences(lobe16, weak_material, bump_hat):
     # taper, so that the pressure term is O(1) (on the unit disk the bump's
     # extension stays below 1e-9 and only the elastic term would be checked)
     rng = np.random.default_rng(4)
-    y = 1.4 * rigid_start(lobe16, 1.2, 1e-3 * lobe16.diameter, rng)
+    y = 1.4 * noisy_start(lobe16, 1.2, 1e-3 * lobe16.diameter, rng)
     eps = 1.0
     pressure = (assemble_energy(lobe16, weak_material, bump_hat, y, eps)
                 - assemble_energy(lobe16, weak_material, bump_hat, y, 0.0))
@@ -115,7 +116,7 @@ def test_gradient_rejects_inadmissible_state(disk16, default_material, const_hat
 
 def test_minimize_recovers_rigid_state(disk16, default_material):
     zero_hat = builtin_pressure("zero")
-    init = rigid_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
+    init = noisy_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
     fld, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init, grad_tol=1e-10)
     assert diag.energy <= 1e-12
     assert fld.admissible
@@ -124,7 +125,7 @@ def test_minimize_recovers_rigid_state(disk16, default_material):
 
 def test_minimize_benchmark_energy_window(disk16, default_material, const_hat):
     eps = 0.01
-    init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
+    init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
     pre = StiffnessPreconditioner(disk16, default_material)
     fld, diag = minimize_energy(disk16, default_material, const_hat, eps, init,
                                 grad_tol=1e-12, max_iter=4000, precond=pre)
@@ -134,7 +135,7 @@ def test_minimize_benchmark_energy_window(disk16, default_material, const_hat):
 
 
 def test_minimize_monotone_descent_and_admissibility(disk16, default_material, const_hat):
-    init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(7))
+    init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(7))
     e0 = assemble_energy(disk16, default_material, const_hat, init, 0.05)
     fld, diag = minimize_energy(disk16, default_material, const_hat, 0.05, init,
                                 grad_tol=1e-10, max_iter=500)
@@ -155,7 +156,7 @@ def test_rounding_floor_fits_the_energy_sum(disk16, default_material, noise):
     # energy, so the spread of the two sums is rounding the floor must cover.
     # Near a rotation the floor follows dist and |det - 1|, not |F|^2 + 2.
     zero_hat = builtin_pressure("zero")
-    y = rigid_start(disk16, 0.7, noise, np.random.default_rng(3))
+    y = noisy_start(disk16, 0.7, noise, np.random.default_rng(3))
     reversed_mesh = TriMesh.from_arrays(disk16.nodes, disk16.triangles[::-1])
     energy, state = assemble_energy(disk16, default_material, zero_hat, y, 0.05, with_state=True)
     spread = abs(energy - assemble_energy(reversed_mesh, default_material, zero_hat, y, 0.05))
@@ -182,8 +183,19 @@ def test_zero_average_is_projection(disk16):
     assert np.allclose(zero_average(disk16, z), z, atol=1e-14)
 
 
+def test_admissible_start_halves_an_inadmissible_offset(disk16):
+    # the offset R(-3 x1, 0) flips the body (det -2) and its half still does
+    # (det -0.5); the quarter is the first admissible offset (det 0.25)
+    alpha = 0.3
+    d = np.stack([-3.0 * disk16.nodes[:, 0], np.zeros(disk16.n_nodes)], axis=1) @ rotation(alpha).T
+    y = admissible_start(disk16, alpha, d)
+    assert np.array_equal(y, zero_average(disk16, rigid_map(disk16, alpha) + 0.25 * d))
+    _, det = deformation_gradients(disk16, y)
+    assert np.all(det > 0.0)
+
+
 def test_rigid_start_is_admissible_on_thin_meshes(lobe16):
-    y = rigid_start(lobe16, 1.0, 1e-3 * lobe16.diameter, np.random.default_rng(10))
+    y = noisy_start(lobe16, 1.0, 1e-3 * lobe16.diameter, np.random.default_rng(10))
     _, det = deformation_gradients(lobe16, y)
     assert np.all(det > 0.0)
     mean = lobe16.node_masses @ y / lobe16.total_mass
@@ -194,7 +206,7 @@ def test_minimize_reaches_tight_tolerance_at_rigid_state(disk16, default_materia
     # without load the energy near the rigid minimizer stops resolving descent
     # long before |g| reaches 1e-12; the solve must still end on the gradient test
     zero_hat = builtin_pressure("zero")
-    init = rigid_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
+    init = noisy_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
     fld, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init, grad_tol=1e-12)
     assert diag.stop_reason == "gradient" and diag.converged
     assert diag.grad_norm <= 1e-12 * (1.0 + abs(diag.energy))
@@ -202,7 +214,7 @@ def test_minimize_reaches_tight_tolerance_at_rigid_state(disk16, default_materia
 
 
 def test_stalled_or_capped_solve_is_not_converged(disk16, default_material, const_hat):
-    init = rigid_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
+    init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
     _, diag = minimize_energy(disk16, default_material, const_hat, 0.05, init,
                               grad_tol=1e-12, max_iter=2)
     assert diag.stop_reason == "maxiter" and not diag.converged
@@ -232,7 +244,7 @@ def test_energy_taylor_remainder_is_second_order(lobe16, default_material, name)
     # pressure term is checked on its own.
     pi_hat = TAYLOR_FIELDS[name]
     rng = np.random.default_rng(12)
-    y = 1.4 * rigid_start(lobe16, 1.2, 1e-3 * lobe16.diameter, rng)
+    y = 1.4 * noisy_start(lobe16, 1.2, 1e-3 * lobe16.diameter, rng)
     yq = np.matmul(lobe16.quadrature.interior_bary, y[lobe16.triangles]).reshape(-1, 2)
     in_taper = np.abs(np.hypot(yq[:, 0], yq[:, 1]) - 2.7) < 0.5
     assert np.any(in_taper & (pi_hat.evaluate(yq) != 0.0))

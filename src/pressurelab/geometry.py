@@ -189,7 +189,8 @@ class TriMesh:
     def tables(self) -> dict:
         """Tables derived from this mesh by the modules that read them, built on
         first use and kept with the mesh: the rotation layer's band tables and
-        the solvers' sparse P1 gather, whose transpose serves every adjoint."""
+        the solvers' sparse P1 gather and its CSR transpose, which serves
+        every adjoint."""
         return {}
 
     def export_json(self) -> dict:

@@ -45,17 +45,19 @@ class DisplacementField:
 
 def assemble_stiffness(mesh: TriMesh, material: MaterialModel) -> sp.csr_matrix:
     """Sparse symmetric operator with u^T K u = integral of the strain quadratic form:
-    c1 (e11^T A e11 + e22^T A e22 + 2 e12^T A e12) + c2 div^T A div, A = diag(areas),
-    with the strain rows taken from the G_0, G_1 rows of the P1 gather."""
-    m, G = len(mesh.triangles), _p1_gather(mesh)
-    # d[a][b] @ u.ravel() = d_b u_a per triangle
-    d = [[sp.kron(G[b * m:(b + 1) * m], np.eye(2)[a:a + 1], format="csr") for b in range(2)] for a in range(2)]
-    e12, div, A = 0.5 * (d[0][1] + d[1][0]), d[0][0] + d[1][1], sp.diags(mesh.areas)
-
-    def form(e):
-        return e.T @ A @ e
-
-    return (material.c1 * (form(d[0][0]) + form(d[1][1]) + 2.0 * form(e12)) + material.c2 * form(div)).tocsr()
+    K = B^T W B with the strain operator B (4M x 2N), whose row blocks e11, e22,
+    e12 and div take the corners' basis gradients, and W = diag(c1 A, c1 A,
+    2 c1 A, c2 A), A the triangle areas."""
+    tris, g, m = mesh.triangles, mesh.basis_gradients, len(mesh.triangles)
+    gx, gy, cx, cy = g[:, :, 0], g[:, :, 1], 2 * tris, 2 * tris + 1
+    # e11 = d1 u1, e22 = d2 u2 (3 entries a row), e12 = (d2 u1 + d1 u2) / 2, div = d1 u1 + d2 u2 (6)
+    data = np.concatenate([gx, gy, 0.5 * np.hstack([gy, gx]), np.hstack([gx, gy])], axis=None)
+    cols = np.concatenate([cx, cy, np.hstack([cx, cy]), np.hstack([cx, cy])], axis=None)
+    indptr = np.concatenate([3 * np.arange(2 * m), 6 * m + 6 * np.arange(2 * m + 1)])
+    a, c1 = mesh.areas, material.c1
+    w = np.repeat(np.concatenate([c1 * a, c1 * a, 2.0 * c1 * a, material.c2 * a]), np.diff(indptr))
+    B, WB = (sp.csr_matrix((v, cols, indptr), shape=(4 * m, 2 * mesh.n_nodes)) for v in (data, w * data))
+    return (B.T @ WB).tocsr()
 
 
 class StiffnessPreconditioner:
@@ -68,9 +70,9 @@ class StiffnessPreconditioner:
     """
 
     def __init__(self, mesh: TriMesh, material: MaterialModel):
-        # imported here, not with the module: scipy.sparse.linalg adds about
-        # 10 MB and some start-up time to every command, even one that never
-        # factors (scan-rotations)
+        # imported here, not with the module: scipy.sparse.linalg (with
+        # scipy.linalg) takes 45-80 ms of a fresh gamma-study round on disk 16,
+        # which a command that never factors (scan-rotations) would pay too
         from scipy.sparse.linalg import splu
 
         self.stiffness = assemble_stiffness(mesh, material)
@@ -121,9 +123,12 @@ def gather(mesh: TriMesh, y: np.ndarray):
 def gather_transpose(mesh: TriMesh, f_bar: np.ndarray, q_bar: np.ndarray | None = None) -> np.ndarray:
     """The transpose of `gather`: the nodal field (N, 2) that pairs with y as
     the cotangents f_bar (2, 2, M), of the gradient, and q_bar (3M, 2), of the
-    rule-point values (zero when not given), pair with gather(mesh, y)."""
+    rule-point values (zero when not given), pair with gather(mesh, y).  The
+    transposed gather is built once, as CSR, and kept in ``mesh.tables``."""
     q_bar = np.zeros((3 * len(mesh.triangles), 2)) if q_bar is None else q_bar
-    return _p1_gather(mesh).T @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar])
+    if "p1T" not in mesh.tables:
+        mesh.tables["p1T"] = _p1_gather(mesh).T.tocsr()
+    return mesh.tables["p1T"] @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar])
 
 
 def pressure_cotangents(mesh: TriMesh, f: np.ndarray, det: np.ndarray, piy: np.ndarray,

@@ -25,11 +25,14 @@ whose energy lies within that rounding floor of the current energy is
 therefore judged on its directional derivative instead (the approximate Wolfe
 conditions of Hager and Zhang, SIAM J. Optim. 16, 2005): the search brackets
 the step on the slope ratio and accepts once it lies in [2*delta - 1, sigma].
-Accepted energies are nonincreasing except at such a step, which may raise
-the energy by at most the floor.  The floor bounds the rounding of the energy
-sum by the sizes of its terms: the elastic density rounds relative to
-d = dist(F, SO(2)) and t = |det F - 1| (not to |F|^2, which is about 2 near
-a rotation), the pressure term relative to w_q |pi_hat|.
+A candidate whose gradient already passes the solve's own test is taken at
+once; any other is taken only if a few shorter steps fail Armijo on the
+energy alone.  Accepted energies are nonincreasing except at a
+derivative-accepted step, which may raise the energy by at most the floor.
+The floor bounds the rounding of the energy sum by the sizes of its terms:
+the elastic density rounds relative to d = dist(F, SO(2)) and
+t = |det F - 1| (not to |F|^2, which is about 2 near a rotation), the
+pressure term relative to w_q |pi_hat|.
 ``converged`` means the gradient test passed (``stop_reason == "gradient"``);
 "stalled" means the line search found no acceptable step, "maxiter" that the
 iteration cap was reached.
@@ -57,7 +60,8 @@ _STEP_MIN = 1e-20
 # below 2*delta - 1 it overshoots.
 _WOLFE_SIGMA = 0.9
 _WOLFE_DELTA = 0.1
-# Halvings tried on the energy alone before a derivative-accepted step is taken.
+# Halvings tried on the energy alone before a derivative-accepted step that
+# has not converged is taken.
 _ARMIJO_RETRIES = 4
 
 
@@ -248,10 +252,13 @@ def minimize_energy(
         Armijo backtracking on the bracket [lo, hi].  A trial that fails
         Armijo with its energy within the rounding floor of f takes the
         derivative test instead, which raises lo (too short), lowers hi
-        (overshoot) or yields a candidate.  The candidate is taken only if
-        none of the next _ARMIJO_RETRIES halvings passes Armijo.  The search
-        gives up once the step falls below _STEP_MIN above lo, or once the
-        bracket holds no float strictly inside it (t then rounds to hi).
+        (overshoot) or yields a candidate.  A candidate with |g| <= grad_tol
+        (1 + |f|), which would stop the solve, is taken at once: the energy of
+        a shorter step then differs from f by rounding alone.  Any other is
+        taken only if none of the next _ARMIJO_RETRIES halvings passes
+        Armijo.  The search gives up once the step falls below _STEP_MIN
+        above lo, or once the bracket holds no float strictly inside it (t
+        then rounds to hi).
         """
         nonlocal backtracks, rejections
 
@@ -288,6 +295,8 @@ def minimize_energy(
         else:
             return None
         candidate = (z_try, f_try, s_try, g_try)
+        if float(np.linalg.norm(g_try)) <= grad_tol * (1.0 + abs(f_try)):
+            return candidate
         for _ in range(_ARMIJO_RETRIES):
             t *= _BACKTRACK
             z_try, f_try, s_try, armijo = trial(t)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pressurelab import DomainSpec, MaterialModel, TriMesh, build_domain, rotations
-from pressurelab.linear_solver import project_gradient
+from pressurelab.linear_solver import _p1_gather, project_gradient
 from pressurelab.material import SKEW_GENERATOR, cofactor, det2, rotation, stress_components
 from pressurelab.nonlinear_solver import admissible_start
 
@@ -58,7 +59,9 @@ def weak_material():
 # fancy-indexed P1 gather, bincount scatter and energy gradient that the
 # sparse P1 gather and its transpose replaced (the gather matches them bit for
 # bit, the gradient to 1e-14 of its largest entry, since the transpose sums in
-# another order), and the edge-by-edge boundary load scatter.
+# another order), the stiffness as a sum of Kronecker-built strain forms that
+# the one strain operator replaced (to 1e-14 of its largest entry), and the
+# edge-by-edge boundary load scatter.
 
 
 def translated(mesh, shift):
@@ -139,6 +142,20 @@ def fancy_gradient(mesh, material, pi_hat, y, eps):
     edges = np.moveaxis(0.5 * (h + h[:, [2, 0, 1]]), 2, 0)
     contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1] + edges  # (2, M, 3)
     return project_gradient(mesh, bincount_scatter(mesh, contrib))
+
+
+def kron_stiffness(mesh, material):
+    """c1 (e11^T A e11 + e22^T A e22 + 2 e12^T A e12) + c2 div^T A div, A = diag(areas),
+    with each strain row built by sp.kron from the gradient rows of the P1 gather."""
+    m, G = len(mesh.triangles), _p1_gather(mesh)
+    # d[a][b] @ u.ravel() = d_b u_a per triangle
+    d = [[sp.kron(G[b * m:(b + 1) * m], np.eye(2)[a:a + 1], format="csr") for b in range(2)] for a in range(2)]
+    e12, div, A = 0.5 * (d[0][1] + d[1][0]), d[0][0] + d[1][1], sp.diags(mesh.areas)
+
+    def form(e):
+        return e.T @ A @ e
+
+    return (material.c1 * (form(d[0][0]) + form(d[1][1]) + 2.0 * form(e12)) + material.c2 * form(div)).tocsr()
 
 
 def angular_profile(profile, alpha):

@@ -2,7 +2,10 @@ import csv
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -754,3 +757,34 @@ def test_run_context_defaults():
     mesh = ctx.problem().mesh
     assert mesh.n_nodes > 0
     assert ctx.pressure_extended.evaluate(np.array([0.2, 0.1])) == 0.1
+
+
+_IMPORT_PROBE = """
+import json, sys
+import pressurelab.cli
+from pressurelab.config import RunContext
+
+
+def loaded():
+    return [name for name in ("scipy.sparse.linalg", "scipy.linalg") if name in sys.modules]
+
+
+RunContext.from_config(json.loads(sys.argv[1]))
+after_setup = loaded()
+pressurelab.cli.run("scan-rotations", sys.argv[2], out=sys.argv[3])
+print(json.dumps([after_setup, loaded()]))
+"""
+
+
+def test_scan_rotations_imports_no_factorization(tmp_path):
+    # StiffnessPreconditioner imports scipy.sparse.linalg on first use, so a
+    # command that factors nothing never pays for that import (or for
+    # scipy.linalg, which it pulls in); a fresh interpreter sees what is loaded
+    cfg = _base_config(domain={"kind": "four_lobe", "params": {"r_small": 1.0, "r_large": 2.0}, "resolution": 12},
+                       pressure={"name": "quadrant_bump", "variant": "flat"})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(cfg), _write(tmp_path, cfg),
+                           str(tmp_path / "scan.json")], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]

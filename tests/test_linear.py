@@ -12,12 +12,13 @@ from pressurelab import (
     divergence_form_check,
     quadrant_bump_pressure,
 )
-from pressurelab.linear_solver import StiffnessPreconditioner, _boundary_load, apply_gauge, skew_mean, solve_linearized
+from pressurelab.linear_solver import (StiffnessPreconditioner, _boundary_load, apply_gauge, assemble_stiffness, skew_mean,
+                                      solve_linearized)
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.nonlinear_solver import assemble_energy
 from pressurelab.studies import Problem, minimize_limit_energy
 
-from conftest import add_at_load, el_volume_form
+from conftest import add_at_load, el_volume_form, kron_stiffness
 
 
 def strain_energy(mesh, material, u):
@@ -136,6 +137,15 @@ def test_assembled_quadratic_form_matches_elementwise(disk16, annulus32, lobe16,
             quad = 0.5 * float(u.ravel() @ (K @ u.ravel()))
             elem = strain_energy(mesh, weak_material, u)
             assert abs(quad - elem) <= 1e-12 * (1.0 + abs(elem))
+
+
+@pytest.mark.parametrize("mesh_name", ["disk16", "annulus32", "lobe16"])
+def test_stiffness_matches_the_kron_oracle(mesh_name, default_material, weak_material, request):
+    # one strain operator B and K = B^T W B sum in another order than the four kron forms
+    mesh = request.getfixturevalue(mesh_name)
+    for material in (default_material, weak_material):
+        K, want = assemble_stiffness(mesh, material), kron_stiffness(mesh, material)
+        assert abs(K - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_benchmark_solution_is_radial(bench_system, disk32, default_material):

@@ -509,7 +509,8 @@ def test_annulus_pipeline_with_lipschitz_pressure(default_material):
 def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatch):
     # annulus 8 under a hydrostatic load: the kink of max(-y2, 0) stalls both
     # passes of a single start short of grad_tol; the polish lowers the energy
-    # from some starts and ends higher from others (seed 2)
+    # from some starts and ends higher from others.  Which seeds do which
+    # shifts with any rounding change in the preconditioner, so five are run
     import pressurelab.studies as ST
     from pressurelab import DomainSpec, build_domain
 
@@ -526,7 +527,7 @@ def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatc
     monkeypatch.setattr(ST, "minimize_energy", spy)
     problem = Problem(mesh, default_material, hyd, hat)
     lowered = []
-    for seed in (1, 2, 3):
+    for seed in (1, 2, 3, 4, 5):
         passes.clear()
         fld, diag, _ = multistart_minimize(problem, 0.04, Plan(grad_tol=1e-10, seed=seed))
         (f1, d1), (f2, d2) = passes

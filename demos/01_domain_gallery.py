@@ -36,5 +36,6 @@ flux = boundary_integral(mesh, lambda p, n: np.einsum("ij,ij->i", p @ A.T, n))
 print(f"\naffine flux check: boundary={flux:.12f}  interior={np.trace(A) * mesh.total_area:.12f}")
 
 with open("four_lobe_mesh.json", "w") as fh:
-    json.dump(build_domain(DomainSpec.four_lobe(resolution=8)).export_json(), fh)
+    coarse = build_domain(DomainSpec.four_lobe(resolution=8))
+    json.dump({"nodes": coarse.nodes.tolist(), "triangles": coarse.triangles.tolist()}, fh)
 print("wrote four_lobe_mesh.json (coarse debug dump)")

@@ -9,7 +9,6 @@ the circle, and runs the epsilon-sweep studies connecting the two levels.
 from .geometry import DomainSpec, TriMesh, barycenter, boundary_integral, build_domain
 from .material import (
     MaterialModel,
-    det_expansion,
     dist_so2,
     energy_density,
     g_mixed,
@@ -45,7 +44,6 @@ from .nonlinear_solver import (
 from .linear_solver import (
     DisplacementField,
     assemble_load,
-    divergence_form_check,
     solve_linearized,
 )
 from .studies import (

@@ -74,7 +74,7 @@ _DOMAIN_PARAMS = Per("kind", {
 })
 _PRESSURE_PARAMS = Per("name", {
     "zero": {}, "constant": {"value": (NUMBER, 1.0)}, "hydrostatic": {"coefficient": (NUMBER, 1.0)},
-    "quadrant_bump": {}, "example52": {},  # example52: legacy alias of quadrant_bump
+    "quadrant_bump": {},
 })
 
 # The one table of config keys: key -> (rule, default).  A rule is a `Rule`, the
@@ -89,7 +89,7 @@ SCHEMA = {
     "pressure": ({
         "name": (_one_of(*_PRESSURE_PARAMS.rules), REQUIRED),
         "params": (_PRESSURE_PARAMS, {}),
-        "variant": (Per("name", dict.fromkeys(("quadrant_bump", "example52"), _one_of("strict", "flat"))), "strict"),
+        "variant": (Per("name", {"quadrant_bump": _one_of("strict", "flat")}), "strict"),
     }, REQUIRED),
     "solver": ({  # the defaults of solver, study, eps_list and seed are Plan's own
         "grad_tol": (POSITIVE, Plan.grad_tol),

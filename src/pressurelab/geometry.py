@@ -188,27 +188,11 @@ class TriMesh:
     @cached_property
     def tables(self) -> dict:
         """Tables derived from this mesh by the modules that read them, built on
-        first use and kept with the mesh: the rotation layer's band tables and
-        the solvers' sparse P1 gather and its CSR transpose, which serves
-        every adjoint."""
+        first use and kept with the mesh: the rotation layer's band tables,
+        the solvers' sparse P1 gather and its transpose, a CSC view of the
+        gather's own arrays that serves every adjoint, and the energy's
+        reference sums, keyed by the field's ``evaluate``."""
         return {}
-
-    def export_json(self) -> dict:
-        """Debug dump of the raw mesh arrays."""
-        return {
-            "nodes": self.nodes.tolist(),
-            "triangles": self.triangles.tolist(),
-            "boundary_edges": [
-                {
-                    "nodes": [int(a), int(b)],
-                    "normal": [float(nx), float(ny)],
-                    "length": float(l),
-                }
-                for (a, b), (nx, ny), l in zip(
-                    self.boundary_edges, self.boundary_normals, self.boundary_lengths
-                )
-            ],
-        }
 
 
 def _areas_and_masses(nodes: np.ndarray, triangles: np.ndarray):

@@ -9,8 +9,11 @@ the load of one angle from `assemble_load` and runs CG preconditioned by the
 factor; the nonlinear solver seeds L-BFGS with the same factor.  The load is
 the first variation at R0 x of the pressure work that the nonlinear energy
 and the rotation functional integrate (`pressure_cotangents`), so its
-component along J x is the rotation functional's slope at R0; as h -> 0 it
-tends to the boundary integral of pi(R0 x) n . u (`divergence_form_check`).
+component along J x is the rotation functional's slope at R0; it is the one
+discrete form of the load, and as h -> 0 it tends to the boundary integral
+of pi(R0 x) n . u.  Every gather of a nodal field goes through one sparse P1
+gather per mesh, and every adjoint through its transpose, a view of the same
+arrays.
 """
 
 from __future__ import annotations
@@ -124,10 +127,12 @@ def gather_transpose(mesh: TriMesh, f_bar: np.ndarray, q_bar: np.ndarray | None 
     """The transpose of `gather`: the nodal field (N, 2) that pairs with y as
     the cotangents f_bar (2, 2, M), of the gradient, and q_bar (3M, 2), of the
     rule-point values (zero when not given), pair with gather(mesh, y).  The
-    transposed gather is built once, as CSR, and kept in ``mesh.tables``."""
+    transpose, kept in ``mesh.tables``, is the gather's CSC view: it shares
+    the gather's arrays and sums each node's terms in increasing gather-row
+    order."""
     q_bar = np.zeros((3 * len(mesh.triangles), 2)) if q_bar is None else q_bar
     if "p1T" not in mesh.tables:
-        mesh.tables["p1T"] = _p1_gather(mesh).T.tocsr()
+        mesh.tables["p1T"] = _p1_gather(mesh).T
     return mesh.tables["p1T"] @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar])
 
 
@@ -167,18 +172,6 @@ def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray
     f_bar, q_bar = pressure_cotangents(mesh, np.repeat(np.eye(2)[:, :, None], m, axis=2), np.ones(m),
                                        np.reshape(pi.evaluate(pts), (m, 3)), pi.gradient(pts) @ R, 1.0)
     return gather_transpose(mesh, f_bar, q_bar).ravel()
-
-
-def _boundary_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray:
-    """Boundary quadrature of the load's continuum limit:
-    l[(i,a)] = integral of pi(R0 x) n_a phi_i over the boundary."""
-    R, w = rotation(alpha0), mesh.quadrature.boundary_weights  # (B, 2): 2 Gauss points per edge
-    vals = np.reshape(pi.evaluate(mesh.boundary_points_flat() @ R.T), w.shape)
-    coeff = np.einsum("eq,eq,qi->ei", w, vals, mesh.quadrature.boundary_bary)  # (B, 2 trace nodes)
-    # every boundary node closes two edges, so each sum has two terms, in either order
-    nodes, normals = mesh.boundary_edges.ravel(), mesh.boundary_normals
-    return np.stack([np.bincount(nodes, (coeff * normals[:, a, None]).ravel(), minlength=mesh.n_nodes)
-                     for a in range(2)], axis=1).ravel()
 
 
 def _skew_mean_row(mesh: TriMesh) -> np.ndarray:
@@ -242,12 +235,3 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
     u = apply_gauge(mesh, x.reshape(mesh.n_nodes, 2))
     flat = u.ravel()
     return DisplacementField(mesh, u), float(0.5 * flat @ (K @ flat) + load @ flat)
-
-
-def divergence_form_check(mesh: TriMesh, pi: PressureField, alpha0: float,
-                          u: np.ndarray) -> tuple[float, float]:
-    """Boundary and interior quadratures of the same divergence identity: (the
-    boundary integral of pi(R0 x) n . u, assemble_load . u, which is the
-    interior rule's integral of div(pi(R0 x) u))."""
-    u = np.ravel(np.asarray(u, dtype=float))
-    return float(_boundary_load(mesh, pi, alpha0) @ u), float(assemble_load(mesh, pi, alpha0) @ u)

@@ -143,11 +143,3 @@ def quadratic_form(model: MaterialModel, E: np.ndarray):
     tr = E[..., 0, 0] + E[..., 1, 1]
     out = model.c1 * np.einsum("...ij,...ij->...", sym, sym) + model.c2 * tr * tr
     return float(out) if out.ndim == 0 else out
-
-
-def det_expansion(F: np.ndarray, eps: float):
-    """det(I + eps*F) written as its exact degree-2 polynomial in eps."""
-    F = np.asarray(F, dtype=float)
-    tr = F[..., 0, 0] + F[..., 1, 1]
-    out = 1.0 + eps * tr + eps * eps * det2(_major(F))
-    return float(out) if out.ndim == 0 else out

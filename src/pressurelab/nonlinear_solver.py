@@ -9,10 +9,10 @@ F, det F and the deformed rule points in one product with the mesh's sparse P1
 gather (`linear_solver.gather`), takes the gradient through the transpose of
 that gather (`linear_solver.gather_transpose`) with the pressure cotangents
 that the limit load shares (`linear_solver.pressure_cotangents`) and uses the
-component kernels of `material`.  A solve computes the reference term
-sum_q w_q pi_hat(x_q) once, and assembles the gradient and the rounding floor
-at an iterate from the gather and pi_hat values its energy evaluation kept (an
-`EnergyState`).
+component kernels of `material`.  The reference term sum_q w_q pi_hat(x_q)
+is computed once per mesh and field and kept with the mesh; a solve assembles
+the gradient and the rounding floor at an iterate from the gather and pi_hat
+values its energy evaluation kept (an `EnergyState`).
 Deformations live in the zero-average subspace (lumped masses); the minimizer
 is a limited-memory BFGS iteration, seeded with the factored linear stiffness
 (splu, ordered by MMD_AT_PLUS_A).  Its line search backtracks on the Armijo
@@ -97,9 +97,13 @@ def deformation_gradients(mesh: TriMesh, y: np.ndarray):
 
 
 def _reference_terms(mesh: TriMesh, pi_hat: PressureField) -> tuple[float, float]:
-    """sum_q w_q pi_hat(x_q) and sum_q w_q |pi_hat(x_q)| over the reference rule points."""
-    wpi = mesh.interior_weights_flat() * pi_hat.evaluate(mesh.interior_points_flat())
-    return float(np.sum(wpi)), float(np.sum(np.abs(wpi)))
+    """sum_q w_q pi_hat(x_q) and sum_q w_q |pi_hat(x_q)| over the reference rule
+    points, computed once per mesh and field and kept in ``mesh.tables``."""
+    key = ("reference", pi_hat.evaluate)
+    if key not in mesh.tables:
+        wpi = mesh.interior_weights_flat() * pi_hat.evaluate(mesh.interior_points_flat())
+        mesh.tables[key] = float(np.sum(wpi)), float(np.sum(np.abs(wpi)))
+    return mesh.tables[key]
 
 
 @dataclass(frozen=True)
@@ -118,17 +122,14 @@ def _evaluate(mesh: TriMesh, pi_hat: PressureField, y: np.ndarray) -> EnergyStat
 
 
 def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                    y: np.ndarray, eps: float, reference: float | None = None,
-                    with_state: bool = False):
-    """Total energy; +inf when orientation is violated anywhere.  ``reference``
-    is sum_q w_q pi_hat(x_q), which `minimize_energy` computes once per solve.
+                    y: np.ndarray, eps: float, with_state: bool = False):
+    """Total energy; +inf when orientation is violated anywhere.
     ``with_state`` returns (energy, EnergyState or None when +inf)."""
     state = _evaluate(mesh, pi_hat, y)
     if state is None:
         return (math.inf, None) if with_state else math.inf
     elastic = float(mesh.areas @ density_components(material, state.f, state.det))
-    if reference is None:
-        reference = _reference_terms(mesh, pi_hat)[0]
+    reference = _reference_terms(mesh, pi_hat)[0]
     # sum_q w_q pi_hat(y_q) det - reference, split so that neither part cancels
     # near a rigid state: the sums over q of pi_hat(y_q) and pi_hat(x_q) round alike
     wpi = mesh.quadrature.interior_weights * state.piy
@@ -137,17 +138,17 @@ def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     return (energy, state) if with_state else energy
 
 
-def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, state: EnergyState,
-                          eps: float, reference_abs: float) -> float:
+def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
+                          state: EnergyState, eps: float) -> float:
     """Bound on the rounding of `assemble_energy` at the admissible y of
     ``state``: eps_mach times 4 |T| (c1 (d + d^2) + c2 (t + t^2)) per triangle,
     with d = dist(F, SO(2)) and t = |det F - 1|, plus |eps| times sum_q w_q
-    |pi_hat(y_q)| (t + 1) and ``reference_abs`` = sum_q w_q |pi_hat(x_q)|."""
+    |pi_hat(y_q)| (t + 1) and sum_q w_q |pi_hat(x_q)|."""
     d = dist_so2(np.moveaxis(state.f, (0, 1), (1, 2)))
     t = np.abs(state.det - 1.0)
     elastic = 4.0 * float(mesh.areas @ (material.c1 * (d + d * d) + material.c2 * (t + t * t)))
     w = mesh.quadrature.interior_weights
-    pressure = float(np.sum(w * np.abs(state.piy), axis=1) @ (t + 1.0)) + reference_abs
+    pressure = float(np.sum(w * np.abs(state.piy), axis=1) @ (t + 1.0)) + _reference_terms(mesh, pi_hat)[1]
     return float(np.finfo(float).eps) * (elastic + abs(eps) * pressure)
 
 
@@ -209,10 +210,9 @@ def minimize_energy(
     """
     y0 = zero_average(mesh, np.asarray(init, dtype=float))
     n = mesh.n_nodes
-    reference, reference_abs = _reference_terms(mesh, pi_hat)
 
     def energy_at(z):
-        return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps, reference, with_state=True)
+        return assemble_energy(mesh, material, pi_hat, z.reshape(n, 2), eps, with_state=True)
 
     def gradient_at(z, state):
         return assemble_gradient(mesh, material, pi_hat, z.reshape(n, 2), eps, state).ravel()
@@ -279,7 +279,7 @@ def minimize_energy(
                 hi = t
             else:
                 if floor is None:
-                    floor = _energy_rounding_floor(mesh, material, state, eps, reference_abs)
+                    floor = _energy_rounding_floor(mesh, material, pi_hat, state, eps)
                 if f_try - f > floor:
                     hi = t
                 else:

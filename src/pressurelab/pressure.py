@@ -286,7 +286,7 @@ def builtin_pressure(name: str, params: dict | None = None, variant: str | None 
         return constant_pressure(float(params.get("value", 1.0)))
     if name == "hydrostatic":
         return hydrostatic_pressure(float(params.get("coefficient", 1.0)))
-    if name in ("quadrant_bump", "example52"):
+    if name == "quadrant_bump":
         return quadrant_bump_pressure(variant or "strict")
     raise PressureError(f"unknown pressure name {name!r}")
 

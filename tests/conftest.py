@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from pressurelab import DomainSpec, MaterialModel, TriMesh, build_domain, rotations
-from pressurelab.linear_solver import _p1_gather, project_gradient
+from pressurelab.linear_solver import _p1_gather, assemble_load, project_gradient
 from pressurelab.material import SKEW_GENERATOR, cofactor, det2, rotation, stress_components
 from pressurelab.nonlinear_solver import admissible_start
 
@@ -191,7 +191,10 @@ def rotation_sweep_value(profile, alpha):
 
 
 def add_at_load(mesh, pi, alpha0):
-    """The boundary load of `linear_solver._boundary_load`, scattered edge by edge with np.add.at."""
+    """The boundary quadrature of the load's continuum limit, l[(i,a)] = integral
+    of pi(R0 x) n_a phi_i over the boundary, two Gauss points per edge,
+    scattered edge by edge with np.add.at: the boundary side of the
+    divergence-form checks of `assemble_load`."""
     R = rotation(alpha0)
     pts = mesh.quadrature.boundary_points
     vals = np.asarray(pi.evaluate(pts.reshape(-1, 2) @ R.T), dtype=float).reshape(pts.shape[:2])
@@ -202,3 +205,11 @@ def add_at_load(mesh, pi, alpha0):
         for a in range(2):
             np.add.at(load[:, a], nodes, coeff[:, local] * mesh.boundary_normals[:, a])
     return load.ravel()
+
+
+def divergence_pair(mesh, pi, alpha0, u):
+    """Two quadratures of the same divergence identity: the boundary integral
+    of pi(R0 x) n . u (`add_at_load`) and assemble_load . u, which is the
+    interior rule's integral of div(pi(R0 x) u)."""
+    u = np.ravel(np.asarray(u, dtype=float))
+    return float(add_at_load(mesh, pi, alpha0) @ u), float(assemble_load(mesh, pi, alpha0) @ u)

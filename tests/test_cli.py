@@ -82,12 +82,10 @@ def test_missing_key_exit_code(tmp_path, capsys):
     assert "material.p" in capsys.readouterr().err
 
 
-def test_legacy_pressure_alias_accepted_in_config():
-    cfg = _base_config(pressure={"name": "example52", "variant": "strict"},
-                       domain={"kind": "four_lobe", "params": {}, "resolution": 8})
-    validate_config(cfg)
-    ctx = RunContext.from_config(cfg)
-    assert ctx.pressure.name == "quadrant_bump"
+def test_retired_pressure_alias_exits_2_naming_the_name(tmp_path, capsys):
+    cfg = _base_config(pressure={"name": "example52", "variant": "strict"})
+    assert run("scan-rotations", _write(tmp_path, cfg)) == 2
+    assert "pressure.name" in capsys.readouterr().err
 
 
 def test_config_hash_is_canonical():
@@ -302,7 +300,7 @@ def test_malformed_sections_exit_2_naming_the_key(tmp_path, capsys, section, key
     ("pressure", {"name": "constant", "params": {"valeu": 0.5}}, "pressure.params.valeu"),
     ("pressure", {"name": "zero", "params": {"value": 0.5}}, "pressure.params.value"),
     ("pressure", {"name": "hydrostatic", "params": {"value": 0.5}}, "pressure.params.value"),
-    ("pressure", {"name": "example52", "params": {"varient": "flat"}}, "pressure.params.varient"),
+    ("pressure", {"name": "quadrant_bump", "params": {"varient": "flat"}}, "pressure.params.varient"),
 ])
 def test_misspelt_params_exit_2_naming_the_key(tmp_path, capsys, section, value, needle):
     # a missing param takes its default, so a misspelt one would silently become it
@@ -317,10 +315,10 @@ def test_every_documented_param_is_accepted():
                          ("four_lobe", {"r_small": 1.0, "r_large": 2.0})):
         validate_config(_base_config(domain={"kind": kind, "params": params, "resolution": 8}))
     for name, params in (("zero", {}), ("constant", {"value": 0.5}), ("hydrostatic", {"coefficient": 0.5}),
-                         ("quadrant_bump", {}), ("example52", {})):
+                         ("quadrant_bump", {})):
         validate_config(_base_config(pressure={"name": name, "params": params}))
-    for name, variant in (("quadrant_bump", "flat"), ("example52", "strict")):
-        validate_config(_base_config(pressure={"name": name, "variant": variant}))
+    for variant in ("flat", "strict"):
+        validate_config(_base_config(pressure={"name": "quadrant_bump", "variant": variant}))
 
 
 @pytest.mark.parametrize("key, domain_res, study_res", [

@@ -157,15 +157,6 @@ def test_invalid_specs_rejected(bad):
         build_domain(bad)
 
 
-def test_mesh_export_roundtrip_fields(disk16):
-    doc = disk16.export_json()
-    assert set(doc) == {"nodes", "triangles", "boundary_edges"}
-    assert len(doc["nodes"]) == disk16.n_nodes
-    assert len(doc["boundary_edges"]) == len(disk16.boundary_edges)
-    rebuilt = TriMesh.from_arrays(np.array(doc["nodes"]), np.array(doc["triangles"]))
-    assert abs(rebuilt.total_area - disk16.total_area) < 1e-12
-
-
 def test_config_roundtrip():
     spec = DomainSpec.from_config({"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0},
                                    "resolution": 8})

@@ -1,9 +1,11 @@
 """The one-gather energy and gradient kernels against the matrix formulation
 and against the fancy-indexed kernels the sparse P1 gather replaced (the
 gather bit for bit, the gradient through its transpose to rounding); the
-transpose as the adjoint of the gather; the reuse of an energy evaluation's
-state; the direct path of the pressure extension, and the per-solve reference
-term."""
+transpose as the adjoint of the gather and as a view of its arrays; the
+reuse of an energy evaluation's state; the direct path of the pressure
+extension, and the reference term, evaluated once per mesh and field."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressur
 from pressurelab.linear_solver import gather, gather_transpose
 from pressurelab.material import g_mixed
 from pressurelab.nonlinear_solver import (
-    _reference_terms,
     assemble_energy,
     assemble_gradient,
     deformation_gradients,
@@ -141,6 +142,21 @@ def test_gather_transpose_is_the_adjoint_of_the_gather(mesh_name, request):
         assert abs(np.sum(terms) - adjoint) <= 1e-13 * np.sum(np.abs(terms))
 
 
+@pytest.mark.parametrize("mesh_name", ["disk16", "annulus32", "lobe16"])
+def test_gather_transpose_is_a_view_that_sums_like_a_csr_copy(mesh_name, request):
+    # the CSC view shares the gather's arrays and, like a CSR copy of the
+    # transpose, sums each node's terms in increasing gather-row order
+    mesh = request.getfixturevalue(mesh_name)
+    m = len(mesh.triangles)
+    rng = np.random.default_rng(5)
+    f_bar, q_bar = rng.normal(size=(2, 2, m)), rng.normal(size=(3 * m, 2))
+    out = gather_transpose(mesh, f_bar, q_bar)
+    G = mesh.tables["p1"]
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(mesh.tables["p1T"], name), getattr(G, name))
+    assert np.array_equal(out, G.T.tocsr() @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar]))
+
+
 def test_gradient_from_a_kept_energy_state_is_the_fresh_gradient(lobe16):
     for name, params, variant in FIELDS:
         hat = _extended(builtin_pressure(name, params, variant), lobe16)
@@ -186,13 +202,21 @@ def test_operators_are_built_once_per_mesh_and_only_by_the_solvers():
     assert mesh.tables["p1"] is ops
 
 
-def test_energy_with_and_without_the_precomputed_reference(lobe16, default_material):
-    for name, params, variant in FIELDS:
-        hat = _extended(builtin_pressure(name, params, variant), lobe16)
-        reference = _reference_terms(lobe16, hat)[0]
-        for y in _random_maps(lobe16, n=2):
-            assert (assemble_energy(lobe16, default_material, hat, y, 0.03, reference)
-                    == assemble_energy(lobe16, default_material, hat, y, 0.03))
+def test_the_reference_sums_are_evaluated_once_per_mesh_and_field(disk16):
+    # the field is evaluated at the reference rule points by the first solve
+    # alone; every later evaluation on this mesh and field reads the table
+    hat = _extended(builtin_pressure("constant", {"value": 0.1}), disk16)
+    at_reference = []
+
+    def counting(pts):
+        at_reference.append(np.array_equal(pts, disk16.interior_points_flat()))
+        return hat.evaluate(pts)
+
+    counted = dataclasses.replace(hat, evaluate=counting)
+    init = noisy_start(disk16, 0.3, 1e-3 * disk16.diameter, np.random.default_rng(8))
+    for _ in range(2):
+        minimize_energy(disk16, MATERIALS[0], counted, 0.04, init, max_iter=5)
+    assert sum(at_reference) == 1 and len(at_reference) > 2
 
 
 def _taper(pi, pts, r_ref, slope, sgn):

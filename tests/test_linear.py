@@ -9,16 +9,15 @@ from pressurelab import (
     assemble_load,
     builtin_pressure,
     build_domain,
-    divergence_form_check,
     quadrant_bump_pressure,
 )
-from pressurelab.linear_solver import (StiffnessPreconditioner, _boundary_load, apply_gauge, assemble_stiffness, skew_mean,
+from pressurelab.linear_solver import (StiffnessPreconditioner, apply_gauge, assemble_stiffness, skew_mean,
                                       solve_linearized)
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.nonlinear_solver import assemble_energy
 from pressurelab.studies import Problem, minimize_limit_energy
 
-from conftest import add_at_load, el_volume_form, kron_stiffness
+from conftest import add_at_load, divergence_pair, el_volume_form, kron_stiffness
 
 
 def strain_energy(mesh, material, u):
@@ -221,15 +220,15 @@ def test_apply_gauge_removes_given_rotation(disk16):
 def test_divergence_check_constant_displacement(disk16):
     const = builtin_pressure("constant", {"value": 1.0})
     u = np.tile([0.3, -0.4], (disk16.n_nodes, 1))
-    b, v = divergence_form_check(disk16, const, 0.0, u)
+    b, v = divergence_pair(disk16, const, 0.0, u)
     assert abs(b) < 1e-12 and abs(v) < 1e-12
-    b, v = divergence_form_check(disk16, const, 0.0, np.zeros_like(disk16.nodes))
+    b, v = divergence_pair(disk16, const, 0.0, np.zeros_like(disk16.nodes))
     assert b == 0.0 and v == 0.0  # the zero field, exactly
 
 
 def test_divergence_check_identity_field(disk32):
     const = builtin_pressure("constant", {"value": 1.0})
-    b, v = divergence_form_check(disk32, const, 0.0, disk32.nodes.copy())
+    b, v = divergence_pair(disk32, const, 0.0, disk32.nodes.copy())
     assert abs(b - 2.0 * disk32.total_area) < 1e-12
     assert abs(v - 2.0 * disk32.total_area) < 1e-12
 
@@ -240,7 +239,7 @@ def test_divergence_check_gap_shrinks_under_refinement(default_material):
     def gap(res):
         mesh = build_domain(DomainSpec.four_lobe(resolution=res))
         u = np.stack([np.sin(mesh.nodes[:, 0]), mesh.nodes[:, 1] ** 2], axis=1)
-        b, v = divergence_form_check(mesh, bump, 0.0, u)
+        b, v = divergence_pair(mesh, bump, 0.0, u)
         return abs(b - v)
 
     g16, g32 = gap(16), gap(32)
@@ -251,29 +250,9 @@ def test_divergence_check_relative_agreement(lobe32):
     bump = quadrant_bump_pressure("strict")
     rng = np.random.default_rng(41)
     u = rng.normal(scale=0.3, size=(lobe32.n_nodes, 2))
-    b, v = divergence_form_check(lobe32, bump, 0.0, u)
+    b, v = divergence_pair(lobe32, bump, 0.0, u)
     scale = max(abs(b), abs(v), 1e-3)
     assert abs(b - v) <= 2e-2 * scale  # random rough fields carry larger quadrature error
-
-
-_HYDROSTATIC = builtin_pressure("hydrostatic", {"coefficient": 0.1})
-_STRICT_BUMP = quadrant_bump_pressure("strict")  # supported on 1 <= |x| <= 3: no load on the unit disk
-
-
-@pytest.mark.parametrize("spec,field", [
-    pytest.param(DomainSpec.disk(1.0, 16), _HYDROSTATIC, id="disk16-hydrostatic"),
-    pytest.param(DomainSpec.annulus(1.0, 2.0, 8), _HYDROSTATIC, id="annulus8-hydrostatic"),
-    pytest.param(DomainSpec.four_lobe(resolution=16), _HYDROSTATIC, id="lobe16-hydrostatic"),
-    pytest.param(DomainSpec.annulus(1.0, 2.0, 8), _STRICT_BUMP, id="annulus8-strict_bump"),
-    pytest.param(DomainSpec.four_lobe(resolution=16), _STRICT_BUMP, id="lobe16-strict_bump"),
-])
-def test_load_scatter_matches_add_at_oracle(spec, field):
-    # each boundary node closes exactly two edges, so the bincount sums equal
-    # the edge-by-edge np.add.at sums to the bit
-    mesh = build_domain(spec)
-    load = _boundary_load(mesh, field, 0.6)
-    assert np.any(load != 0.0)
-    assert np.array_equal(load, add_at_load(mesh, field, 0.6))
 
 
 @pytest.mark.parametrize("spec", [

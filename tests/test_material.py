@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pressurelab import MaterialModel, det_expansion, dist_so2, energy_density, g_mixed, quadratic_form, rotation, stress
+from pressurelab import MaterialModel, dist_so2, energy_density, g_mixed, quadratic_form, rotation, stress
 from pressurelab.material import SKEW_GENERATOR, _major, _so2_fit
 
 
@@ -208,24 +208,6 @@ def test_quadratic_form_is_second_difference(weak_material):
               + energy_density(weak_material, np.eye(2) - t * E)) / t ** 2
         q = quadratic_form(weak_material, E)
         assert abs(fd - q) <= 1e-3 * (1.0 + abs(q))
-
-
-# --- determinant expansion ---------------------------------------------------
-
-def test_det_expansion_zero_matrix():
-    assert det_expansion(np.zeros((2, 2)), 0.7) == 1.0
-
-
-def test_det_expansion_identity_case():
-    assert abs(det_expansion(np.eye(2), 0.1) - 1.21) < 1e-15
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_det_expansion_is_exact_in_2d(seed):
-    rng = np.random.default_rng(seed)
-    F = rng.normal(size=(2, 2))
-    exact = np.linalg.det(np.eye(2) + 0.3 * F)
-    assert abs(det_expansion(F, 0.3) - exact) < 1e-14
 
 
 # --- model validation --------------------------------------------------------

@@ -35,9 +35,14 @@ def test_hydrostatic_negative_part():
 
 
 def test_unknown_name_rejected():
-    for name in ("vortex", "example52"):  # example52: a retired alias of quadrant_bump
-        with pytest.raises(PressureError):
-            builtin_pressure(name)
+    with pytest.raises(PressureError):
+        builtin_pressure("vortex")
+
+
+def test_retired_bump_alias_rejected():
+    # example52 was an alias of quadrant_bump; it is retired, not remapped.
+    with pytest.raises(PressureError):
+        builtin_pressure("example52", variant="strict")
 
 
 CATALOG = [

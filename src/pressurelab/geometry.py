@@ -94,26 +94,18 @@ class DomainSpec:
         return self.r_inner if self.kind == "annulus" else 0.0
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Interior 3-point (degree-2 exact) and per-edge 2-point Gauss (degree-3 exact) rules."""
-
-    interior_points: np.ndarray   # (M, 3, 2) edge midpoints of each triangle
-    interior_weights: np.ndarray  # (M, 3) each = area/3
-    interior_bary: np.ndarray     # (3, 3) barycentric coordinates of the rule points
-    boundary_points: np.ndarray   # (B, 2, 2)
-    boundary_weights: np.ndarray  # (B, 2) each = edge length/2
-    boundary_bary: np.ndarray     # (2, 2) trace shape values at the Gauss points
-
-
-_INTERIOR_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+# Two rules, exact for cubics, on every boundary edge (a, b): barycentric
+# coordinates of their points in (a, b), and weights summing to one.  The
+# pressure work reads Simpson's: at the corners a rotation that carries one
+# into an angular support registers at once, not after 0.21 of an edge.
 _GAUSS_T = 0.5 / math.sqrt(3.0)
-_BOUNDARY_BARY = np.array([[0.5 + _GAUSS_T, 0.5 - _GAUSS_T], [0.5 - _GAUSS_T, 0.5 + _GAUSS_T]])
+GAUSS = (np.array([[0.5 + _GAUSS_T, 0.5 - _GAUSS_T], [0.5 - _GAUSS_T, 0.5 + _GAUSS_T]]), np.array([0.5, 0.5]))
+SIMPSON = (np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]), np.array([1.0, 4.0, 1.0]) / 6.0)
 
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Immutable triangulation with precomputed P1 and quadrature data."""
+    """Immutable triangulation with precomputed P1 and boundary data."""
 
     nodes: np.ndarray             # (N, 2)
     triangles: np.ndarray         # (M, 3) int, counterclockwise
@@ -123,7 +115,6 @@ class TriMesh:
     boundary_edges: np.ndarray    # (B, 2) int node pairs
     boundary_normals: np.ndarray  # (B, 2) unit outward
     boundary_lengths: np.ndarray  # (B,)
-    quadrature: QuadratureRule
     diameter: float
 
     @classmethod
@@ -144,7 +135,6 @@ class TriMesh:
         grads /= (2.0 * areas)[:, None, None]
 
         b_edges, b_normals, b_lengths = _extract_boundary(nodes, triangles)
-        quad = _build_quadrature(nodes, (v0, v1, v2), areas, b_edges, b_lengths)
 
         lo = nodes.min(axis=0)
         hi = nodes.max(axis=0)
@@ -155,7 +145,7 @@ class TriMesh:
         return cls(
             nodes=nodes, triangles=triangles, areas=areas, basis_gradients=grads,
             node_masses=masses, boundary_edges=b_edges, boundary_normals=b_normals,
-            boundary_lengths=b_lengths, quadrature=quad, diameter=diameter,
+            boundary_lengths=b_lengths, diameter=diameter,
         )
 
     @property
@@ -170,28 +160,14 @@ class TriMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def interior_points_flat(self) -> np.ndarray:
-        return self.quadrature.interior_points.reshape(-1, 2)
-
-    def interior_weights_flat(self) -> np.ndarray:
-        return self.quadrature.interior_weights.reshape(-1)
-
-    def boundary_points_flat(self) -> np.ndarray:
-        return self.quadrature.boundary_points.reshape(-1, 2)
-
-    def boundary_weights_flat(self) -> np.ndarray:
-        return self.quadrature.boundary_weights.reshape(-1)
-
-    def boundary_normals_flat(self) -> np.ndarray:
-        return np.repeat(self.boundary_normals, 2, axis=0)
-
     @cached_property
     def tables(self) -> dict:
         """Tables derived from this mesh by the modules that read them, built on
-        first use and kept with the mesh: the rotation layer's band tables,
-        the solvers' sparse P1 gather and its transpose, a CSC view of the
-        gather's own arrays that serves every adjoint, and the energy's
-        reference sums, keyed by the field's ``evaluate``."""
+        first use and kept with the mesh: the rotation layer's band table and
+        weights, the solvers' sparse P1 gather and its transpose, a CSC view
+        of the gather's own arrays that serves every adjoint, and the
+        pressure potential at the reference boundary points, keyed by the
+        field's ``potential``."""
         return {}
 
 
@@ -235,28 +211,14 @@ def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     return b_edges, normals, lengths
 
 
-def _build_quadrature(nodes, corners, areas, b_edges, b_lengths) -> QuadratureRule:
-    """The rules of a triangulation from its corner coordinates (v0, v1, v2) and areas."""
-    pts = np.empty((len(areas), 3, 2))
-    for r in range(3):  # point r on the edge from corner r to r + 1
-        pts[:, r] = 0.5 * (corners[r] + corners[(r + 1) % 3])
-    w = np.repeat(areas[:, None] / 3.0, 3, axis=1)
-    a = nodes[b_edges[:, 0]]
-    b = nodes[b_edges[:, 1]]
-    bpts = np.stack(
-        [
-            _BOUNDARY_BARY[0, 0] * a + _BOUNDARY_BARY[0, 1] * b,
-            _BOUNDARY_BARY[1, 0] * a + _BOUNDARY_BARY[1, 1] * b,
-        ],
-        axis=1,
-    )
-    bw = np.repeat(b_lengths[:, None] / 2.0, 2, axis=1)
-    for arr in (pts, w, bpts, bw):
-        arr.setflags(write=False)
-    return QuadratureRule(
-        interior_points=pts, interior_weights=w, interior_bary=_INTERIOR_BARY.copy(),
-        boundary_points=bpts, boundary_weights=bw, boundary_bary=_BOUNDARY_BARY.copy(),
-    )
+def edge_rule(mesh: TriMesh, y: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """The points (B, k, 2) of `rule` on the boundary edges (a, b) under the
+    nodal map y, and N(y_b - y_a) = (dy2, -dy1) (B, 2), the outward normal of
+    the mapped edge times its length."""
+    ends = y[mesh.boundary_edges]
+    ya, yb = ends[:, 0], ends[:, 1]
+    dy = yb - ya
+    return np.stack([wa * ya + wb * yb for wa, wb in rule[0]], axis=1), np.stack([dy[:, 1], -dy[:, 0]], axis=1)
 
 
 def _angular_quarter(resolution: int) -> int:
@@ -388,8 +350,7 @@ def barycenter(mesh: TriMesh) -> np.ndarray:
 def boundary_integral(
     mesh: TriMesh, integrand: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> float:
-    """Integrate ``integrand(points, outward_normals)`` over the polygonal boundary."""
-    pts = mesh.boundary_points_flat()
-    nrm = mesh.boundary_normals_flat()
-    vals = np.asarray(integrand(pts, nrm), dtype=float)
-    return float(mesh.boundary_weights_flat() @ vals)
+    """Integrate ``integrand(points, outward_normals)`` over the polygonal boundary by the Gauss rule."""
+    points, _ = edge_rule(mesh, mesh.nodes, GAUSS)
+    vals = np.asarray(integrand(points.reshape(-1, 2), np.repeat(mesh.boundary_normals, 2, axis=0)), dtype=float)
+    return float(np.outer(mesh.boundary_lengths, GAUSS[1]).ravel() @ vals)

@@ -6,14 +6,12 @@ over displacements with zero lumped-mass average and zero mean skew gradient.
 The quadratic form depends only on (mesh, material): one StiffnessPreconditioner
 holds the stiffness and its factor, and `solve_linearized(factor, load)` takes
 the load of one angle from `assemble_load` and runs CG preconditioned by the
-factor; the nonlinear solver seeds L-BFGS with the same factor.  The load is
-the first variation at R0 x of the pressure work that the nonlinear energy
-and the rotation functional integrate (`pressure_cotangents`), so its
-component along J x is the rotation functional's slope at R0; it is the one
-discrete form of the load, and as h -> 0 it tends to the boundary integral
-of pi(R0 x) n . u.  Every gather of a nodal field goes through one sparse P1
-gather per mesh, and every adjoint through its transpose, a view of the same
-arrays.
+factor; the nonlinear solver seeds L-BFGS with the same factor.  The pressure
+work, which the nonlinear energy and the load read, is one boundary sum
+(`pressure_work`).  The load is its first variation at R0 x, so its
+component along J x is the slope of the rotation functional, the same work
+at R(alpha) x.  Every gather of a nodal gradient goes through one sparse P1
+gather per mesh, and every adjoint through its transpose, a view of it.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import TriMesh
-from .material import MaterialModel, SKEW_GENERATOR, cofactor, det2, rotation
+from .geometry import SIMPSON, TriMesh, edge_rule
+from .material import MaterialModel, SKEW_GENERATOR, det2, rotation
 from .pressure import PressureField
 
 _SHIFT = 0.05          # mass shift of the factored stiffness, in units of c1
@@ -95,55 +93,86 @@ class StiffnessPreconditioner:
 
 
 def _p1_gather(mesh: TriMesh) -> sp.csr_matrix:
-    """The P1 gather (5M x N) as a CSR matrix, kept in ``mesh.tables``.
-
-    Rows G_0, then G_1 (row t: d phi_i / d x_b at the corners i of triangle
-    t), then the midpoints (row 3t + q: 0.5 at corners q and q + 1).  Each row
-    sums in the order of fancy-indexed kernels (0.5 a + 0.5 b rounds like
-    0.5 (a + b)), bit-identically; sort_indices or sum_duplicates would
-    reorder the sums."""
+    """The P1 gather (2M x N) as a CSR matrix, kept in ``mesh.tables``: rows
+    G_0, then G_1 (row t: d phi_i / d x_b at the corners i of triangle t),
+    each summed in the order of fancy-indexed kernels, bit-identically;
+    sort_indices or sum_duplicates would reorder the sums."""
     if "p1" not in mesh.tables:
         tris, m = mesh.triangles, len(mesh.triangles)
         corners, g = tris.ravel(), mesh.basis_gradients
-        edge_ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).ravel()
         mesh.tables["p1"] = sp.csr_matrix(
-            (np.concatenate([g[:, :, 0].ravel(), g[:, :, 1].ravel(), np.full(6 * m, 0.5)]),
-             np.concatenate([corners, corners, edge_ends]),
-             np.concatenate([3 * np.arange(2 * m), 6 * m + 2 * np.arange(3 * m + 1)])),
-            shape=(5 * m, mesh.n_nodes))
+            (np.concatenate([g[:, :, 0].ravel(), g[:, :, 1].ravel()]), np.concatenate([corners, corners]),
+             3 * np.arange(2 * m + 1)), shape=(2 * m, mesh.n_nodes))
     return mesh.tables["p1"]
 
 
 def gather(mesh: TriMesh, y: np.ndarray):
     """From one product with the P1 gather: the component-major gradient f
-    (2, 2, M), det (M,) and the values (3M, 2) at the interior rule points."""
+    (2, 2, M) and det (M,)."""
     m = len(mesh.triangles)
     out = _p1_gather(mesh) @ np.asarray(y, dtype=float)
-    f = out[:2 * m].T.reshape(2, 2, m)  # f[a, b] = (G_b @ y)[:, a], a view
-    return f, det2(f), out[2 * m:]
+    f = out.T.reshape(2, 2, m)  # f[a, b] = (G_b @ y)[:, a], a view
+    return f, det2(f)
 
 
-def gather_transpose(mesh: TriMesh, f_bar: np.ndarray, q_bar: np.ndarray | None = None) -> np.ndarray:
+def gather_transpose(mesh: TriMesh, f_bar: np.ndarray) -> np.ndarray:
     """The transpose of `gather`: the nodal field (N, 2) that pairs with y as
-    the cotangents f_bar (2, 2, M), of the gradient, and q_bar (3M, 2), of the
-    rule-point values (zero when not given), pair with gather(mesh, y).  The
-    transpose, kept in ``mesh.tables``, is the gather's CSC view: it shares
-    the gather's arrays and sums each node's terms in increasing gather-row
-    order."""
-    q_bar = np.zeros((3 * len(mesh.triangles), 2)) if q_bar is None else q_bar
+    the cotangent f_bar (2, 2, M) of the gradient pairs with gather(mesh, y).
+    The transpose, kept in ``mesh.tables``, is the gather's CSC view: it
+    shares the gather's arrays and sums each node's terms in increasing
+    gather-row order."""
     if "p1T" not in mesh.tables:
         mesh.tables["p1T"] = _p1_gather(mesh).T
-    return mesh.tables["p1T"] @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar])
+    return mesh.tables["p1T"] @ np.reshape(f_bar, (2, -1)).T
 
 
-def pressure_cotangents(mesh: TriMesh, f: np.ndarray, det: np.ndarray, piy: np.ndarray,
-                        gpiy: np.ndarray, scale: float):
-    """The cotangents, for `gather_transpose`, of scale times the pressure
-    work sum_q w_q pi(y_q) det F at a gather (f, det) whose rule points carry
-    pi values piy (M, 3) and gradients gpiy (3M, 2): (scale sum_q w_q pi_q)
-    cof F of the gradient and scale w_q det F grad pi_q of the rule points."""
-    w = mesh.quadrature.interior_weights
-    return (scale * np.sum(w * piy, axis=1)) * cofactor(f), np.reshape(scale * w * det[:, None], (-1, 1)) * gpiy
+@dataclass(frozen=True)
+class PressureWork:
+    """The boundary pressure work W(y) = sum over the boundary edges (a, b) of
+    N(y_b - y_a) . sum_g w_g Phi(y_g), Simpson's points y_g and weights w_g,
+    of a nodal map y: by the Piola identity the integral of pi(y) det grad y,
+    exact for constant pressure."""
+    phi: np.ndarray     # (B, 3, 2) Phi at the mapped rule points
+    jac: np.ndarray     # (B, 3, 2, 2) its Jacobian there
+    normal: np.ndarray  # (B, 2) N(y_b - y_a)
+    phi_x: np.ndarray   # Phi and N(x_b - x_a) of the reference
+    normal_x: np.ndarray
+
+    def change(self) -> float:
+        """W(y) - W(x), summed as w_g (Phi(y_g) . N(dy - dx) + (Phi(y_g) - Phi(x_g)) . N(dx))
+        so that neither part cancels near the reference."""
+        terms = self.phi * (self.normal - self.normal_x)[:, None] + (self.phi - self.phi_x) * self.normal_x[:, None]
+        return float(SIMPSON[1] @ np.sum(terms, axis=(0, 2)))
+
+    def size(self) -> float:
+        """The sum of the magnitudes of the terms of `change`, which bounds their rounding."""
+        phi, moved = np.abs(self.phi), np.abs(self.normal - self.normal_x)[:, None]
+        terms = phi * moved + (phi + np.abs(self.phi_x)) * np.abs(self.normal_x)[:, None]
+        return float(SIMPSON[1] @ np.sum(terms, axis=(0, 2)))
+
+    def gradient(self, mesh: TriMesh) -> np.ndarray:
+        """dW/dy (N, 2): w_g J(y_g)^T N(dy) spread onto the edge's ends by the
+        rule's barycentric coordinates, and -+ N^T sum_g w_g Phi(y_g)."""
+        bary, weights = SIMPSON
+        jac_t_normal = self.jac[:, :, 0] * self.normal[:, None, :1] + self.jac[:, :, 1] * self.normal[:, None, 1:]
+        ends = bary.T @ (weights[:, None] * jac_t_normal)
+        along = (weights @ self.phi) @ SKEW_GENERATOR.T  # N^T v = J v
+        ends += np.stack([-along, along], axis=1)
+        nodes = mesh.boundary_edges.ravel()
+        return np.stack([np.bincount(nodes, weights=ends[..., j].ravel(), minlength=mesh.n_nodes)
+                         for j in range(2)], axis=1)
+
+
+def pressure_work(mesh: TriMesh, pi: PressureField, y: np.ndarray) -> PressureWork:
+    """The boundary pressure work of pi at y, against that at x, whose Phi is
+    kept in ``mesh.tables`` per mesh and field."""
+    key = ("reference", pi.potential)
+    if key not in mesh.tables:
+        points, nx = edge_rule(mesh, mesh.nodes, SIMPSON)
+        mesh.tables[key] = pi.potential(points.reshape(-1, 2))[0].reshape(points.shape), nx
+    points, ny = edge_rule(mesh, np.asarray(y, dtype=float), SIMPSON)
+    phi, jac = pi.potential(points.reshape(-1, 2))
+    return PressureWork(phi.reshape(points.shape), jac.reshape(points.shape + (2,)), ny, *mesh.tables[key])
 
 
 def zero_average(mesh: TriMesh, field: np.ndarray) -> np.ndarray:
@@ -163,15 +192,12 @@ def project_gradient(mesh: TriMesh, grad: np.ndarray) -> np.ndarray:
 
 
 def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray:
-    """Limit load (2N,): the first variation at R0 x of the pressure work of
-    `pressure_cotangents`, taken in the reference frame as its gradient at the
-    identity map for the field pi(R0 .): l . u = sum_T s_T div u_T + sum_q w_q
-    grad pi(R0 x_q) R0 u(x_q) with s_T = sum_q w_q pi(R0 x_q)."""
-    R, m = rotation(alpha0), len(mesh.triangles)
-    pts = mesh.interior_points_flat() @ R.T
-    f_bar, q_bar = pressure_cotangents(mesh, np.repeat(np.eye(2)[:, :, None], m, axis=2), np.ones(m),
-                                       np.reshape(pi.evaluate(pts), (m, 3)), pi.gradient(pts) @ R, 1.0)
-    return gather_transpose(mesh, f_bar, q_bar).ravel()
+    """Limit load (2N,): the first variation at R0 x of the boundary pressure
+    work (`pressure_work`), its gradient there turned back into the reference
+    frame.  A field whose rate is a number is radially symmetric: its load is
+    that of angle 0 at every angle, bit for bit."""
+    R = rotation(alpha0) if callable(pi.polar.rate) else np.eye(2)
+    return (pressure_work(mesh, pi, mesh.nodes @ R.T).gradient(mesh) @ R).ravel()
 
 
 def _skew_mean_row(mesh: TriMesh) -> np.ndarray:

@@ -77,11 +77,6 @@ def det2(f: np.ndarray):
     return f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
 
 
-def cofactor(f: np.ndarray) -> np.ndarray:
-    """Cofactor matrix (the derivative of det) of a component-major gradient."""
-    return np.array([[f[1, 1], -f[1, 0]], [-f[0, 1], f[0, 0]]])
-
-
 def _so2_fit(f: np.ndarray):
     """(dist(F, SO(2)), a, b, s) for a component-major gradient f.
 
@@ -125,7 +120,8 @@ def stress_components(model: MaterialModel, f: np.ndarray, det) -> np.ndarray:
     d, a, b, s = _so2_fit(f)
     t = det - 1.0
     k = model.c2 * np.where(np.abs(t) <= 1.0, t, np.sign(t) * np.maximum(np.abs(t), 1.0) ** (model.q - 1.0))
-    return model.c1 * g_mixed_ratio(d, model.p) * (f - np.array([[a, -b], [b, a]]) / s) + k * cofactor(f)
+    cof = np.array([[f[1, 1], -f[1, 0]], [-f[0, 1], f[0, 0]]])  # the derivative of det
+    return model.c1 * g_mixed_ratio(d, model.p) * (f - np.array([[a, -b], [b, a]]) / s) + k * cof
 
 
 def stress(model: MaterialModel, F: np.ndarray) -> np.ndarray:

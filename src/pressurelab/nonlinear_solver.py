@@ -2,22 +2,20 @@
 
 The discrete energy of a nodal deformation y is
 
-    E(y) = sum_T |T| W(grad y_T) + eps * sum_q w_q (pi_hat(y(x_q)) det grad y - pi_hat(x_q))
+    E(y) = sum_T |T| W(grad y_T) + eps * (W_p(y) - W_p(x))
 
-with +inf whenever some triangle reverses orientation.  An evaluation gathers
-F, det F and the deformed rule points in one product with the mesh's sparse P1
-gather (`linear_solver.gather`), takes the gradient through the transpose of
-that gather (`linear_solver.gather_transpose`) with the pressure cotangents
-that the limit load shares (`linear_solver.pressure_cotangents`) and uses the
-component kernels of `material`.  The reference term sum_q w_q pi_hat(x_q)
-is computed once per mesh and field and kept with the mesh; a solve assembles
-the gradient and the rounding floor at an iterate from the gather and pi_hat
-values its energy evaluation kept (an `EnergyState`).
-Deformations live in the zero-average subspace (lumped masses); the minimizer
-is a limited-memory BFGS iteration, seeded with the factored linear stiffness
-(splu, ordered by MMD_AT_PLUS_A).  Its line search backtracks on the Armijo
-condition and rejects inadmissible trial steps outright, so every accepted
-iterate keeps all determinants positive.
+with W_p the boundary pressure work of pi_hat (`linear_solver.pressure_work`),
+the flux of its potential through the deformed boundary polygon, and +inf
+whenever some triangle reverses orientation.  An evaluation gathers F and
+det F in one product with the mesh's sparse P1 gather and evaluates the
+work; the gradient adds the work's gradient to the transpose of that gather
+applied to the stress of `material`.  A solve assembles the gradient and the
+floor at an iterate from what its energy evaluation kept (`EnergyState`).
+Deformations live in the zero-average subspace (lumped masses); the
+minimizer is a limited-memory BFGS iteration, seeded with the factored
+linear stiffness (splu, ordered by MMD_AT_PLUS_A).  Its line search
+backtracks on the Armijo condition and rejects inadmissible trial steps
+outright, so every accepted iterate keeps all determinants positive.
 
 Near a minimizer the energy change of a step falls below the rounding error
 of the energy itself, while the gradient still resolves the slope.  A trial
@@ -31,8 +29,8 @@ energy alone.  Accepted energies are nonincreasing except at a
 derivative-accepted step, which may raise the energy by at most the floor.
 The floor bounds the rounding of the energy sum by the sizes of its terms:
 the elastic density rounds relative to d = dist(F, SO(2)) and
-t = |det F - 1| (not to |F|^2, which is about 2 near a rotation), the
-pressure term relative to w_q |pi_hat|.
+t = |det F - 1| (not to |F|^2, which is about 2 near a rotation), the work
+relative to the magnitudes of its terms.
 ``converged`` means the gradient test passed (``stop_reason == "gradient"``);
 "stalled" means the line search found no acceptable step, "maxiter" that the
 iteration cap was reached.
@@ -46,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TriMesh
-from .linear_solver import (ProblemError, StiffnessPreconditioner, gather, gather_transpose, pressure_cotangents,
-                            project_gradient, zero_average)
+from .linear_solver import (ProblemError, PressureWork, StiffnessPreconditioner, gather, gather_transpose,
+                            pressure_work, project_gradient, zero_average)
 from .material import MaterialModel, density_components, dist_so2, g_mixed, rotation, stress_components
 from .pressure import PressureField
 
@@ -92,18 +90,8 @@ def rigid_map(mesh: TriMesh, alpha: float) -> np.ndarray:
 
 def deformation_gradients(mesh: TriMesh, y: np.ndarray):
     """Per-triangle gradient (M, 2, 2) and determinant (M,) of a nodal map."""
-    f, det, _ = gather(mesh, y)
+    f, det = gather(mesh, y)
     return np.moveaxis(f, (0, 1), (1, 2)), det
-
-
-def _reference_terms(mesh: TriMesh, pi_hat: PressureField) -> tuple[float, float]:
-    """sum_q w_q pi_hat(x_q) and sum_q w_q |pi_hat(x_q)| over the reference rule
-    points, computed once per mesh and field and kept in ``mesh.tables``."""
-    key = ("reference", pi_hat.evaluate)
-    if key not in mesh.tables:
-        wpi = mesh.interior_weights_flat() * pi_hat.evaluate(mesh.interior_points_flat())
-        mesh.tables[key] = float(np.sum(wpi)), float(np.sum(np.abs(wpi)))
-    return mesh.tables[key]
 
 
 @dataclass(frozen=True)
@@ -111,14 +99,13 @@ class EnergyState:
     """An admissible energy evaluation at y, which the gradient and floor at y reuse."""
     f: np.ndarray    # (2, 2, M) component-major gradient
     det: np.ndarray  # (M,)
-    yq: np.ndarray   # (3M, 2) deformed rule points
-    piy: np.ndarray  # (M, 3) pi_hat(yq)
+    work: PressureWork
 
 
 def _evaluate(mesh: TriMesh, pi_hat: PressureField, y: np.ndarray) -> EnergyState | None:
-    """One gather of y and pi_hat at its rule points; None when some det <= 0."""
-    f, det, yq = gather(mesh, y)
-    return None if np.any(det <= 0.0) else EnergyState(f, det, yq, np.reshape(pi_hat.evaluate(yq), (-1, 3)))
+    """One gather of y and the pressure work at y; None when some det <= 0."""
+    f, det = gather(mesh, y)
+    return None if np.any(det <= 0.0) else EnergyState(f, det, pressure_work(mesh, pi_hat, y))
 
 
 def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
@@ -128,28 +115,19 @@ def assemble_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     state = _evaluate(mesh, pi_hat, y)
     if state is None:
         return (math.inf, None) if with_state else math.inf
-    elastic = float(mesh.areas @ density_components(material, state.f, state.det))
-    reference = _reference_terms(mesh, pi_hat)[0]
-    # sum_q w_q pi_hat(y_q) det - reference, split so that neither part cancels
-    # near a rigid state: the sums over q of pi_hat(y_q) and pi_hat(x_q) round alike
-    wpi = mesh.quadrature.interior_weights * state.piy
-    pressure = float(np.sum(wpi, axis=1) @ (state.det - 1.0)) + (float(np.sum(wpi)) - reference)
-    energy = elastic + eps * pressure
+    energy = float(mesh.areas @ density_components(material, state.f, state.det)) + eps * state.work.change()
     return (energy, state) if with_state else energy
 
 
-def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
-                          state: EnergyState, eps: float) -> float:
+def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, state: EnergyState, eps: float) -> float:
     """Bound on the rounding of `assemble_energy` at the admissible y of
     ``state``: eps_mach times 4 |T| (c1 (d + d^2) + c2 (t + t^2)) per triangle,
-    with d = dist(F, SO(2)) and t = |det F - 1|, plus |eps| times sum_q w_q
-    |pi_hat(y_q)| (t + 1) and sum_q w_q |pi_hat(x_q)|."""
+    with d = dist(F, SO(2)) and t = |det F - 1|, plus |eps| times the size of
+    the pressure work's terms."""
     d = dist_so2(np.moveaxis(state.f, (0, 1), (1, 2)))
     t = np.abs(state.det - 1.0)
     elastic = 4.0 * float(mesh.areas @ (material.c1 * (d + d * d) + material.c2 * (t + t * t)))
-    w = mesh.quadrature.interior_weights
-    pressure = float(np.sum(w * np.abs(state.piy), axis=1) @ (t + 1.0)) + _reference_terms(mesh, pi_hat)[1]
-    return float(np.finfo(float).eps) * (elastic + abs(eps) * pressure)
+    return float(np.finfo(float).eps) * (elastic + abs(eps) * state.work.size())
 
 
 def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField,
@@ -160,11 +138,8 @@ def assemble_gradient(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFi
         state = _evaluate(mesh, pi_hat, y)
         if state is None:
             raise ValueError("gradient requested at an inadmissible deformation")
-    f, det = state.f, state.det
-    gpiy = np.reshape(pi_hat.gradient(state.yq), (-1, 2))
-    # dE/dF per triangle: |T| times the stress plus the pressure cotangent; dE/dy_q: the pressure's alone
-    P, h = pressure_cotangents(mesh, f, det, state.piy, gpiy, eps)
-    return project_gradient(mesh, gather_transpose(mesh, mesh.areas * stress_components(material, f, det) + P, h))
+    elastic = gather_transpose(mesh, mesh.areas * stress_components(material, state.f, state.det))
+    return project_gradient(mesh, elastic + eps * state.work.gradient(mesh))
 
 
 def admissible_start(mesh: TriMesh, alpha: float, offset: np.ndarray) -> np.ndarray:
@@ -279,7 +254,7 @@ def minimize_energy(
                 hi = t
             else:
                 if floor is None:
-                    floor = _energy_rounding_floor(mesh, material, pi_hat, state, eps)
+                    floor = _energy_rounding_floor(mesh, material, state, eps)
                 if f_try - f > floor:
                     hi = t
                 else:

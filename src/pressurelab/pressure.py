@@ -1,15 +1,16 @@
-"""Pressure intensity fields and their Lipschitz extensions.
+"""Pressure intensity fields, their potentials and their Lipschitz extensions.
 
 Every built-in field is defined by its polar factors alone (`Polar`), its
-value at x being radial(|x|) * rate(atan2(x2, x1)).  One pass, `_polar_pass`,
-derives from them the value and gradient a `PressureField` carries, for the
-field and for its tapered extension; the rotation layer reads the factors
-themselves.  A factor that does not vary is given as its number, and costs the
-pass nothing.  The catalog covers the trivial fields plus a smooth "quadrant
-bump": a compactly supported C^2 field on {x1 > 0, x2 > 0, |x| > 1}, built
-from a radial profile and the derivative of an angular profile.  Rotating the
-four-lobe domain by alpha sweeps out exactly that angular profile, which is
-what the optimal-rotation studies exercise.
+value at x being radial(|x|) * rate(atan2(x2, x1)).  From them one pass,
+`_polar_pass`, derives the value, the gradient and the potential Phi,
+div Phi = pi, through which the solvers read the pressure work, that a
+`PressureField` carries; the rotation layer reads the factors themselves.  A
+factor that does not vary is given as its number.  The catalog covers the
+trivial fields plus a smooth "quadrant bump": a compactly supported C^2 field
+on {x1 > 0, x2 > 0, |x| > 1}, built from a radial profile and the derivative
+of an angular profile.  Rotating the four-lobe domain by alpha sweeps out
+exactly that angular profile, which is what the optimal-rotation studies
+exercise.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 _TINY = 1e-300  # floor of a radius that divides: unit vectors at the origin are 0, not NaN
 
@@ -30,14 +32,25 @@ class PressureError(ValueError):
 
 class Polar(NamedTuple):
     """Polar factors of a field, whose value at x is radial(|x|) * rate(atan2(x2, x1)):
-    each a callable of an array or, when it does not vary, its number.  `radial`
-    should be a module function (or a number): the rotation layer keys cached
-    weights by it, and a field is rebuilt on each access."""
+    each a callable of an array or, when it does not vary, its number.  The
+    radial factors should be module functions (or numbers): the rotation layer
+    keys cached weights by them, and a field is rebuilt on each access."""
 
     radial: Callable | float
     rate: Callable | float
     rate_d1: Callable | float    # derivative of rate
     radial_d1: Callable | float  # derivative of radial
+    # A(rho) = integral of s radial(s) over [0, rho]; None for a number radial c, whose A is c rho^2 / 2
+    radial_potential: Callable | None = None
+
+
+def radial_potential(polar: Polar, rho):
+    """A(rho) of the factors `polar`: the integral of s radial(s) over [0, rho]."""
+    if polar.radial_potential is not None:
+        return polar.radial_potential(rho)
+    if callable(polar.radial):
+        raise PressureError("a callable radial factor needs its radial potential")
+    return 0.5 * polar.radial * np.square(rho)
 
 
 def polar_factor(factor, x):
@@ -60,6 +73,9 @@ class PressureField:
     # The factors `evaluate` and `gradient` derive from; the rotation layer and
     # the extension read a field only through them, and reject it without them.
     polar: Polar | None = None
+    # points (n, 2) -> (Phi (n, 2), its Jacobian (n, 2, 2)): a potential with
+    # div Phi = the field, through which the solvers read the pressure work
+    potential: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.sign_class not in ("nonnegative", "signed"):
@@ -89,87 +105,115 @@ def _majorant(lift, rho, d1=False):
     return np.where(h > 1.0 + cbar, cbar * gamma * np.maximum(rho, _TINY) ** (gamma - 1.0), 0.0)
 
 
+def _majorant_potential(lift, rho):
+    """The integral of s h(s) over [0, rho]: (1 + cbar) rho^2 / 2, plus beyond
+    the knee where h leaves 1 + cbar the integral of s (h(s) - 1 - cbar)."""
+    cbar, gamma = lift
+    knee = cbar ** (-1.0 / gamma) if gamma > 0.0 else (0.0 if cbar > 1.0 else math.inf)
+    out = 0.5 * (1.0 + cbar) * np.square(rho)
+    if math.isinf(knee):
+        return out
+
+    def excess(t):
+        return cbar * t ** (gamma + 2.0) / (gamma + 2.0) - 0.5 * t * t
+
+    return out + excess(np.maximum(rho, knee)) - excess(knee)
+
+
 def _on_rows(values, rows, n):
     out = np.zeros(n)
     out[rows] = values
     return out
 
 
-def _polar_pass(polar: Polar, support, taper: _Taper | None, gradient: bool, points):
-    """The value (or gradient) at `points` of the field of `polar` and `support`,
-    tapered outside its core by `taper` when given.
+def _polar_pass(polar: Polar, support, taper: _Taper | None, kind: str, points):
+    """The "value", "gradient" or "potential" at `points` of the field of
+    `polar` and `support`, tapered outside its core by `taper` when given.
 
-    The factors are read only within delta of the core, where the angle and
-    r = rho clipped to the core lie in the support.  In the core the gradient
-    is radial_d1 rate e_rho + radial rate_d1 / rho e_theta.  In the taper the
-    value is max(radial(r) rate - K |rho - r|, 0), zero beyond delta, and the
-    gradient, where that is positive, -+K e_rho + radial(r) rate_d1 / rho
-    e_theta.  A signed field is lifted there by its majorant h: the value is
-    max(pi + h(r) - K |rho - r|, 0) - h(rho)."""
+    The factors are read where the angle lies in the support's sector, at
+    r = rho clipped to the core.  In the core the gradient is radial_d1 rate
+    e_rho + radial rate_d1 / rho e_theta.  In the taper the value is
+    max(b - K t, 0) with b = radial(r) rate and t = |rho - r|, zero beyond
+    delta, and the gradient, where that is positive, -+K e_rho + radial(r)
+    rate_d1 / rho e_theta.  A signed field is lifted there by its majorant
+    h: b = pi + h(r), and h(rho) is taken off again.
+
+    The potential is Phi = (P / rho) e_rho and its Jacobian, with P(rho,
+    theta) the integral of s pi(s, theta) from r0 (0, or the taper's inner
+    radius) to rho, so that div Phi = pi.  In the core P = (A(r) - A(r0))
+    rate.  The taper adds the integral of max(b - K t, 0), a cubic in t
+    clipped to [0, min(delta, b / K)], and the lift takes off that of
+    s h(s).  With q = P / rho^2 the Jacobian is q I + e_rho (x) ((pi - 2 q)
+    e_rho + dP/dtheta / rho^2 e_theta)."""
     pts = np.asarray(points, dtype=float)
-    shape = pts.shape if gradient else pts.shape[:-1]
+    shape = pts.shape[:-1] if kind == "value" else pts.shape
     pts = pts.reshape(-1, 2)
-    rho = np.hypot(pts[:, 0], pts[:, 1])
+    n, rho = len(pts), np.hypot(pts[:, 0], pts[:, 1])
     if taper is not None:
         core = (rho >= taper.r_in) & (rho <= taper.r_out)
         if core.all():
             taper = None  # every point is trusted: the field as it is
-    r, rows = rho, None
-    if taper is not None:
-        r = np.clip(rho, taper.r_in, taper.r_out)
-        rows = live = (rho >= taper.r_in - taper.delta) & (rho <= taper.r_out + taper.delta)
-    if support is not None:
-        band = (r >= support[0]) & (r <= support[1])
-        rows = band if rows is None else rows & band
-    rows = slice(None) if rows is None else np.flatnonzero(rows)
-    radial, rate, rate_d1, radial_d1 = polar
-    theta = None
-    if support is not None or callable(rate) or (gradient and callable(rate_d1)):
-        theta = np.arctan2(pts[rows, 1], pts[rows, 0])
+    r = rho if taper is None else np.clip(rho, taper.r_in, taper.r_out)
+    rows, theta = slice(None), None
+    if support is not None or callable(polar.rate) or (kind != "value" and callable(polar.rate_d1)):
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
         if support is not None:  # the sector, modulo 2 pi
-            inside = np.flatnonzero(np.mod(theta - support[2], 2.0 * np.pi) <= support[3] - support[2])
-            rows, theta = rows[inside], theta[inside]
-    r_rows = r[rows]
-    if not gradient or taper is not None:
-        value = _on_rows(polar_factor(radial, r_rows) * polar_factor(rate, theta), rows, len(rho))
+            rows = np.flatnonzero(np.mod(theta - support[2], 2.0 * np.pi) <= support[3] - support[2])
+            theta = theta[rows]
+    radial, rate = polar_factor(polar.radial, r[rows]), polar_factor(polar.rate, theta)
+    rate_d1 = None if kind == "value" else polar_factor(polar.rate_d1, theta)
+    value = _on_rows(radial * rate, rows, n)
     if taper is not None:
-        base = value if taper.lift is None else value + _majorant(taper.lift, r)
-        base = np.where(live, base - taper.slope * np.abs(rho - r), 0.0)
-    if not gradient:
-        if taper is not None:
-            lowered = 0.0 if taper.lift is None else _majorant(taper.lift, rho)
-            value = np.where(core, value, np.maximum(base, 0.0) - lowered)
+        edge = value if taper.lift is None else value + _majorant(taper.lift, r)
+        live = (rho >= taper.r_in - taper.delta) & (rho <= taper.r_out + taper.delta)
+        base = np.where(live, edge - taper.slope * np.abs(rho - r), 0.0)
+        lowered = 0.0 if taper.lift is None else _majorant(taper.lift, rho)
+        value = np.where(core, value, np.maximum(base, 0.0) - lowered)
+    if kind == "value":
         return value.reshape(shape)[()]
 
+    safe = np.maximum(rho, _TINY)
+    e_rho = pts / safe[:, None]
+    e_theta = np.stack([-e_rho[:, 1], e_rho[:, 0]], axis=1)
+    if kind == "potential":
+        a = radial_potential(polar, r[rows]) - (0.0 if taper is None else radial_potential(polar, taper.r_in))
+        p, p_theta = _on_rows(a * rate, rows, n), _on_rows(a * rate_d1, rows, n)
+        if taper is not None:
+            if taper.lift is not None:
+                p -= _majorant_potential(taper.lift, rho) - _majorant_potential(taper.lift, r)
+            k, sigma = taper.slope, np.sign(rho - r)
+            t = np.clip(np.minimum(np.abs(rho - r), taper.delta), 0.0, np.maximum(edge, 0.0) / max(k, _TINY))
+            # sigma times the integral of (r + sigma t) (b - K t) dt over [0, t], and its b-derivative
+            p += sigma * r * edge * t + 0.5 * (edge - sigma * k * r) * t * t - k * t ** 3 / 3.0
+            p_theta += (sigma * r * t + 0.5 * t * t) * _on_rows(radial * rate_d1, rows, n)
+        q, q_theta = p / (safe * safe), p_theta / (safe * safe)
+        jac = q[:, None, None] * np.eye(2) + e_rho[:, :, None] * (
+            (value - 2.0 * q)[:, None] * e_rho + q_theta[:, None] * e_theta)[:, None, :]
+        return q[:, None] * pts, jac
+
     # the coefficients of e_rho and e_theta: the field's own on the rows
-    a = polar_factor(radial_d1, r_rows) * polar_factor(rate, theta)
-    b = polar_factor(radial, r_rows) * polar_factor(rate_d1, theta)
+    c_rho = _on_rows(polar_factor(polar.radial_d1, r[rows]) * rate, rows, n)
+    c_theta = _on_rows(radial * rate_d1, rows, n)
     if taper is not None:
         positive = base > 0.0
-        a = np.where(core, _on_rows(a, rows, len(rho)), np.where(positive, -np.sign(rho - r) * taper.slope, 0.0))
-        b = np.where(core | positive, _on_rows(b, rows, len(rho)), 0.0)
+        c_rho = np.where(core, c_rho, np.where(positive, -np.sign(rho - r) * taper.slope, 0.0))
+        c_theta = np.where(core | positive, c_theta, 0.0)
         if taper.lift is not None:
-            a -= np.where(core, 0.0, _majorant(taper.lift, rho, d1=True))
-        rows = slice(None)
-    out = np.zeros((len(rho), 2))
-    if np.ndim(a) or np.ndim(b) or a or b:  # factors given as 0 leave nothing to assemble
-        safe = np.maximum(rho[rows], _TINY)
-        e_rho = pts[rows] / safe[:, None]
-        e_theta = np.stack([-e_rho[:, 1], e_rho[:, 0]], axis=1)
-        out[rows] = np.asarray(a)[..., None] * e_rho + np.asarray(b / safe)[..., None] * e_theta
-    return out.reshape(shape)[()]
+            c_rho -= np.where(core, 0.0, _majorant(taper.lift, rho, d1=True))
+    return (c_rho[:, None] * e_rho + (c_theta / safe)[:, None] * e_theta).reshape(shape)
 
 
 def polar_field(name: str, sign_class: str, smoothness: str, polar: Polar,
                 support: tuple[float, float, float, float] | None = None,
                 growth: float | None = None, params: dict | None = None) -> PressureField:
     """The field of the polar factors `polar`, zero outside `support`: its
-    value and gradient come from the polar pass."""
+    value, gradient and potential come from the polar pass."""
     return PressureField(
         name=name, sign_class=sign_class, smoothness=smoothness,
-        evaluate=partial(_polar_pass, polar, support, None, False),
-        gradient=partial(_polar_pass, polar, support, None, True),
+        evaluate=partial(_polar_pass, polar, support, None, "value"),
+        gradient=partial(_polar_pass, polar, support, None, "gradient"),
         growth=growth, params=dict(params or {}), support=support, polar=polar,
+        potential=partial(_polar_pass, polar, support, None, "potential"),
     )
 
 
@@ -261,6 +305,23 @@ def _radial_d1(rho):
     return dbase * cut - base * dcut_dt
 
 
+# The integral of s _radial(s) from 1 on [1, 2] and [2, 3], each a polynomial
+# in the offset t from its piece's left end (in s itself, the second piece
+# loses 8 digits to cancellation); u = 1 - t is 3 - s on [2, 3].
+_T = Polynomial([0.0, 1.0])
+_U = 1.0 - _T
+_INNER_POTENTIAL = (_RADIAL_SCALE * (_T + 1.0) * _T ** 3).integ()
+_FADE = _U ** 4 * (35.0 - 84.0 * _U + 70.0 * _U ** 2 - 20.0 * _U ** 3)  # _smoothstep7(u)
+_OUTER_POTENTIAL = (_RADIAL_SCALE * (_T + 2.0) * (_T + 1.0) ** 3 * _FADE).integ() + _INNER_POTENTIAL(1.0)
+
+
+def _radial_potential(rho):
+    """The integral of s _radial(s) over [0, rho]: zero below 1, constant above 3."""
+    rho = np.asarray(rho, dtype=float)
+    return np.where(rho <= 2.0, _INNER_POTENTIAL(np.clip(rho - 1.0, 0.0, 1.0)),
+                    _OUTER_POTENTIAL(np.clip(rho - 2.0, 0.0, 1.0)))
+
+
 def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureField:
     """Smooth nonnegative field psi(|x|) * rate(atan2(x2, x1)) on the first-quadrant outer lobe."""
     if not isinstance(profile, BumpProfile):
@@ -269,7 +330,7 @@ def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureFie
         profile = strict_profile() if profile == "strict" else flat_profile()
     return polar_field(
         "quadrant_bump", "nonnegative", "c2",
-        Polar(_radial, profile.angular_rate, profile.angular_rate_d1, _radial_d1),
+        Polar(_radial, profile.angular_rate, profile.angular_rate_d1, _radial_d1, _radial_potential),
         support=_RADIAL_SUPPORT + profile.rate_support, params={"variant": profile.variant},
     )
 
@@ -297,6 +358,10 @@ def _linear_radial(rho):
     return np.asarray(rho, dtype=float)
 
 
+def _linear_potential(rho):
+    return np.asarray(rho, dtype=float) ** 3 / 3.0
+
+
 def constant_pressure(value: float, name: str = "constant") -> PressureField:
     """The field `value` everywhere: radial 1 times the constant rate `value`.
     A negative value is signed, with growth 0."""
@@ -319,7 +384,7 @@ def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
 
     return polar_field(
         "hydrostatic", "signed" if coefficient < 0.0 else "nonnegative", "lipschitz",
-        Polar(_linear_radial, rate, rate_d1, 1.0),
+        Polar(_linear_radial, rate, rate_d1, 1.0, _linear_potential),
         growth=1.0 if coefficient < 0.0 else None, params={"coefficient": coefficient},
     )
 
@@ -384,8 +449,9 @@ def extend_pressure(pi: PressureField, r_inner: float | None, r_outer: float, de
     taper = _Taper(0.0 if ball_case else float(r_inner), r_outer, delta, slope, lift)
     return PressureField(
         name=pi.name + "_extended", sign_class=pi.sign_class, smoothness="lipschitz",
-        evaluate=partial(_polar_pass, pi.polar, pi.support, taper, False),
-        gradient=partial(_polar_pass, pi.polar, pi.support, taper, True),
+        evaluate=partial(_polar_pass, pi.polar, pi.support, taper, "value"),
+        gradient=partial(_polar_pass, pi.polar, pi.support, taper, "gradient"),
+        potential=partial(_polar_pass, pi.polar, pi.support, taper, "potential"),
         growth=pi.growth if lift else None,
         params=dict(pi.params, extension={"r_inner": r_inner, "r_outer": r_outer, "delta": delta, "slope": slope}),
     )

@@ -1,4 +1,5 @@
-"""The rotation functional alpha -> integral of pi over the rotated body,
+"""The rotation functional alpha -> W(R(alpha) x), the boundary pressure work
+of the rotated body that the solvers integrate (`linear_solver.pressure_work`),
 its minimizers on the circle, and the first/second variation residuals.
 
 Every one of them reads pi through its polar factorization alone: a rotation
@@ -12,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TriMesh
+from .geometry import GAUSS, SIMPSON, TriMesh, edge_rule
 from .material import SKEW_GENERATOR, angular_distance, wrap_angle
-from .pressure import PressureError, PressureField, polar_factor
+from .pressure import PressureError, PressureField, polar_factor, radial_potential
 
 TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI: what rounding takes off a turn
@@ -105,67 +106,51 @@ class OptimalSet:
 
 
 @dataclass(frozen=True)
-class _RuleTable:
-    """Rows of one quadrature rule with what every angle reads of them, gathered once.
+class _BandTable:
+    """The points of a boundary rule in a radial band, by polar angle: the
+    angles a rotation carries into a polar sector form at most two runs."""
 
-    A band table holds the rows whose radius lies in a radial band, ordered by
-    polar angle about the origin, and the distinct angles among them: on a
-    polar mesh the rule points along one ray share their angle bit for bit.
-    A rotation adds the same angle to every point and keeps every radius, so
-    the angles it carries into a polar sector form at most two runs of
-    `theta`.  The band of a field without support holds every row.
-    """
-
-    rows: np.ndarray
-    theta: np.ndarray    # increasing distinct polar angles of the rows, in [-pi, pi]
-    starts: np.ndarray   # index in `rows` of the first row at each angle
+    theta: np.ndarray    # increasing polar angles of the rows, in [-pi, pi]
     rho: np.ndarray      # radii of the rows
-    weights: np.ndarray  # rule weights of the rows, for the boundary rule times n . J x
+    weights: np.ndarray  # the rule's weights of the rows times their geometric factor
 
 
-def _rule_table(mesh: TriMesh, pi: PressureField, boundary: bool = False) -> tuple[_RuleTable, np.ndarray]:
-    """The band table of the interior (or boundary) rule that the angles of pi
-    read, and, per distinct angle, the sum of its rows' weights times
-    radial(rho): every factor of a profile term that no rotation changes.
+def _band(mesh: TriMesh, pi: PressureField, residual: bool) -> tuple[_BandTable, np.ndarray]:
+    """The band table that the angles of pi read and, per row, every factor
+    of a profile term that no rotation changes.
 
-    The band is the radial band of pi's support widened by _SUPPORT_MARGIN.
-    Rows are grouped only when their angles are bitwise equal, so each row
-    meets the rate at the very angle it would alone; merging changes only
-    the order of the sum.  The table is built once per mesh, rule and band,
-    and its merged weights once per radial callable, since fields of
-    different radial profiles can share a band; both are kept with the
-    mesh.  The rotation layer reads a field only through its polar
-    factorization, so a field without one raises PressureError.
+    The work reads the Simpson points with w L (x . n) A(rho) / rho^2, the
+    flux of the potential (A(rho) rate / rho) e_rho; A(rho) keeps its value
+    beyond the support, so its band is open outward.  The residuals read
+    the Gauss points with w L (n . J x) radial(rho).  The band is pi's
+    radial support widened by _SUPPORT_MARGIN.  A table is kept with the
+    mesh per rule and band, its weights per radial factor.  A field without
+    polar factors raises PressureError.
     """
     if pi.polar is None:
         raise PressureError(f"field {pi.name!r} declares no polar factorization to scan rotations with")
-    rule = "boundary" if boundary else "interior"
-    band = (-math.inf, math.inf) if pi.support is None else (
+    lo, hi = (-math.inf, math.inf) if pi.support is None else (
         pi.support[0] - _SUPPORT_MARGIN, pi.support[1] + _SUPPORT_MARGIN)
-    if (rule, band) not in mesh.tables:
-        pts = mesh.boundary_points_flat() if boundary else mesh.interior_points_flat()
+    band = (residual, lo, hi if residual else math.inf)
+    if band not in mesh.tables:
+        rule = GAUSS if residual else SIMPSON
+        pts = edge_rule(mesh, mesh.nodes, rule)[0].reshape(-1, 2)
         rho = np.hypot(pts[:, 0], pts[:, 1])
-        rows = np.flatnonzero((rho >= band[0]) & (rho <= band[1]))
-        theta = np.arctan2(pts[:, 1], pts[:, 0])[rows]
-        order = np.argsort(theta, kind="stable")  # equal angles stay in row order
-        rows, theta = rows[order], theta[order]
-        new = np.ones(len(theta), dtype=bool)
-        new[1:] = np.diff(theta.view(np.int64)) != 0  # bitwise, not numeric, equality
-        starts = np.flatnonzero(new)
-        weights = (mesh.boundary_weights_flat() if boundary else mesh.interior_weights_flat())[rows]
-        if boundary:
-            jx = pts[rows] @ SKEW_GENERATOR.T
-            weights = weights * np.einsum("ij,ij->i", mesh.boundary_normals_flat()[rows], jx)
-        mesh.tables[rule, band] = _RuleTable(rows, theta[starts], starts, rho[rows], weights)
-    table, radial = mesh.tables[rule, band], pi.polar.radial
-    if (rule, band, radial) not in mesh.tables:
-        group = np.repeat(np.arange(len(table.starts)), np.diff(table.starts, append=len(table.rows)))
-        mesh.tables[rule, band, radial] = np.bincount(
-            group, weights=table.weights * polar_factor(radial, table.rho), minlength=len(table.theta))
-    return table, mesh.tables[rule, band, radial]
+        arm = pts @ SKEW_GENERATOR.T if residual else pts / (rho * rho)[:, None]  # J x, or x / rho^2
+        geometric = np.outer(mesh.boundary_lengths, rule[1]).ravel() * np.einsum(
+            "ij,ij->i", np.repeat(mesh.boundary_normals, len(rule[1]), axis=0), arm)
+        rows = np.flatnonzero((rho >= lo) & (rho <= band[2]))
+        rows = rows[np.argsort(np.arctan2(pts[rows, 1], pts[rows, 0]), kind="stable")]  # equal angles keep row order
+        mesh.tables[band] = _BandTable(np.arctan2(pts[rows, 1], pts[rows, 0]), rho[rows], geometric[rows])
+    table, polar = mesh.tables[band], pi.polar
+    key = band + ((polar.radial,) if residual else (polar.radial, polar.radial_potential))
+    if key not in mesh.tables:
+        factor = polar_factor(polar.radial, table.rho) if residual else radial_potential(polar, table.rho)
+        mesh.tables[key] = table.weights * factor
+    return table, mesh.tables[key]
 
 
-def _segments(table: _RuleTable, pi: PressureField, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _segments(table: _BandTable, pi: PressureField, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per angle, the cyclic run (start, count) of the table's angles that
     R(alpha) can carry into the support of pi.
 
@@ -200,58 +185,47 @@ def _turn_reduced(alphas: np.ndarray) -> np.ndarray:
     return np.maximum(alphas - k * TWO_PI - k * _TWO_PI_LO, 0.0)
 
 
-def _profiles(mesh: TriMesh, pi: PressureField, alphas, boundary: bool = False,
-              slopes: bool = False) -> list[np.ndarray]:
-    """(w radial(rho)) . rate(theta + alpha) at each angle, over its run of
-    the band table of the interior (or boundary) rule, with the weights of
-    the rows at one angle summed; with `slopes`, also the same weights .
-    rate_d1(theta + alpha).
+def _profiles(table: _BandTable, pi: PressureField, alphas, terms) -> list[np.ndarray]:
+    """weights . rate(theta + alpha) at each angle over its run of the band
+    table, for each (weights, rate) of `terms`.
 
     The rotations with a nonempty run are taken in chunks of whole runs
     that close once they hold at least _CHUNK_POINTS angles.  A chunk
-    concatenates its runs, adds to each its alpha reduced to [0, 2 pi]
-    (`_turn_reduced`) and folds the angles above pi into arctan2's range;
-    it reads each rate once and sums each run with one reduceat.  A
-    rotation with an empty run stays 0.
+    gathers its runs' rows (modulo the table, so a run wraps past +-pi),
+    adds to each its alpha reduced to [0, 2 pi] (`_turn_reduced`), folds
+    the angles above pi into arctan2's range, reads each rate once and sums
+    each run with one reduceat.  A rotation with an empty run stays 0.
     """
-    table, weights = _rule_table(mesh, pi, boundary)
-    rates = (pi.polar.rate, pi.polar.rate_d1) if slopes else (pi.polar.rate,)
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     start, count = _segments(table, pi, alphas)
     filled = np.flatnonzero(count)
     start, count, turned = start[filled], count[filled], _turn_reduced(alphas[filled])
-    n, stop, ends = len(table.theta), start + count, np.cumsum(count)
+    ends = np.cumsum(count)
     firsts = ends - count
-    # each run as slices of the table: from its start, then from the first angle when it wraps past +-pi
-    cuts = np.stack([start, np.minimum(stop, n), np.zeros_like(stop), stop - n], axis=1).reshape(-1, 2)
-    kept = cuts[:, 0] < cuts[:, 1]
-    bounds = np.append(0, np.cumsum(kept)[1::2]).tolist()  # the slices of run k are cuts[bounds[k]:bounds[k + 1]]
-    cuts = cuts[kept].tolist()
-    out = np.zeros((len(rates), len(alphas)))
+    out = np.zeros((len(terms), len(alphas)))
     lo = 0
     while lo < len(filled):
         hi = min(int(np.searchsorted(ends, firsts[lo] + _CHUNK_POINTS)) + 1, len(filled))
-        theta = np.concatenate([table.theta[i:j] for i, j in cuts[bounds[lo]:bounds[hi]]])
-        w = np.concatenate([weights[i:j] for i, j in cuts[bounds[lo]:bounds[hi]]])
-        theta += np.repeat(turned[lo:hi], count[lo:hi])
+        offsets = firsts[lo:hi] - firsts[lo]
+        rows = np.repeat(start[lo:hi] - offsets, count[lo:hi]) + np.arange(ends[hi - 1] - firsts[lo])
+        rows %= len(table.theta)
+        theta = table.theta[rows] + np.repeat(turned[lo:hi], count[lo:hi])
         np.subtract(theta, TWO_PI, out=theta, where=theta > math.pi)
-        for sums, rate in zip(out, rates):
-            sums[filled[lo:hi]] = np.add.reduceat(w * polar_factor(rate, theta), firsts[lo:hi] - firsts[lo])
+        for sums, (weights, rate) in zip(out, terms):
+            sums[filled[lo:hi]] = np.add.reduceat(weights[rows] * polar_factor(rate, theta), offsets)
         lo = hi
     return list(out)
 
 
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:
-    """Interior quadrature of x -> pi(R(alpha) x) at each of the given angles.
-
-    A rotation keeps every radius and adds alpha to every polar angle, so the
-    value is (w psi(rho)) . rate(theta + alpha) with psi, rate = pi.polar[:2].
-    """
-    return _profiles(mesh, pi, alphas)[0]
+    """The boundary pressure work W(R(alpha) x) at each of the given angles:
+    (w L (x . n) A(rho) / rho^2) . rate(theta + alpha) over the Simpson points."""
+    table, weights = _band(mesh, pi, residual=False)
+    return _profiles(table, pi, alphas, [(weights, pi.polar.rate)])[0]
 
 
 def rotation_functional(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
-    """Interior quadrature of x -> pi(R(alpha) x)."""
+    """The boundary pressure work W(R(alpha) x)."""
     return float(rotation_functional_profile(mesh, pi, [alpha])[0])
 
 
@@ -339,7 +313,9 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
     rate(theta + alpha) and second is a^2 times the same weights . rate_d1.
     second is NaN throughout when pi is not C^2; rate_d1 is then never read.
     """
-    el, *slopes = _profiles(mesh, pi, alphas, boundary=True, slopes=pi.is_smooth)
+    table, weights = _band(mesh, pi, residual=True)
+    rates = (pi.polar.rate, pi.polar.rate_d1) if pi.is_smooth else (pi.polar.rate,)
+    el, *slopes = _profiles(table, pi, alphas, [(weights, rate) for rate in rates])
     return el, (a * a * slopes[0] if slopes else np.full(len(el), math.nan))
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pressurelab import DomainSpec, MaterialModel, TriMesh, build_domain, rotations
-from pressurelab.linear_solver import _p1_gather, assemble_load, project_gradient
-from pressurelab.material import SKEW_GENERATOR, cofactor, det2, rotation, stress_components
+from pressurelab import DomainSpec, MaterialModel, Polar, TriMesh, build_domain, polar_field, rotations
+from pressurelab.geometry import GAUSS, SIMPSON, edge_rule
+from pressurelab.linear_solver import _p1_gather, assemble_load, pressure_work, project_gradient
+from pressurelab.material import SKEW_GENERATOR, det2, rotation, stress_components
 from pressurelab.nonlinear_solver import admissible_start
 
 
@@ -52,16 +53,44 @@ def weak_material():
     return MaterialModel(c1=1.3, c2=0.7, p=1.5, q=1.5)
 
 
-# Helpers and oracles that only tests read: a translated mesh, the identity
-# map, the rotation layer's support rows, the interior form of its
-# stationarity residual, a finite-difference Hessian of a field, the angular
-# profile of a bump and its exact sweep over the rotated four-lobe domain, the
-# fancy-indexed P1 gather, bincount scatter and energy gradient that the
-# sparse P1 gather and its transpose replaced (the gather matches them bit for
-# bit, the gradient to 1e-14 of its largest entry, since the transpose sums in
-# another order), the stiffness as a sum of Kronecker-built strain forms that
-# the one strain operator replaced (to 1e-14 of its largest entry), and the
-# edge-by-edge boundary load scatter.
+# Helpers and oracles that only tests read: a loaded body's pressure field
+# (the two-fold quadratic), a translated mesh, the identity
+# map, the rotation layer's support rows, the slope of its work functional
+# from the field's potential at rotated points, a finite-difference Hessian
+# of a field, the angular profile of a bump and its exact sweep over the
+# rotated four-lobe domain, the interior 3-point rule for volume integrals
+# of a field, the fancy-indexed P1 gather, bincount scatter and
+# energy gradient that the sparse P1 gather and its transpose replaced (the
+# gather matches them bit for bit, the gradient to 1e-14 of its largest
+# entry, since the transpose sums in another order), the stiffness as a sum of
+# Kronecker-built strain forms that the one strain operator replaced (to
+# 1e-14 of its largest entry), and the edge-by-edge boundary load scatter.
+
+
+def _square(rho):
+    return np.square(rho)
+
+
+def _double(rho):
+    return 2.0 * np.asarray(rho, dtype=float)
+
+
+def _quarter_fourth_power(rho):
+    return 0.25 * np.asarray(rho, dtype=float) ** 4
+
+
+def quadratic_field(s=0.1, b=0.5):
+    """The two-fold quadratic field s (|x|^2 + 2 b x1 x2) = s rho^2 (1 + b sin 2 theta):
+    a polynomial, nonnegative for |b| <= 1, whose optimal rotations of the
+    four-lobe are 0 and pi, isolated and nondegenerate, with pi nonzero on
+    the body.  Radial rho^2 with potential rho^4 / 4, rate s (1 + b sin 2 theta)."""
+    def rate(t):
+        return s * (1.0 + b * np.sin(2.0 * t))
+
+    def rate_d1(t):
+        return 2.0 * s * b * np.cos(2.0 * t)
+
+    return polar_field("quadratic", "nonnegative", "c3", Polar(_square, rate, rate_d1, _double, _quarter_fourth_power))
 
 
 def translated(mesh, shift):
@@ -80,28 +109,39 @@ def noisy_start(mesh, alpha, amplitude, rng):
     return admissible_start(mesh, alpha, amplitude * rng.uniform(-1.0, 1.0, size=mesh.nodes.shape))
 
 
-def support_rows(mesh, pi, alpha, boundary=False):
-    """Rows of the interior (or boundary) rule that R(alpha) can carry into the support of pi:
-    every row, in mesh order, when pi declares no support."""
+def support_rows(mesh, pi, alpha, residual=False):
+    """Rows of the work's edge rule (or of the residuals' Gauss rule), as
+    indices into its band table, that R(alpha) can carry into the support of
+    pi: every row when pi declares no support."""
+    table, _ = rotations._band(mesh, pi, residual)
     if pi.support is None:
-        return slice(None)
-    table, _ = rotations._rule_table(mesh, pi, boundary)
-    bounds = np.append(table.starts, len(table.rows))  # the table's angle k holds rows bounds[k]:bounds[k + 1]
+        return np.arange(len(table.theta))
     start, count = (int(v[0]) for v in rotations._segments(table, pi, np.array([alpha], dtype=float)))
-    stop, n = start + count, len(table.theta)  # the run of angles start, ..., stop - 1, modulo n
-    runs = (slice(bounds[start], bounds[min(stop, n)]), slice(0, bounds[max(stop - n, 0)]))
-    return np.concatenate([table.rows[s] for s in runs])
+    return (start + np.arange(count)) % len(table.theta)
 
 
-def el_volume_form(mesh, pi, alpha):
-    """Interior form of the stationarity residual: integral of grad pi(R x) . R J x."""
-    rows = support_rows(mesh, pi, alpha)
-    pts = mesh.interior_points_flat()[rows]
-    w = mesh.interior_weights_flat()[rows]
+def work_slope(mesh, pi, alpha):
+    """d/dalpha of the boundary work W(R(alpha) x) from the field's potential
+    at the rotated rule points: sum_g w_g N(dx) . d/dalpha R^T Phi(R x_g)
+    = sum_g w_g (N(dx) . R^T J(R x_g) R J x_g + dx . R^T Phi(R x_g))."""
+    points, normal = edge_rule(mesh, mesh.nodes, SIMPSON)
     R = rotation(alpha)
-    g = np.asarray(pi.gradient(pts @ R.T), dtype=float)
-    rjx = pts @ (R @ SKEW_GENERATOR).T
-    return float(w @ np.einsum("ij,ij->i", g, rjx))
+    pts = points.reshape(-1, 2)
+    phi, jac = pi.potential(pts @ R.T)
+    turned = np.einsum("ji,njk,kl,nl->ni", R, jac, R @ SKEW_GENERATOR, pts)  # R^T J(R x) R J x
+    dx = np.repeat(normal @ SKEW_GENERATOR.T, 3, axis=0)  # J N(dx) = dx
+    n = np.repeat(normal, 3, axis=0)
+    w = np.tile(SIMPSON[1], len(normal))
+    return float(w @ (np.einsum("ni,ni->n", n, turned) + np.einsum("ni,ni->n", dx, phi @ R)))
+
+
+def interior_rule(mesh):
+    """The interior 3-point rule, exact for quadratics: the edge midpoints
+    (M, 3, 2) of each triangle, point r on the edge from corner r to r + 1,
+    their weights area / 3 (M, 3) and barycentric coordinates (3, 3)."""
+    bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    return (np.einsum("ri,mic->mrc", bary, mesh.nodes[mesh.triangles]),
+            np.repeat(mesh.areas[:, None] / 3.0, 3, axis=1), bary)
 
 
 def hessian(pi, points, step=1e-5):
@@ -116,12 +156,12 @@ def hessian(pi, points, step=1e-5):
 
 
 def fancy_gather(mesh, y):
-    """Component-major gradient f (2, 2, M), det (M,) and rule points (3M, 2) from y[triangles]."""
+    """Component-major gradient f (2, 2, M) and det (M,) from y[triangles]."""
     yt = y[mesh.triangles]
     g = mesh.basis_gradients
     f = np.array([[yt[:, 0, a] * g[:, 0, b] + yt[:, 1, a] * g[:, 1, b] + yt[:, 2, a] * g[:, 2, b]
                    for b in range(2)] for a in range(2)])
-    return f, det2(f), (0.5 * (yt + yt[:, [1, 2, 0]])).reshape(-1, 2)
+    return f, det2(f)
 
 
 def bincount_scatter(mesh, contrib):
@@ -131,17 +171,14 @@ def bincount_scatter(mesh, contrib):
 
 
 def fancy_gradient(mesh, material, pi_hat, y, eps):
-    """The projected energy gradient assembled with `fancy_gather` and `bincount_scatter`."""
-    f, det, yq = fancy_gather(mesh, y)
-    w = mesh.quadrature.interior_weights
-    piy = np.reshape(pi_hat.evaluate(yq), w.shape)
-    gpiy = np.reshape(pi_hat.gradient(yq), w.shape + (2,))
-    P = mesh.areas * stress_components(material, f, det) + (eps * np.sum(w * piy, axis=1)) * cofactor(f)
-    h = (eps * w * det[:, None])[:, :, None] * gpiy
+    """The projected energy gradient with the elastic part assembled with
+    `fancy_gather` and `bincount_scatter`, and the pressure work's."""
+    f, det = fancy_gather(mesh, y)
+    P = mesh.areas * stress_components(material, f, det)
     g = mesh.basis_gradients
-    edges = np.moveaxis(0.5 * (h + h[:, [2, 0, 1]]), 2, 0)
-    contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1] + edges  # (2, M, 3)
-    return project_gradient(mesh, bincount_scatter(mesh, contrib))
+    contrib = P[:, 0, :, None] * g[..., 0] + P[:, 1, :, None] * g[..., 1]  # (2, M, 3)
+    work = pressure_work(mesh, pi_hat, y).gradient(mesh)
+    return project_gradient(mesh, bincount_scatter(mesh, contrib) + eps * work)
 
 
 def kron_stiffness(mesh, material):
@@ -196,9 +233,9 @@ def add_at_load(mesh, pi, alpha0):
     scattered edge by edge with np.add.at: the boundary side of the
     divergence-form checks of `assemble_load`."""
     R = rotation(alpha0)
-    pts = mesh.quadrature.boundary_points
-    vals = np.asarray(pi.evaluate(pts.reshape(-1, 2) @ R.T), dtype=float).reshape(pts.shape[:2])
-    coeff = np.einsum("eq,eq,qi->ei", mesh.quadrature.boundary_weights, vals, mesh.quadrature.boundary_bary)
+    points, normal = edge_rule(mesh, mesh.nodes, GAUSS)
+    vals = np.asarray(pi.evaluate(points.reshape(-1, 2) @ R.T), dtype=float).reshape(points.shape[:2])
+    coeff = np.einsum("e,q,eq,qi->ei", mesh.boundary_lengths, GAUSS[1], vals, GAUSS[0])
     load = np.zeros((mesh.n_nodes, 2))
     for local in range(2):
         nodes = mesh.boundary_edges[:, local]
@@ -208,8 +245,9 @@ def add_at_load(mesh, pi, alpha0):
 
 
 def divergence_pair(mesh, pi, alpha0, u):
-    """Two quadratures of the same divergence identity: the boundary integral
-    of pi(R0 x) n . u (`add_at_load`) and assemble_load . u, which is the
-    interior rule's integral of div(pi(R0 x) u)."""
+    """Two quadratures of the load's continuum limit: the boundary integral of
+    pi(R0 x) n . u (`add_at_load`) and assemble_load . u, the first variation
+    of the boundary work, which the divergence identity turns into the same
+    integral as h -> 0."""
     u = np.ravel(np.asarray(u, dtype=float))
     return float(add_at_load(mesh, pi, alpha0) @ u), float(assemble_load(mesh, pi, alpha0) @ u)

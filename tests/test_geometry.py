@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from pressurelab import DomainSpec, TriMesh, barycenter, boundary_integral, build_domain
-from pressurelab.geometry import DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk, _ring_counts
+from pressurelab.geometry import (GAUSS, SIMPSON, DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk,
+                                  _ring_counts, edge_rule)
 
-from conftest import translated
+from conftest import interior_rule, translated
 
 
 def interior_integral(mesh, integrand):
-    """Integrate ``integrand(points)`` over the mesh with the interior rule."""
-    pts = mesh.interior_points_flat()
-    return float(mesh.interior_weights_flat() @ np.asarray(integrand(pts), dtype=float))
+    """Integrate ``integrand(points)`` over the mesh with the interior rule of `conftest.interior_rule`."""
+    pts, weights, _ = interior_rule(mesh)
+    return float(weights.ravel() @ np.asarray(integrand(pts.reshape(-1, 2)), dtype=float))
 
 
 def test_disk_area_close_to_analytic(disk32):
@@ -134,11 +135,16 @@ def test_boundary_rule_degree_three_exact(square_mesh):
 
 
 def test_quadrature_weights(disk16):
-    q = disk16.quadrature
-    assert np.all(q.interior_weights > 0.0)
-    assert np.allclose(q.interior_weights.sum(axis=1), disk16.areas, rtol=1e-13)
-    assert np.all(q.boundary_weights > 0.0)
-    assert np.allclose(q.boundary_weights.sum(axis=1), disk16.boundary_lengths, rtol=1e-13)
+    # each edge rule's weights are positive and sum to one edge, and its
+    # points are the barycentric combinations of the edge's ends
+    for bary, weights in (GAUSS, SIMPSON):
+        assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-15
+        assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        points, normal = edge_rule(disk16, disk16.nodes, (bary, weights))
+        a, b = disk16.nodes[disk16.boundary_edges[:, 0]], disk16.nodes[disk16.boundary_edges[:, 1]]
+        for g, (wa, wb) in enumerate(bary):
+            assert np.allclose(points[:, g], wa * a + wb * b, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.hypot(normal[:, 0], normal[:, 1]), disk16.boundary_lengths, rtol=1e-13)
 
 
 def test_node_masses_sum_to_area(annulus32):
@@ -336,7 +342,8 @@ def test_boundary_and_rule_points_match_reference_forms(resolution):
         want = _lexsort_boundary(mesh.nodes, mesh.triangles)
         for name, ref in zip(("boundary_edges", "boundary_normals", "boundary_lengths"), want):
             assert np.array_equal(getattr(mesh, name), ref), (spec(resolution).kind, name)
-        # the interior rule points are the edge midpoints of the barycentric form
-        q = mesh.quadrature
-        corners = mesh.nodes[mesh.triangles]
-        assert np.array_equal(q.interior_points, np.einsum("ri,mic->mrc", q.interior_bary, corners))
+        # the work's rule points are each edge's ends and midpoint, bit for bit
+        points, normal = edge_rule(mesh, mesh.nodes, SIMPSON)
+        a, b = mesh.nodes[mesh.boundary_edges[:, 0]], mesh.nodes[mesh.boundary_edges[:, 1]]
+        assert np.array_equal(points, np.stack([a, 0.5 * (a + b), b], axis=1))
+        assert np.allclose(normal, mesh.boundary_lengths[:, None] * mesh.boundary_normals, rtol=0.0, atol=1e-15)

@@ -3,7 +3,7 @@ and against the fancy-indexed kernels the sparse P1 gather replaced (the
 gather bit for bit, the gradient through its transpose to rounding); the
 transpose as the adjoint of the gather and as a view of its arrays; the
 reuse of an energy evaluation's state; the direct path of the pressure
-extension, and the reference term, evaluated once per mesh and field."""
+extension, and the reference potential, evaluated once per mesh and field."""
 
 import dataclasses
 
@@ -12,7 +12,8 @@ import pytest
 from conftest import fancy_gather, fancy_gradient, noisy_start
 
 from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure, extend_pressure, nonlinear_solver, rotations
-from pressurelab.linear_solver import gather, gather_transpose
+from pressurelab.geometry import SIMPSON, edge_rule
+from pressurelab.linear_solver import _p1_gather, gather, gather_transpose
 from pressurelab.material import g_mixed
 from pressurelab.nonlinear_solver import (
     assemble_energy,
@@ -40,17 +41,32 @@ def _matrix_gradients(mesh, y):
     return F, F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
 
 
+def _matrix_work(mesh, pi_hat, y):
+    """The boundary pressure work of y as one sum over the rule points of
+    each edge (a, b), SIMPSON[0] @ [y_a, y_b], and its nodal gradient
+    scattered with np.add.at."""
+    (bary, weights), ends = SIMPSON, y[mesh.boundary_edges]
+    pts = np.stack([bary[g, 0] * ends[:, 0] + bary[g, 1] * ends[:, 1] for g in range(3)], axis=1)
+    nrm = (ends[:, 1] - ends[:, 0]) @ np.array([[0.0, -1.0], [1.0, 0.0]])
+    phi, jac = pi_hat.potential(pts.reshape(-1, 2))
+    phi, jac = phi.reshape(pts.shape), jac.reshape(pts.shape + (2,))
+    work = float(np.einsum("g,egi,ei->", weights, phi, nrm))
+    at_points = np.einsum("g,egij,ei->egj", weights, jac, nrm)
+    along = np.einsum("g,egi->ei", weights, phi) @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    contrib = np.matmul(bary.T, at_points) + np.stack([-along, along], axis=1)
+    grad = np.zeros_like(y)
+    np.add.at(grad, mesh.boundary_edges, contrib)
+    return work, grad
+
+
 def _matrix_energy(mesh, material, pi_hat, y, eps):
     F, det = _matrix_gradients(mesh, y)
     a = F[:, 0, 0] + F[:, 1, 1]
     b = F[:, 1, 0] - F[:, 0, 1]
     d = np.sqrt(np.maximum(np.einsum("tij,tij->t", F, F) + 2.0 - 2.0 * np.hypot(a, b), 0.0))
     w_el = material.c1 * g_mixed(d, material.p) + material.c2 * g_mixed(np.abs(det - 1.0), material.q)
-    yq = np.matmul(mesh.quadrature.interior_bary, y[mesh.triangles])
-    piy = pi_hat.evaluate(yq.reshape(-1, 2)).reshape(-1, 3)
-    pix = pi_hat.evaluate(mesh.interior_points_flat()).reshape(-1, 3)
-    w = mesh.quadrature.interior_weights
-    return float(mesh.areas @ w_el) + eps * float(np.sum(w * (piy * det[:, None] - pix)))
+    work = _matrix_work(mesh, pi_hat, y)[0] - _matrix_work(mesh, pi_hat, mesh.nodes)[0]
+    return float(mesh.areas @ w_el) + eps * work
 
 
 def _matrix_gradient(mesh, material, pi_hat, y, eps):
@@ -67,16 +83,9 @@ def _matrix_gradient(mesh, material, pi_hat, y, eps):
     S = material.c1 * h[:, None, None] * (F - R) + material.c2 * k[:, None, None] * cof
     G = mesh.basis_gradients
     contrib = mesh.areas[:, None, None] * np.matmul(G, S.transpose(0, 2, 1))
-    B = mesh.quadrature.interior_bary
-    yq = np.matmul(B, y[mesh.triangles]).reshape(-1, 2)
-    piy = pi_hat.evaluate(yq).reshape(-1, 3)
-    gpiy = pi_hat.gradient(yq).reshape(-1, 3, 2)
-    w = mesh.quadrature.interior_weights
-    contrib += eps * np.matmul(B.T, (w * det[:, None])[:, :, None] * gpiy)
-    contrib += (eps * np.sum(w * piy, axis=1))[:, None, None] * np.matmul(G, cof.transpose(0, 2, 1))
     grad = np.zeros_like(y)
     np.add.at(grad, mesh.triangles, contrib)
-    return project_gradient(mesh, grad)
+    return project_gradient(mesh, grad + eps * _matrix_work(mesh, pi_hat, y)[1])
 
 
 def _random_maps(mesh, n=3):
@@ -133,13 +142,13 @@ def test_gather_transpose_is_the_adjoint_of_the_gather(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     m = len(mesh.triangles)
     rng = np.random.default_rng(11)
-    for q_bar in (None, rng.normal(size=(3 * m, 2))):
-        y = rng.normal(size=(mesh.n_nodes, 2))
-        f_bar = rng.normal(size=(2, 2, m))
-        f, _, yq = gather(mesh, y)
-        terms = np.concatenate([(f * f_bar).ravel(), (yq * (0.0 if q_bar is None else q_bar)).ravel()])
-        adjoint = float(np.sum(y * gather_transpose(mesh, f_bar, q_bar)))
-        assert abs(np.sum(terms) - adjoint) <= 1e-13 * np.sum(np.abs(terms))
+    y = rng.normal(size=(mesh.n_nodes, 2))
+    f_bar = rng.normal(size=(2, 2, m))
+    f, _ = gather(mesh, y)
+    terms = (f * f_bar).ravel()
+    adjoint = float(np.sum(y * gather_transpose(mesh, f_bar)))
+    assert abs(np.sum(terms) - adjoint) <= 1e-13 * np.sum(np.abs(terms))
+    assert _p1_gather(mesh).shape == (2 * m, mesh.n_nodes)  # the gradient rows alone
 
 
 @pytest.mark.parametrize("mesh_name", ["disk16", "annulus32", "lobe16"])
@@ -149,12 +158,12 @@ def test_gather_transpose_is_a_view_that_sums_like_a_csr_copy(mesh_name, request
     mesh = request.getfixturevalue(mesh_name)
     m = len(mesh.triangles)
     rng = np.random.default_rng(5)
-    f_bar, q_bar = rng.normal(size=(2, 2, m)), rng.normal(size=(3 * m, 2))
-    out = gather_transpose(mesh, f_bar, q_bar)
+    f_bar = rng.normal(size=(2, 2, m))
+    out = gather_transpose(mesh, f_bar)
     G = mesh.tables["p1"]
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(mesh.tables["p1T"], name), getattr(G, name))
-    assert np.array_equal(out, G.T.tocsr() @ np.concatenate([np.reshape(f_bar, (2, -1)).T, q_bar]))
+    assert np.array_equal(out, G.T.tocsr() @ np.reshape(f_bar, (2, -1)).T)
 
 
 def test_gradient_from_a_kept_energy_state_is_the_fresh_gradient(lobe16):
@@ -203,16 +212,17 @@ def test_operators_are_built_once_per_mesh_and_only_by_the_solvers():
 
 
 def test_the_reference_sums_are_evaluated_once_per_mesh_and_field(disk16):
-    # the field is evaluated at the reference rule points by the first solve
-    # alone; every later evaluation on this mesh and field reads the table
+    # the potential is evaluated at the reference rule points by the first
+    # solve alone; every later evaluation on this mesh and field reads the table
     hat = _extended(builtin_pressure("constant", {"value": 0.1}), disk16)
+    reference = edge_rule(disk16, disk16.nodes, SIMPSON)[0].reshape(-1, 2)
     at_reference = []
 
     def counting(pts):
-        at_reference.append(np.array_equal(pts, disk16.interior_points_flat()))
-        return hat.evaluate(pts)
+        at_reference.append(np.array_equal(pts, reference))
+        return hat.potential(pts)
 
-    counted = dataclasses.replace(hat, evaluate=counting)
+    counted = dataclasses.replace(hat, potential=counting)
     init = noisy_start(disk16, 0.3, 1e-3 * disk16.diameter, np.random.default_rng(8))
     for _ in range(2):
         minimize_energy(disk16, MATERIALS[0], counted, 0.04, init, max_iter=5)

@@ -146,6 +146,63 @@ def test_fields_and_extensions_are_finite_on_the_axes(name, params, variant):
         assert np.all(np.isfinite(f.evaluate(pts))) and np.all(np.isfinite(f.gradient(pts))), f.name
 
 
+def _potential_parts(field, pts):
+    """P = Phi . x and dP/dtheta = rho^2 e_rho . J e_theta of the potential pass at pts."""
+    phi, jac = field.potential(pts)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    e_rho = pts / rho[:, None]
+    e_theta = np.stack([-e_rho[:, 1], e_rho[:, 0]], axis=1)
+    return np.sum(phi * pts, axis=1), rho ** 2 * np.einsum("ni,nij,nj->n", e_rho, jac, e_theta)
+
+
+@pytest.mark.parametrize("name, params, variant", CATALOG)
+def test_potential_integrates_the_field_along_each_ray(name, params, variant):
+    # Phi = (P / rho) e_rho with dP/drho = rho pi, so div Phi = pi; dP/dtheta
+    # and the Jacobian against central differences, in the core, in the taper
+    # and beyond it, for the field and its ball and annulus extensions
+    field = builtin_pressure(name, params, variant)
+    rng = np.random.default_rng(31)
+    theta = rng.uniform(-np.pi, np.pi, 600)
+    theta = theta[np.abs(np.sin(theta)) > 1e-2]  # off the hydrostatic rate's kinks
+    # radii in the cores (0.3..1.0, 1.0..1.8), the tapers (1.5..2.0, 1.8..2.3, 0.5..1.0) and beyond them
+    rho = rng.choice([0.3, 0.55, 0.8, 1.2, 1.6, 1.7, 1.9, 2.2, 2.6, 3.4], len(theta))
+    rho = rho + rng.uniform(0.0, 0.08, len(theta))
+    pts = rho[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    e_rho = pts / rho[:, None]
+    h = 1e-6
+    for f in [field] + _extensions(field):
+        value = f.evaluate(pts)
+        p, p_theta = _potential_parts(f, pts)
+        dp_drho = (_potential_parts(f, pts + h * e_rho)[0] - _potential_parts(f, pts - h * e_rho)[0]) / (2.0 * h)
+        assert np.max(np.abs(dp_drho - rho * value)) <= 1e-6 * (1.0 + np.max(np.abs(rho * value))), f.name
+        turn = [pts @ np.array([[np.cos(d), np.sin(d)], [-np.sin(d), np.cos(d)]]) for d in (h, -h)]
+        dp_dtheta = (_potential_parts(f, turn[0])[0] - _potential_parts(f, turn[1])[0]) / (2.0 * h)
+        assert np.max(np.abs(dp_dtheta - p_theta)) <= 1e-6 * (1.0 + np.max(np.abs(p_theta))), f.name
+        jac = f.potential(pts)[1]
+        fd = np.stack([(f.potential(pts + h * e)[0] - f.potential(pts - h * e)[0]) / (2.0 * h) for e in np.eye(2)],
+                      axis=2)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd))), f.name
+        assert np.max(np.abs(np.trace(jac, axis1=1, axis2=2) - value)) <= 1e-13 * (1.0 + np.max(np.abs(value)))
+    # on the annulus P starts at the trusted inner radius, so Phi vanishes on that circle
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    assert np.max(np.abs(_extensions(field)[1].potential(circle)[0])) <= 1e-13
+
+
+def test_bump_radial_potential_is_the_integral_of_s_radial():
+    # A(rho) = integral of s radial(s) over [0, rho], against composite Gauss
+    # quadrature of the radial profile: zero below 1, constant above 3
+    from pressurelab.pressure import _radial, _radial_potential
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    knots = np.linspace(0.0, 3.5, 351)
+    a, b = knots[:-1, None], knots[1:, None]
+    s = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+    pieces = np.sum(0.5 * (b - a) * weights * s * _radial(s), axis=1)
+    want = np.concatenate([[0.0], np.cumsum(pieces)])
+    assert np.max(np.abs(_radial_potential(knots) - want)) <= 1e-14 * want[-1]
+    assert np.all(_radial_potential(np.linspace(0.0, 1.0, 11)) == 0.0)
+    assert np.all(_radial_potential(np.linspace(3.0, 5.0, 11)) == _radial_potential(3.0))
+
+
 def test_factors_given_as_numbers_take_no_angle(monkeypatch):
     # the constant field's rates are numbers: neither it nor its extension, in
     # the core or in the taper, takes arctan2

@@ -54,3 +54,21 @@ def test_wrapped_field_keeps_its_support(tracer):
     assert wrapped.polar == field.polar
     pts = np.array([[1.5, 1.2], [-0.5, 2.0]])
     assert np.array_equal(wrapped.evaluate(pts), field.evaluate(pts))
+
+
+def test_wrapped_extension_keeps_its_potential_and_energy(tracer):
+    # the solvers read a field through its potential, which the tracer does
+    # not wrap: a traced run's energies are an untraced run's
+    from pressurelab import DomainSpec, MaterialModel, assemble_energy, build_domain, extend_pressure
+    from pressurelab.nonlinear_solver import rigid_map
+
+    field = extend_pressure(quadrant_bump_pressure("strict"), None, 2.2, 1.0)
+    wrapped = tracer.Tracer().wrap_field(field)
+    assert wrapped.potential is field.potential
+    pts = np.array([[1.5, 1.2], [-0.5, 2.0], [2.6, 0.4]])
+    for got, want in zip(wrapped.potential(pts), field.potential(pts)):
+        assert np.array_equal(got, want)
+    mesh = build_domain(DomainSpec.four_lobe(resolution=8))
+    y = 1.1 * rigid_map(mesh, 0.4)
+    material = MaterialModel()
+    assert assemble_energy(mesh, material, wrapped, y, 0.05) == assemble_energy(mesh, material, field, y, 0.05)

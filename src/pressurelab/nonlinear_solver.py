@@ -23,10 +23,11 @@ whose energy lies within that rounding floor of the current energy is
 therefore judged on its directional derivative instead (the approximate Wolfe
 conditions of Hager and Zhang, SIAM J. Optim. 16, 2005): the search brackets
 the step on the slope ratio and accepts once it lies in [2*delta - 1, sigma].
-A candidate whose gradient already passes the solve's own test is taken at
-once; any other is taken only if a few shorter steps fail Armijo on the
-energy alone.  Accepted energies are nonincreasing except at a
-derivative-accepted step, which may raise the energy by at most the floor.
+A candidate whose gradient already passes the solve's own test, or whose
+predicted decrease already lies within the floor, is taken at once; any
+other is taken only if a few shorter steps fail Armijo on the energy alone.
+Accepted energies are nonincreasing except at a derivative-accepted step,
+which may raise the energy by at most the floor.
 The floor bounds the rounding of the energy sum by the sizes of its terms:
 the elastic density rounds relative to d = dist(F, SO(2)) and
 t = |det F - 1| (not to |F|^2, which is about 2 near a rotation), the work
@@ -228,12 +229,12 @@ def minimize_energy(
         Armijo with its energy within the rounding floor of f takes the
         derivative test instead, which raises lo (too short), lowers hi
         (overshoot) or yields a candidate.  A candidate with |g| <= grad_tol
-        (1 + |f|), which would stop the solve, is taken at once: the energy of
-        a shorter step then differs from f by rounding alone.  Any other is
-        taken only if none of the next _ARMIJO_RETRIES halvings passes
-        Armijo.  The search gives up once the step falls below _STEP_MIN
-        above lo, or once the bracket holds no float strictly inside it (t
-        then rounds to hi).
+        (1 + |f|), which would stop the solve, or with t |g.d| within the
+        floor is taken at once: the energy of a shorter step then differs
+        from f by rounding alone.  Any other is taken only if none of the
+        next _ARMIJO_RETRIES halvings passes Armijo.  The search gives up
+        once the step falls below _STEP_MIN above lo, or once the bracket
+        holds no float strictly inside it (t then rounds to hi).
         """
         nonlocal backtracks, rejections
 
@@ -270,7 +271,7 @@ def minimize_energy(
         else:
             return None
         candidate = (z_try, f_try, s_try, g_try)
-        if float(np.linalg.norm(g_try)) <= grad_tol * (1.0 + abs(f_try)):
+        if float(np.linalg.norm(g_try)) <= grad_tol * (1.0 + abs(f_try)) or -t * slope <= floor:
             return candidate
         for _ in range(_ARMIJO_RETRIES):
             t *= _BACKTRACK

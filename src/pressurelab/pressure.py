@@ -32,25 +32,16 @@ class PressureError(ValueError):
 
 class Polar(NamedTuple):
     """Polar factors of a field, whose value at x is radial(|x|) * rate(atan2(x2, x1)):
-    each a callable of an array or, when it does not vary, its number.  The
-    radial factors should be module functions (or numbers): the rotation layer
-    keys cached weights by them, and a field is rebuilt on each access."""
+    each a callable of an array or, when it does not vary, its number, and
+    the radial potential A.  The radial factor (unless a number) and A
+    should be module functions: the rotation layer keys cached weights by
+    them, and a field is rebuilt on each access."""
 
     radial: Callable | float
     rate: Callable | float
     rate_d1: Callable | float    # derivative of rate
     radial_d1: Callable | float  # derivative of radial
-    # A(rho) = integral of s radial(s) over [0, rho]; None for a number radial c, whose A is c rho^2 / 2
-    radial_potential: Callable | None = None
-
-
-def radial_potential(polar: Polar, rho):
-    """A(rho) of the factors `polar`: the integral of s radial(s) over [0, rho]."""
-    if polar.radial_potential is not None:
-        return polar.radial_potential(rho)
-    if callable(polar.radial):
-        raise PressureError("a callable radial factor needs its radial potential")
-    return 0.5 * polar.radial * np.square(rho)
+    radial_potential: Callable   # A(rho) = integral of s radial(s) over [0, rho]
 
 
 def polar_factor(factor, x):
@@ -65,6 +56,9 @@ class PressureField:
     smoothness: str   # "lipschitz" | "c2" | "c3"
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
+    # points (n, 2) -> (Phi (n, 2), its Jacobian (n, 2, 2)): a potential with
+    # div Phi = the field, through which the solvers read the pressure work
+    potential: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     growth: float | None = None   # exponent bounding the negative part, if signed
     params: dict = field(default_factory=dict)
     # Polar sector (rho_lo, rho_hi, theta_lo, theta_hi), read modulo 2 pi, outside
@@ -73,9 +67,6 @@ class PressureField:
     # The factors `evaluate` and `gradient` derive from; the rotation layer and
     # the extension read a field only through them, and reject it without them.
     polar: Polar | None = None
-    # points (n, 2) -> (Phi (n, 2), its Jacobian (n, 2, 2)): a potential with
-    # div Phi = the field, through which the solvers read the pressure work
-    potential: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.sign_class not in ("nonnegative", "signed"):
@@ -176,7 +167,7 @@ def _polar_pass(polar: Polar, support, taper: _Taper | None, kind: str, points):
     e_rho = pts / safe[:, None]
     e_theta = np.stack([-e_rho[:, 1], e_rho[:, 0]], axis=1)
     if kind == "potential":
-        a = radial_potential(polar, r[rows]) - (0.0 if taper is None else radial_potential(polar, taper.r_in))
+        a = polar.radial_potential(r[rows]) - (0.0 if taper is None else polar.radial_potential(taper.r_in))
         p, p_theta = _on_rows(a * rate, rows, n), _on_rows(a * rate_d1, rows, n)
         if taper is not None:
             if taper.lift is not None:
@@ -362,11 +353,15 @@ def _linear_potential(rho):
     return np.asarray(rho, dtype=float) ** 3 / 3.0
 
 
+def _half_square(rho):  # the radial potential of the constant field's radial factor 1
+    return 0.5 * np.square(rho)
+
+
 def constant_pressure(value: float, name: str = "constant") -> PressureField:
     """The field `value` everywhere: radial 1 times the constant rate `value`.
     A negative value is signed, with growth 0."""
     return polar_field(
-        name, "signed" if value < 0.0 else "nonnegative", "c3", Polar(1.0, float(value), 0.0, 0.0),
+        name, "signed" if value < 0.0 else "nonnegative", "c3", Polar(1.0, float(value), 0.0, 0.0, _half_square),
         growth=0.0 if value < 0.0 else None, params={"value": value},
     )
 

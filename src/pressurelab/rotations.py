@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import GAUSS, SIMPSON, TriMesh, edge_rule
 from .material import SKEW_GENERATOR, angular_distance, wrap_angle
-from .pressure import PressureError, PressureField, polar_factor, radial_potential
+from .pressure import PressureError, PressureField, polar_factor
 
 TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - TWO_PI: what rounding takes off a turn
@@ -124,8 +124,8 @@ def _band(mesh: TriMesh, pi: PressureField, residual: bool) -> tuple[_BandTable,
     beyond the support, so its band is open outward.  The residuals read
     the Gauss points with w L (n . J x) radial(rho).  The band is pi's
     radial support widened by _SUPPORT_MARGIN.  A table is kept with the
-    mesh per rule and band, its weights per radial factor.  A field without
-    polar factors raises PressureError.
+    mesh per rule and band, its weights per radial factor or A.  A field
+    without polar factors raises PressureError.
     """
     if pi.polar is None:
         raise PressureError(f"field {pi.name!r} declares no polar factorization to scan rotations with")
@@ -143,10 +143,10 @@ def _band(mesh: TriMesh, pi: PressureField, residual: bool) -> tuple[_BandTable,
         rows = rows[np.argsort(np.arctan2(pts[rows, 1], pts[rows, 0]), kind="stable")]  # equal angles keep row order
         mesh.tables[band] = _BandTable(np.arctan2(pts[rows, 1], pts[rows, 0]), rho[rows], geometric[rows])
     table, polar = mesh.tables[band], pi.polar
-    key = band + ((polar.radial,) if residual else (polar.radial, polar.radial_potential))
+    factor = polar.radial if residual else polar.radial_potential
+    key = band + (factor,)
     if key not in mesh.tables:
-        factor = polar_factor(polar.radial, table.rho) if residual else radial_potential(polar, table.rho)
-        mesh.tables[key] = table.weights * factor
+        mesh.tables[key] = table.weights * polar_factor(factor, table.rho)
     return table, mesh.tables[key]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,9 +8,11 @@ from scipy.sparse.linalg import splu
 from pressurelab import (
     DomainSpec,
     MaterialModel,
+    Polar,
     assemble_load,
     builtin_pressure,
     build_domain,
+    polar_field,
     quadrant_bump_pressure,
 )
 from pressurelab.linear_solver import (StiffnessPreconditioner, apply_gauge, assemble_stiffness, skew_mean,
@@ -103,10 +107,19 @@ def test_rotation_load_component_equals_el_residual(lobe16, default_material):
     assert abs(res) > 1e-4  # the check is non-trivial at this angle
 
 
+def _half_square(rho):
+    return 0.5 * np.square(rho)
+
+
 @pytest.mark.parametrize("spec,field,alpha0", [
     pytest.param(DomainSpec.four_lobe(resolution=16), quadrant_bump_pressure("strict"), 0.6, id="lobe16-strict_bump"),
     pytest.param(DomainSpec.annulus(1.0, 2.0, 16), builtin_pressure("hydrostatic", {"coefficient": 1.0}), 0.3,
                  id="annulus16-hydrostatic"),
+    # a number rate on a sector is not radially symmetric: its load turns with alpha0
+    pytest.param(DomainSpec.disk(1.0, 16), polar_field("sector", "nonnegative", "lipschitz",
+                                                        Polar(1.0, 0.7, 0.0, 0.0, _half_square),
+                                                        support=(0.0, math.inf, 0.2, 1.4)), 0.9,
+                 id="disk16-number_rate_sector"),
 ])
 def test_load_is_first_variation_of_pressure_work(spec, field, alpha0, default_material):
     # the central difference of the nonlinear energy's pressure term along

@@ -237,6 +237,13 @@ def test_golden_section_helper():
     assert abs(v - 1.0) < 1e-13
 
 
+def _work_slope_on_rows(mesh, pi, alpha):
+    """d/dalpha of the rotation functional over the rows of the work's band
+    table that R(alpha) can carry into the support: weights . rate_d1(theta + alpha)."""
+    table, weights = rotations._band(mesh, pi, residual=False)
+    return float(rotations._profiles(table, pi, [alpha], [(weights, pi.polar.rate_d1)])[0][0])
+
+
 def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, flat_bump):
     grid = list(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
     seams = [0.0, -1e-13, 2.0 * np.pi - 1e-13, np.pi / 2 + 1e-12, np.pi / 2 - 1e-12]
@@ -246,6 +253,12 @@ def test_support_rows_agree_with_full_quadrature(lobe16, disk16, strict_bump, fl
         # the profiles on the support rows against the reference on every row
         full = dataclasses.replace(pi, support=None)
         _assert_profiles_match_reference(mesh, pi, np.array(grid + extra), reference=full, amplitudes=(1.0,))
+        for a in grid + extra:
+            got, want = _work_slope_on_rows(mesh, pi, a), _work_slope_on_rows(mesh, full, a)
+            # exact zeros stay exact: the flat arc's ties depend on them
+            assert (got == 0.0) == (want == 0.0), a
+            assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), a
+            assert abs(want - work_slope(mesh, pi, a)) <= 1e-14 * (1.0 + abs(want)), a
 
     points = []
 

@@ -514,7 +514,7 @@ def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatc
     # passes of a single start short of grad_tol; the polish lowers the energy
     # from some starts and ends higher from others.  Which seeds do which
     # shifts with any rounding change in the preconditioner or the energy, so
-    # eight are run
+    # five are run
     import pressurelab.studies as ST
     from pressurelab import DomainSpec, build_domain
 
@@ -531,7 +531,7 @@ def test_unconverged_polish_is_kept_only_when_lower(default_material, monkeypatc
     monkeypatch.setattr(ST, "minimize_energy", spy)
     problem = Problem(mesh, default_material, hyd, hat)
     lowered = []
-    for seed in range(1, 9):
+    for seed in (1, 2, 3, 4, 5):
         passes.clear()
         fld, diag, _ = multistart_minimize(problem, 0.04, Plan(grad_tol=1e-10, seed=seed))
         (f1, d1), (f2, d2) = passes

@@ -105,12 +105,13 @@ SIMPSON = (np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]), np.array([1.0, 4.0, 1
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Immutable triangulation with precomputed P1 and boundary data."""
+    """Immutable triangulation with precomputed P1 and boundary data, every
+    array read-only.  The basis gradients are built on first use, like
+    `tables`: only the stiffness and the P1 gather read them, a scan never."""
 
     nodes: np.ndarray             # (N, 2)
     triangles: np.ndarray         # (M, 3) int, counterclockwise
     areas: np.ndarray             # (M,)
-    basis_gradients: np.ndarray   # (M, 3, 2)
     node_masses: np.ndarray       # (N,) lumped row-sum masses
     boundary_edges: np.ndarray    # (B, 2) int node pairs
     boundary_normals: np.ndarray  # (B, 2) unit outward
@@ -126,26 +127,16 @@ class TriMesh:
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise DomainError("triangles must be an (M, 3) array")
 
-        (v0, v1, v2), areas, masses = _areas_and_masses(nodes, triangles)
-        grads = np.empty((len(triangles), 3, 2))
-        edges = (v2 - v1, v0 - v2, v1 - v0)  # edge opposite node i
-        for i, e in enumerate(edges):
-            grads[:, i, 0] = -e[:, 1]
-            grads[:, i, 1] = e[:, 0]
-        grads /= (2.0 * areas)[:, None, None]
-
+        areas, masses = _areas_and_masses(nodes, triangles)
         b_edges, b_normals, b_lengths = _extract_boundary(nodes, triangles)
+        x, y = nodes.T
+        diameter = float(np.hypot(x.max() - x.min(), y.max() - y.min()))
 
-        lo = nodes.min(axis=0)
-        hi = nodes.max(axis=0)
-        diameter = float(np.hypot(*(hi - lo)))
-
-        for arr in (nodes, triangles, areas, grads, masses, b_edges, b_normals, b_lengths):
+        for arr in (nodes, triangles, areas, masses, b_edges, b_normals, b_lengths):
             arr.setflags(write=False)
         return cls(
-            nodes=nodes, triangles=triangles, areas=areas, basis_gradients=grads,
-            node_masses=masses, boundary_edges=b_edges, boundary_normals=b_normals,
-            boundary_lengths=b_lengths, diameter=diameter,
+            nodes=nodes, triangles=triangles, areas=areas, node_masses=masses, boundary_edges=b_edges,
+            boundary_normals=b_normals, boundary_lengths=b_lengths, diameter=diameter,
         )
 
     @property
@@ -161,6 +152,18 @@ class TriMesh:
         return len(self.nodes)
 
     @cached_property
+    def basis_gradients(self) -> np.ndarray:
+        """d phi_i / d x_b (M, 3, 2) at corner i of each triangle: the edge
+        opposite i, from corner i + 1 to i + 2, turned by pi/2 over twice the area."""
+        x, y = (c[self.triangles.T] for c in self.nodes.T)
+        ex, ey = (c[[2, 0, 1]] - c[[1, 2, 0]] for c in (x, y))
+        grads = np.empty((len(self.triangles), 3, 2))
+        grads[..., 0], grads[..., 1] = -ey.T, ex.T
+        grads /= (2.0 * self.areas)[:, None, None]
+        grads.setflags(write=False)
+        return grads
+
+    @cached_property
     def tables(self) -> dict:
         """Tables derived from this mesh by the modules that read them, built on
         first use and kept with the mesh: the rotation layer's band table and
@@ -172,30 +175,25 @@ class TriMesh:
 
 
 def _areas_and_masses(nodes: np.ndarray, triangles: np.ndarray):
-    """Corner coordinates, areas and lumped row-sum node masses of a triangulation.
+    """Areas and lumped row-sum node masses of a triangulation.
 
     Raises DomainError unless every triangle has positive signed area.
     """
-    v0 = nodes[triangles[:, 0]]
-    v1 = nodes[triangles[:, 1]]
-    v2 = nodes[triangles[:, 2]]
-    cross = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
-    areas = 0.5 * cross
+    (x0, x1, x2), (y0, y1, y2) = (c[triangles.T] for c in nodes.T)
+    areas = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
     if np.any(areas <= 0.0):
         bad = int(np.sum(areas <= 0.0))
         raise DomainError(f"{bad} triangles have non-positive signed area")
     masses = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=len(nodes))
-    return (v0, v1, v2), areas, masses
+    return areas, masses
 
 
 def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     """Edges referenced by exactly one triangle, with unit outward normals."""
-    raw = np.empty((3 * len(triangles), 2), dtype=np.int64)
-    raw[0::3] = triangles[:, [0, 1]]
-    raw[1::3] = triangles[:, [1, 2]]
-    raw[2::3] = triangles[:, [2, 0]]
+    # edge 3 t + k runs from corner k of triangle t to corner k + 1
+    a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
     # one key per undirected edge; a stable sort keeps equal keys in row order
-    key = np.minimum(raw[:, 0], raw[:, 1]) * len(nodes) + np.maximum(raw[:, 0], raw[:, 1])
+    key = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
     order = np.argsort(key, kind="stable")
     differs = np.diff(key[order]) != 0
     single = np.ones(len(order), dtype=bool)
@@ -203,11 +201,11 @@ def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     single[:-1] &= differs
     boundary_rows = np.sort(order[single])  # deterministic: construction order
 
-    b_edges = raw[boundary_rows]
-    ev = nodes[b_edges[:, 1]] - nodes[b_edges[:, 0]]
-    lengths = np.hypot(ev[:, 0], ev[:, 1])
+    b_edges = np.stack([a[boundary_rows], b[boundary_rows]], axis=1)
+    ex, ey = (c[b_edges[:, 1]] - c[b_edges[:, 0]] for c in nodes.T)
+    lengths = np.hypot(ex, ey)
     # the edge runs counterclockwise around its triangle, so its right-hand normal points out
-    normals = np.stack([ev[:, 1], -ev[:, 0]], axis=1) / lengths[:, None]
+    normals = np.stack([ey, -ex], axis=1) / lengths[:, None]
     return b_edges, normals, lengths
 
 
@@ -328,7 +326,7 @@ def build_domain(spec: DomainSpec) -> TriMesh:
     else:
         nodes, tris = _four_lobe(spec.r_small, spec.r_large, spec.resolution)
     # one mesh build: the barycenter of the raw nodes comes from their masses alone
-    center = _mass_center(nodes, _areas_and_masses(nodes, tris)[2])
+    center = _mass_center(nodes, _areas_and_masses(nodes, tris)[1])
     if np.hypot(*center) > 0.0:
         nodes = nodes - center
     mesh = TriMesh.from_arrays(nodes, tris)

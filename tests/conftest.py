@@ -54,7 +54,8 @@ def weak_material():
 
 
 # Helpers and oracles that only tests read: a loaded body's pressure field
-# (the two-fold quadratic), a translated mesh, the identity
+# (the two-fold quadratic), a translated mesh, every mesh array by the
+# row-major formulas that the per-coordinate gathers replaced, the identity
 # map, the rotation layer's support rows, the slope of its work functional
 # from the field's potential at rotated points, a finite-difference Hessian
 # of a field, the angular profile of a bump and its exact sweep over the
@@ -96,6 +97,48 @@ def quadratic_field(s=0.1, b=0.5):
 def translated(mesh, shift):
     """The mesh with every node moved by shift."""
     return TriMesh.from_arrays(mesh.nodes + np.asarray(shift, dtype=float), mesh.triangles)
+
+
+def row_major_arrays(nodes, triangles, centered=False):
+    """Every `TriMesh` array, and the diameter, by the row-major formulas that
+    `TriMesh.from_arrays` replaced with gathers of one coordinate at a time:
+    corner rows nodes[triangles[:, k]], edges from the column pairs of the
+    triangles, the bounding box from nodes.min(axis=0).  centered first moves
+    the lumped-mass barycenter of the nodes to the origin, as `build_domain`
+    does."""
+    nodes, triangles = np.asarray(nodes, dtype=float), np.asarray(triangles, dtype=np.int64)
+
+    def corners_areas_masses(nodes):
+        v0, v1, v2 = (nodes[triangles[:, k]] for k in range(3))
+        areas = 0.5 * ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0]))
+        masses = np.bincount(triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=len(nodes))
+        return (v0, v1, v2), areas, masses
+
+    if centered:
+        masses = corners_areas_masses(nodes)[2]
+        center = masses @ nodes / float(masses.sum())
+        if np.hypot(*center) > 0.0:
+            nodes = nodes - center
+    (v0, v1, v2), areas, masses = corners_areas_masses(nodes)
+    grads = np.empty((len(triangles), 3, 2))
+    for i, e in enumerate((v2 - v1, v0 - v2, v1 - v0)):  # edge opposite node i
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * areas)[:, None, None]
+    raw = np.empty((3 * len(triangles), 2), dtype=np.int64)
+    raw[0::3], raw[1::3], raw[2::3] = triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]
+    key = np.minimum(raw[:, 0], raw[:, 1]) * len(nodes) + np.maximum(raw[:, 0], raw[:, 1])
+    order = np.argsort(key, kind="stable")
+    differs = np.diff(key[order]) != 0
+    single = np.ones(len(order), dtype=bool)
+    single[1:] &= differs
+    single[:-1] &= differs
+    edges = raw[np.sort(order[single])]
+    ev = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    lengths = np.hypot(ev[:, 0], ev[:, 1])
+    return {"nodes": nodes, "triangles": triangles, "areas": areas, "basis_gradients": grads, "node_masses": masses,
+            "boundary_edges": edges, "boundary_normals": np.stack([ev[:, 1], -ev[:, 0]], axis=1) / lengths[:, None],
+            "boundary_lengths": lengths, "diameter": float(np.hypot(*(nodes.max(axis=0) - nodes.min(axis=0))))}
 
 
 def identity_map(mesh):

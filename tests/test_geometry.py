@@ -7,7 +7,7 @@ from pressurelab import DomainSpec, TriMesh, barycenter, boundary_integral, buil
 from pressurelab.geometry import (GAUSS, SIMPSON, DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk,
                                   _ring_counts, edge_rule)
 
-from conftest import interior_rule, translated
+from conftest import interior_rule, row_major_arrays, translated
 
 
 def interior_integral(mesh, integrand):
@@ -65,6 +65,19 @@ def test_boundary_normals_unit_and_outward(lobe16):
     mids = 0.5 * (lobe16.nodes[lobe16.boundary_edges[:, 0]] + lobe16.nodes[lobe16.boundary_edges[:, 1]])
     for k, key in enumerate(edge_sets):
         assert lobe16.boundary_normals[k] @ (mids[k] - owner_centroid[key]) > 0.0
+
+
+def _assert_matches_row_major(mesh, want):
+    for name, value in want.items():
+        got = getattr(mesh, name)
+        assert np.asarray(got).dtype == np.asarray(value).dtype and np.array_equal(got, value), name
+        assert name == "diameter" or not got.flags.writeable, name
+
+
+def test_given_mesh_arrays_equal_the_row_major_oracle(disk16, square_mesh):
+    # the square as given, and the disk with its triangles in reverse order
+    for mesh in (square_mesh, TriMesh.from_arrays(disk16.nodes, disk16.triangles[::-1])):
+        _assert_matches_row_major(mesh, row_major_arrays(mesh.nodes, mesh.triangles))
 
 
 def test_four_lobe_radii_by_quadrant(lobe16):
@@ -270,6 +283,13 @@ def test_array_builders_match_loop_builders(resolution):
             ref = translated(ref, -center)
         for name in ("nodes", "triangles", "areas", "node_masses"):
             assert np.array_equal(getattr(mesh, name), getattr(ref, name)), (built.__name__, name)
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_built_mesh_arrays_equal_the_row_major_oracle(resolution):
+    for built, _, radii, spec in _BUILDERS:
+        want = row_major_arrays(*built(*radii, resolution), centered=True)
+        _assert_matches_row_major(build_domain(spec(resolution)), want)
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 8, 16, 32, 64])

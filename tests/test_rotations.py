@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pressurelab import DomainSpec, Polar, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, polar_field, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
 from pressurelab import rotations
+from pressurelab.linear_solver import StiffnessPreconditioner
 from pressurelab.pressure import PressureError
 from pressurelab.geometry import GAUSS, SIMPSON, edge_rule
 from pressurelab.material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
@@ -65,6 +66,17 @@ def test_functional_periodicity(lobe16, strict_bump):
         v1 = rotation_functional(lobe16, strict_bump, a)
         v2 = rotation_functional(lobe16, strict_bump, a + 2.0 * np.pi)
         assert abs(v1 - v2) <= 1e-14 * (1.0 + abs(v1))
+
+
+def test_the_rotation_layer_builds_no_basis_gradients(flat_bump, default_material):
+    # only the stiffness and the P1 gather read the basis gradients, so a scan
+    # never builds them; the first reader does, read-only like every mesh array
+    mesh = build_domain(DomainSpec.four_lobe(resolution=12))
+    find_optimal_rotations(mesh, flat_bump, grid_n=256)
+    boundary_profile(mesh, flat_bump, np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+    assert "basis_gradients" not in vars(mesh)
+    StiffnessPreconditioner(mesh, default_material)
+    assert not vars(mesh)["basis_gradients"].flags.writeable
 
 
 def test_strict_optimal_rotations(lobe32, strict_bump):

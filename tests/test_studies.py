@@ -616,9 +616,12 @@ def test_study_assembles_and_factors_the_stiffness_once(disk16, lobe16, default_
 def test_gamma_study_of_a_loaded_body_is_first_order_in_eps(lobe16, default_material):
     # The two-fold quadratic field loads the body at its optimal rotations, so
     # u0 carries shear and every solve reads the pressure-gradient part of the
-    # Jacobian.  The gap E / eps^2 - min E0 is eps E1 + O(eps^2) and the
-    # distance of the rescaled displacement to u0 is O(eps): each halving of
-    # eps divides both by 2 + O(eps).
+    # Jacobian.  The gap E / eps^2 - min E0 is eps E1 + eps^2 E2 + O(eps^3) and
+    # the distance of the rescaled displacement to u0 is O(eps): each halving
+    # of eps divides both by 2 + O(eps).  The Richardson values
+    # 2 gap(eps / 2) - gap(eps) = -eps^2 E2 / 2 + O(eps^3) cancel the first
+    # order, so each halving divides them by 4 + O(eps): the same relative
+    # window, 4 +- 0.6.
     pi = quadratic_field()
     plan = Plan(grad_tol=1e-11, max_iter=2000, multistart_angles=(0.0, np.pi), eps_list=(0.08, 0.04, 0.02, 0.01),
                 rotation_grid=1024)
@@ -629,6 +632,10 @@ def test_gamma_study_of_a_loaded_body_is_first_order_in_eps(lobe16, default_mate
         values = np.array([row[key] for row in rep.rows])
         ratios = values[:-1] / values[1:]
         assert np.all((ratios >= 1.7) & (ratios <= 2.3)), (key, ratios)
+    gaps = np.array([row["gap_to_min_E0"] for row in rep.rows])
+    richardson = 2.0 * gaps[1:] - gaps[:-1]
+    ratios = richardson[:-1] / richardson[1:]
+    assert np.all((ratios >= 3.4) & (ratios <= 4.6)), (richardson, ratios)
 
 
 def test_limit_energy_is_second_order_in_h_on_a_smooth_body(default_material):

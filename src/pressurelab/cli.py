@@ -42,7 +42,7 @@ def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict) ->
         "meta": {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()},
         "result": result,
     }
-    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)  # strict JSON: no NaN or Infinity
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)  # one line by json's C encoder; no NaN or Infinity
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -74,10 +74,10 @@ def _scan_rotations(ctx: RunContext, args) -> dict:
     alphas = 2.0 * np.pi * np.arange(grid) / grid
     values = optimal.grid_values
     residuals, second = rotations.boundary_profile(mesh, pi, alphas)
+    seconds = second.tolist() if pi.is_smooth else [None] * grid  # undefined off C^2
     rows = [
-        {"alpha": float(a), "functional_value": float(v), "el_residual": float(r),
-         "second_variation_unit": float(s) if pi.is_smooth else None}  # undefined off C^2
-        for a, v, r, s in zip(alphas, values, residuals, second)
+        {"alpha": a, "functional_value": v, "el_residual": r, "second_variation_unit": s}
+        for a, v, r, s in zip(alphas.tolist(), values.tolist(), residuals.tolist(), seconds)
     ]
     _emit_csv(args.csv, ["alpha", "functional_value", "el_residual", "second_variation_unit"], rows)
     if args.svg:

@@ -140,8 +140,10 @@ def _band(mesh: TriMesh, pi: PressureField, residual: bool) -> tuple[_BandTable,
         geometric = np.outer(mesh.boundary_lengths, rule[1]).ravel() * np.einsum(
             "ij,ij->i", np.repeat(mesh.boundary_normals, len(rule[1]), axis=0), arm)
         rows = np.flatnonzero((rho >= lo) & (rho <= band[2]))
-        rows = rows[np.argsort(np.arctan2(pts[rows, 1], pts[rows, 0]), kind="stable")]  # equal angles keep row order
-        mesh.tables[band] = _BandTable(np.arctan2(pts[rows, 1], pts[rows, 0]), rho[rows], geometric[rows])
+        theta = np.arctan2(pts[rows, 1], pts[rows, 0])
+        order = np.argsort(theta, kind="stable")  # equal angles keep row order
+        rows = rows[order]
+        mesh.tables[band] = _BandTable(theta[order], rho[rows], geometric[rows])
     table, polar = mesh.tables[band], pi.polar
     factor = polar.radial if residual else polar.radial_potential
     key = band + (factor,)

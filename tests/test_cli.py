@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pressurelab import build_domain, rotations
 from pressurelab.cli import COMMANDS, _emit_json, main, run
 from pressurelab.config import MAX_RESOLUTION, REQUIRED, SCHEMA, ConfigError, Per, RunContext, config_hash
 from pressurelab.linear_solver import SolverError
@@ -382,6 +383,58 @@ def test_a_non_finite_result_is_not_written(tmp_path):
     with pytest.raises(ValueError):
         _emit_json(str(out), "scan-rotations", ctx, {"value": math.nan})
     assert not out.exists()
+
+
+_LOBE_SCAN = dict(pressure={"name": "quadrant_bump", "variant": "flat"},
+                  domain={"kind": "four_lobe", "params": {}, "resolution": 8})
+_ANNULUS_SCAN = dict(pressure={"name": "hydrostatic", "params": {"coefficient": 1.0}},
+                     domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8})
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("scan-rotations", _LOBE_SCAN),
+    ("scan-rotations", _ANNULUS_SCAN),
+    ("gamma-study", dict(study={"resolutions": [6], "rotation_grid": 128})),
+], ids=["scan-lobe", "scan-annulus", "gamma"])
+def test_run_json_is_one_sorted_strict_line(tmp_path, command, overrides):
+    out = tmp_path / "run.json"
+    grid = 64 if command == "scan-rotations" else None
+    assert run(command, _write(tmp_path, _base_config(**overrides)), out=str(out), grid=grid) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n"
+    assert text.count("\n") == 1
+    json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("overrides", [_LOBE_SCAN, _ANNULUS_SCAN], ids=["smooth", "lipschitz"])
+def test_scan_csv_and_run_json_agree_cell_for_cell(tmp_path, overrides):
+    # a CSV cell's float() and the JSON row's value are the same double, and an empty cell is null
+    cfg = _base_config(**overrides)
+    out, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
+    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), csv_path=str(csv_path), grid=64) == 0
+    rows = json.loads(out.read_text())["result"]["rows"]
+    with open(csv_path, newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(cells) == len(rows) == 64
+
+    def bits(value):
+        return None if value is None else float(value).hex()
+
+    for cell, row in zip(cells, rows):
+        assert list(cell) == ["alpha", "functional_value", "el_residual", "second_variation_unit"]
+        for key, text in cell.items():
+            assert type(row[key]) is (float if text else type(None)), key
+            assert bits(text or None) == bits(row[key]), key
+
+    # and those numbers are the rotation layer's own, bit for bit
+    ctx = RunContext.from_config(cfg)
+    mesh, pi = build_domain(ctx.domain), ctx.pressure
+    alphas = 2.0 * np.pi * np.arange(64) / 64
+    residuals, second = rotations.boundary_profile(mesh, pi, alphas)
+    columns = {"alpha": alphas, "functional_value": rotations.find_optimal_rotations(mesh, pi, grid_n=64).grid_values,
+               "el_residual": residuals, "second_variation_unit": second if pi.is_smooth else [None] * 64}
+    for key, column in columns.items():
+        assert [bits(row[key]) for row in rows] == [bits(v) for v in column], key
 
 
 def test_a_fault_while_building_the_config_objects_is_not_a_config_error(tmp_path, monkeypatch):

@@ -17,15 +17,12 @@ from .material import (
     stress,
 )
 from .pressure import (
-    BumpProfile,
     Polar,
     PressureField,
     builtin_pressure,
     extend_pressure,
-    flat_profile,
     polar_field,
     quadrant_bump_pressure,
-    strict_profile,
 )
 from .rotations import (
     OptimalSet,
@@ -35,14 +32,12 @@ from .rotations import (
     second_variation,
 )
 from .nonlinear_solver import (
-    DeformationField,
     SolveDiagnostics,
     assemble_energy,
     assemble_gradient,
     minimize_energy,
 )
 from .linear_solver import (
-    DisplacementField,
     assemble_load,
     solve_linearized,
 )

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure or a problem
 the solvers do not take (`ProblemError`, `PressureError`).  A malformed config
-or flag, or an output path whose directory does not exist, exits 2 naming the
-key or flag before any work is done, and never produces a traceback.
+or flag, a flag its command does not take, or an output path whose directory
+does not exist, exits 2 naming the key or flag before any work is done, and
+never produces a traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -20,15 +22,24 @@ import sys
 import numpy as np
 
 from . import rotations, studies, svgplot
-from .config import GRID, NUMBER, POSITIVE, ConfigError, Rule, RunContext, load_config
+from .config import GRID, NUMBER, POSITIVE, SCHEMA, ConfigError, Rule, RunContext, load_config
 from .geometry import build_domain
 from .linear_solver import ProblemError, SolverError
 from .material import wrap_angle
 from .pressure import PressureError
 from .studies import StudyReport, extract_rotation, multistart_minimize, rescaled_displacement
 
-COMMANDS = ("scan-rotations", "solve-linear", "solve-nonlinear",
-            "gamma-study", "refined-study", "lambda-study")
+# The one table of commands: each with the flags it takes beyond --config, --out,
+# --csv, --svg and --seed, and their argparse options.  `main` builds its parser
+# from it, and `_dispatch` rejects by it a flag that a `run` call passes to a
+# command that does not take it, as the parser does.
+COMMANDS = {
+    "scan-rotations": {"grid": {"type": int}},
+    "solve-linear": {"alpha0": {"default": "auto"}},
+    "solve-nonlinear": {"eps": {"type": float}},
+    "gamma-study": {}, "refined-study": {}, "lambda-study": {},
+}
+_COMMAND_FLAGS = [flag for flags in COMMANDS.values() for flag in flags]
 
 
 def _emit_json(path: str | None, command: str, ctx: RunContext, result: dict) -> None:
@@ -102,35 +113,32 @@ def _solve_linear(ctx: RunContext, args) -> dict:
         angles = optimal.sample_angles(per_arc=ctx.plan.arc_samples)
     else:
         angles = [wrap_angle(_flag("--alpha0", args.alpha0, NUMBER))]
-    e0, alpha0, disp, _, rot_load = studies.minimize_limit_energy(problem, angles)
+    e0, alpha0, u, _, rot_load = studies.minimize_limit_energy(problem, angles)
     return {
         "alpha0": float(alpha0),
         "E0": float(e0),
         "rotation_load_component": float(rot_load),
         "gauge": "zero_skew_mean",
-        "u_nodal": disp.values.tolist(),
+        "u_nodal": u.tolist(),
     }
 
 
 def _solve_nonlinear(ctx: RunContext, args) -> dict:
     problem = ctx.problem()
     eps = ctx.plan.eps_list[0] if args.eps is None else float(_flag("--eps", args.eps, POSITIVE))
-    fld, diag, table = multistart_minimize(problem, eps, ctx.plan)
-    alpha = extract_rotation(problem.mesh, problem.material, fld.values)
-    u = rescaled_displacement(problem.mesh, fld.values, alpha, eps)
+    y, diag, table = multistart_minimize(problem, eps, ctx.plan)
+    alpha = extract_rotation(problem.mesh, problem.material, y)
+    u = rescaled_displacement(problem.mesh, y, alpha, eps)
+    diagnostics = dataclasses.asdict(diag)
+    energy = diagnostics.pop("energy")  # reported beside eps, not among the diagnostics
     return {
         "eps": eps,
-        "energy": diag.energy,
-        "energy_over_eps2": diag.energy / eps ** 2,
-        "diagnostics": {
-            "grad_norm": diag.grad_norm, "iterations": diag.iterations,
-            "backtracks": diag.backtracks,
-            "admissibility_rejections": diag.admissibility_rejections,
-            "converged": diag.converged, "stop_reason": diag.stop_reason,
-        },
+        "energy": energy,
+        "energy_over_eps2": energy / eps ** 2,
+        "diagnostics": diagnostics,
         "starts": table,
         "alpha_extracted": alpha,
-        "y_nodal": fld.values.tolist(),
+        "y_nodal": y.tolist(),
         "u_nodal": u.tolist(),
     }
 
@@ -168,7 +176,7 @@ def _study_command(ctx: RunContext, args, kind: str) -> dict:
         key = "offset_scaled" if kind == "refined" else "remainder_over_target"
         svgplot.line_chart(args.svg, eps, {key: [row.get(key, math.nan) for row in report.rows]},
                            title=f"{kind} study", xlabel="eps", ylabel=key, logx=True)
-    return report.to_json_dict()
+    return dataclasses.asdict(report)
 
 
 def run(command: str, config_path: str, *, out: str | None = None, csv_path: str | None = None,
@@ -197,10 +205,14 @@ def _dispatch(command: str, config_path: str, args) -> int:
     if command not in COMMANDS:  # before any work on the config
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 2
+    for flag in _COMMAND_FLAGS:  # as argparse does on the command line
+        if getattr(args, flag) is not None and flag not in COMMANDS[command]:
+            print(f"error: {command} does not take --{flag}", file=sys.stderr)
+            return 2
     try:
         cfg = load_config(config_path)
-        if getattr(args, "seed", None) is not None and isinstance(cfg, dict):  # RunContext rejects a non-object
-            cfg["seed"] = args.seed
+        if args.seed is not None and isinstance(cfg, dict):  # RunContext rejects a non-object
+            cfg["seed"] = _flag("--seed", args.seed, SCHEMA["seed"][0])
         ctx = RunContext.from_config(cfg)
         _merge_outputs(ctx, args)
         handler = {"scan-rotations": _scan_rotations, "solve-linear": _solve_linear,
@@ -223,25 +235,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pressurelab",
                                      description="pressure-loaded planar elasticity laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--csv", default=None)
-        p.add_argument("--svg", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if name == "scan-rotations":
-            p.add_argument("--grid", type=int, default=None)
-        else:
-            p.set_defaults(grid=None)
-        if name == "solve-nonlinear":
-            p.add_argument("--eps", type=float, default=None)
-        else:
-            p.set_defaults(eps=None)
-        if name == "solve-linear":
-            p.add_argument("--alpha0", default="auto")
-        else:
-            p.set_defaults(alpha0=None)
+        for flag in ("--out", "--csv", "--svg"):
+            p.add_argument(flag)
+        p.add_argument("--seed", type=int)
+        p.set_defaults(**dict.fromkeys(_COMMAND_FLAGS))  # None for each flag it does not take
+        for flag, options in flags.items():
+            p.add_argument(f"--{flag}", **options)
     args = parser.parse_args(argv)
     return _dispatch(args.command, args.config, args)
 

@@ -64,13 +64,14 @@ POSITIVE = Rule("a positive finite number", lambda v: _finite(v) and v > 0)
 GRID = _integer(MIN_GRID)
 _RESOLUTION = _integer(2, MAX_RESOLUTION)
 REQUIRED = object()  # the default of a key that has none
-# Each domain kind and pressure name reads only its own params.  Value errors
-# across keys (r_inner < r_outer) or owned by the model classes (c1 > 0,
-# p in (1, 2]) are left to building the objects.
+# Each domain kind and pressure name reads only its own params; a domain
+# param's default is DomainSpec's own.  Value errors across keys (r_inner <
+# r_outer) or owned by the model classes (c1 > 0, p in (1, 2]) are left to
+# building the objects.
 _DOMAIN_PARAMS = Per("kind", {
-    "disk": {"radius": (NUMBER, 1.0)},
-    "annulus": {"r_inner": (NUMBER, 1.0), "r_outer": (NUMBER, 2.0)},
-    "four_lobe": {"r_small": (NUMBER, 1.0), "r_large": (NUMBER, 2.0)},
+    "disk": {"radius": (NUMBER, DomainSpec.radius)},
+    "annulus": {"r_inner": (NUMBER, DomainSpec.r_inner), "r_outer": (NUMBER, DomainSpec.r_outer)},
+    "four_lobe": {"r_small": (NUMBER, DomainSpec.r_small), "r_large": (NUMBER, DomainSpec.r_large)},
 })
 _PRESSURE_PARAMS = Per("name", {
     "zero": {}, "constant": {"value": (NUMBER, 1.0)}, "hydrostatic": {"coefficient": (NUMBER, 1.0)},
@@ -209,8 +210,10 @@ class RunContext:
         """The problem on the mesh of `resolution` (domain.resolution when None), built once.
 
         Its fields are read through the `pressure` and `pressure_extended`
-        properties, which `benchmarks/tracer.py` wraps to count field calls;
-        the extension only when the problem's `pi_hat` is first read."""
+        properties, the extension only when the problem's `pi_hat` is first
+        read.  `benchmarks/tracer.py` wraps both to count the fields'
+        `evaluate` and `gradient` calls, which the solvers and the rotation
+        layer no longer make: they read `potential` and the polar factors."""
         res = self.domain.resolution if resolution is None else resolution
         if res not in self._problems:
             mesh = build_domain(replace(self.domain, resolution=res))

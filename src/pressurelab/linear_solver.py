@@ -38,12 +38,6 @@ class ProblemError(ValueError):
     """A problem the solvers do not take: a non-optimal identity, an inadmissible start."""
 
 
-@dataclass
-class DisplacementField:
-    mesh: TriMesh
-    values: np.ndarray  # (N, 2), gauged to zero lumped mean and zero mean skew gradient
-
-
 def assemble_stiffness(mesh: TriMesh, material: MaterialModel) -> sp.csr_matrix:
     """Sparse symmetric operator with u^T K u = integral of the strain quadratic form:
     K = B^T W B with the strain operator B (4M x 2N), whose row blocks e11, e22,
@@ -224,9 +218,9 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
 
     The load is projected onto the range of K by adding multiples of the
     constraint rows (lumped-mass resultant, then skew mean), so the gauged CG
-    solution is the constrained minimizer.  Returns (DisplacementField, E0 =
-    1/2 u.K u + load.u); E0 pairs that minimizer with the full load, so adding
-    an infinitesimal rotation changes it exactly by load . (J x), the slope of
+    solution is the constrained minimizer.  Returns (u (N, 2), E0 = 1/2 u.K u
+    + load.u); E0 pairs that minimizer with the full load, so adding an
+    infinitesimal rotation changes it exactly by load . (J x), the slope of
     the rotation functional at the load's angle.
     """
     mesh, K = factor.mesh, factor.stiffness
@@ -237,7 +231,7 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
     b = -projected
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return DisplacementField(mesh, np.zeros((mesh.n_nodes, 2))), 0.0
+        return np.zeros((mesh.n_nodes, 2)), 0.0
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -260,4 +254,4 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
 
     u = apply_gauge(mesh, x.reshape(mesh.n_nodes, 2))
     flat = u.ravel()
-    return DisplacementField(mesh, u), float(0.5 * flat @ (K @ flat) + load @ flat)
+    return u, float(0.5 * flat @ (K @ flat) + load @ flat)

@@ -65,16 +65,6 @@ _ARMIJO_RETRIES = 4
 
 
 @dataclass
-class DeformationField:
-    mesh: TriMesh
-    values: np.ndarray  # (N, 2)
-
-    @property
-    def admissible(self) -> bool:
-        return bool(np.all(deformation_gradients(self.mesh, self.values)[1] > 0.0))
-
-
-@dataclass
 class SolveDiagnostics:
     energy: float
     grad_norm: float
@@ -156,7 +146,7 @@ def admissible_start(mesh: TriMesh, alpha: float, offset: np.ndarray) -> np.ndar
     d = np.asarray(offset, dtype=float)
     for _ in range(80):
         y = zero_average(mesh, base + d)
-        if DeformationField(mesh, y).admissible:
+        if np.all(gather(mesh, y)[1] > 0.0):
             return y
         d = 0.5 * d
     return zero_average(mesh, base)
@@ -172,14 +162,14 @@ def minimize_energy(
     max_iter: int = 5000,
     precond: StiffnessPreconditioner | None = None,
     frame_angle: float = 0.0,
-) -> tuple[DeformationField, SolveDiagnostics]:
+) -> tuple[np.ndarray, SolveDiagnostics]:
     """Minimize the energy from an admissible start by preconditioned L-BFGS.
 
     The L-BFGS seed applies the stiffness factor ``precond`` (built here when
     not given) in the rotation frame ``frame_angle`` of the start.  Accepted
     energies are nonincreasing except at a derivative-accepted step, which
     raises the energy by at most `_energy_rounding_floor` (module docstring).
-    Returns the final deformation and diagnostics; ``converged`` is true
+    Returns the final deformation (N, 2) and diagnostics; ``converged`` is true
     exactly when the gradient test passed.  Hitting the iteration cap or a
     line search that finds no step is reported through
     ``converged``/``stop_reason`` rather than raised.
@@ -316,12 +306,10 @@ def minimize_energy(
     else:
         iterations = max_iter
 
-    field = DeformationField(mesh=mesh, values=z.reshape(n, 2))
-    diags = SolveDiagnostics(
+    return z.reshape(n, 2), SolveDiagnostics(
         energy=f, grad_norm=float(np.linalg.norm(g)), iterations=iterations, backtracks=backtracks,
         admissibility_rejections=rejections, converged=converged, stop_reason=stop_reason,
     )
-    return field, diags
 
 
 def det_deviation_sq(mesh: TriMesh, y: np.ndarray) -> float:

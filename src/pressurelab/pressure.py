@@ -1,16 +1,17 @@
 """Pressure intensity fields, their potentials and their Lipschitz extensions.
 
-Every built-in field is defined by its polar factors alone (`Polar`), its
-value at x being radial(|x|) * rate(atan2(x2, x1)).  From them one pass,
-`_polar_pass`, derives the value, the gradient and the potential Phi,
-div Phi = pi, through which the solvers read the pressure work, that a
-`PressureField` carries; the rotation layer reads the factors themselves.  A
-factor that does not vary is given as its number.  The catalog covers the
+A field is its polar factors (`Polar`): its value at x is
+radial(|x|) * rate(atan2(x2, x1)), zero outside an optional polar sector.
+One pass over them, `_polar_pass`, gives the value, the gradient and the
+potential Phi, div Phi = pi, through which the solvers read the pressure
+work; the rotation layer reads the factors themselves.  A factor that does
+not vary is given as its number.  A field is signed exactly when it carries
+the growth exponent that bounds its negative part.  The catalog covers the
 trivial fields plus a smooth "quadrant bump": a compactly supported C^2 field
-on {x1 > 0, x2 > 0, |x| > 1}, built from a radial profile and the derivative
-of an angular profile.  Rotating the four-lobe domain by alpha sweeps out
-exactly that angular profile, which is what the optimal-rotation studies
-exercise.
+on {x1 > 0, x2 > 0, |x| > 1}, the product of a radial profile and one of two
+angular rates ("strict" or "flat").  Rotating the four-lobe domain by alpha
+sweeps out the integral of that rate, which is what the optimal-rotation
+studies exercise.
 """
 
 from __future__ import annotations
@@ -52,14 +53,13 @@ def polar_factor(factor, x):
 @dataclass(frozen=True)
 class PressureField:
     name: str
-    sign_class: str   # "nonnegative" | "signed"
     smoothness: str   # "lipschitz" | "c2" | "c3"
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     # points (n, 2) -> (Phi (n, 2), its Jacobian (n, 2, 2)): a potential with
     # div Phi = the field, through which the solvers read the pressure work
     potential: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    growth: float | None = None   # exponent bounding the negative part, if signed
+    growth: float | None = None   # exponent bounding the negative part; None for a nonnegative field
     params: dict = field(default_factory=dict)
     # Polar sector (rho_lo, rho_hi, theta_lo, theta_hi), read modulo 2 pi, outside
     # which the value and the gradient are exactly zero (and so are the rates).
@@ -69,14 +69,17 @@ class PressureField:
     polar: Polar | None = None
 
     def __post_init__(self):
-        if self.sign_class not in ("nonnegative", "signed"):
-            raise PressureError(f"unknown sign class {self.sign_class!r}")
         if self.smoothness not in ("lipschitz", "c2", "c3"):
             raise PressureError(f"unknown smoothness class {self.smoothness!r}")
 
     @property
     def is_smooth(self) -> bool:
         return self.smoothness in ("c2", "c3")
+
+    @property
+    def sign_class(self) -> str:
+        """"signed" exactly when a growth exponent bounds a negative part, else "nonnegative"."""
+        return "nonnegative" if self.growth is None else "signed"
 
 
 class _Taper(NamedTuple):  # the radial taper of an extension outside its core [r_in, r_out]
@@ -194,22 +197,24 @@ def _polar_pass(polar: Polar, support, taper: _Taper | None, kind: str, points):
     return (c_rho[:, None] * e_rho + (c_theta / safe)[:, None] * e_theta).reshape(shape)
 
 
-def polar_field(name: str, sign_class: str, smoothness: str, polar: Polar,
+def _passes(polar: Polar, support, taper: _Taper | None) -> dict:
+    """The field's `evaluate`, `gradient` and `potential`: the polar pass of each kind."""
+    return {name: partial(_polar_pass, polar, support, taper, kind)
+            for name, kind in (("evaluate", "value"), ("gradient", "gradient"), ("potential", "potential"))}
+
+
+def polar_field(name: str, smoothness: str, polar: Polar,
                 support: tuple[float, float, float, float] | None = None,
                 growth: float | None = None, params: dict | None = None) -> PressureField:
-    """The field of the polar factors `polar`, zero outside `support`: its
-    value, gradient and potential come from the polar pass."""
-    return PressureField(
-        name=name, sign_class=sign_class, smoothness=smoothness,
-        evaluate=partial(_polar_pass, polar, support, None, "value"),
-        gradient=partial(_polar_pass, polar, support, None, "gradient"),
-        growth=growth, params=dict(params or {}), support=support, polar=polar,
-        potential=partial(_polar_pass, polar, support, None, "potential"),
-    )
+    """The field of the polar factors `polar`, zero outside `support`, signed
+    when `growth` is given: its value, gradient and potential come from the
+    polar pass."""
+    return PressureField(name=name, smoothness=smoothness, growth=growth, params=dict(params or {}),
+                         support=support, polar=polar, **_passes(polar, support, None))
 
 
 # ---------------------------------------------------------------------------
-# profiles for the quadrant bump
+# the quadrant bump
 
 
 def _smoothstep7(t):
@@ -218,57 +223,46 @@ def _smoothstep7(t):
     return t ** 4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t ** 3)
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """Angular rate of the bump field, whose radial profile is `_radial`.
-
-    The angular rate is nonnegative on [0, pi/2] and has three vanishing
-    derivatives at both ends of its support, so its integral from 0, the
-    angular profile that a rotation of the four-lobe domain sweeps out, rises
-    from 0 to its peak at pi/2.
-    """
-
-    variant: str
-    angular_rate: Callable   # alpha in [0, pi/2] -> value
-    angular_rate_d1: Callable
-    rate_support: tuple[float, float]   # the rate vanishes outside this angle interval
+# The angular rates of the bump, by variant.  Each is nonnegative on [0, pi/2]
+# and has three vanishing derivatives at both ends of its support, so its
+# integral from 0, the angular profile that a rotation of the four-lobe domain
+# sweeps out, rises from 0 to its peak at pi/2.
+_QUARTER = 0.5 * math.pi
+_FLAT_LO, _FLAT_WIDTH = math.pi / 4.0, math.pi / 8.0
 
 
-def strict_profile() -> BumpProfile:
-    """Strictly increasing angular profile with rate a^3 (pi/2 - a)^3."""
-    c = 0.5 * math.pi
-
-    def rate(a):
-        a = np.asarray(a, dtype=float)
-        return np.where((a >= 0.0) & (a <= c), a ** 3 * (c - a) ** 3, 0.0)
-
-    def rate_d1(a):
-        a = np.asarray(a, dtype=float)
-        return np.where((a >= 0.0) & (a <= c), 3.0 * a ** 2 * (c - a) ** 2 * (c - 2.0 * a), 0.0)
-
-    return BumpProfile(variant="strict", angular_rate=rate, angular_rate_d1=rate_d1, rate_support=(0.0, c))
+def _strict_rate(a):
+    """a^3 (pi/2 - a)^3 on [0, pi/2]: a strictly increasing profile."""
+    a = np.asarray(a, dtype=float)
+    return np.where((a >= 0.0) & (a <= _QUARTER), a ** 3 * (_QUARTER - a) ** 3, 0.0)
 
 
-def flat_profile() -> BumpProfile:
-    """Angular rate supported in [pi/4, 3pi/8]: the profile has a flat zero set."""
-    lo = math.pi / 4.0
-    w = math.pi / 8.0
-    scale = 256.0  # peak rate 1 at the center of the support
+def _strict_rate_d1(a):
+    a = np.asarray(a, dtype=float)
+    return np.where((a >= 0.0) & (a <= _QUARTER), 3.0 * a ** 2 * (_QUARTER - a) ** 2 * (_QUARTER - 2.0 * a), 0.0)
 
-    def offset(a):
-        s = (np.asarray(a, dtype=float) - lo) / w
-        return (s > 0.0) & (s < 1.0), np.clip(s, 0.0, 1.0)
 
-    def rate(a):
-        inside, s = offset(a)
-        return np.where(inside, scale * (s * (1.0 - s)) ** 4, 0.0)
+def _flat_offset(a):
+    s = (np.asarray(a, dtype=float) - _FLAT_LO) / _FLAT_WIDTH
+    return (s > 0.0) & (s < 1.0), np.clip(s, 0.0, 1.0)
 
-    def rate_d1(a):
-        inside, s = offset(a)
-        return np.where(inside, scale * 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / w, 0.0)
 
-    return BumpProfile(variant="flat", angular_rate=rate, angular_rate_d1=rate_d1, rate_support=(lo, lo + w))
+def _flat_rate(a):
+    """256 (s (1 - s))^4, peak 1, in s = (a - pi/4) / (pi/8) on [pi/4, 3pi/8]: the profile has a flat zero set."""
+    inside, s = _flat_offset(a)
+    return np.where(inside, 256.0 * (s * (1.0 - s)) ** 4, 0.0)
 
+
+def _flat_rate_d1(a):
+    inside, s = _flat_offset(a)
+    return np.where(inside, 256.0 * 4.0 * (s * (1.0 - s)) ** 3 * (1.0 - 2.0 * s) / _FLAT_WIDTH, 0.0)
+
+
+# variant -> (rate, its derivative, the angle interval outside which the rate vanishes)
+_BUMP_RATES = {
+    "strict": (_strict_rate, _strict_rate_d1, (0.0, _QUARTER)),
+    "flat": (_flat_rate, _flat_rate_d1, (_FLAT_LO, _FLAT_LO + _FLAT_WIDTH)),
+}
 
 _RADIAL_SUPPORT = (1.0, 3.0)   # the radial profile vanishes outside [1, 3]
 _RADIAL_SCALE = 20.0 / 9.0
@@ -313,17 +307,15 @@ def _radial_potential(rho):
                     _OUTER_POTENTIAL(np.clip(rho - 2.0, 0.0, 1.0)))
 
 
-def quadrant_bump_pressure(profile: BumpProfile | str = "strict") -> PressureField:
-    """Smooth nonnegative field psi(|x|) * rate(atan2(x2, x1)) on the first-quadrant outer lobe."""
-    if not isinstance(profile, BumpProfile):
-        if profile not in ("strict", "flat"):
-            raise PressureError(f"unknown bump variant {profile!r}")
-        profile = strict_profile() if profile == "strict" else flat_profile()
-    return polar_field(
-        "quadrant_bump", "nonnegative", "c2",
-        Polar(_radial, profile.angular_rate, profile.angular_rate_d1, _radial_d1, _radial_potential),
-        support=_RADIAL_SUPPORT + profile.rate_support, params={"variant": profile.variant},
-    )
+def quadrant_bump_pressure(variant: str = "strict") -> PressureField:
+    """Smooth nonnegative field psi(|x|) * rate(atan2(x2, x1)) on the first-quadrant
+    outer lobe, with the angular rate of `variant`; its support is the radial
+    band [1, 3] times the rate's angle interval."""
+    if variant not in _BUMP_RATES:
+        raise PressureError(f"unknown bump variant {variant!r}")
+    rate, rate_d1, angles = _BUMP_RATES[variant]
+    return polar_field("quadrant_bump", "c2", Polar(_radial, rate, rate_d1, _radial_d1, _radial_potential),
+                       support=_RADIAL_SUPPORT + angles, params={"variant": variant})
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +352,8 @@ def _half_square(rho):  # the radial potential of the constant field's radial fa
 def constant_pressure(value: float, name: str = "constant") -> PressureField:
     """The field `value` everywhere: radial 1 times the constant rate `value`.
     A negative value is signed, with growth 0."""
-    return polar_field(
-        name, "signed" if value < 0.0 else "nonnegative", "c3", Polar(1.0, float(value), 0.0, 0.0, _half_square),
-        growth=0.0 if value < 0.0 else None, params={"value": value},
-    )
+    return polar_field(name, "c3", Polar(1.0, float(value), 0.0, 0.0, _half_square),
+                       growth=0.0 if value < 0.0 else None, params={"value": value})
 
 
 def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
@@ -377,11 +367,8 @@ def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
     def rate_d1(theta):
         return np.where(np.sin(theta) < 0.0, -coefficient * np.cos(theta), 0.0)
 
-    return polar_field(
-        "hydrostatic", "signed" if coefficient < 0.0 else "nonnegative", "lipschitz",
-        Polar(_linear_radial, rate, rate_d1, 1.0, _linear_potential),
-        growth=1.0 if coefficient < 0.0 else None, params={"coefficient": coefficient},
-    )
+    return polar_field("hydrostatic", "lipschitz", Polar(_linear_radial, rate, rate_d1, 1.0, _linear_potential),
+                       growth=1.0 if coefficient < 0.0 else None, params={"coefficient": coefficient})
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +407,11 @@ def extend_pressure(pi: PressureField, r_inner: float | None, r_outer: float, de
         raise PressureError("extension requires 0 < r_inner < r_outer")
 
     lift = None
-    if pi.sign_class == "signed":
-        gamma = pi.growth
-        if gamma is None:
-            raise PressureError("signed pressure needs a growth exponent for extension")
+    if pi.growth is not None:  # signed
         probe = _sample_annulus(0.0, 10.0 * r_outer, 160, 64)
         neg = np.maximum(-pi.evaluate(probe), 0.0)
-        cbar = max(float(np.max(neg / (1.0 + np.hypot(probe[:, 0], probe[:, 1]) ** gamma))), 1e-12)
-        lift = (cbar, gamma)
+        cbar = max(float(np.max(neg / (1.0 + np.hypot(probe[:, 0], probe[:, 1]) ** pi.growth))), 1e-12)
+        lift = (cbar, pi.growth)
 
     # Sampled Lipschitz and circle-maximum bounds of the (lifted) field.
     lo = 0.0 if ball_case else r_inner - delta
@@ -443,10 +427,7 @@ def extend_pressure(pi: PressureField, r_inner: float | None, r_outer: float, de
 
     taper = _Taper(0.0 if ball_case else float(r_inner), r_outer, delta, slope, lift)
     return PressureField(
-        name=pi.name + "_extended", sign_class=pi.sign_class, smoothness="lipschitz",
-        evaluate=partial(_polar_pass, pi.polar, pi.support, taper, "value"),
-        gradient=partial(_polar_pass, pi.polar, pi.support, taper, "gradient"),
-        potential=partial(_polar_pass, pi.polar, pi.support, taper, "potential"),
-        growth=pi.growth if lift else None,
+        name=pi.name + "_extended", smoothness="lipschitz", growth=pi.growth,
         params=dict(pi.params, extension={"r_inner": r_inner, "r_outer": r_outer, "delta": delta, "slope": slope}),
+        **_passes(pi.polar, pi.support, taper),
     )

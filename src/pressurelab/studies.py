@@ -7,7 +7,7 @@ takes one `Problem` (what is fixed while eps varies) and one `Plan`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import TriMesh
 from .material import SKEW_GENERATOR, MaterialModel, g_mixed, g_mixed_ratio, rotation, wrap_angle
 from .nonlinear_solver import (
-    DeformationField,
     SolveDiagnostics,
     admissible_start,
     assemble_energy,
@@ -42,15 +41,6 @@ class StudyReport:
     rows: list[dict] = field(default_factory=list)
     limits: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config_hash": self.config_hash,
-            "rows": self.rows,
-            "limits": self.limits,
-            "meta": self.meta,
-        }
 
     def column_order(self) -> list[str]:
         cols: list[str] = []
@@ -178,8 +168,9 @@ class Plan:
 
 
 def multistart_minimize(problem: Problem, eps: float, plan: Plan,
-                        u0: np.ndarray | None = None) -> tuple[DeformationField, SolveDiagnostics, list[dict]]:
-    """Run the minimizer from each of the plan's start angles; keep the lowest energy.
+                        u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveDiagnostics, list[dict]]:
+    """Run the minimizer from each of the plan's start angles; keep the
+    deformation (N, 2) of the lowest energy.
 
     Given the limit minimizer ``u0``, start k is the Gamma-limit prediction
     R(alpha_k)(x + eps u0), with no noise, so the seed plays no part.  Without
@@ -198,7 +189,7 @@ def multistart_minimize(problem: Problem, eps: float, plan: Plan,
     multi = len(plan.multistart_angles) > 1
     scout_tol = max(plan.grad_tol, 1e-8) if multi else plan.grad_tol
     scout_iters = min(plan.max_iter, 400) if multi else plan.max_iter
-    best: tuple[DeformationField, SolveDiagnostics] | None = None
+    best: tuple[np.ndarray, SolveDiagnostics] | None = None
     table: list[dict] = []
     for k, alpha in enumerate(plan.multistart_angles):
         if u0 is None:
@@ -207,7 +198,7 @@ def multistart_minimize(problem: Problem, eps: float, plan: Plan,
         else:
             offset = eps * u0 @ rotation(alpha).T
         init = admissible_start(mesh, alpha, offset)
-        fld, diag = minimize_energy(
+        y, diag = minimize_energy(
             mesh, material, pi_hat, eps, init,
             grad_tol=scout_tol, max_iter=scout_iters,
             precond=problem.factor, frame_angle=alpha,
@@ -217,28 +208,23 @@ def multistart_minimize(problem: Problem, eps: float, plan: Plan,
             "converged": diag.converged, "stop_reason": diag.stop_reason,
         })
         if best is None or diag.energy < best[1].energy:
-            best = (fld, diag)
+            best = (y, diag)
     assert best is not None
-    fld, diag = best
+    y, diag = best
     if multi or not diag.converged:
-        frame = extract_rotation_l2(mesh, fld.values)
-        fld2, diag2 = minimize_energy(
-            mesh, material, pi_hat, eps, fld.values,
+        y2, diag2 = minimize_energy(
+            mesh, material, pi_hat, eps, y,
             grad_tol=plan.grad_tol, max_iter=plan.max_iter,
-            precond=problem.factor, frame_angle=frame,
+            precond=problem.factor, frame_angle=extract_rotation_l2(mesh, y),
         )
         if diag.converged or diag2.converged or diag2.energy < diag.energy:
-            fld, keep = fld2, diag2
+            y, keep = y2, diag2
         else:  # an unconverged polish that did not lower the energy is dropped; its work still counts
             keep = diag
-        diag = SolveDiagnostics(
-            energy=keep.energy, grad_norm=keep.grad_norm,
-            iterations=diag.iterations + diag2.iterations,
-            backtracks=diag.backtracks + diag2.backtracks,
-            admissibility_rejections=diag.admissibility_rejections + diag2.admissibility_rejections,
-            converged=keep.converged, stop_reason=keep.stop_reason,
-        )
-    return fld, diag, table
+        diag = replace(keep, iterations=diag.iterations + diag2.iterations,
+                       backtracks=diag.backtracks + diag2.backtracks,
+                       admissibility_rejections=diag.admissibility_rejections + diag2.admissibility_rejections)
+    return y, diag, table
 
 
 def minimize_limit_energy(problem: Problem, angles: list[float]):
@@ -247,7 +233,7 @@ def minimize_limit_energy(problem: Problem, angles: list[float]):
     Every angle reuses the problem's stiffness factor, and an angle whose load
     is bitwise equal to an earlier angle's (constant pressure gives one load
     at every angle) reuses that angle's solve.  Returns (min_value,
-    best_alpha0, gauged displacement field, per-angle table, rotation load
+    best_alpha0, gauged displacement (N, 2), per-angle table, rotation load
     component at the best angle: the slope of the rotation functional).
     """
     mesh = problem.mesh
@@ -282,7 +268,7 @@ def _sweep(kind: str, problem: Problem, plan: Plan, setup) -> tuple[StudyReport,
     solved once, over ``plan.arc_samples`` angles per optimal arc, and
     ``setup(optimal, limit, report)``, given that `minimize_limit_energy`
     result, computes the study's limit quantities and returns its row
-    function ``row(eps, field, diagnostics, starts) -> dict``.  Per eps, in
+    function ``row(eps, y, diagnostics, starts) -> dict``.  Per eps, in
     descending order, one multistart minimization runs from the limit's
     prediction R(alpha_k)(x + eps u0), so no start draws noise; the limit
     solves and every minimization share the problem's one stiffness factor.
@@ -295,15 +281,15 @@ def _sweep(kind: str, problem: Problem, plan: Plan, setup) -> tuple[StudyReport,
     limit = minimize_limit_energy(problem, optimal.sample_angles(per_arc=plan.arc_samples))
     report = StudyReport(kind=kind, config_hash="")
     row = setup(optimal, limit, report)
-    u0 = limit[2].values  # the limit minimizer's displacement
+    u0 = limit[2]  # the limit minimizer's displacement
     label = problem.resolution if problem.resolution is not None else -1
     for eps in sorted(plan.eps_list, reverse=True):
         try:
-            fld, diag, starts = multistart_minimize(problem, eps, plan, u0)
+            y, diag, starts = multistart_minimize(problem, eps, plan, u0)
         except SolverError as exc:
             report.rows.append({"resolution": label, "eps": eps, "error": str(exc)})
             continue
-        report.rows.append({"resolution": label, "eps": eps, **row(eps, fld, diag, starts)})
+        report.rows.append({"resolution": label, "eps": eps, **row(eps, y, diag, starts)})
     return report, optimal
 
 
@@ -319,8 +305,7 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
     mesh, material = problem.mesh, problem.material
 
     def setup(optimal, limit, report):
-        min_e0, alpha0, disp0, e0_table, rot_load = limit
-        u0 = disp0.values
+        min_e0, alpha0, u0, e0_table, rot_load = limit
         report.limits = {
             "min_E0": min_e0,
             "alpha0": alpha0,
@@ -331,8 +316,7 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
             "optimal_arcs": [list(a) for a in optimal.arcs],
         }
 
-        def row(eps, fld, diag, starts):
-            y = fld.values
+        def row(eps, y, diag, starts):
             alpha = extract_rotation(mesh, material, y)
             u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
             return {
@@ -379,8 +363,8 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
     mesh, material = problem.mesh, problem.material
 
     def setup(optimal, limit, report):
-        def row(eps, fld, diag, starts):
-            alpha = extract_rotation(mesh, material, fld.values)
+        def row(eps, y, diag, starts):
+            alpha = extract_rotation(mesh, material, y)
             s_near = optimal.nearest(alpha)
             a_off = _signed_offset(alpha, s_near)
             return {
@@ -442,9 +426,9 @@ def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
             "optimal_angles": list(optimal.angles),
         }
 
-        def row(eps, fld, diag, starts):
+        def row(eps, _y, diag, starts):
             lam = eps ** exponent
-            y = zero_average(mesh, rebuild_deformation(mesh, disp_star.values, alpha0 + lam, eps))
+            y = zero_average(mesh, rebuild_deformation(mesh, disp_star, alpha0 + lam, eps))
             remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
             energy = assemble_energy(mesh, material, problem.pi_hat, y, eps)
             alpha_hat = extract_rotation(mesh, material, y)

@@ -91,7 +91,7 @@ def quadratic_field(s=0.1, b=0.5):
     def rate_d1(t):
         return 2.0 * s * b * np.cos(2.0 * t)
 
-    return polar_field("quadratic", "nonnegative", "c3", Polar(_square, rate, rate_d1, _double, _quarter_fourth_power))
+    return polar_field("quadratic", "c3", Polar(_square, rate, rate_d1, _double, _quarter_fourth_power))
 
 
 def translated(mesh, shift):
@@ -238,10 +238,10 @@ def kron_stiffness(mesh, material):
     return (material.c1 * (form(d[0][0]) + form(d[1][1]) + 2.0 * form(e12)) + material.c2 * form(div)).tocsr()
 
 
-def angular_profile(profile, alpha):
+def angular_profile(bump, alpha):
     """Closed form of the integral of the bump's angular rate from 0 to alpha in [0, pi/2]."""
-    lo, hi = profile.rate_support
-    if profile.variant == "strict":
+    lo, hi = bump.support[2:]
+    if bump.params["variant"] == "strict":
         a = np.clip(np.asarray(alpha, dtype=float), lo, hi)
         return hi ** 3 * a ** 4 / 4.0 - 0.6 * hi ** 2 * a ** 5 + 0.5 * hi * a ** 6 - a ** 7 / 7.0
     # the flat rate is 256 (s (1 - s))^4 in s = (alpha - lo) / (hi - lo)
@@ -249,13 +249,13 @@ def angular_profile(profile, alpha):
     return 256.0 * (hi - lo) * (s ** 5 / 5.0 - 2.0 * s ** 6 / 3.0 + 6.0 * s ** 7 / 7.0 - s ** 8 / 2.0 + s ** 9 / 9.0)
 
 
-def angular_total(profile):
+def angular_total(bump):
     """The angular profile's peak, reached at the end of the rate's support."""
-    return float(angular_profile(profile, profile.rate_support[1]))
+    return float(angular_profile(bump, bump.support[3]))
 
 
-def rotation_sweep_value(profile, alpha):
-    """Exact integral of the bump of ``profile`` over the four-lobe domain rotated by alpha.
+def rotation_sweep_value(bump, alpha):
+    """Exact integral of ``bump`` over the four-lobe domain rotated by alpha.
 
     Piecewise in the quarter-turn offset: the sweep rises by the angular
     profile while a large lobe rotates across the bump support, then falls
@@ -264,8 +264,8 @@ def rotation_sweep_value(profile, alpha):
     a = np.mod(np.asarray(alpha, dtype=float), 2.0 * math.pi)
     seg = np.floor(a / (0.5 * math.pi)).astype(int) % 4
     local = a - seg * (0.5 * math.pi)
-    rising = angular_profile(profile, local)
-    falling = angular_total(profile) - rising
+    rising = angular_profile(bump, local)
+    falling = angular_total(bump) - rising
     out = np.where(seg % 2 == 0, rising, falling)
     return float(out) if out.ndim == 0 else out
 

@@ -624,6 +624,33 @@ def test_malformed_flags_exit_2_naming_the_flag(tmp_path, capsys, command, flag,
     assert flag in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve-linear", {"grid": 5, "eps": -3.0}), ("solve-linear", {"eps": 0.02}),
+    ("scan-rotations", {"alpha0": "0.3"}), ("gamma-study", {"grid": 64}), ("solve-nonlinear", {"grid": 64}),
+])
+def test_run_rejects_a_flag_its_command_does_not_take(tmp_path, capsys, command, flags):
+    # as the command line does ("unrecognized arguments"); run() used to ignore it and exit 0
+    path, out = _write(tmp_path, _base_config()), tmp_path / "run.json"
+    assert run(command, path, out=str(out), **flags) == 2
+    err = capsys.readouterr().err
+    assert f"--{next(iter(flags))}" in err and "Traceback" not in err, err
+    assert not out.exists()
+    argv = [command, "--config", path] + [part for flag, value in flags.items() for part in (f"--{flag}", str(value))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_seed_flag_is_checked_as_a_flag(tmp_path, capsys):
+    # named as the flag, as --grid, --eps and --alpha0 are, not as the config key
+    path = _write(tmp_path, _base_config())
+    assert main(["scan-rotations", "--config", path, "--seed", "-1"]) == 2
+    assert run("scan-rotations", path, seed=-1) == 2
+    assert run("scan-rotations", path, seed=True) == 2
+    err = capsys.readouterr().err
+    assert err.count("--seed must be an integer of at least 0") == 3 and "Traceback" not in err, err
+
+
 def test_study_svg_with_an_error_row(tmp_path, monkeypatch):
     # an eps whose solve fails is an error row; the chart leaves it out
     import pressurelab.studies as ST

@@ -3,7 +3,7 @@ import pytest
 
 import dataclasses
 
-from pressurelab import builtin_pressure, extend_pressure, flat_profile, quadrant_bump_pressure, strict_profile
+from pressurelab import builtin_pressure, extend_pressure, quadrant_bump_pressure
 from pressurelab.pressure import PressureError, hydrostatic_pressure, polar_factor
 
 from conftest import angular_profile, angular_total, hessian, rotation_sweep_value
@@ -138,6 +138,16 @@ def _extensions(field):
 
 
 @pytest.mark.parametrize("name, params, variant", CATALOG)
+def test_sign_class_is_read_off_growth(name, params, variant):
+    # signed exactly when a growth exponent bounds the negative part; an extension keeps both
+    field = builtin_pressure(name, params, variant)
+    assert field.sign_class == ("nonnegative" if min(params.values(), default=0.0) >= 0.0 else "signed")
+    for f in [field] + _extensions(field):
+        assert (f.sign_class == "signed") == (f.growth is not None)
+        assert f.growth == field.growth
+
+
+@pytest.mark.parametrize("name, params, variant", CATALOG)
 def test_fields_and_extensions_are_finite_on_the_axes(name, params, variant):
     # the origin (no polar angle) and the seam of arctan2 on both sides
     pts = np.array([[0.0, 0.0], [-2.0, 0.0], [-2.0, -0.0]])
@@ -227,7 +237,7 @@ def test_extension_needs_polar_factors():
 
 def test_strict_total_matches_closed_form():
     # closed form (pi/2)^7 / 140 of the accumulated angular rate
-    assert abs(angular_total(strict_profile()) - (np.pi / 2) ** 7 / 140.0) < 1e-14
+    assert abs(angular_total(quadrant_bump_pressure("strict")) - (np.pi / 2) ** 7 / 140.0) < 1e-14
 
 
 def test_radial_profile_normalization():
@@ -251,42 +261,41 @@ def test_radial_profile_endpoint_conditions():
     assert np.max(np.abs(polar.radial_d1(samples))) < 50.0
 
 
-@pytest.mark.parametrize("prof_fn", [strict_profile, flat_profile])
-def test_angular_profile_conditions(prof_fn):
-    prof = prof_fn()
+@pytest.mark.parametrize("variant", ["strict", "flat"], ids=lambda variant: f"{variant}_profile")
+def test_angular_profile_conditions(variant):
+    bump = quadrant_bump_pressure(variant)
     c = np.pi / 2.0
-    assert angular_profile(prof, 0.0) == 0.0
-    assert abs(angular_profile(prof, c) - angular_total(prof)) < 1e-15
+    assert angular_profile(bump, 0.0) == 0.0
+    assert abs(angular_profile(bump, c) - angular_total(bump)) < 1e-15
     for a in (0.0, c):
-        assert abs(prof.angular_rate(a)) < 1e-15
-        assert abs(prof.angular_rate_d1(a)) < 1e-15
+        assert abs(bump.polar.rate(a)) < 1e-15
+        assert abs(bump.polar.rate_d1(a)) < 1e-15
     grid = np.linspace(0.0, c, 200)
-    assert np.all(prof.angular_rate(grid) >= 0.0)
-    assert np.all(np.diff(angular_profile(prof, grid)) >= -1e-15)
+    assert np.all(bump.polar.rate(grid) >= 0.0)
+    assert np.all(np.diff(angular_profile(bump, grid)) >= -1e-15)
 
 
 def test_angular_rate_consistency_with_profile():
-    prof = strict_profile()
+    bump = quadrant_bump_pressure("strict")
     grid = np.linspace(0.01, np.pi / 2 - 0.01, 50)
     h = 1e-7
-    fd = (angular_profile(prof, grid + h) - angular_profile(prof, grid - h)) / (2.0 * h)
-    assert np.max(np.abs(fd - prof.angular_rate(grid))) < 1e-6
+    fd = (angular_profile(bump, grid + h) - angular_profile(bump, grid - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - bump.polar.rate(grid))) < 1e-6
 
 
 def test_strict_rate_has_triple_zeros():
-    prof = strict_profile()
-    assert prof.angular_rate(1e-4) < 1e-11  # cubic vanishing
+    assert quadrant_bump_pressure("strict").polar.rate(1e-4) < 1e-11  # cubic vanishing
 
 
 def test_flat_rate_support():
-    prof = flat_profile()
-    assert np.all(prof.angular_rate(np.linspace(0.0, np.pi / 4, 50)) == 0.0)
-    assert np.all(prof.angular_rate(np.linspace(3 * np.pi / 8, np.pi / 2, 50)) == 0.0)
-    assert prof.angular_rate(np.pi / 4 + np.pi / 16) > 0.0
+    rate = quadrant_bump_pressure("flat").polar.rate
+    assert np.all(rate(np.linspace(0.0, np.pi / 4, 50)) == 0.0)
+    assert np.all(rate(np.linspace(3 * np.pi / 8, np.pi / 2, 50)) == 0.0)
+    assert rate(np.pi / 4 + np.pi / 16) > 0.0
 
 
 def test_rotation_sweep_piecewise_structure():
-    prof = strict_profile()
+    prof = quadrant_bump_pressure("strict")
     total = angular_total(prof)
     a = 0.3
     assert abs(rotation_sweep_value(prof, a) - angular_profile(prof, a)) < 1e-15
@@ -345,7 +354,7 @@ def test_bump_point_value():
     pt = 1.5 * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
     assert abs(bump.evaluate(pt) - 0.06519837738547798) < 1e-14
     assert abs(bump.polar.radial(1.5) - 20.0 / 72.0) < 1e-15
-    assert abs(strict_profile().angular_rate(np.pi / 4) - (np.pi / 4) ** 6) < 1e-15
+    assert abs(bump.polar.rate(np.pi / 4) - (np.pi / 4) ** 6) < 1e-15
 
 
 def test_bump_vanishes_outside_support():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pressurelab import DomainSpec, Polar, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, polar_field, quadrant_bump_pressure, rotation_functional, second_variation, strict_profile
+from pressurelab import DomainSpec, Polar, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, polar_field, quadrant_bump_pressure, rotation_functional, second_variation
 from pressurelab import rotations
 from pressurelab.linear_solver import StiffnessPreconditioner
 from pressurelab.pressure import PressureError
@@ -43,10 +43,9 @@ def test_hydrostatic_on_disk_is_constant(disk32):
 
 
 def test_functional_matches_angular_sweep(lobe32, strict_bump):
-    prof = strict_profile()
     alphas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     got = rotation_functional_profile(lobe32, strict_bump, alphas)
-    want = rotation_sweep_value(prof, alphas)
+    want = rotation_sweep_value(strict_bump, alphas)
     assert np.max(np.abs(got - want)) < 2e-3
 
 
@@ -54,7 +53,7 @@ def test_rotation_functional_error_is_second_order(lobe16, lobe32, strict_bump):
     # against the exact sweep, the boundary work on the polygon errs by
     # 4.55e-4 and 1.18e-4 at resolutions 16 and 32 (64 angles): order 2
     alphas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    want = rotation_sweep_value(strict_profile(), alphas)
+    want = rotation_sweep_value(strict_bump, alphas)
     e16, e32 = (np.max(np.abs(rotation_functional_profile(mesh, strict_bump, alphas) - want))
                 for mesh in (lobe16, lobe32))
     assert e16 / e32 >= 3.5
@@ -159,7 +158,7 @@ def test_el_residual_vanishes_at_optima(lobe32, strict_bump):
 
 def test_el_boundary_matches_volume_form(lobe32, strict_bump):
     # the residual on the Gauss points against the slope of the work functional
-    scale = angular_total(strict_profile())
+    scale = angular_total(strict_bump)
     for a in (0.4, 0.7, 2.0, 3.6):
         b = el_residual(lobe32, strict_bump, a)
         v = work_slope(lobe32, strict_bump, a)
@@ -168,10 +167,9 @@ def test_el_boundary_matches_volume_form(lobe32, strict_bump):
 
 def test_el_volume_form_is_sweep_derivative(lobe32, strict_bump):
     # the slope of the work functional against the exact sweep's derivative
-    prof = strict_profile()
     a = 0.8
     v = work_slope(lobe32, strict_bump, a)
-    assert abs(v - prof.angular_rate(a)) < 2e-3
+    assert abs(v - strict_bump.polar.rate(a)) < 2e-3
 
 
 def test_second_variation_zero_amplitude(lobe16, strict_bump):
@@ -564,7 +562,7 @@ def test_rotation_with_an_empty_run_sums_to_exact_zero(lobe16):
     prof = quadrant_bump_pressure("strict").polar
     lo, width = 0.3, 1e-6
     polar = prof._replace(rate=lambda t: 1.0 + t * t, rate_d1=lambda t: 2.0 * t)
-    pi = polar_field("sliver", "nonnegative", "c2", polar, support=(1.0, 3.0, lo, lo + width))
+    pi = polar_field("sliver", "c2", polar, support=(1.0, 3.0, lo, lo + width))
     for residual in (False, True):
         table = rotations._band(lobe16, pi, residual)[0]
         # three angles of the large lobe's outer arc, the only rows at angles in (-1, -0.5)
@@ -656,7 +654,7 @@ def _straddling_field():
         return ((prof.radial_d1(rho) * rate(theta))[:, None] * e_rho
                 + (prof.radial(rho) * rate_d1(theta) / rho)[:, None] * e_theta)
 
-    field = polar_field("straddling", "nonnegative", "c2", prof._replace(rate=rate, rate_d1=rate_d1),
+    field = polar_field("straddling", "c2", prof._replace(rate=rate, rate_d1=rate_d1),
                         support=(1.0, 3.0, lo, lo + width))
     return field, dataclasses.replace(field, evaluate=evaluate, gradient=gradient)
 

@@ -127,7 +127,7 @@ def _solve_nonlinear(ctx: RunContext, args) -> dict:
     problem = ctx.problem()
     eps = ctx.plan.eps_list[0] if args.eps is None else float(_flag("--eps", args.eps, POSITIVE))
     y, diag, table = multistart_minimize(problem, eps, ctx.plan)
-    alpha = extract_rotation(problem.mesh, problem.material, y)
+    alpha = extract_rotation(problem.mesh, y)
     u = rescaled_displacement(problem.mesh, y, alpha, eps)
     diagnostics = dataclasses.asdict(diag)
     energy = diagnostics.pop("energy")  # reported beside eps, not among the diagnostics

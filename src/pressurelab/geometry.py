@@ -48,8 +48,9 @@ class DomainSpec:
     r_small: float = 1.0
     r_large: float = 2.0
 
+    # The radius defaults of the constructors below are the fields' own, read in the class body.
     @classmethod
-    def disk(cls, radius: float = 1.0, resolution: int = 32) -> "DomainSpec":
+    def disk(cls, radius: float = radius, resolution: int = 32) -> "DomainSpec":
         return cls(kind="disk", resolution=resolution, radius=radius)
 
     @classmethod
@@ -57,7 +58,7 @@ class DomainSpec:
         return cls(kind="annulus", resolution=resolution, r_inner=r_inner, r_outer=r_outer)
 
     @classmethod
-    def four_lobe(cls, r_small: float = 1.0, r_large: float = 2.0, resolution: int = 32) -> "DomainSpec":
+    def four_lobe(cls, r_small: float = r_small, r_large: float = r_large, resolution: int = 32) -> "DomainSpec":
         return cls(kind="four_lobe", resolution=resolution, r_small=r_small, r_large=r_large)
 
     @classmethod

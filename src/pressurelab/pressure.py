@@ -323,15 +323,17 @@ def quadrant_bump_pressure(variant: str = "strict") -> PressureField:
 
 
 def builtin_pressure(name: str, params: dict | None = None, variant: str | None = None) -> PressureField:
+    """The catalog field `name`.  Its params and variant take no defaults here:
+    `config.SCHEMA` states them."""
     params = params or {}
     if name == "zero":
         return constant_pressure(0.0, name="zero")
     if name == "constant":
-        return constant_pressure(float(params.get("value", 1.0)))
+        return constant_pressure(float(params["value"]))
     if name == "hydrostatic":
-        return hydrostatic_pressure(float(params.get("coefficient", 1.0)))
+        return hydrostatic_pressure(float(params["coefficient"]))
     if name == "quadrant_bump":
-        return quadrant_bump_pressure(variant or "strict")
+        return quadrant_bump_pressure(variant)
     raise PressureError(f"unknown pressure name {name!r}")
 
 
@@ -356,7 +358,7 @@ def constant_pressure(value: float, name: str = "constant") -> PressureField:
                        growth=0.0 if value < 0.0 else None, params={"value": value})
 
 
-def hydrostatic_pressure(coefficient: float = 1.0) -> PressureField:
+def hydrostatic_pressure(coefficient: float) -> PressureField:
     """Depth-proportional field: coefficient times the negative part of the height,
     which is rho times the rate coefficient * max(-sin theta, 0).  A negative
     coefficient is signed, with growth 1."""

@@ -31,18 +31,9 @@ class SmoothnessError(ValueError):
     """Raised when an operation needs more smoothness than the field declares."""
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10, slope=None):
-    """Scalar golden-section minimization on [a, b]; returns (argmin, value).
-
-    Given the derivative ``slope`` of f, bisect on its sign instead: it keeps
-    resolving the argmin where the values of f are flat to rounding.
-    """
+def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
+    """Scalar golden-section minimization on [a, b]; returns (argmin, value)."""
     it = 0
-    if slope is not None:
-        while abs(b - a) > tol and it < _GOLDEN_MAX_ITER:
-            m, it = 0.5 * (a + b), it + 1
-            a, b = (a, m) if slope(m) > 0.0 else (m, b)
-        return 0.5 * (a + b), f(0.5 * (a + b))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)

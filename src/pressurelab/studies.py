@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import TriMesh
-from .material import SKEW_GENERATOR, MaterialModel, g_mixed, g_mixed_ratio, rotation, wrap_angle
+from .material import SKEW_GENERATOR, MaterialModel, rotation, wrap_angle
 from .nonlinear_solver import (
     SolveDiagnostics,
     admissible_start,
@@ -27,11 +27,9 @@ from .nonlinear_solver import (
 )
 from .linear_solver import ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_load, solve_linearized
 from .pressure import PressureField
-from .rotations import OptimalSet, find_optimal_rotations, golden_section_min, rotation_functional, second_variation
+from .rotations import OptimalSet, find_optimal_rotations, rotation_functional, second_variation
 
 TWO_PI = 2.0 * math.pi
-_EXTRACT_GRID = 720     # scan points of `extract_rotation` when the least-squares angle does not apply
-_EXTRACT_TOL = 1e-12    # bracket width at which that scan's refinement stops
 
 
 @dataclass
@@ -55,44 +53,19 @@ class StudyReport:
 # rotation extraction and displacement rescaling
 
 
-def extract_rotation(mesh: TriMesh, material: MaterialModel, y: np.ndarray) -> float:
-    """Angle minimizing the area-weighted mixed penalty of grad y minus a rotation.
+def extract_rotation(mesh: TriMesh, y: np.ndarray) -> float:
+    """Angle alpha* of the area-weighted least-squares rotation fit to grad y:
+    atan2(sum |T| b, sum |T| a), with a = F11 + F22 and b = F21 - F12.
 
-    The objective is sum_T |T| g(d_T(alpha)) with d_T^2 = |F|^2 + 2 -
-    2 (a cos alpha + b sin alpha).  For p = 2, g(d) = d^2/2 at every
-    distance, so the least-squares angle atan2(sum |T| b, sum |T| a) is the
-    exact minimizer.  Below p = 2: grid scan, then bisection of the grid
-    bracket on the sign of the objective's derivative.  Deterministic.
+    At every p, alpha* is also the exact minimizer of the mixed penalty
+    sum_T |T| g_p(d_T(alpha)), d_T(alpha) = |F_T - R(alpha)|, whenever
+    delta = max_T d_T(alpha*) < 1/3.  Since g_p(d) = d^2/2 for d <= 1 and g_p
+    increases: where |R(alpha) - R(alpha*)| <= 1 - delta every d_T <= 1, so
+    the penalty is the least-squares one, which alpha* minimizes; elsewhere
+    every d_T >= 1 - 2 delta, so the penalty is at least
+    |Omega| (1 - 2 delta)^2 / 2, against at most |Omega| delta^2 / 2 at
+    alpha*.  Past 1/3 the fit is the definition.
     """
-    if material.p == 2.0:
-        return extract_rotation_l2(mesh, y)
-    F, _ = deformation_gradients(mesh, y)
-    a = F[:, 0, 0] + F[:, 1, 1]
-    b = F[:, 1, 0] - F[:, 0, 1]
-    norm_sq = np.einsum("tij,tij->t", F, F)
-    areas = mesh.areas
-
-    def dist_sq(alpha):
-        return np.maximum(norm_sq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0)
-
-    def objective(alpha):
-        return float(areas @ g_mixed(np.sqrt(dist_sq(alpha)), material.p))
-
-    def slope(alpha):  # d/dalpha g(d) = g'(d)/d * (a sin alpha - b cos alpha)
-        ratio = g_mixed_ratio(np.sqrt(dist_sq(alpha)), material.p)
-        return float(areas @ (ratio * (a * np.sin(alpha) - b * np.cos(alpha))))
-
-    alphas = TWO_PI * np.arange(_EXTRACT_GRID) / _EXTRACT_GRID
-    vals = np.array([objective(x) for x in alphas])
-    i = int(np.argmin(vals))
-    lo = alphas[i] - TWO_PI / _EXTRACT_GRID
-    hi = alphas[i] + TWO_PI / _EXTRACT_GRID
-    a_star, _ = golden_section_min(objective, lo, hi, tol=_EXTRACT_TOL, slope=slope)
-    return wrap_angle(a_star)
-
-
-def extract_rotation_l2(mesh: TriMesh, y: np.ndarray) -> float:
-    """Closed-form angle of the area-weighted least-squares rotation fit."""
     F, _ = deformation_gradients(mesh, y)
     a = float(mesh.areas @ (F[:, 0, 0] + F[:, 1, 1]))
     b = float(mesh.areas @ (F[:, 1, 0] - F[:, 0, 1]))
@@ -215,7 +188,7 @@ def multistart_minimize(problem: Problem, eps: float, plan: Plan,
         y2, diag2 = minimize_energy(
             mesh, material, pi_hat, eps, y,
             grad_tol=plan.grad_tol, max_iter=plan.max_iter,
-            precond=problem.factor, frame_angle=extract_rotation_l2(mesh, y),
+            precond=problem.factor, frame_angle=extract_rotation(mesh, y),
         )
         if diag.converged or diag2.converged or diag2.energy < diag.energy:
             y, keep = y2, diag2
@@ -317,7 +290,7 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
         }
 
         def row(eps, y, diag, starts):
-            alpha = extract_rotation(mesh, material, y)
+            alpha = extract_rotation(mesh, y)
             u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
             return {
                 "energy": diag.energy,
@@ -360,11 +333,11 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
     """
     if not problem.pi.is_smooth:
         raise ProblemError("refined study needs a C^2 pressure field")
-    mesh, material = problem.mesh, problem.material
+    mesh = problem.mesh
 
     def setup(optimal, limit, report):
         def row(eps, y, diag, starts):
-            alpha = extract_rotation(mesh, material, y)
+            alpha = extract_rotation(mesh, y)
             s_near = optimal.nearest(alpha)
             a_off = _signed_offset(alpha, s_near)
             return {
@@ -431,7 +404,7 @@ def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
             y = zero_average(mesh, rebuild_deformation(mesh, disp_star, alpha0 + lam, eps))
             remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
             energy = assemble_energy(mesh, material, problem.pi_hat, y, eps)
-            alpha_hat = extract_rotation(mesh, material, y)
+            alpha_hat = extract_rotation(mesh, y)
             dist = optimal.distance(alpha_hat)
             return {
                 "lambda": lam,

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from pressurelab import DomainSpec, MaterialModel, Polar, TriMesh, build_domain, polar_field, rotations
 from pressurelab.geometry import GAUSS, SIMPSON, edge_rule
 from pressurelab.linear_solver import _p1_gather, assemble_load, pressure_work, project_gradient
-from pressurelab.material import SKEW_GENERATOR, det2, rotation, stress_components
-from pressurelab.nonlinear_solver import admissible_start
+from pressurelab.material import SKEW_GENERATOR, det2, g_mixed, g_mixed_ratio, rotation, stress_components, wrap_angle
+from pressurelab.nonlinear_solver import admissible_start, deformation_gradients
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,8 @@ def weak_material():
 # gather matches them bit for bit, the gradient to 1e-14 of its largest
 # entry, since the transpose sums in another order), the stiffness as a sum of
 # Kronecker-built strain forms that the one strain operator replaced (to
-# 1e-14 of its largest entry), and the edge-by-edge boundary load scatter.
+# 1e-14 of its largest entry), the edge-by-edge boundary load scatter, and the
+# grid scan of the mixed rotation penalty that the closed-form extraction replaced.
 
 
 def _square(rho):
@@ -294,3 +295,41 @@ def divergence_pair(mesh, pi, alpha0, u):
     integral as h -> 0."""
     u = np.ravel(np.asarray(u, dtype=float))
     return float(add_at_load(mesh, pi, alpha0) @ u), float(assemble_load(mesh, pi, alpha0) @ u)
+
+
+def rotation_penalty(mesh, y, p):
+    """alpha -> sum |T| g_p(dist(grad y, R(alpha))), its alpha-derivative, and the
+    largest distance at a given angle: the objective that `extract_rotation`
+    minimizes exactly while that distance is below 1/3."""
+    F, _ = deformation_gradients(mesh, y)
+    a = F[:, 0, 0] + F[:, 1, 1]
+    b = F[:, 1, 0] - F[:, 0, 1]
+    norm_sq = np.einsum("tij,tij->t", F, F)
+
+    def dist(alpha):
+        return np.sqrt(np.maximum(norm_sq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0))
+
+    def objective(alpha):
+        return float(mesh.areas @ g_mixed(dist(alpha), p))
+
+    def slope(alpha):  # d/dalpha g(d) = g'(d)/d * (a sin alpha - b cos alpha)
+        return float(mesh.areas @ (g_mixed_ratio(dist(alpha), p) * (a * np.sin(alpha) - b * np.cos(alpha))))
+
+    return objective, slope, lambda alpha: float(dist(alpha).max())
+
+
+def scanned_rotation(mesh, y, p, grid=720, tol=1e-12):
+    """The mixed penalty's minimizer by scan: the best of `grid` equispaced
+    angles, then bisection of its grid bracket on the sign of the derivative,
+    to `tol` (comparing values that are flat to rounding would stop near
+    1e-8)."""
+    objective, slope, _ = rotation_penalty(mesh, y, p)
+    step = 2.0 * math.pi / grid
+    i = int(np.argmin([objective(step * k) for k in range(grid)]))
+    lo, hi = step * (i - 1), step * (i + 1)
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if slope(mid) > 0.0 else (mid, hi)
+    return wrap_angle(0.5 * (lo + hi))

@@ -3,6 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The heavy fixtures (the
 constant-pressure sweep and the slow-rotation study) are shared across
 criteria, so the whole module stays well inside the per-criterion budgets.
+The studies here keep each triangle within distance 0.004 of a rotation, so
+none reaches the growth branch d > 1 of the penalty (README, "Installation
+and tests").
 """
 
 import time
@@ -305,11 +308,11 @@ def test_criterion_10_property_suites(material):
     disk = build_domain(DomainSpec.disk(1.0, 16))
     v = zero_average(disk, 0.05 * rng.normal(size=(disk.n_nodes, 2)))
     y = rebuild_deformation(disk, v, 1.3, 0.01)
-    alpha = extract_rotation(disk, material, y)
+    alpha = extract_rotation(disk, y)
     u = rescaled_displacement(disk, y, alpha, 0.01)
     y2 = rebuild_deformation(disk, u, alpha, 0.01)
     ok &= bool(np.max(np.abs(rescaled_displacement(disk, y2, alpha, 0.01) - u)) < 1e-12)
-    ok &= angular_distance(extract_rotation(disk, material, rigid_map(disk, 2.7)), 2.7) < 1e-6
+    ok &= angular_distance(extract_rotation(disk, rigid_map(disk, 2.7)), 2.7) < 1e-6
 
     # divergence-form agreement for the limit load (smooth displacement field)
     lobe = build_domain(DomainSpec.four_lobe(resolution=32))

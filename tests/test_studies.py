@@ -3,7 +3,7 @@ import pytest
 
 from pressurelab import DomainSpec, build_domain, builtin_pressure, extend_pressure, quadrant_bump_pressure
 from pressurelab.linear_solver import SolverError, assemble_load, gather
-from pressurelab.material import angular_distance
+from pressurelab.material import angular_distance, g_mixed
 from pressurelab.nonlinear_solver import rigid_map, zero_average
 from pressurelab.rotations import find_optimal_rotations
 from pressurelab.studies import (
@@ -11,9 +11,7 @@ from pressurelab.studies import (
     Problem,
     almost_minimizer_scaling,
     extract_rotation,
-    extract_rotation_l2,
     gamma_study,
-    g_mixed,
     minimize_energy,
     minimize_limit_energy,
     multistart_minimize,
@@ -24,7 +22,7 @@ from pressurelab.studies import (
     w1p_norm,
 )
 
-from conftest import quadratic_field
+from conftest import quadratic_field, rotation_penalty, scanned_rotation
 
 
 @pytest.fixture(scope="module")
@@ -41,42 +39,35 @@ def bump_fields():
 
 # --- rotation extraction -----------------------------------------------------
 
-def test_extract_rotation_recovers_rigid_maps(disk16, default_material):
+def test_extract_rotation_recovers_rigid_maps(disk16):
     for alpha in (0.0, 1.234, np.pi, 5.9):
-        got = extract_rotation(disk16, default_material, rigid_map(disk16, alpha))
+        got = extract_rotation(disk16, rigid_map(disk16, alpha))
         assert angular_distance(got, alpha) < 1e-6
 
 
-def test_extract_rotation_linear_error_decay(disk16, default_material):
+def test_extract_rotation_linear_error_decay(disk16):
     # nodal field with unit mean rotation rate: the fitted angle shifts by ~eps
     u = np.stack([-disk16.nodes[:, 1] * (1.0 + disk16.nodes[:, 0]), disk16.nodes[:, 0]], axis=1)
     u = zero_average(disk16, u)
     errs = []
     for eps in (1e-2, 1e-3):
         y = rebuild_deformation(disk16, u, 0.9, eps)
-        errs.append(angular_distance(extract_rotation(disk16, default_material, y), 0.9))
+        errs.append(angular_distance(extract_rotation(disk16, y), 0.9))
     assert errs[0] < 3e-2
     assert errs[1] <= 0.2 * errs[0]  # at least linear decay
 
 
 def test_extract_rotation_matches_dense_grid(disk16, weak_material):
-    # gradient equal to the average of two rotations everywhere
+    # gradient equal to the average of two rotations everywhere: every triangle
+    # has one distance, monotone in the angle to the fit, so the fit minimizes
+    # the mixed penalty at every p, here at distance 0.38 past the certificate
     from pressurelab.material import rotation
-    from pressurelab.nonlinear_solver import deformation_gradients
 
     A = 0.5 * (rotation(0.4) + rotation(1.9))
     y = zero_average(disk16, disk16.nodes @ A.T)
-    got = extract_rotation(disk16, weak_material, y)
+    got = extract_rotation(disk16, y)
 
-    F, _ = deformation_gradients(disk16, y)
-    a = F[:, 0, 0] + F[:, 1, 1]
-    b = F[:, 1, 0] - F[:, 0, 1]
-    nsq = np.einsum("tij,tij->t", F, F)
-
-    def objective(alpha):
-        d = np.sqrt(np.maximum(nsq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0))
-        return float(disk16.areas @ g_mixed(d, weak_material.p))
-
+    objective, _, _ = rotation_penalty(disk16, y, weak_material.p)
     grid = np.arange(0.0, 2.0 * np.pi, 1e-4)
     brute = grid[int(np.argmin([objective(x) for x in grid]))]
     assert angular_distance(got, brute) < 2e-4
@@ -90,80 +81,59 @@ def _smoothly_perturbed_rigid_map(mesh, alpha, amplitude, rng):
     return zero_average(mesh, rigid_map(mesh, alpha) + amplitude * u)
 
 
-def _quadratic_rotation_objective(mesh, y):
-    """0.5 sum |T| dist(grad y, R(t))^2 as a function of t, and the fit sums (A, B)."""
+def _fit_sums(mesh, y):
+    """The fit sums (A, B) = (sum |T| (F11 + F22), sum |T| (F21 - F12))."""
     from pressurelab.nonlinear_solver import deformation_gradients
 
     F, _ = deformation_gradients(mesh, y)
-    a = F[:, 0, 0] + F[:, 1, 1]
-    b = F[:, 1, 0] - F[:, 0, 1]
-    nsq = np.einsum("tij,tij->t", F, F)
-
-    def objective(t):
-        return 0.5 * float(mesh.areas @ (nsq + 2.0 - 2.0 * (a * np.cos(t) + b * np.sin(t))))
-
-    return objective, float(mesh.areas @ a), float(mesh.areas @ b)
+    return float(mesh.areas @ (F[:, 0, 0] + F[:, 1, 1])), float(mesh.areas @ (F[:, 1, 0] - F[:, 0, 1]))
 
 
-def test_extract_rotation_closed_form_is_the_exact_minimizer(disk16, default_material, weak_material,
-                                                            monkeypatch):
-    # p = 2: the least-squares angle minimizes the mixed penalty exactly, so no scan runs
-    import pressurelab.studies as ST
-    from pressurelab import MaterialModel
-
-    scans = []
-    golden = ST.golden_section_min
-    monkeypatch.setattr(ST, "golden_section_min", lambda *a, **k: scans.append(1) or golden(*a, **k))
-    # the same objective wherever dist <= 1, but below p = 2 it takes the scan
-    scanning = MaterialModel(p=2.0 - 1e-12)
+def test_extract_rotation_closed_form_is_the_exact_minimizer(disk16):
+    # near SO(2) the fit is stationary and no grid angle lowers the mixed
+    # penalty, at p = 2 and below
     rng = np.random.default_rng(21)
+    grid = 2.0 * np.pi * np.arange(720) / 720
     for alpha in (0.0, 0.3, 2.5, 5.0, 6.28):
         y = _smoothly_perturbed_rigid_map(disk16, alpha, 0.02, rng)
-        got = ST.extract_rotation(disk16, default_material, y)
-        assert scans == []
-        objective, A, B = _quadratic_rotation_objective(disk16, y)
+        got = extract_rotation(disk16, y)
+        A, B = _fit_sums(disk16, y)
         assert abs(A * np.sin(got) - B * np.cos(got)) <= 1e-14 * np.hypot(A, B)  # stationary
-        scanned = ST.extract_rotation(disk16, scanning, y)
-        assert len(scans) == 1
-        scans.clear()
-        # golden section on a rounded objective resolves the angle to about 1e-8
-        assert angular_distance(got, scanned) <= 1e-7
-        assert objective(got) <= objective(scanned) + 1e-15
-    # below p = 2 the penalty is not bounded below by its quadratic part: scan
-    ST.extract_rotation(disk16, weak_material, y)
-    assert len(scans) == 1
-    scans.clear()
-    # g(d) = d^2/2 past d = 1 too at p = 2: a map at distance sqrt(2) from every rotation takes no scan
-    y = 2.0 * rigid_map(disk16, 0.3)
-    got = ST.extract_rotation(disk16, default_material, y)
-    assert scans == []
+        for p in (2.0, 1.5, 1.1):
+            objective, _, delta = rotation_penalty(disk16, y, p)
+            assert delta(got) < 1.0 / 3.0
+            assert objective(got) <= min(objective(x) for x in grid)
+    # g(d) = d^2/2 past d = 1 too at p = 2: a map at distance sqrt(2) from every rotation
+    got = extract_rotation(disk16, 2.0 * rigid_map(disk16, 0.3))
     assert angular_distance(got, 0.3) <= 1e-15
 
 
-def test_extract_rotation_scan_resolves_the_stationary_angle(disk16, default_material):
-    # the scan brackets the minimizer on its grid and bisects the bracket on the
-    # sign of the derivative, which resolves the angle far below where the
-    # objective values go flat to rounding
-    from pressurelab import MaterialModel
-
-    scanning = MaterialModel(p=2.0 - 1e-12)
+def test_extract_rotation_scan_resolves_the_stationary_angle(disk16):
+    # the test oracle's scan brackets the minimizer on its grid and bisects the
+    # bracket on the sign of the derivative, which resolves the angle far below
+    # where the objective values go flat to rounding: it lands on the fit
     rng = np.random.default_rng(21)
     for alpha in (0.0, 0.3, 2.5, 5.0, 6.28):
         y = _smoothly_perturbed_rigid_map(disk16, alpha, 0.02, rng)
-        _, A, B = _quadratic_rotation_objective(disk16, y)
-        scanned = extract_rotation(disk16, scanning, y)
+        A, B = _fit_sums(disk16, y)
+        scanned = scanned_rotation(disk16, y, 2.0 - 1e-12)
         assert abs(A * np.sin(scanned) - B * np.cos(scanned)) <= 1e-12 * np.hypot(A, B)
-        assert angular_distance(scanned, extract_rotation(disk16, default_material, y)) <= 1e-12
+        assert angular_distance(scanned, extract_rotation(disk16, y)) <= 1e-12
 
 
-def test_two_extraction_routes_agree_to_order_eps(disk16, weak_material):
+def test_two_extraction_routes_agree_to_order_eps(disk16):
+    # the fit against the scanned minimizer of the weakest mixed penalty: the
+    # same angle below distance 1/3, and apart by O(eps) past it, where the fit
+    # is the definition
     u = np.stack([np.sin(disk16.nodes[:, 0]), disk16.nodes[:, 1] ** 2], axis=1)
     u = zero_average(disk16, u)
-    for eps in (1e-2, 1e-3):
+    for eps in (1.0, 0.6, 0.3, 1e-2, 1e-3):
         y = rebuild_deformation(disk16, u, 1.1, eps)
-        a1 = extract_rotation(disk16, weak_material, y)
-        a2 = extract_rotation_l2(disk16, y)
-        assert angular_distance(a1, a2) <= 3.0 * eps
+        fit = extract_rotation(disk16, y)
+        scanned = scanned_rotation(disk16, y, 1.1)
+        assert angular_distance(fit, scanned) <= 3.0 * eps
+        if rotation_penalty(disk16, y, 1.1)[2](fit) < 1.0 / 3.0:
+            assert angular_distance(fit, scanned) <= 1e-12
 
 
 # --- displacement rescaling --------------------------------------------------
@@ -182,12 +152,12 @@ def test_rescaled_displacement_inverts_rebuild(disk16):
     assert np.max(np.abs(got - v)) < 1e-10
 
 
-def test_round_trip_through_extraction(disk16, default_material):
+def test_round_trip_through_extraction(disk16):
     rng = np.random.default_rng(5)
     v = zero_average(disk16, 0.1 * rng.normal(size=(disk16.n_nodes, 2)))
     eps = 0.01
     y = rebuild_deformation(disk16, v, 1.7, eps)
-    alpha = extract_rotation(disk16, default_material, y)
+    alpha = extract_rotation(disk16, y)
     u = rescaled_displacement(disk16, y, alpha, eps)
     y2 = rebuild_deformation(disk16, u, alpha, eps)
     u2 = rescaled_displacement(disk16, y2, alpha, eps)

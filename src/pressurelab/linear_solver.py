@@ -5,10 +5,10 @@
 over displacements with zero lumped-mass average and zero mean skew gradient.
 The quadratic form depends only on (mesh, material): one StiffnessPreconditioner
 holds the stiffness and its factor, and `solve_linearized(factor, load)` takes
-the load of one angle from `assemble_load` and runs CG preconditioned by the
-factor; the nonlinear solver seeds L-BFGS with the same factor.  The pressure
-work, which the nonlinear energy and the load read, is one boundary sum
-(`pressure_work`).  The load is its first variation at R0 x, so its
+the load of one angle from `assemble_load` and runs scipy's CG preconditioned
+by the factor; the nonlinear solver seeds L-BFGS with the same factor.  The
+pressure work, which the nonlinear energy and the load read, is one boundary
+sum (`pressure_work`).  The load is its first variation at R0 x, so its
 component along J x is the slope of the rotation functional, the same work
 at R(alpha) x.  Every gather of a nodal gradient goes through one sparse P1
 gather per mesh, and every adjoint through its transpose, a view of it.
@@ -214,7 +214,8 @@ def apply_gauge(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
 
 def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
     """Minimize E0 with the stiffness of ``factor`` and the (2N,) ``load`` of
-    one angle under the gauge constraints: CG preconditioned by the factor.
+    one angle under the gauge constraints: scipy's CG, preconditioned by the
+    factor, to relative residual _CG_REL_TOL; SolverError past _CG_MAX_ITER.
 
     The load is projected onto the range of K by adding multiples of the
     constraint rows (lumped-mass resultant, then skew mean), so the gauged CG
@@ -228,30 +229,16 @@ def solve_linearized(factor: StiffnessPreconditioner, load: np.ndarray):
     projected = project_gradient(mesh, load.reshape(mesh.n_nodes, 2)).ravel()
     skew_row = _skew_mean_row(mesh).ravel()
     projected -= (projected @ jx) / (skew_row @ jx) * skew_row
-    b = -projected
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    if np.linalg.norm(projected) == 0.0:  # cg would return -projected, signed zeros
         return np.zeros((mesh.n_nodes, 2)), 0.0
+    # imported here for the reason given in StiffnessPreconditioner.__init__;
+    # dtype=float spares LinearOperator a probing application of the factor
+    from scipy.sparse.linalg import LinearOperator, cg
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = factor.solve(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(_CG_MAX_ITER):
-        Kp = K @ p
-        alpha = rz / float(p @ Kp)
-        x += alpha * p
-        r -= alpha * Kp
-        if float(np.linalg.norm(r)) <= _CG_REL_TOL * bnorm:
-            break
-        z = factor.solve(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    else:
+    x, info = cg(K, -projected, rtol=_CG_REL_TOL, atol=0.0, maxiter=_CG_MAX_ITER,
+                 M=LinearOperator(K.shape, matvec=factor.solve, dtype=float))
+    if info != 0:
         raise SolverError(f"conjugate gradient did not converge in {_CG_MAX_ITER} iterations")
-
     u = apply_gauge(mesh, x.reshape(mesh.n_nodes, 2))
     flat = u.ravel()
     return u, float(0.5 * flat @ (K @ flat) + load @ flat)

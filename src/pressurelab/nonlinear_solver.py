@@ -22,12 +22,9 @@ of the energy itself, while the gradient still resolves the slope.  A trial
 whose energy lies within that rounding floor of the current energy is
 therefore judged on its directional derivative instead (the approximate Wolfe
 conditions of Hager and Zhang, SIAM J. Optim. 16, 2005): the search brackets
-the step on the slope ratio and accepts once it lies in [2*delta - 1, sigma].
-A candidate whose gradient already passes the solve's own test, or whose
-predicted decrease already lies within the floor, is taken at once; any
-other is taken only if a few shorter steps fail Armijo on the energy alone.
-Accepted energies are nonincreasing except at a derivative-accepted step,
-which may raise the energy by at most the floor.
+the step on the slope ratio and takes it once the ratio lies in
+[2*delta - 1, sigma].  Accepted energies are nonincreasing except at such a
+derivative-accepted step, which may raise the energy by at most the floor.
 The floor bounds the rounding of the energy sum by the sizes of its terms:
 the elastic density rounds relative to d = dist(F, SO(2)) and
 t = |det F - 1| (not to |F|^2, which is about 2 near a rotation), the work
@@ -59,9 +56,6 @@ _STEP_MIN = 1e-20
 # below 2*delta - 1 it overshoots.
 _WOLFE_SIGMA = 0.9
 _WOLFE_DELTA = 0.1
-# Halvings tried on the energy alone before a derivative-accepted step that
-# has not converged is taken.
-_ARMIJO_RETRIES = 4
 
 
 @dataclass
@@ -218,26 +212,19 @@ def minimize_energy(
         Armijo backtracking on the bracket [lo, hi].  A trial that fails
         Armijo with its energy within the rounding floor of f takes the
         derivative test instead, which raises lo (too short), lowers hi
-        (overshoot) or yields a candidate.  A candidate with |g| <= grad_tol
-        (1 + |f|), which would stop the solve, or with t |g.d| within the
-        floor is taken at once: the energy of a shorter step then differs
-        from f by rounding alone.  Any other is taken only if none of the
-        next _ARMIJO_RETRIES halvings passes Armijo.  The search gives up
+        (overshoot) or yields a candidate, which is taken as found: its
+        energy exceeds f by at most the floor.  The search gives up
         once the step falls below _STEP_MIN above lo, or once the bracket
         holds no float strictly inside it (t then rounds to hi).
         """
         nonlocal backtracks, rejections
 
-        def trial(t):
-            z_try = zero_average(mesh, (z + t * d).reshape(n, 2)).ravel()
-            f_try, s_try = energy_at(z_try)
-            return z_try, f_try, s_try, f_try <= f + _ARMIJO_C * t * slope
-
         t, lo, hi = 1.0, 0.0, math.inf
         floor = None
         while t - lo > _STEP_MIN and t < hi:
-            z_try, f_try, s_try, armijo = trial(t)
-            if armijo:
+            z_try = zero_average(mesh, (z + t * d).reshape(n, 2)).ravel()
+            f_try, s_try = energy_at(z_try)
+            if f_try <= f + _ARMIJO_C * t * slope:
                 return z_try, f_try, s_try, None
             backtracks += 1
             if math.isinf(f_try):
@@ -256,20 +243,9 @@ def minimize_energy(
                     elif ratio < 2.0 * _WOLFE_DELTA - 1.0:
                         hi = t
                     else:
-                        break
+                        return z_try, f_try, s_try, g_try
             t = t / _BACKTRACK if math.isinf(hi) else lo + _BACKTRACK * (hi - lo)
-        else:
-            return None
-        candidate = (z_try, f_try, s_try, g_try)
-        if float(np.linalg.norm(g_try)) <= grad_tol * (1.0 + abs(f_try)) or -t * slope <= floor:
-            return candidate
-        for _ in range(_ARMIJO_RETRIES):
-            t *= _BACKTRACK
-            z_try, f_try, s_try, armijo = trial(t)
-            if armijo:
-                return z_try, f_try, s_try, None
-            backtracks += 1
-        return candidate
+        return None
 
     for iterations in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(g))

@@ -309,8 +309,9 @@ def rotation_penalty(mesh, y, p):
     def dist(alpha):
         return np.sqrt(np.maximum(norm_sq + 2.0 - 2.0 * (a * np.cos(alpha) + b * np.sin(alpha)), 0.0))
 
-    def objective(alpha):
-        return float(mesh.areas @ g_mixed(dist(alpha), p))
+    def objective(alpha):  # at one angle, or at each of a column (K, 1) of angles
+        out = g_mixed(dist(alpha), p) @ mesh.areas
+        return float(out) if np.ndim(out) == 0 else out
 
     def slope(alpha):  # d/dalpha g(d) = g'(d)/d * (a sin alpha - b cos alpha)
         return float(mesh.areas @ (g_mixed_ratio(dist(alpha), p) * (a * np.sin(alpha) - b * np.cos(alpha))))

@@ -15,8 +15,9 @@ from pressurelab import (
     polar_field,
     quadrant_bump_pressure,
 )
-from pressurelab.linear_solver import (StiffnessPreconditioner, apply_gauge, assemble_stiffness, skew_mean,
-                                      solve_linearized)
+from pressurelab import linear_solver
+from pressurelab.linear_solver import (SolverError, StiffnessPreconditioner, apply_gauge, assemble_stiffness,
+                                      skew_mean, solve_linearized)
 from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.nonlinear_solver import assemble_energy
 from pressurelab.studies import Problem, minimize_limit_energy
@@ -202,6 +203,21 @@ def test_solve_matches_bordered_constrained_solve(lobe16, default_material, alph
     disp, e0 = solve_linearized(factor, load)
     assert abs(e0 - e_kkt) <= 1e-12 * abs(e_kkt)
     assert np.max(np.abs(disp.ravel() - u_kkt)) <= 1e-8 * np.max(np.abs(u_kkt))
+
+
+def test_limit_solve_applies_the_factor_once_per_iteration_up_to_the_cap(lobe16, default_material, monkeypatch):
+    factor = StiffnessPreconditioner(lobe16, default_material)
+    load = assemble_load(lobe16, quadrant_bump_pressure("strict"), 0.3)
+    calls = []
+    solve = factor.solve
+    monkeypatch.setattr(factor, "solve", lambda v: calls.append(1) or solve(v))
+    solve_linearized(factor, load)
+    assert len(calls) == 7  # seven CG iterations, and no application to probe the operator
+    calls.clear()
+    monkeypatch.setattr(linear_solver, "_CG_MAX_ITER", 1)
+    with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+        solve_linearized(factor, load)
+    assert len(calls) == 1
 
 
 def test_gauge_sets_mean_skew_to_zero(bench_system, disk32):

@@ -255,10 +255,9 @@ def test_minimize_reaches_tight_tolerance_at_rigid_state(disk16, default_materia
 def test_converged_derivative_candidate_ends_the_search(disk16, default_material, const_hat, monkeypatch):
     # From the limit prediction the last line search of a 1e-13 solve reaches
     # the derivative test, where the energy no longer resolves the step; a
-    # candidate whose gradient already passes the solve's test is taken with
-    # no Armijo retry, so the solve ends on it.  At eps 0.02 the search before
-    # it takes an unconverged candidate whose predicted decrease lies below
-    # the rounding floor, with no retry either.
+    # candidate is taken as found, so the one whose gradient already passes
+    # the solve's test ends the solve.  At eps 0.02 the search before it takes
+    # an unconverged candidate as found too.
     const = builtin_pressure("constant", {"value": 0.1})
     factor = StiffnessPreconditioner(disk16, default_material)
     u0 = solve_linearized(factor, assemble_load(disk16, const, 0.0))[0]

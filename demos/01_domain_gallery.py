@@ -13,7 +13,15 @@ import json
 
 import numpy as np
 
-from pressurelab import DomainSpec, barycenter, boundary_integral, build_domain
+from pressurelab import DomainSpec, barycenter, build_domain
+from pressurelab.geometry import GAUSS, edge_rule
+
+
+def boundary_flux(mesh, field):
+    """Integral of field(x) . n over the boundary polygon, by the two-point
+    Gauss rule per edge; edge_rule's N(x_b - x_a) is n times the edge length."""
+    points, normal = edge_rule(mesh, mesh.nodes, GAUSS)
+    return float(np.einsum("egi,g,ei->", field(points), GAUSS[1], normal))
 
 specs = {
     "disk": DomainSpec.disk(1.0, 32),
@@ -24,7 +32,7 @@ exact_area = {"disk": np.pi, "annulus": 3 * np.pi, "four_lobe": 2.5 * np.pi}
 
 for name, spec in specs.items():
     mesh = build_domain(spec)
-    perimeter = boundary_integral(mesh, lambda p, n: np.ones(len(p)))
+    perimeter = np.hypot(*edge_rule(mesh, mesh.nodes, GAUSS)[1].T).sum()
     print(f"{name:10s} nodes={mesh.n_nodes:6d} triangles={len(mesh.triangles):6d} "
           f"area={mesh.total_area:.6f} (exact {exact_area[name]:.6f}) "
           f"perimeter={perimeter:.4f} |barycenter|={np.hypot(*barycenter(mesh)):.2e}")
@@ -32,7 +40,7 @@ for name, spec in specs.items():
 # the divergence theorem closes exactly for affine fields on any of the meshes
 mesh = build_domain(specs["four_lobe"])
 A = np.array([[0.3, -1.1], [0.7, 0.4]])
-flux = boundary_integral(mesh, lambda p, n: np.einsum("ij,ij->i", p @ A.T, n))
+flux = boundary_flux(mesh, lambda p: p @ A.T)
 print(f"\naffine flux check: boundary={flux:.12f}  interior={np.trace(A) * mesh.total_area:.12f}")
 
 with open("four_lobe_mesh.json", "w") as fh:

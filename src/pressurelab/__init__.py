@@ -6,7 +6,7 @@ assembles the small-pressure linearized limit, analyzes optimal rotations on
 the circle, and runs the epsilon-sweep studies connecting the two levels.
 """
 
-from .geometry import DomainSpec, TriMesh, barycenter, boundary_integral, build_domain
+from .geometry import DomainSpec, TriMesh, barycenter, build_domain
 from .material import (
     MaterialModel,
     dist_so2,

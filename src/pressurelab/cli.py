@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import rotations, studies, svgplot
-from .config import GRID, NUMBER, POSITIVE, SCHEMA, ConfigError, Rule, RunContext, load_config
+from .config import NUMBER, POSITIVE, SCHEMA, ConfigError, Rule, RunContext, load_config
 from .geometry import build_domain
 from .linear_solver import ProblemError, SolverError
 from .material import wrap_angle
@@ -34,7 +34,7 @@ from .studies import StudyReport, extract_rotation, multistart_minimize, rescale
 # from it, and `_dispatch` rejects by it a flag that a `run` call passes to a
 # command that does not take it, as the parser does.
 COMMANDS = {
-    "scan-rotations": {"grid": {"type": int}},
+    "scan-rotations": {},
     "solve-linear": {"alpha0": {"default": "auto"}},
     "solve-nonlinear": {"eps": {"type": float}},
     "gamma-study": {}, "refined-study": {}, "lambda-study": {},
@@ -78,7 +78,7 @@ def _flag(name: str, value, rule: Rule):
 
 
 def _scan_rotations(ctx: RunContext, args) -> dict:
-    grid = ctx.plan.rotation_grid if args.grid is None else _flag("--grid", args.grid, GRID)
+    grid = ctx.plan.rotation_grid
     mesh = build_domain(ctx.domain)  # the scan needs no problem: neither the solvers' field nor a factor
     pi = ctx.pressure
     optimal = rotations.find_optimal_rotations(mesh, pi, grid_n=grid)
@@ -180,25 +180,19 @@ def _study_command(ctx: RunContext, args, kind: str) -> dict:
 
 
 def run(command: str, config_path: str, *, out: str | None = None, csv_path: str | None = None,
-        svg: str | None = None, grid: int | None = None, eps: float | None = None,
-        alpha0: str | None = None, seed: int | None = None) -> int:
+        svg: str | None = None, eps: float | None = None, alpha0: str | None = None,
+        seed: int | None = None) -> int:
     """Programmatic equivalent of the command line; returns the exit status."""
-    ns = argparse.Namespace(out=out, csv=csv_path, svg=svg, grid=grid, eps=eps,
-                            alpha0=alpha0, seed=seed)
+    ns = argparse.Namespace(out=out, csv=csv_path, svg=svg, eps=eps, alpha0=alpha0, seed=seed)
     return _dispatch(command, config_path, ns)
 
 
-def _merge_outputs(ctx: RunContext, args) -> None:
-    """Fill each output flag left out from its config key; check that every
-    output path's directory exists before any work is done."""
-    for attr, key in (("out", "json"), ("csv", "csv"), ("svg", "svg")):
-        name = f"--{attr}"
-        if getattr(args, attr, None) is None:
-            name = f"output.{key}"
-            setattr(args, attr, ctx.settings["output"][key])
+def _check_outputs(args) -> None:
+    """Check that the directory of every output path exists before any work is done."""
+    for attr in ("out", "csv", "svg"):
         path = getattr(args, attr)
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"the directory of {name} {path!r} does not exist")
+            raise ConfigError(f"the directory of --{attr} {path!r} does not exist")
 
 
 def _dispatch(command: str, config_path: str, args) -> int:
@@ -214,7 +208,7 @@ def _dispatch(command: str, config_path: str, args) -> int:
         if args.seed is not None and isinstance(cfg, dict):  # RunContext rejects a non-object
             cfg["seed"] = _flag("--seed", args.seed, SCHEMA["seed"][0])
         ctx = RunContext.from_config(cfg)
-        _merge_outputs(ctx, args)
+        _check_outputs(args)
         handler = {"scan-rotations": _scan_rotations, "solve-linear": _solve_linear,
                    "solve-nonlinear": _solve_nonlinear}.get(command)
         if handler is not None:
@@ -227,7 +221,7 @@ def _dispatch(command: str, config_path: str, args) -> int:
     except (SolverError, ProblemError, PressureError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    _emit_json(getattr(args, "out", None), command, ctx, result)
+    _emit_json(args.out, command, ctx, result)
     return 0
 
 

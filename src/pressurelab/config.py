@@ -61,7 +61,6 @@ class Per(NamedTuple):
 
 NUMBER = Rule("a finite number", _finite)
 POSITIVE = Rule("a positive finite number", lambda v: _finite(v) and v > 0)
-GRID = _integer(MIN_GRID)
 _RESOLUTION = _integer(2, MAX_RESOLUTION)
 REQUIRED = object()  # the default of a key that has none
 # Each domain kind and pressure name reads only its own params; a domain
@@ -99,14 +98,12 @@ SCHEMA = {
     }, {}),
     "study": ({
         "resolutions": (_list_of(_RESOLUTION, distinct=True), None),  # None: [domain.resolution]
-        "rotation_grid": (GRID, Plan.rotation_grid),
+        "rotation_grid": (_integer(MIN_GRID), Plan.rotation_grid),
         "lambda_exponent": (NUMBER, Plan.lambda_exponent),
         "arc_samples": (_integer(1), Plan.arc_samples),
     }, {}),
     "eps_list": (_list_of(POSITIVE, distinct=True), Plan.eps_list),
     "seed": (_integer(0), Plan.seed),
-    "output": ({name: (Rule("a non-empty string", lambda v: isinstance(v, str) and v != ""), None)
-                for name in ("json", "csv", "svg")}, {}),  # None: no file
 }
 
 

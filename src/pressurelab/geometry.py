@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -98,7 +97,8 @@ class DomainSpec:
 # Two rules, exact for cubics, on every boundary edge (a, b): barycentric
 # coordinates of their points in (a, b), and weights summing to one.  The
 # pressure work reads Simpson's: at the corners a rotation that carries one
-# into an angular support registers at once, not after 0.21 of an edge.
+# into an angular support registers at once, not after 0.21 of an edge.  Only
+# the rotation residuals read Gauss's.
 _GAUSS_T = 0.5 / math.sqrt(3.0)
 GAUSS = (np.array([[0.5 + _GAUSS_T, 0.5 - _GAUSS_T], [0.5 - _GAUSS_T, 0.5 + _GAUSS_T]]), np.array([0.5, 0.5]))
 SIMPSON = (np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]), np.array([1.0, 4.0, 1.0]) / 6.0)
@@ -114,9 +114,7 @@ class TriMesh:
     triangles: np.ndarray         # (M, 3) int, counterclockwise
     areas: np.ndarray             # (M,)
     node_masses: np.ndarray       # (N,) lumped row-sum masses
-    boundary_edges: np.ndarray    # (B, 2) int node pairs
-    boundary_normals: np.ndarray  # (B, 2) unit outward
-    boundary_lengths: np.ndarray  # (B,)
+    boundary_edges: np.ndarray    # (B, 2) int node pairs, each counterclockwise around its triangle
     diameter: float
 
     @classmethod
@@ -129,16 +127,14 @@ class TriMesh:
             raise DomainError("triangles must be an (M, 3) array")
 
         areas, masses = _areas_and_masses(nodes, triangles)
-        b_edges, b_normals, b_lengths = _extract_boundary(nodes, triangles)
+        b_edges = _extract_boundary(nodes, triangles)
         x, y = nodes.T
         diameter = float(np.hypot(x.max() - x.min(), y.max() - y.min()))
 
-        for arr in (nodes, triangles, areas, masses, b_edges, b_normals, b_lengths):
+        for arr in (nodes, triangles, areas, masses, b_edges):
             arr.setflags(write=False)
-        return cls(
-            nodes=nodes, triangles=triangles, areas=areas, node_masses=masses, boundary_edges=b_edges,
-            boundary_normals=b_normals, boundary_lengths=b_lengths, diameter=diameter,
-        )
+        return cls(nodes=nodes, triangles=triangles, areas=areas, node_masses=masses, boundary_edges=b_edges,
+                   diameter=diameter)
 
     @property
     def total_area(self) -> float:
@@ -190,7 +186,8 @@ def _areas_and_masses(nodes: np.ndarray, triangles: np.ndarray):
 
 
 def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
-    """Edges referenced by exactly one triangle, with unit outward normals."""
+    """Edges referenced by exactly one triangle, each as it runs around that
+    triangle, so that its right-hand normal points out."""
     # edge 3 t + k runs from corner k of triangle t to corner k + 1
     a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
     # one key per undirected edge; a stable sort keeps equal keys in row order
@@ -202,12 +199,7 @@ def _extract_boundary(nodes: np.ndarray, triangles: np.ndarray):
     single[:-1] &= differs
     boundary_rows = np.sort(order[single])  # deterministic: construction order
 
-    b_edges = np.stack([a[boundary_rows], b[boundary_rows]], axis=1)
-    ex, ey = (c[b_edges[:, 1]] - c[b_edges[:, 0]] for c in nodes.T)
-    lengths = np.hypot(ex, ey)
-    # the edge runs counterclockwise around its triangle, so its right-hand normal points out
-    normals = np.stack([ey, -ex], axis=1) / lengths[:, None]
-    return b_edges, normals, lengths
+    return np.stack([a[boundary_rows], b[boundary_rows]], axis=1)
 
 
 def edge_rule(mesh: TriMesh, y: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
@@ -344,12 +336,3 @@ def _mass_center(nodes: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def barycenter(mesh: TriMesh) -> np.ndarray:
     """Lumped-mass weighted mean of the nodes."""
     return _mass_center(mesh.nodes, mesh.node_masses)
-
-
-def boundary_integral(
-    mesh: TriMesh, integrand: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> float:
-    """Integrate ``integrand(points, outward_normals)`` over the polygonal boundary by the Gauss rule."""
-    points, _ = edge_rule(mesh, mesh.nodes, GAUSS)
-    vals = np.asarray(integrand(points.reshape(-1, 2), np.repeat(mesh.boundary_normals, 2, axis=0)), dtype=float)
-    return float(np.outer(mesh.boundary_lengths, GAUSS[1]).ravel() @ vals)

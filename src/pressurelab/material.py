@@ -63,7 +63,9 @@ def g_mixed(t, r: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("g_mixed requires a nonnegative argument")
-    out = np.where(t <= 1.0, 0.5 * t * t, t ** r / r + 0.5 - 1.0 / r)
+    out = np.asarray(0.5 * t * t)
+    grow = t > 1.0  # the power only where it applies: in the studies no entry exceeds 1
+    out[grow] = t[grow] ** r / r + 0.5 - 1.0 / r
     return float(out) if out.ndim == 0 else out
 
 
@@ -93,7 +95,11 @@ def _so2_fit(f: np.ndarray):
 
 def g_mixed_ratio(t, r: float):
     """g'(t)/t: 1 on the quadratic branch and t^(r-2) beyond; continuous at 1."""
-    return np.where(t <= 1.0, 1.0, np.maximum(t, 1.0) ** (r - 2.0))
+    t = np.asarray(t, dtype=float)
+    out = np.ones_like(t)
+    grow = t > 1.0
+    out[grow] = t[grow] ** (r - 2.0)
+    return out
 
 
 def dist_so2(F: np.ndarray):

@@ -110,10 +110,12 @@ def _band(mesh: TriMesh, pi: PressureField, residual: bool) -> tuple[_BandTable,
     """The band table that the angles of pi read and, per row, every factor
     of a profile term that no rotation changes.
 
-    The work reads the Simpson points with w L (x . n) A(rho) / rho^2, the
-    flux of the potential (A(rho) rate / rho) e_rho; A(rho) keeps its value
-    beyond the support, so its band is open outward.  The residuals read
-    the Gauss points with w L (n . J x) radial(rho).  The band is pi's
+    Both read the edge's N(x_b - x_a), the outward normal times the length,
+    as `edge_rule` gives it and `linear_solver.pressure_work` reads it.  The
+    work reads the Simpson points with w (N . x) A(rho) / rho^2, the flux of
+    the potential (A(rho) rate / rho) e_rho; A(rho) keeps its value beyond
+    the support, so its band is open outward.  The residuals read the Gauss
+    points with w (N . J x) radial(rho).  The band is pi's
     radial support widened by _SUPPORT_MARGIN.  A table is kept with the
     mesh per rule and band, its weights per radial factor or A.  A field
     without polar factors raises PressureError.
@@ -125,11 +127,12 @@ def _band(mesh: TriMesh, pi: PressureField, residual: bool) -> tuple[_BandTable,
     band = (residual, lo, hi if residual else math.inf)
     if band not in mesh.tables:
         rule = GAUSS if residual else SIMPSON
-        pts = edge_rule(mesh, mesh.nodes, rule)[0].reshape(-1, 2)
+        points, normal = edge_rule(mesh, mesh.nodes, rule)
+        pts = points.reshape(-1, 2)
         rho = np.hypot(pts[:, 0], pts[:, 1])
         arm = pts @ SKEW_GENERATOR.T if residual else pts / (rho * rho)[:, None]  # J x, or x / rho^2
-        geometric = np.outer(mesh.boundary_lengths, rule[1]).ravel() * np.einsum(
-            "ij,ij->i", np.repeat(mesh.boundary_normals, len(rule[1]), axis=0), arm)
+        geometric = np.tile(rule[1], len(normal)) * np.einsum(
+            "ij,ij->i", np.repeat(normal, len(rule[1]), axis=0), arm)
         rows = np.flatnonzero((rho >= lo) & (rho <= band[2]))
         theta = np.arctan2(pts[rows, 1], pts[rows, 0])
         order = np.argsort(theta, kind="stable")  # equal angles keep row order
@@ -212,7 +215,7 @@ def _profiles(table: _BandTable, pi: PressureField, alphas, terms) -> list[np.nd
 
 def rotation_functional_profile(mesh: TriMesh, pi: PressureField, alphas) -> np.ndarray:
     """The boundary pressure work W(R(alpha) x) at each of the given angles:
-    (w L (x . n) A(rho) / rho^2) . rate(theta + alpha) over the Simpson points."""
+    (w (N . x) A(rho) / rho^2) . rate(theta + alpha) over the Simpson points."""
     table, weights = _band(mesh, pi, residual=False)
     return _profiles(table, pi, alphas, [(weights, pi.polar.rate)])[0]
 
@@ -302,7 +305,7 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
     pi(R x) (n . J x), second that of (grad pi(R x) . R A x)(A x . n) with
     A = a J, the cost of rotational fluctuations.  Since R A x =
     a rho e_theta(theta + alpha), grad pi(R x) . R A x is
-    a psi(rho) rate'(theta + alpha): el is (w (n . J x) psi(rho)) .
+    a psi(rho) rate'(theta + alpha): el is (w (N . J x) psi(rho)) .
     rate(theta + alpha) and second is a^2 times the same weights . rate_d1.
     second is NaN throughout when pi is not C^2; rate_d1 is then never read.
     """

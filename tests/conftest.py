@@ -135,11 +135,8 @@ def row_major_arrays(nodes, triangles, centered=False):
     single[1:] &= differs
     single[:-1] &= differs
     edges = raw[np.sort(order[single])]
-    ev = nodes[edges[:, 1]] - nodes[edges[:, 0]]
-    lengths = np.hypot(ev[:, 0], ev[:, 1])
     return {"nodes": nodes, "triangles": triangles, "areas": areas, "basis_gradients": grads, "node_masses": masses,
-            "boundary_edges": edges, "boundary_normals": np.stack([ev[:, 1], -ev[:, 0]], axis=1) / lengths[:, None],
-            "boundary_lengths": lengths, "diameter": float(np.hypot(*(nodes.max(axis=0) - nodes.min(axis=0))))}
+            "boundary_edges": edges, "diameter": float(np.hypot(*(nodes.max(axis=0) - nodes.min(axis=0))))}
 
 
 def identity_map(mesh):
@@ -177,6 +174,16 @@ def work_slope(mesh, pi, alpha):
     n = np.repeat(normal, 3, axis=0)
     w = np.tile(SIMPSON[1], len(normal))
     return float(w @ (np.einsum("ni,ni->n", n, turned) + np.einsum("ni,ni->n", dx, phi @ R)))
+
+
+def boundary_quadrature(mesh, integrand):
+    """Sum over the boundary edges of w_g integrand(x_g, N) at the Gauss
+    points x_g, with N = N(x_b - x_a) of `edge_rule`, the outward normal
+    times the edge length: the boundary integral of integrand(x, n) for an
+    integrand of degree one in n, such as v(x) . n, or |n| for the length."""
+    points, normal = edge_rule(mesh, mesh.nodes, GAUSS)
+    vals = np.asarray(integrand(points.reshape(-1, 2), np.repeat(normal, len(GAUSS[1]), axis=0)), dtype=float)
+    return float(np.tile(GAUSS[1], len(normal)) @ vals)
 
 
 def interior_rule(mesh):
@@ -274,17 +281,17 @@ def rotation_sweep_value(bump, alpha):
 def add_at_load(mesh, pi, alpha0):
     """The boundary quadrature of the load's continuum limit, l[(i,a)] = integral
     of pi(R0 x) n_a phi_i over the boundary, two Gauss points per edge,
-    scattered edge by edge with np.add.at: the boundary side of the
-    divergence-form checks of `assemble_load`."""
+    scattered edge by edge with np.add.at, and n ds = N(dx) of `edge_rule`:
+    the boundary side of the divergence-form checks of `assemble_load`."""
     R = rotation(alpha0)
     points, normal = edge_rule(mesh, mesh.nodes, GAUSS)
     vals = np.asarray(pi.evaluate(points.reshape(-1, 2) @ R.T), dtype=float).reshape(points.shape[:2])
-    coeff = np.einsum("e,q,eq,qi->ei", mesh.boundary_lengths, GAUSS[1], vals, GAUSS[0])
+    coeff = np.einsum("q,eq,qi->ei", GAUSS[1], vals, GAUSS[0])
     load = np.zeros((mesh.n_nodes, 2))
     for local in range(2):
         nodes = mesh.boundary_edges[:, local]
         for a in range(2):
-            np.add.at(load[:, a], nodes, coeff[:, local] * mesh.boundary_normals[:, a])
+            np.add.at(load[:, a], nodes, coeff[:, local] * normal[:, a])
     return load.ravel()
 
 

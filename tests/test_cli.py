@@ -18,6 +18,13 @@ from pressurelab.config import MAX_RESOLUTION, REQUIRED, SCHEMA, ConfigError, Pe
 from pressurelab.linear_solver import SolverError
 
 
+_LOBE_SCAN = dict(pressure={"name": "quadrant_bump", "variant": "flat"},
+                  domain={"kind": "four_lobe", "params": {}, "resolution": 8}, study={"rotation_grid": 64})
+_ANNULUS_SCAN = dict(pressure={"name": "hydrostatic", "params": {"coefficient": 1.0}},
+                     domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8},
+                     study={"rotation_grid": 64})
+
+
 def validate_config(cfg: dict) -> dict:
     """Check `cfg` as a run does, by building its run context; return the filled-in settings."""
     return RunContext.from_config(cfg).settings
@@ -104,8 +111,7 @@ def test_scan_rotations_outputs(tmp_path):
     out = tmp_path / "scan.json"
     csv_path = tmp_path / "scan.csv"
     svg_path = tmp_path / "scan.svg"
-    code = run("scan-rotations", path, out=str(out), csv_path=str(csv_path),
-               svg=str(svg_path), grid=128)
+    code = run("scan-rotations", path, out=str(out), csv_path=str(csv_path), svg=str(svg_path))
     assert code == 0
     doc = json.loads(out.read_text())
     validate_result(doc)
@@ -161,7 +167,7 @@ def test_identical_config_and_seed_bit_identical(tmp_path):
                 study={"resolutions": [8], "rotation_grid": 128})
     inputs = [
         ("gamma-study", _base_config(), {}),
-        ("scan-rotations", _base_config(**lobe), {"grid": 128}),
+        ("scan-rotations", _base_config(**lobe), {}),
         ("solve-linear", _base_config(**lobe), {"alpha0": "auto"}),
         ("solve-linear", _base_config(), {"alpha0": "0.3"}),
         ("solve-nonlinear", _base_config(), {"eps": 0.04}),
@@ -205,8 +211,8 @@ def test_scan_rotations_scans_the_functional_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(R, "rotation_functional_profile", counted)
     monkeypatch.setattr(R, "golden_section_min", golden)
-    assert run("scan-rotations", path, out=str(tmp_path / "scan.json"), grid=128) == 0
-    assert calls["grid"] == 128
+    assert run("scan-rotations", path, out=str(tmp_path / "scan.json")) == 0
+    assert calls["grid"] == 128  # study.rotation_grid
     assert calls["refine"] > 0
 
 
@@ -341,10 +347,9 @@ def test_resolution_above_the_cap_exits_2(tmp_path, capsys, key, domain_res, stu
 
 def test_scan_rotations_of_hydrostatic_pressure_on_an_annulus(tmp_path):
     # a field without a support is scanned through its polar factorization too
-    cfg = _base_config(pressure={"name": "hydrostatic", "params": {"coefficient": 1.0}},
-                       domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8})
+    cfg = _base_config(**_ANNULUS_SCAN)
     out = tmp_path / "scan.json"
-    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), grid=64) == 0
+    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out)) == 0
     rows = json.loads(out.read_text())["result"]["rows"]
     # the functional (7/3) int_pi^2pi (-sin t) dt = 14/3 is the same at every angle
     values = np.array([row["functional_value"] for row in rows])
@@ -361,9 +366,10 @@ def test_undefined_values_are_written_as_null(tmp_path):
     # minima all vanish has no scaling-constant ratio: both are null, so the
     # run JSON parses under a strict reader, and the CSV cell is empty
     cfg = _base_config(pressure={"name": "hydrostatic", "params": {"coefficient": 0.1}},
-                       domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8})
+                       domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8},
+                       study={"rotation_grid": 64})
     out, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
-    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), csv_path=str(csv_path), grid=64) == 0
+    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), csv_path=str(csv_path)) == 0
     rows = json.loads(out.read_text(), parse_constant=_reject_constant)["result"]["rows"]
     assert len(rows) == 64 and all(row["second_variation_unit"] is None for row in rows)
     with open(csv_path, newline="") as fh:
@@ -385,10 +391,6 @@ def test_a_non_finite_result_is_not_written(tmp_path):
     assert not out.exists()
 
 
-_LOBE_SCAN = dict(pressure={"name": "quadrant_bump", "variant": "flat"},
-                  domain={"kind": "four_lobe", "params": {}, "resolution": 8})
-_ANNULUS_SCAN = dict(pressure={"name": "hydrostatic", "params": {"coefficient": 1.0}},
-                     domain={"kind": "annulus", "params": {"r_inner": 1.0, "r_outer": 2.0}, "resolution": 8})
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -398,8 +400,7 @@ _ANNULUS_SCAN = dict(pressure={"name": "hydrostatic", "params": {"coefficient": 
 ], ids=["scan-lobe", "scan-annulus", "gamma"])
 def test_run_json_is_one_sorted_strict_line(tmp_path, command, overrides):
     out = tmp_path / "run.json"
-    grid = 64 if command == "scan-rotations" else None
-    assert run(command, _write(tmp_path, _base_config(**overrides)), out=str(out), grid=grid) == 0
+    assert run(command, _write(tmp_path, _base_config(**overrides)), out=str(out)) == 0
     text = out.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n"
     assert text.count("\n") == 1
@@ -411,7 +412,7 @@ def test_scan_csv_and_run_json_agree_cell_for_cell(tmp_path, overrides):
     # a CSV cell's float() and the JSON row's value are the same double, and an empty cell is null
     cfg = _base_config(**overrides)
     out, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
-    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), csv_path=str(csv_path), grid=64) == 0
+    assert run("scan-rotations", _write(tmp_path, cfg), out=str(out), csv_path=str(csv_path)) == 0
     rows = json.loads(out.read_text())["result"]["rows"]
     with open(csv_path, newline="") as fh:
         cells = list(csv.DictReader(fh))
@@ -455,12 +456,19 @@ def test_benchmark_workload_configs_validate():
         validate_config(workloads.WORKLOADS[name]["config"])
 
 
-@pytest.mark.parametrize("grid", ["32", "0"])
-def test_grid_flag_is_validated(tmp_path, capsys, grid):
-    # 0 is a grid, not a request for the configured one
-    path = _write(tmp_path, _base_config())
-    assert main(["scan-rotations", "--config", path, "--grid", grid]) == 2
-    assert "--grid" in capsys.readouterr().err
+def test_retired_run_settings_are_rejected(tmp_path, capsys):
+    # the output paths are the --out/--csv/--svg flags alone, and the scan's
+    # grid is study.rotation_grid alone: an `output` section is an unknown key
+    cfg = _base_config(output={"json": str(tmp_path / "run.json")})
+    assert run("scan-rotations", _write(tmp_path, cfg)) == 2
+    assert "unknown key output" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+    path = _write(tmp_path, _base_config(), "base.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-rotations", "--config", path, "--grid", "64"])
+    assert exc.value.code == 2
+    with pytest.raises(TypeError):
+        run("scan-rotations", path, grid=64)
 
 
 def _schema_keys(table=SCHEMA, path=(), at=None):
@@ -505,10 +513,7 @@ _OPTIONAL = [(key, at, default) for key, at, rule, default in _schema_keys()
 
 @pytest.mark.parametrize("key, at", _KEYS, ids=[f"{k}-{a[2]}" if a else k for k, a in _KEYS])
 def test_every_key_rejects_wrong_typed_values(tmp_path, capsys, key, at):
-    values = [True, "x", None, [], math.nan]
-    if key.startswith("output."):
-        values.remove("x")  # a file name
-    for value in values:
+    for value in [True, "x", None, [], math.nan]:
         assert run("scan-rotations", _write(tmp_path, _config_at(key, at, value))) == 2, value
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err, (value, err)
@@ -561,6 +566,15 @@ def test_readme_schema_lists_every_config_key():
     assert rows == {_readme_row(*key) for key in _schema_keys() if not isinstance(key[2], dict)}
 
 
+def test_readme_synopsis_lists_every_command_flag():
+    # each command's line names exactly the flags cli.COMMANDS gives it beyond the common ones
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(pressurelab .*?)```", readme.split("## Command line")[1], re.S).group(1)
+    common = {"config", "out", "csv", "svg", "seed"}
+    listed = {line.split()[1]: set(re.findall(r"--([a-z0-9]+)", line)) - common for line in block.splitlines()}
+    assert listed == {command: set(flags) for command, flags in COMMANDS.items()}
+
+
 _PROBES = [
     ("scan-rotations", ("solver", "grad_tol"), "abc"),
     ("scan-rotations", ("solver", "grad_tol"), True),
@@ -569,9 +583,6 @@ _PROBES = [
     ("scan-rotations", ("solver", "multistart_angles"), []),
     ("scan-rotations", ("solver", "max_iter"), 0),
     ("scan-rotations", ("solver", "max_iter"), 2.7),
-    ("scan-rotations", ("output", "json"), True),
-    ("scan-rotations", ("output", "csv"), 2),
-    ("scan-rotations", ("output", "svg"), ["a"]),
     ("scan-rotations", ("domain", "params", "radius"), True),
     ("scan-rotations", ("domain", "params", "radius"), "2"),
     ("scan-rotations", ("pressure", "params", "value"), True),
@@ -588,7 +599,7 @@ _PROBES = [
                          ids=[f"{'.'.join(p)}={v!r}" for _, p, v in _PROBES])
 def test_values_outside_the_schema_exit_2_naming_the_key(tmp_path, capsys, command, path, value):
     # each of these used to run, or to end in a traceback
-    cfg = _base_config(output={})
+    cfg = _base_config()
     target = cfg
     for part in path[:-1]:
         target = target.setdefault(part, {})
@@ -625,8 +636,8 @@ def test_malformed_flags_exit_2_naming_the_flag(tmp_path, capsys, command, flag,
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("solve-linear", {"grid": 5, "eps": -3.0}), ("solve-linear", {"eps": 0.02}),
-    ("scan-rotations", {"alpha0": "0.3"}), ("gamma-study", {"grid": 64}), ("solve-nonlinear", {"grid": 64}),
+    ("solve-linear", {"eps": -3.0}), ("solve-linear", {"eps": 0.02}),
+    ("scan-rotations", {"alpha0": "0.3"}), ("gamma-study", {"eps": 0.02}), ("solve-nonlinear", {"alpha0": "0.3"}),
 ])
 def test_run_rejects_a_flag_its_command_does_not_take(tmp_path, capsys, command, flags):
     # as the command line does ("unrecognized arguments"); run() used to ignore it and exit 0
@@ -642,7 +653,7 @@ def test_run_rejects_a_flag_its_command_does_not_take(tmp_path, capsys, command,
 
 
 def test_seed_flag_is_checked_as_a_flag(tmp_path, capsys):
-    # named as the flag, as --grid, --eps and --alpha0 are, not as the config key
+    # named as the flag, as --eps and --alpha0 are, not as the config key
     path = _write(tmp_path, _base_config())
     assert main(["scan-rotations", "--config", path, "--seed", "-1"]) == 2
     assert run("scan-rotations", path, seed=-1) == 2
@@ -768,16 +779,7 @@ def test_gamma_study_merges_resolutions(tmp_path):
     assert set(doc["result"]["limits"]) == {"8", "10"}
 
 
-def test_output_paths_from_config(tmp_path):
-    out = tmp_path / "from_config.json"
-    cfg = _base_config(output={"json": str(out)})
-    path = _write(tmp_path, cfg)
-    assert run("solve-linear", path) == 0
-    doc = json.loads(out.read_text())
-    validate_result(doc)
-
-
-@pytest.mark.parametrize("key", ["output.json", "output.csv", "output.svg", "--out", "--csv", "--svg"])
+@pytest.mark.parametrize("key", ["--out", "--csv", "--svg"])
 def test_an_output_directory_that_does_not_exist_exits_2_before_any_work(tmp_path, capsys, monkeypatch, key):
     import pressurelab.rotations as R
 
@@ -786,12 +788,7 @@ def test_an_output_directory_that_does_not_exist_exits_2_before_any_work(tmp_pat
 
     monkeypatch.setattr(R, "find_optimal_rotations", no_scan)
     missing = tmp_path / "missing" / "run.out"
-    cfg, argv = _base_config(), []
-    if key.startswith("output."):
-        cfg["output"] = {key.split(".")[1]: str(missing)}
-    else:
-        argv = [key, str(missing)]
-    assert main(["scan-rotations", "--config", _write(tmp_path, cfg), *argv]) == 2
+    assert main(["scan-rotations", "--config", _write(tmp_path, _base_config()), key, str(missing)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err, err
     assert not missing.parent.exists()

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pressurelab import DomainSpec, TriMesh, barycenter, boundary_integral, build_domain
+from pressurelab import DomainSpec, TriMesh, barycenter, build_domain
 from pressurelab.geometry import (GAUSS, SIMPSON, DomainError, _angular_quarter, _four_lobe, _polar_annulus, _polar_disk,
                                   _ring_counts, edge_rule)
 
-from conftest import interior_rule, row_major_arrays, translated
+from conftest import boundary_quadrature, interior_rule, row_major_arrays, translated
 
 
 def interior_integral(mesh, integrand):
@@ -53,8 +53,10 @@ def test_positive_orientation(disk32, annulus32, lobe32):
 
 
 def test_boundary_normals_unit_and_outward(lobe16):
-    norms = np.hypot(lobe16.boundary_normals[:, 0], lobe16.boundary_normals[:, 1])
-    assert np.allclose(norms, 1.0, atol=1e-14)
+    # edge_rule's N(x_b - x_a) is the edge's length times a unit normal
+    _, normal = edge_rule(lobe16, lobe16.nodes, SIMPSON)
+    a, b = lobe16.nodes[lobe16.boundary_edges[:, 0]], lobe16.nodes[lobe16.boundary_edges[:, 1]]
+    assert np.allclose(np.hypot(normal[:, 0], normal[:, 1]), np.hypot(*(b - a).T), rtol=1e-15, atol=0.0)
     # outwardness: positive dot with the vector from the owning centroid to the edge midpoint
     edge_sets = [frozenset(e) for e in lobe16.boundary_edges.tolist()]
     owner_centroid = {}
@@ -64,7 +66,7 @@ def test_boundary_normals_unit_and_outward(lobe16):
             owner_centroid[frozenset(pair)] = lobe16.nodes[t].mean(axis=0)
     mids = 0.5 * (lobe16.nodes[lobe16.boundary_edges[:, 0]] + lobe16.nodes[lobe16.boundary_edges[:, 1]])
     for k, key in enumerate(edge_sets):
-        assert lobe16.boundary_normals[k] @ (mids[k] - owner_centroid[key]) > 0.0
+        assert normal[k] @ (mids[k] - owner_centroid[key]) > 0.0
 
 
 def _assert_matches_row_major(mesh, want):
@@ -97,16 +99,16 @@ def test_four_lobe_radii_by_quadrant(lobe16):
 
 
 def test_perimeter_of_disk(disk32):
-    per = boundary_integral(disk32, lambda p, n: np.ones(len(p)))
+    per = boundary_quadrature(disk32, lambda p, n: np.hypot(n[:, 0], n[:, 1]))
     assert abs(per - 2.0 * np.pi) / (2.0 * np.pi) < 0.01
 
 
 def test_zero_integrand(disk16):
-    assert boundary_integral(disk16, lambda p, n: np.zeros(len(p))) == 0.0
+    assert boundary_quadrature(disk16, lambda p, n: np.zeros(len(p))) == 0.0
 
 
 def test_normal_dot_position_gives_twice_area(disk32):
-    val = boundary_integral(disk32, lambda p, n: np.einsum("ij,ij->i", p, n))
+    val = boundary_quadrature(disk32, lambda p, n: np.einsum("ij,ij->i", p, n))
     two_area = interior_integral(disk32, lambda p: np.full(len(p), 2.0))
     assert abs(val - two_area) < 1e-12
 
@@ -116,7 +118,7 @@ def test_divergence_closure_affine_fields(lobe16, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(2, 2))
     b = rng.normal(size=2)
-    lhs = boundary_integral(lobe16, lambda p, n: np.einsum("ij,ij->i", p @ A.T + b, n))
+    lhs = boundary_quadrature(lobe16, lambda p, n: np.einsum("ij,ij->i", p @ A.T + b, n))
     rhs = np.trace(A) * lobe16.total_area
     size = np.abs(A).sum() + np.abs(b).sum()
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + size)
@@ -142,9 +144,9 @@ def test_boundary_rule_degree_three_exact(square_mesh):
     # cubic along the bottom edge y = 0 only
     def f(p, n):
         on_bottom = np.isclose(p[:, 1], 0.0)
-        return np.where(on_bottom, p[:, 0] ** 3, 0.0)
+        return np.where(on_bottom, p[:, 0] ** 3 * np.hypot(n[:, 0], n[:, 1]), 0.0)
 
-    assert abs(boundary_integral(square_mesh, f) - 0.25) < 1e-14
+    assert abs(boundary_quadrature(square_mesh, f) - 0.25) < 1e-14
 
 
 def test_quadrature_weights(disk16):
@@ -157,7 +159,7 @@ def test_quadrature_weights(disk16):
         a, b = disk16.nodes[disk16.boundary_edges[:, 0]], disk16.nodes[disk16.boundary_edges[:, 1]]
         for g, (wa, wb) in enumerate(bary):
             assert np.allclose(points[:, g], wa * a + wb * b, rtol=0.0, atol=1e-15)
-    assert np.allclose(np.hypot(normal[:, 0], normal[:, 1]), disk16.boundary_lengths, rtol=1e-13)
+        assert np.array_equal(normal, np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1))
 
 
 def test_node_masses_sum_to_area(annulus32):
@@ -299,8 +301,7 @@ def test_grading_keeps_the_uniform_boundary_polygon(resolution):
         uniform = TriMesh.from_arrays(*reference(*radii, resolution, uniform=True))
         assert mesh.n_nodes < uniform.n_nodes
         assert np.array_equal(mesh.nodes[mesh.boundary_edges], uniform.nodes[uniform.boundary_edges])
-        for name in ("boundary_lengths", "boundary_normals"):
-            assert np.array_equal(getattr(mesh, name), getattr(uniform, name)), (built.__name__, name)
+        assert np.array_equal(edge_rule(mesh, mesh.nodes, SIMPSON)[1], edge_rule(uniform, uniform.nodes, SIMPSON)[1])
         # the same polygon summed over other triangles, before and after the barycenter shift
         for area in (mesh.total_area, build_domain(spec(resolution)).total_area):
             assert abs(area - uniform.total_area) <= 4.0 * np.spacing(uniform.total_area)
@@ -359,11 +360,11 @@ def _lexsort_boundary(nodes, triangles):
 def test_boundary_and_rule_points_match_reference_forms(resolution):
     for _, _, _, spec in _BUILDERS:
         mesh = build_domain(spec(resolution))
-        want = _lexsort_boundary(mesh.nodes, mesh.triangles)
-        for name, ref in zip(("boundary_edges", "boundary_normals", "boundary_lengths"), want):
-            assert np.array_equal(getattr(mesh, name), ref), (spec(resolution).kind, name)
+        edges, normals, lengths = _lexsort_boundary(mesh.nodes, mesh.triangles)
+        assert np.array_equal(mesh.boundary_edges, edges), spec(resolution).kind
         # the work's rule points are each edge's ends and midpoint, bit for bit
         points, normal = edge_rule(mesh, mesh.nodes, SIMPSON)
         a, b = mesh.nodes[mesh.boundary_edges[:, 0]], mesh.nodes[mesh.boundary_edges[:, 1]]
         assert np.array_equal(points, np.stack([a, 0.5 * (a + b), b], axis=1))
-        assert np.allclose(normal, mesh.boundary_lengths[:, None] * mesh.boundary_normals, rtol=0.0, atol=1e-15)
+        # N(b - a) is the reference's outward unit normal times the length
+        assert np.allclose(normal, lengths[:, None] * normals, rtol=0.0, atol=1e-15)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pressurelab import DomainSpec, Polar, build_domain, builtin_pressure, el_residual, extend_pressure, find_optimal_rotations, polar_field, quadrant_bump_pressure, rotation_functional, second_variation
 from pressurelab import rotations
-from pressurelab.linear_solver import StiffnessPreconditioner
+from pressurelab.linear_solver import StiffnessPreconditioner, pressure_work
+from pressurelab.nonlinear_solver import rigid_map
 from pressurelab.pressure import PressureError
 from pressurelab.geometry import GAUSS, SIMPSON, edge_rule
 from pressurelab.material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
@@ -65,6 +66,23 @@ def test_functional_periodicity(lobe16, strict_bump):
         v1 = rotation_functional(lobe16, strict_bump, a)
         v2 = rotation_functional(lobe16, strict_bump, a + 2.0 * np.pi)
         assert abs(v1 - v2) <= 1e-14 * (1.0 + abs(v1))
+
+
+@pytest.mark.parametrize("field, mesh", [
+    ("strict", "lobe16"), ("flat", "lobe16"), ("hydrostatic", "annulus16"), ("constant", "disk16"),
+])
+def test_the_scan_and_the_solvers_read_one_work(request, field, mesh):
+    # F(alpha) - F(0) of the polar scan is the change of the solvers' boundary
+    # work under the rigid rotation, to the rounding of the work's own terms
+    mesh = request.getfixturevalue(mesh)
+    pi = {"strict": quadrant_bump_pressure("strict"), "flat": quadrant_bump_pressure("flat"),
+          "hydrostatic": builtin_pressure("hydrostatic", {"coefficient": 1.0}),
+          "constant": builtin_pressure("constant", {"value": 1.0})}[field]
+    base = rotation_functional(mesh, pi, 0.0)
+    for alpha in (0.3, 1.2, 2.5, 3.9, 5.6):
+        work = pressure_work(mesh, pi, rigid_map(mesh, alpha))
+        gap = abs(rotation_functional(mesh, pi, alpha) - base - work.change())
+        assert gap <= 1e-15 + 1e-14 * work.size(), (alpha, gap)
 
 
 def test_the_rotation_layer_builds_no_basis_gradients(flat_bump, default_material):
@@ -289,16 +307,11 @@ _POLAR_ORDERS = {}  # (id(mesh), residual) -> (mesh, order); the mesh is held so
 
 
 def _rule(mesh, residual):
-    """Points, weights and normals of a rule: Gauss's, with weights times the
-    edge length and unit normals, for the residuals; Simpson's, with N(dx),
-    for the work."""
+    """Points, weights and N(dx) of a rule, row by row: Gauss's for the
+    residuals, Simpson's for the work."""
     rule = GAUSS if residual else SIMPSON
     points, normal = edge_rule(mesh, mesh.nodes, rule)
-    k = len(rule[1])
-    if residual:
-        weights, normals = np.outer(mesh.boundary_lengths, rule[1]).ravel(), np.repeat(mesh.boundary_normals, k, axis=0)
-        return points.reshape(-1, 2), weights, normals
-    return points.reshape(-1, 2), np.tile(rule[1], len(normal)), np.repeat(normal, k, axis=0)
+    return points.reshape(-1, 2), np.tile(rule[1], len(normal)), np.repeat(normal, len(rule[1]), axis=0)
 
 
 def _reference_polar_order(mesh, residual):

@@ -30,10 +30,15 @@ def wrap_angle(alpha: float) -> float:
     return 0.0 if out >= 2.0 * np.pi else out
 
 
+def signed_angle(a: float, b: float) -> float:
+    """The angle from b to a on the unit circle, in (-pi, pi]."""
+    d = float(a - b) % (2.0 * np.pi)
+    return d if d <= np.pi else d - 2.0 * np.pi
+
+
 def angular_distance(a: float, b: float) -> float:
     """Intrinsic distance on the unit circle."""
-    d = np.mod(a - b, 2.0 * np.pi)
-    return float(min(d, 2.0 * np.pi - d))
+    return abs(signed_angle(a, b))
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,15 @@ def det2(f: np.ndarray):
     return f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
 
 
-def _so2_fit(f: np.ndarray):
+def so2_fit(f: np.ndarray):
     """(dist(F, SO(2)), a, b, s) for a component-major gradient f.
 
     max_R tr(R^T F) = s = hypot(a, b), a = F11 + F22, b = F21 - F12, at the
     rotation with (cos, sin) = (a, b)/s.  With c = F11 - F22, e = F12 + F21,
     dist^2 = |F|^2 + 2 - 2s = ((s - 2)^2 + c^2 + e^2)/2, a sum of squares
-    whose rounding error scales with dist rather than with |F|^2 + 2.
+    whose rounding error scales with dist rather than with |F|^2 + 2.  The
+    density, the stress, the solver's rounding floor and the rotation
+    extraction all read this one fit.
     """
     a, b = f[0, 0] + f[1, 1], f[1, 0] - f[0, 1]
     c, e = f[0, 0] - f[1, 1], f[0, 1] + f[1, 0]
@@ -104,13 +111,13 @@ def g_mixed_ratio(t, r: float):
 
 def dist_so2(F: np.ndarray):
     """Frobenius distance from F to the rotation group, in closed form."""
-    out = _so2_fit(_major(F))[0]
+    out = so2_fit(_major(F))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def density_components(model: MaterialModel, f: np.ndarray, det):
     """The density at a component-major gradient f with det F > 0."""
-    return model.c1 * g_mixed(_so2_fit(f)[0], model.p) + model.c2 * g_mixed(np.abs(det - 1.0), model.q)
+    return model.c1 * g_mixed(so2_fit(f)[0], model.p) + model.c2 * g_mixed(np.abs(det - 1.0), model.q)
 
 
 def energy_density(model: MaterialModel, F: np.ndarray):
@@ -123,9 +130,9 @@ def energy_density(model: MaterialModel, F: np.ndarray):
 
 def stress_components(model: MaterialModel, f: np.ndarray, det) -> np.ndarray:
     """First derivative of the density, component-major, at f with det F > 0."""
-    d, a, b, s = _so2_fit(f)
+    d, a, b, s = so2_fit(f)
     t = det - 1.0
-    k = model.c2 * np.where(np.abs(t) <= 1.0, t, np.sign(t) * np.maximum(np.abs(t), 1.0) ** (model.q - 1.0))
+    k = model.c2 * g_mixed_ratio(np.abs(t), model.q) * t
     cof = np.array([[f[1, 1], -f[1, 0]], [-f[0, 1], f[0, 0]]])  # the derivative of det
     return model.c1 * g_mixed_ratio(d, model.p) * (f - np.array([[a, -b], [b, a]]) / s) + k * cof
 

@@ -44,7 +44,7 @@ import numpy as np
 from .geometry import TriMesh
 from .linear_solver import (ProblemError, PressureWork, StiffnessPreconditioner, gather, gather_transpose,
                             pressure_work, project_gradient, zero_average)
-from .material import MaterialModel, density_components, dist_so2, g_mixed, rotation, stress_components
+from .material import MaterialModel, density_components, rotation, so2_fit, stress_components
 from .pressure import PressureField
 
 _ARMIJO_C = 1e-4
@@ -71,12 +71,6 @@ class SolveDiagnostics:
 
 def rigid_map(mesh: TriMesh, alpha: float) -> np.ndarray:
     return mesh.nodes @ rotation(alpha).T
-
-
-def deformation_gradients(mesh: TriMesh, y: np.ndarray):
-    """Per-triangle gradient (M, 2, 2) and determinant (M,) of a nodal map."""
-    f, det = gather(mesh, y)
-    return np.moveaxis(f, (0, 1), (1, 2)), det
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ def _energy_rounding_floor(mesh: TriMesh, material: MaterialModel, state: Energy
     ``state``: eps_mach times 4 |T| (c1 (d + d^2) + c2 (t + t^2)) per triangle,
     with d = dist(F, SO(2)) and t = |det F - 1|, plus |eps| times the size of
     the pressure work's terms."""
-    d = dist_so2(np.moveaxis(state.f, (0, 1), (1, 2)))
+    d = so2_fit(state.f)[0]
     t = np.abs(state.det - 1.0)
     elastic = 4.0 * float(mesh.areas @ (material.c1 * (d + d * d) + material.c2 * (t + t * t)))
     return float(np.finfo(float).eps) * (elastic + abs(eps) * state.work.size())
@@ -286,18 +280,3 @@ def minimize_energy(
         energy=f, grad_norm=float(np.linalg.norm(g)), iterations=iterations, backtracks=backtracks,
         admissibility_rejections=rejections, converged=converged, stop_reason=stop_reason,
     )
-
-
-def det_deviation_sq(mesh: TriMesh, y: np.ndarray) -> float:
-    """Integral of (det - 1)^2 over the region where |det - 1| <= 1."""
-    _, det = deformation_gradients(mesh, y)
-    dev = det - 1.0
-    mask = np.abs(dev) <= 1.0
-    return float(mesh.areas[mask] @ (dev[mask] ** 2))
-
-
-def gp_gradient_integral(mesh: TriMesh, material: MaterialModel, u: np.ndarray, eps: float) -> float:
-    """Integral of g_p(eps |grad u|) over the mesh (Frobenius norm per triangle)."""
-    G, _ = deformation_gradients(mesh, u)
-    mag = np.sqrt(np.einsum("tij,tij->t", G, G))
-    return float(mesh.areas @ g_mixed(eps * mag, material.p))

@@ -14,22 +14,12 @@ from typing import Callable
 import numpy as np
 
 from .geometry import TriMesh
-from .material import SKEW_GENERATOR, MaterialModel, rotation, wrap_angle
-from .nonlinear_solver import (
-    SolveDiagnostics,
-    admissible_start,
-    assemble_energy,
-    det_deviation_sq,
-    deformation_gradients,
-    gp_gradient_integral,
-    minimize_energy,
-    zero_average,
-)
-from .linear_solver import ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_load, solve_linearized
+from .material import SKEW_GENERATOR, MaterialModel, g_mixed, rotation, signed_angle, so2_fit, wrap_angle
+from .nonlinear_solver import SolveDiagnostics, admissible_start, assemble_energy, minimize_energy, zero_average
+from .linear_solver import (ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_load, gather,
+                            solve_linearized)
 from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, rotation_functional, second_variation
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -55,7 +45,8 @@ class StudyReport:
 
 def extract_rotation(mesh: TriMesh, y: np.ndarray) -> float:
     """Angle alpha* of the area-weighted least-squares rotation fit to grad y:
-    atan2(sum |T| b, sum |T| a), with a = F11 + F22 and b = F21 - F12.
+    atan2(sum |T| b, sum |T| a), with `so2_fit`'s a = F11 + F22 and
+    b = F21 - F12.
 
     At every p, alpha* is also the exact minimizer of the mixed penalty
     sum_T |T| g_p(d_T(alpha)), d_T(alpha) = |F_T - R(alpha)|, whenever
@@ -66,10 +57,8 @@ def extract_rotation(mesh: TriMesh, y: np.ndarray) -> float:
     |Omega| (1 - 2 delta)^2 / 2, against at most |Omega| delta^2 / 2 at
     alpha*.  Past 1/3 the fit is the definition.
     """
-    F, _ = deformation_gradients(mesh, y)
-    a = float(mesh.areas @ (F[:, 0, 0] + F[:, 1, 1]))
-    b = float(mesh.areas @ (F[:, 1, 0] - F[:, 0, 1]))
-    return wrap_angle(math.atan2(b, a))
+    _, a, b, _ = so2_fit(gather(mesh, y)[0])
+    return wrap_angle(math.atan2(float(mesh.areas @ b), float(mesh.areas @ a)))
 
 
 def rescaled_displacement(mesh: TriMesh, y: np.ndarray, alpha: float, eps: float) -> np.ndarray:
@@ -85,15 +74,35 @@ def rebuild_deformation(mesh: TriMesh, u: np.ndarray, alpha: float, eps: float) 
     return (mesh.nodes + eps * np.asarray(u, dtype=float)) @ rotation(alpha).T
 
 
+# ---------------------------------------------------------------------------
+# the gamma study's diagnostics, each reading gradients through `gather`
+
+
+def _gradient_norms(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
+    """Per-triangle Frobenius norm |grad u|."""
+    f, _ = gather(mesh, u)
+    return np.sqrt(np.einsum("ijt,ijt->t", f, f))
+
+
 def w1p_norm(mesh: TriMesh, u: np.ndarray, p: float) -> float:
     """Discrete Sobolev norm: lumped-mass |u|^p plus per-triangle |grad u|^p."""
     u = np.asarray(u, dtype=float)
     mag = np.hypot(u[:, 0], u[:, 1])
     val = float(mesh.node_masses @ mag ** p)
-    G, _ = deformation_gradients(mesh, u)
-    gm = np.sqrt(np.einsum("tij,tij->t", G, G))
-    val += float(mesh.areas @ gm ** p)
+    val += float(mesh.areas @ _gradient_norms(mesh, u) ** p)
     return val ** (1.0 / p)
+
+
+def det_deviation_sq(mesh: TriMesh, y: np.ndarray) -> float:
+    """Integral of (det - 1)^2 over the region where |det - 1| <= 1."""
+    dev = gather(mesh, y)[1] - 1.0
+    mask = np.abs(dev) <= 1.0
+    return float(mesh.areas[mask] @ (dev[mask] ** 2))
+
+
+def gp_gradient_integral(mesh: TriMesh, material: MaterialModel, u: np.ndarray, eps: float) -> float:
+    """Integral of g_p(eps |grad u|) over the mesh."""
+    return float(mesh.areas @ g_mixed(eps * _gradient_norms(mesh, u), material.p))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +308,7 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
                 "dist_to_optimal": optimal.distance(alpha),
                 "det_dev_sq_over_eps2": det_deviation_sq(mesh, y) / eps ** 2,
                 "gp_over_eps2": gp_gradient_integral(mesh, material, u, eps) / eps ** 2,
-                "u_dist_w1p": w1p_distance(mesh, u, u0, material.p),
+                "u_dist_w1p": w1p_norm(mesh, u - u0, material.p),
                 "u_norm_w1p": w1p_norm(mesh, u, material.p),
                 "iterations": diag.iterations,
                 "converged": diag.converged,
@@ -316,10 +325,6 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
         max(bounds) / min(bounds) if bounds and min(bounds) > 0.0 else None  # undefined when a minimum is zero
     )
     return report
-
-
-def w1p_distance(mesh: TriMesh, u: np.ndarray, v: np.ndarray, p: float) -> float:
-    return w1p_norm(mesh, np.asarray(u, float) - np.asarray(v, float), p)
 
 
 def refined_study(problem: Problem, plan: Plan) -> StudyReport:
@@ -339,7 +344,7 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
         def row(eps, y, diag, starts):
             alpha = extract_rotation(mesh, y)
             s_near = optimal.nearest(alpha)
-            a_off = _signed_offset(alpha, s_near)
+            a_off = signed_angle(alpha, s_near)
             return {
                 "energy_over_eps2": diag.energy / eps ** 2,
                 "alpha": alpha,
@@ -368,11 +373,6 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
         "optimal_arcs": [list(a) for a in optimal.arcs],
     }
     return report
-
-
-def _signed_offset(alpha: float, base: float) -> float:
-    d = (alpha - base) % TWO_PI
-    return d if d <= math.pi else d - TWO_PI
 
 
 def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from pressurelab import DomainSpec, MaterialModel, Polar, TriMesh, build_domain, polar_field, rotations
 from pressurelab.geometry import GAUSS, SIMPSON, edge_rule
-from pressurelab.linear_solver import _p1_gather, assemble_load, pressure_work, project_gradient
+from pressurelab.linear_solver import _p1_gather, assemble_load, gather, pressure_work, project_gradient
 from pressurelab.material import SKEW_GENERATOR, det2, g_mixed, g_mixed_ratio, rotation, stress_components, wrap_angle
-from pressurelab.nonlinear_solver import admissible_start, deformation_gradients
+from pressurelab.nonlinear_solver import admissible_start
 
 
 @pytest.fixture(scope="session")
@@ -304,11 +304,18 @@ def divergence_pair(mesh, pi, alpha0, u):
     return float(add_at_load(mesh, pi, alpha0) @ u), float(assemble_load(mesh, pi, alpha0) @ u)
 
 
+def batch_gradients(mesh, y):
+    """Per-triangle gradients (M, 2, 2) and determinants (M,) of a nodal map:
+    `gather`'s component-major gradient in the matrix formulation's layout."""
+    f, det = gather(mesh, y)
+    return np.moveaxis(f, (0, 1), (1, 2)), det
+
+
 def rotation_penalty(mesh, y, p):
     """alpha -> sum |T| g_p(dist(grad y, R(alpha))), its alpha-derivative, and the
     largest distance at a given angle: the objective that `extract_rotation`
     minimizes exactly while that distance is below 1/3."""
-    F, _ = deformation_gradients(mesh, y)
+    F, _ = batch_gradients(mesh, y)
     a = F[:, 0, 0] + F[:, 1, 1]
     b = F[:, 1, 0] - F[:, 0, 1]
     norm_sq = np.einsum("tij,tij->t", F, F)

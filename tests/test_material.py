@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pressurelab import MaterialModel, dist_so2, energy_density, g_mixed, quadratic_form, rotation, stress
-from pressurelab.material import SKEW_GENERATOR, _major, _so2_fit
+from pressurelab.material import SKEW_GENERATOR, _major, so2_fit
 
 
 def g_mixed_derivative(t, r):
@@ -18,7 +18,7 @@ def g_mixed_derivative(t, r):
 
 def closest_rotation(F):
     """The rotation nearest to F, from the kernels' own fit (cos, sin) = (a, b)/s."""
-    _, a, b, s = _so2_fit(_major(F))
+    _, a, b, s = so2_fit(_major(F))
     if np.any(s == 0.0):
         raise ValueError("closest rotation is not unique for this matrix")
     return np.moveaxis(np.array([[a, -b], [b, a]]) / s, (0, 1), (-2, -1))

@@ -14,7 +14,7 @@ from pressurelab.studies import almost_minimizer_scaling
 
 bump = quadrant_bump_pressure("strict")
 problem = Problem(mesh=build_domain(DomainSpec.four_lobe(resolution=24)), material=MaterialModel(), pi=bump,
-                  extension=extend_pressure(bump, None, 2.2, 1.0), resolution=24)
+                  extension=extend_pressure(bump, None, 2.2, 1.0))
 plan = Plan(grad_tol=1e-10, max_iter=2000, multistart_angles=(0.0, np.pi),
             eps_list=(0.08, 0.04, 0.02, 0.01), seed=1, rotation_grid=512, lambda_exponent=0.4)
 

@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -148,10 +147,11 @@ _STUDIES = {"gamma": "gamma_study", "refined": "refined_study", "lambda": "almos
 
 
 def _run_study(ctx: RunContext, kind: str) -> StudyReport:
+    """The study of `kind` at each of the config's resolutions, with each row labelled by its resolution."""
     merged = StudyReport(kind=kind, config_hash=ctx.hash)
     for res in ctx.study_resolutions:
         rep = getattr(studies, _STUDIES[kind])(ctx.problem(res), ctx.plan)
-        merged.rows.extend(rep.rows)
+        merged.rows.extend({"resolution": res, **row} for row in rep.rows)
         merged.limits[str(res)] = rep.limits
     return merged
 
@@ -159,22 +159,19 @@ def _run_study(ctx: RunContext, kind: str) -> StudyReport:
 def _study_command(ctx: RunContext, args, kind: str) -> dict:
     report = _run_study(ctx, kind)
     rows = [{k: v for k, v in row.items() if not isinstance(v, (list, dict))} for row in report.rows]
-    columns = [c for c in report.column_order()
-               if all(not isinstance(r.get(c), (list, dict)) for r in report.rows)]
-    _emit_csv(args.csv, columns, rows)
+    _emit_csv(args.csv, list(rows[0]), rows)
     if args.svg and kind == "gamma":
         eps = sorted({row["eps"] for row in report.rows}, reverse=True)
         series = {}
         for res in ctx.study_resolutions:
-            vals = [r.get("energy_over_eps2", math.nan) for r in report.rows if r["resolution"] == res]
-            series[f"res {res}"] = vals
+            series[f"res {res}"] = [r["energy_over_eps2"] for r in report.rows if r["resolution"] == res]
             series[f"limit {res}"] = [report.limits[str(res)]["min_E0"]] * len(eps)
         svgplot.line_chart(args.svg, eps, series, title="rescaled minima vs limit",
                            xlabel="eps", ylabel="E/eps^2", logx=True)
     elif args.svg:
         eps = [row["eps"] for row in report.rows]
         key = "offset_scaled" if kind == "refined" else "remainder_over_target"
-        svgplot.line_chart(args.svg, eps, {key: [row.get(key, math.nan) for row in report.rows]},
+        svgplot.line_chart(args.svg, eps, {key: [row[key] for row in report.rows]},
                            title=f"{kind} study", xlabel="eps", ylabel=key, logx=True)
     return dataclasses.asdict(report)
 

@@ -214,7 +214,7 @@ class RunContext:
         res = self.domain.resolution if resolution is None else resolution
         if res not in self._problems:
             mesh = build_domain(replace(self.domain, resolution=res))
-            self._problems[res] = Problem(mesh, self._material, self.pressure, lambda: self.pressure_extended, res)
+            self._problems[res] = Problem(mesh, self._material, self.pressure, lambda: self.pressure_extended)
         return self._problems[res]
 
     @property

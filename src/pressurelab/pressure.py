@@ -307,7 +307,7 @@ def _radial_potential(rho):
                     _OUTER_POTENTIAL(np.clip(rho - 2.0, 0.0, 1.0)))
 
 
-def quadrant_bump_pressure(variant: str = "strict") -> PressureField:
+def quadrant_bump_pressure(variant: str) -> PressureField:
     """Smooth nonnegative field psi(|x|) * rate(atan2(x2, x1)) on the first-quadrant
     outer lobe, with the angular rate of `variant`; its support is the radial
     band [1, 3] times the rate's angle interval."""

@@ -27,10 +27,6 @@ _CHUNK_POINTS = 1 << 16  # rotated polar angles per rate call in the rotation pr
 MIN_GRID = 64            # fewest angles of a grid scan
 
 
-class SmoothnessError(ValueError):
-    """Raised when an operation needs more smoothness than the field declares."""
-
-
 def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
     """Scalar golden-section minimization on [a, b]; returns (argmin, value)."""
     it = 0
@@ -85,7 +81,7 @@ class OptimalSet:
                         best, best_d = wrap_angle(end), d
         return best
 
-    def sample_angles(self, per_arc: int = 5) -> list[float]:
+    def sample_angles(self, per_arc: int) -> list[float]:
         out = list(self.angles)
         for lo, hi in self.arcs:
             out.extend(wrap_angle(x) for x in np.linspace(lo, hi, per_arc))
@@ -228,7 +224,7 @@ def rotation_functional(mesh: TriMesh, pi: PressureField, alpha: float) -> float
 def find_optimal_rotations(
     mesh: TriMesh,
     pi: PressureField,
-    grid_n: int = 1024,
+    grid_n: int,
 ) -> OptimalSet:
     """Grid scan plus golden-section refinement, with flat-arc merging.
 
@@ -253,16 +249,13 @@ def find_optimal_rotations(
             value_tolerance=tol, grid_step=TWO_PI / grid_n, grid_values=vals,
         )
 
-    # circular runs of tied grid points
-    runs: list[list[int]] = []
+    # circular runs of tied grid points; the minimum's index is always among them
     idx = np.flatnonzero(tied)
-    if len(idx):
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        pieces = np.split(idx, breaks + 1)
-        if len(pieces) > 1 and pieces[0][0] == 0 and pieces[-1][-1] == grid_n - 1:
-            pieces[0] = np.concatenate([pieces[-1] - grid_n, pieces[0]])
-            pieces = pieces[:-1]
-        runs = [list(p) for p in pieces]
+    pieces = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    if len(pieces) > 1 and pieces[0][0] == 0 and pieces[-1][-1] == grid_n - 1:
+        pieces[0] = np.concatenate([pieces[-1] - grid_n, pieces[0]])
+        pieces = pieces[:-1]
+    runs = [list(p) for p in pieces]
 
     arcs: list[tuple[float, float]] = []
     isolated_seeds: list[int] = []
@@ -326,5 +319,5 @@ def second_variation(mesh: TriMesh, pi: PressureField, alpha: float, a: float = 
     integral of (grad pi(R x) . R A x)(A x . n) with A = a J.
     """
     if not pi.is_smooth:
-        raise SmoothnessError("second variation needs a C^2 pressure field")
+        raise PressureError("second variation needs a C^2 pressure field")
     return float(boundary_profile(mesh, pi, [alpha], a)[1][0])

@@ -16,8 +16,7 @@ import numpy as np
 from .geometry import TriMesh
 from .material import SKEW_GENERATOR, MaterialModel, g_mixed, rotation, signed_angle, so2_fit, wrap_angle
 from .nonlinear_solver import SolveDiagnostics, admissible_start, assemble_energy, minimize_energy, zero_average
-from .linear_solver import (ProblemError, SolverError, StiffnessPreconditioner, apply_gauge, assemble_load, gather,
-                            solve_linearized)
+from .linear_solver import ProblemError, StiffnessPreconditioner, apply_gauge, assemble_load, gather, solve_linearized
 from .pressure import PressureField
 from .rotations import OptimalSet, find_optimal_rotations, rotation_functional, second_variation
 
@@ -29,14 +28,6 @@ class StudyReport:
     rows: list[dict] = field(default_factory=list)
     limits: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def column_order(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
-        return cols
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +104,12 @@ def gp_gradient_integral(mesh: TriMesh, material: MaterialModel, u: np.ndarray, 
 class Problem:
     """One fixed problem of a sweep: the mesh, the energy density, the pressure
     pi on the body and its `extension` pi_hat, given as a field or as a
-    function that builds it.  `resolution` labels the rows of a study (-1
-    when None)."""
+    function that builds it."""
 
     mesh: TriMesh
     material: MaterialModel
     pi: PressureField
     extension: PressureField | Callable[[], PressureField]
-    resolution: int | None = None
 
     @cached_property
     def pi_hat(self) -> PressureField:
@@ -242,37 +231,25 @@ def minimize_limit_energy(problem: Problem, angles: list[float]):
 # the three studies
 
 
-def _sweep(kind: str, problem: Problem, plan: Plan, setup) -> tuple[StudyReport, OptimalSet]:
-    """The eps-sweep shared by the studies; returns the report and the optimal set.
+def _sweep(problem: Problem, plan: Plan) -> tuple[OptimalSet, tuple, list[tuple]]:
+    """The eps-sweep shared by the studies; returns (optimal, limit, solves).
 
     The identity must be an optimal rotation: the energy subtracts pi_hat(x),
     so every rescaled energy is measured against the identity.  The limit is
     solved once, over ``plan.arc_samples`` angles per optimal arc, and
-    ``setup(optimal, limit, report)``, given that `minimize_limit_energy`
-    result, computes the study's limit quantities and returns its row
-    function ``row(eps, y, diagnostics, starts) -> dict``.  Per eps, in
-    descending order, one multistart minimization runs from the limit's
-    prediction R(alpha_k)(x + eps u0), so no start draws noise; the limit
-    solves and every minimization share the problem's one stiffness factor.
-    An eps whose solve raises SolverError becomes an error row and the sweep
-    goes on.
+    ``limit`` is that `minimize_limit_energy` result.  Per eps, in descending
+    order, one multistart minimization runs from the limit's prediction
+    R(alpha_k)(x + eps u0), so no start draws noise; ``solves`` holds its
+    (eps, y, diagnostics, starts).  The limit solves and every minimization
+    share the problem's one stiffness factor.
     """
     optimal = find_optimal_rotations(problem.mesh, problem.pi, grid_n=plan.rotation_grid)
     if optimal.distance(0.0) > optimal.grid_step:
         raise ProblemError("the identity rotation is not optimal for this configuration")
     limit = minimize_limit_energy(problem, optimal.sample_angles(per_arc=plan.arc_samples))
-    report = StudyReport(kind=kind, config_hash="")
-    row = setup(optimal, limit, report)
     u0 = limit[2]  # the limit minimizer's displacement
-    label = problem.resolution if problem.resolution is not None else -1
-    for eps in sorted(plan.eps_list, reverse=True):
-        try:
-            y, diag, starts = multistart_minimize(problem, eps, plan, u0)
-        except SolverError as exc:
-            report.rows.append({"resolution": label, "eps": eps, "error": str(exc)})
-            continue
-        report.rows.append({"resolution": label, "eps": eps, **row(eps, y, diag, starts)})
-    return report, optimal
+    solves = [(eps, *multistart_minimize(problem, eps, plan, u0)) for eps in sorted(plan.eps_list, reverse=True)]
+    return optimal, limit, solves
 
 
 def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
@@ -285,46 +262,40 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
     minimizer.
     """
     mesh, material = problem.mesh, problem.material
-
-    def setup(optimal, limit, report):
-        min_e0, alpha0, u0, e0_table, rot_load = limit
-        report.limits = {
-            "min_E0": min_e0,
-            "alpha0": alpha0,
-            "rotation_load_component": rot_load,
-            "E0_samples": e0_table,
-            "u0_norm_w1p": w1p_norm(mesh, u0, material.p),
-            "optimal_angles": list(optimal.angles),
-            "optimal_arcs": [list(a) for a in optimal.arcs],
-        }
-
-        def row(eps, y, diag, starts):
-            alpha = extract_rotation(mesh, y)
-            u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
-            return {
-                "energy": diag.energy,
-                "energy_over_eps2": diag.energy / eps ** 2,
-                "alpha": alpha,
-                "dist_to_optimal": optimal.distance(alpha),
-                "det_dev_sq_over_eps2": det_deviation_sq(mesh, y) / eps ** 2,
-                "gp_over_eps2": gp_gradient_integral(mesh, material, u, eps) / eps ** 2,
-                "u_dist_w1p": w1p_norm(mesh, u - u0, material.p),
-                "u_norm_w1p": w1p_norm(mesh, u, material.p),
-                "iterations": diag.iterations,
-                "converged": diag.converged,
-                "stop_reason": diag.stop_reason,
-                "gap_to_min_E0": abs(diag.energy / eps ** 2 - min_e0),
-                "starts": starts,
-            }
-        return row
-
-    report, _ = _sweep("gamma", problem, plan, setup)
-    bounds = [max(-row["energy"], 0.0) / row["eps"] ** 2 for row in report.rows if "energy" in row]
-    report.limits["scaling_constant_max"] = max(bounds) if bounds else 0.0
-    report.limits["scaling_constant_ratio"] = (
-        max(bounds) / min(bounds) if bounds and min(bounds) > 0.0 else None  # undefined when a minimum is zero
-    )
-    return report
+    optimal, (min_e0, alpha0, u0, e0_table, rot_load), solves = _sweep(problem, plan)
+    rows = []
+    for eps, y, diag, starts in solves:
+        alpha = extract_rotation(mesh, y)
+        u = apply_gauge(mesh, rescaled_displacement(mesh, y, alpha, eps))
+        rows.append({
+            "eps": eps,
+            "energy": diag.energy,
+            "energy_over_eps2": diag.energy / eps ** 2,
+            "alpha": alpha,
+            "dist_to_optimal": optimal.distance(alpha),
+            "det_dev_sq_over_eps2": det_deviation_sq(mesh, y) / eps ** 2,
+            "gp_over_eps2": gp_gradient_integral(mesh, material, u, eps) / eps ** 2,
+            "u_dist_w1p": w1p_norm(mesh, u - u0, material.p),
+            "u_norm_w1p": w1p_norm(mesh, u, material.p),
+            "iterations": diag.iterations,
+            "converged": diag.converged,
+            "stop_reason": diag.stop_reason,
+            "gap_to_min_E0": abs(diag.energy / eps ** 2 - min_e0),
+            "starts": starts,
+        })
+    bounds = [max(-row["energy"], 0.0) / row["eps"] ** 2 for row in rows]
+    return StudyReport(kind="gamma", config_hash="", rows=rows, limits={
+        "min_E0": min_e0,
+        "alpha0": alpha0,
+        "rotation_load_component": rot_load,
+        "E0_samples": e0_table,
+        "u0_norm_w1p": w1p_norm(mesh, u0, material.p),
+        "optimal_angles": list(optimal.angles),
+        "optimal_arcs": [list(a) for a in optimal.arcs],
+        "scaling_constant_max": max(bounds) if bounds else 0.0,
+        # undefined when a minimum is zero
+        "scaling_constant_ratio": max(bounds) / min(bounds) if bounds and min(bounds) > 0.0 else None,
+    })
 
 
 def refined_study(problem: Problem, plan: Plan) -> StudyReport:
@@ -339,31 +310,28 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
     if not problem.pi.is_smooth:
         raise ProblemError("refined study needs a C^2 pressure field")
     mesh = problem.mesh
-
-    def setup(optimal, limit, report):
-        def row(eps, y, diag, starts):
-            alpha = extract_rotation(mesh, y)
-            s_near = optimal.nearest(alpha)
-            a_off = signed_angle(alpha, s_near)
-            return {
-                "energy_over_eps2": diag.energy / eps ** 2,
-                "alpha": alpha,
-                "nearest_optimal": s_near,
-                "offset": a_off,
-                "offset_scaled": a_off / max(abs(a_off), math.sqrt(eps)),
-                "sqrt_eps": math.sqrt(eps),
-                "converged": diag.converged,
-                "stop_reason": diag.stop_reason,
-            }
-        return row
-
-    report, optimal = _sweep("refined", problem, plan, setup)
-    solved = [row for row in report.rows if "error" not in row]
-    scaled_seq = [row["offset_scaled"] for row in solved]
-    s_last = solved[-1]["nearest_optimal"] if solved else 0.0
+    optimal, _, solves = _sweep(problem, plan)
+    rows = []
+    for eps, y, diag, _ in solves:
+        alpha = extract_rotation(mesh, y)
+        s_near = optimal.nearest(alpha)
+        a_off = signed_angle(alpha, s_near)
+        rows.append({
+            "eps": eps,
+            "energy_over_eps2": diag.energy / eps ** 2,
+            "alpha": alpha,
+            "nearest_optimal": s_near,
+            "offset": a_off,
+            "offset_scaled": a_off / max(abs(a_off), math.sqrt(eps)),
+            "sqrt_eps": math.sqrt(eps),
+            "converged": diag.converged,
+            "stop_reason": diag.stop_reason,
+        })
+    scaled_seq = [row["offset_scaled"] for row in rows]
+    s_last = rows[-1]["nearest_optimal"] if rows else 0.0
     a0 = scaled_seq[-1] if scaled_seq else 0.0
     settled = len(scaled_seq) >= 2 and abs(scaled_seq[-1] - scaled_seq[-2]) <= 0.25 * (1.0 + abs(scaled_seq[-1]))
-    report.limits = {
+    return StudyReport(kind="refined", config_hash="", rows=rows, limits={
         "A0_scalar": a0,
         "A0_sequence": scaled_seq,
         "A0_settled": bool(settled),
@@ -371,8 +339,7 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
         "second_variation_at_limit": second_variation(mesh, problem.pi, s_last, a=a0),
         "optimal_angles": list(optimal.angles),
         "optimal_arcs": [list(a) for a in optimal.arcs],
-    }
-    return report
+    })
 
 
 def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
@@ -390,34 +357,29 @@ def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
     if problem.pi.params.get("variant") != "strict":
         raise ProblemError("the scaling study requires the strict bump variant")
     mesh, material, pi = problem.mesh, problem.material, problem.pi
-
-    def setup(optimal, limit, report):
-        min_e0, alpha0, disp_star, _, _ = limit
-        base_value = rotation_functional(mesh, pi, alpha0)
-        report.limits = {
-            "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,
-            "optimal_angles": list(optimal.angles),
-        }
-
-        def row(eps, _y, diag, starts):
-            lam = eps ** exponent
-            y = zero_average(mesh, rebuild_deformation(mesh, disp_star, alpha0 + lam, eps))
-            remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
-            energy = assemble_energy(mesh, material, problem.pi_hat, y, eps)
-            alpha_hat = extract_rotation(mesh, y)
-            dist = optimal.distance(alpha_hat)
-            return {
-                "lambda": lam,
-                "remainder": remainder,
-                "remainder_over_target": remainder / (lam ** 3 / eps),
-                "energy_over_eps2": energy / eps ** 2,
-                "min_energy_over_eps2": diag.energy / eps ** 2,
-                "gap_over_eps2": energy / eps ** 2 - diag.energy / eps ** 2,
-                "alpha_extracted": alpha_hat,
-                "dist_to_optimal": dist,
-                "dist_over_lambda": dist / lam,
-            }
-        return row
-
-    report, _ = _sweep("lambda", problem, plan, setup)
-    return report
+    optimal, (min_e0, alpha0, disp_star, _, _), solves = _sweep(problem, plan)
+    base_value = rotation_functional(mesh, pi, alpha0)
+    rows = []
+    for eps, _, diag, _ in solves:
+        lam = eps ** exponent
+        y = zero_average(mesh, rebuild_deformation(mesh, disp_star, alpha0 + lam, eps))
+        remainder = (rotation_functional(mesh, pi, alpha0 + lam) - base_value) / eps
+        energy = assemble_energy(mesh, material, problem.pi_hat, y, eps)
+        alpha_hat = extract_rotation(mesh, y)
+        dist = optimal.distance(alpha_hat)
+        rows.append({
+            "eps": eps,
+            "lambda": lam,
+            "remainder": remainder,
+            "remainder_over_target": remainder / (lam ** 3 / eps),
+            "energy_over_eps2": energy / eps ** 2,
+            "min_energy_over_eps2": diag.energy / eps ** 2,
+            "gap_over_eps2": energy / eps ** 2 - diag.energy / eps ** 2,
+            "alpha_extracted": alpha_hat,
+            "dist_to_optimal": dist,
+            "dist_over_lambda": dist / lam,
+        })
+    return StudyReport(kind="lambda", config_hash="", rows=rows, limits={
+        "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,
+        "optimal_angles": list(optimal.angles),
+    })

@@ -27,14 +27,14 @@ def _open(title: str) -> list[str]:
 
 def line_chart(path: str, x, series: dict[str, np.ndarray], title: str = "",
                xlabel: str = "", ylabel: str = "", logx: bool = False) -> None:
-    """Polylines of each series over x; NaN values (failed rows) are left out."""
+    """Polylines of each series over x."""
     x = np.asarray(x, dtype=float)
     if logx:
         x = np.log10(x)
     ys = {k: np.asarray(v, dtype=float) for k, v in series.items()}
     all_y = np.concatenate([v for v in ys.values()]) if ys else np.array([0.0, 1.0])
     x_lo, x_hi = float(x.min()), float(x.max())
-    y_lo, y_hi = float(np.nanmin(all_y)), float(np.nanmax(all_y))
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -55,7 +55,7 @@ def line_chart(path: str, x, series: dict[str, np.ndarray], title: str = "",
     )
     for i, (label, yv) in enumerate(ys.items()):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, yv) if not math.isnan(b))
+        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, yv))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_W - _MARGIN + 4}" y="{_MARGIN + 16 * (i + 1)}" font-family="monospace" '

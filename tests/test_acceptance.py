@@ -85,7 +85,7 @@ def bench_reports(material):
     reports = {}
     for res in (32, 64):
         mesh = build_domain(DomainSpec.disk(1.0, res))
-        reports[res] = gamma_study(Problem(mesh, material, const, hat, resolution=res), plan)
+        reports[res] = gamma_study(Problem(mesh, material, const, hat), plan)
     reports["elapsed"] = time.time() - t0
     return reports
 
@@ -96,7 +96,7 @@ def lambda_report(lobe64, material, strict_bump):
     plan = Plan(grad_tol=1e-11, max_iter=2000, multistart_angles=(0.0, np.pi), eps_list=tuple(EPS_LIST),
                 lambda_exponent=0.4, seed=2024, rotation_grid=1024)
     t0 = time.time()
-    rep = almost_minimizer_scaling(Problem(lobe64, material, strict_bump, hat, resolution=64), plan)
+    rep = almost_minimizer_scaling(Problem(lobe64, material, strict_bump, hat), plan)
     rep.meta["elapsed"] = time.time() - t0
     return rep
 

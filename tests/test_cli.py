@@ -12,10 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pressurelab import build_domain, rotations
+from pressurelab import build_domain, rotations, studies
 from pressurelab.cli import COMMANDS, _emit_json, main, run
 from pressurelab.config import MAX_RESOLUTION, REQUIRED, SCHEMA, ConfigError, Per, RunContext, config_hash
-from pressurelab.linear_solver import SolverError
 
 
 _LOBE_SCAN = dict(pressure={"name": "quadrant_bump", "variant": "flat"},
@@ -662,27 +661,6 @@ def test_seed_flag_is_checked_as_a_flag(tmp_path, capsys):
     assert err.count("--seed must be an integer of at least 0") == 3 and "Traceback" not in err, err
 
 
-def test_study_svg_with_an_error_row(tmp_path, monkeypatch):
-    # an eps whose solve fails is an error row; the chart leaves it out
-    import pressurelab.studies as ST
-
-    real = ST.multistart_minimize
-
-    def failing(problem, eps, plan, u0=None):
-        if eps == 0.02:
-            raise SolverError("forced failure")
-        return real(problem, eps, plan, u0)
-
-    monkeypatch.setattr(ST, "multistart_minimize", failing)
-    path = _write(tmp_path, _base_config())
-    out, svg_path = tmp_path / "g.json", tmp_path / "g.svg"
-    assert run("gamma-study", path, out=str(out), svg=str(svg_path)) == 0
-    rows = json.loads(out.read_text())["result"]["rows"]
-    assert [("error" in r) for r in rows] == [False, True]
-    ET.parse(svg_path)
-    assert "nan" not in svg_path.read_text()
-
-
 def test_seed_flag_changes_output(tmp_path):
     cfg = _base_config()
     path = _write(tmp_path, cfg)
@@ -769,14 +747,37 @@ def test_refined_study_command(tmp_path):
 
 
 def test_gamma_study_merges_resolutions(tmp_path):
+    # the CLI labels each row with its resolution; a study's own rows carry none
     cfg = _base_config(study={"resolutions": [8, 10], "rotation_grid": 128}, eps_list=[0.04])
     path = _write(tmp_path, cfg)
-    out = tmp_path / "multi.json"
-    assert run("gamma-study", path, out=str(out)) == 0
+    out, csv_path = tmp_path / "multi.json", tmp_path / "multi.csv"
+    assert run("gamma-study", path, out=str(out), csv_path=str(csv_path)) == 0
     doc = json.loads(out.read_text())
     rows = doc["result"]["rows"]
-    assert sorted({r["resolution"] for r in rows}) == [8, 10]
+    assert [r["resolution"] for r in rows] == [8, 10]
     assert set(doc["result"]["limits"]) == {"8", "10"}
+    assert csv_path.read_text().startswith("resolution,eps,")
+    ctx = RunContext.from_config(cfg)
+    direct = studies.gamma_study(ctx.problem(8), ctx.plan)
+    assert [r["eps"] for r in direct.rows] == [0.04]
+    assert all("resolution" not in r and "error" not in r for r in direct.rows)
+
+
+def test_conjugate_gradient_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # the one SolverError: the limit solve's iteration cap, met before any eps is solved
+    from pressurelab import linear_solver
+
+    monkeypatch.setattr(linear_solver, "_CG_MAX_ITER", 1)
+    cfg = _base_config(pressure={"name": "quadrant_bump", "variant": "strict"},
+                       domain={"kind": "four_lobe", "params": {}, "resolution": 8},
+                       study={"resolutions": [8], "rotation_grid": 128})
+    path = _write(tmp_path, cfg)
+    for command in ("gamma-study", "solve-linear"):
+        out = tmp_path / f"{command}.json"
+        assert run(command, path, out=str(out)) == 3
+        err = capsys.readouterr().err
+        assert "solver error: conjugate gradient did not converge" in err and "Traceback" not in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["--out", "--csv", "--svg"])

@@ -1,5 +1,7 @@
-"""The package's modules share only public names: a kernel that another
-module reads is public, or it stays in its own module."""
+"""The package's module structure.  Its modules share only public names: a
+kernel that another module reads is public, or it stays in its own module.
+Only the run boundary (`cli`, `config`) catches an exception: everywhere else
+an error surfaces to it."""
 
 import ast
 from pathlib import Path
@@ -29,4 +31,20 @@ def test_no_module_reads_a_private_name_of_another():
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules and _private(node.attr)):
                 offenders.append(f"{path.name} reads {node.value.id}.{node.attr}")
+    assert offenders == []
+
+
+def test_only_the_run_boundary_catches_exceptions():
+    # cli and config turn errors into exit codes; a catch elsewhere would swallow one
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("cli.py", "config.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler):
+                offenders.append(f"{path.name}:{node.lineno} except")
+            elif isinstance(node, ast.Attribute) and node.attr == "suppress":
+                offenders.append(f"{path.name}:{node.lineno} suppress")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "suppress" for a in node.names):
+                offenders.append(f"{path.name}:{node.lineno} imports suppress")
     assert offenders == []

@@ -14,7 +14,7 @@ from pressurelab.nonlinear_solver import rigid_map
 from pressurelab.pressure import PressureError
 from pressurelab.geometry import GAUSS, SIMPSON, edge_rule
 from pressurelab.material import SKEW_GENERATOR, angular_distance, rotation, wrap_angle
-from pressurelab.rotations import OptimalSet, SmoothnessError, boundary_profile, golden_section_min, rotation_functional_profile
+from pressurelab.rotations import OptimalSet, boundary_profile, golden_section_min, rotation_functional_profile
 
 from conftest import angular_total, hessian, interior_rule, rotation_sweep_value, support_rows, work_slope
 
@@ -226,7 +226,7 @@ def test_second_variation_matches_sweep_curvature(lobe32, strict_bump):
 
 
 def test_second_variation_needs_smoothness(disk16):
-    with pytest.raises(SmoothnessError):
+    with pytest.raises(PressureError, match="C\\^2"):
         second_variation(disk16, builtin_pressure("hydrostatic", {"coefficient": 1.0}), 0.0, 1.0)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from pressurelab import DomainSpec, build_domain, builtin_pressure, extend_pressure, quadrant_bump_pressure
 from pressurelab.config import RunContext
-from pressurelab.linear_solver import SolverError, assemble_load, gather
+from pressurelab.linear_solver import assemble_load, gather
 from pressurelab.material import angular_distance, g_mixed
 from pressurelab.nonlinear_solver import assemble_energy, assemble_gradient, rigid_map, zero_average
 from pressurelab.rotations import find_optimal_rotations
@@ -189,7 +189,7 @@ def bench_report(disk16, default_material, bench_fields):
     const, hat = bench_fields
     plan = Plan(grad_tol=1e-12, max_iter=4000, multistart_angles=(0.0,),
                 eps_list=(0.08, 0.04, 0.02, 0.01), seed=7, rotation_grid=128)
-    return gamma_study(Problem(disk16, default_material, const, hat, resolution=16), plan)
+    return gamma_study(Problem(disk16, default_material, const, hat), plan)
 
 
 def test_gamma_study_energy_window(bench_report):
@@ -229,7 +229,7 @@ def test_gamma_sweep_reaches_grad_tol(disk16, default_material, bench_fields, mo
         return fld, diag
 
     monkeypatch.setattr(ST, "minimize_energy", recording)
-    problem = Problem(disk16, default_material, const, hat, resolution=16)
+    problem = Problem(disk16, default_material, const, hat)
     area = float(disk16.areas.sum())
     for seed in (601032, 602016):
         plan = Plan(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,),
@@ -260,7 +260,7 @@ def test_noisy_start_reaches_grad_tol(disk16, default_material, bench_fields, mo
         return fld, diag
 
     monkeypatch.setattr(ST, "minimize_energy", recording)
-    problem = Problem(disk16, default_material, const, hat, resolution=16)
+    problem = Problem(disk16, default_material, const, hat)
     area = float(disk16.areas.sum())
     for seed in (601032, 602016):
         plan = Plan(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,), seed=seed)
@@ -313,7 +313,7 @@ def test_gamma_sweep_starts_at_the_limit_prediction(disk16, default_material, be
     const, hat = bench_fields
     plan = Plan(grad_tol=1e-13, max_iter=20000, multistart_angles=(0.0,),
                 eps_list=(0.08, 0.04, 0.02, 0.01), seed=601032, rotation_grid=256)
-    rep = gamma_study(Problem(disk16, default_material, const, hat, resolution=16), plan)
+    rep = gamma_study(Problem(disk16, default_material, const, hat), plan)
     assert len(rep.rows) == 4
     for row in rep.rows:
         assert row["stop_reason"] == "gradient" and row["iterations"] <= 6
@@ -371,7 +371,7 @@ def test_strict_multistart_finds_optimal_rotations(lobe16, default_material, bum
     bump, hat = bump_fields
     plan = Plan(grad_tol=1e-10, max_iter=900, multistart_angles=(0.0, np.pi / 2, np.pi, 3 * np.pi / 2),
                 eps_list=(0.02, 0.01), seed=11, rotation_grid=512)
-    rep = gamma_study(Problem(lobe16, default_material, bump, hat, resolution=16), plan)
+    rep = gamma_study(Problem(lobe16, default_material, bump, hat), plan)
     for row in rep.rows:
         assert row["dist_to_optimal"] <= 2.0 * np.pi / 512
         assert row["energy"] <= 1e-10  # the infimum is zero for this load
@@ -382,7 +382,7 @@ def test_refined_study_tracks_fluctuations(lobe16, default_material, bump_fields
     bump, hat = bump_fields
     plan = Plan(grad_tol=1e-10, max_iter=600, multistart_angles=(0.0,), eps_list=(0.04, 0.01),
                 seed=13, rotation_grid=512)
-    rep = refined_study(Problem(lobe16, default_material, bump, hat, resolution=16), plan)
+    rep = refined_study(Problem(lobe16, default_material, bump, hat), plan)
     assert -1.0 <= rep.limits["A0_scalar"] <= 1.0
     for row in rep.rows:
         assert -1.0 <= row["offset_scaled"] <= 1.0
@@ -400,7 +400,7 @@ def lambda_report(lobe16, default_material, bump_fields):
     bump, hat = bump_fields
     plan = Plan(grad_tol=1e-10, max_iter=900, multistart_angles=(0.0, np.pi),
                 eps_list=(0.08, 0.04, 0.02, 0.01), lambda_exponent=0.4, seed=17, rotation_grid=512)
-    return almost_minimizer_scaling(Problem(lobe16, default_material, bump, hat, resolution=16), plan)
+    return almost_minimizer_scaling(Problem(lobe16, default_material, bump, hat), plan)
 
 
 def test_lambda_study_remainder_ratio_window(lambda_report):
@@ -441,35 +441,6 @@ def test_multistart_reports_all_starts(disk16, default_material, bench_fields):
     fld, diag, table = multistart_minimize(Problem(disk16, default_material, const, hat), 0.02, plan)
     assert len(table) == 2
     assert diag.energy <= min(row["energy"] for row in table) + 1e-15
-
-
-def test_gamma_study_records_per_eps_failures(disk16, default_material, bench_fields, monkeypatch):
-    import pressurelab.studies as ST
-
-    const, hat = bench_fields
-    real = ST.multistart_minimize
-    failure = SolverError
-
-    def flaky(problem, eps, plan, u0=None):
-        if eps == 0.04:
-            raise failure("synthetic failure")
-        return real(problem, eps, plan, u0)
-
-    monkeypatch.setattr(ST, "multistart_minimize", flaky)
-    problem = Problem(disk16, default_material, const, hat, resolution=16)
-    plan = Plan(grad_tol=1e-8, max_iter=400, multistart_angles=(0.0,), eps_list=(0.04, 0.02),
-                seed=1, rotation_grid=128)
-    rep = ST.gamma_study(problem, plan)
-    errors = [r for r in rep.rows if "error" in r]
-    solved = [r for r in rep.rows if "energy" in r]
-    assert errors == [{"resolution": 16, "eps": 0.04, "error": "synthetic failure"}]
-    assert len(solved) == 1 and solved[0]["eps"] == 0.02
-    assert rep.limits["scaling_constant_ratio"] == 1.0  # from the solved row only
-
-    # any other exception is a fault of the program, not of one eps: it propagates
-    failure = RuntimeError
-    with pytest.raises(RuntimeError, match="synthetic failure"):
-        ST.gamma_study(problem, plan)
 
 
 def test_gamma_study_requires_optimal_identity(default_material, monkeypatch):
@@ -629,7 +600,7 @@ def test_gamma_study_of_a_loaded_body_is_first_order_in_eps(lobe16, default_mate
     pi = quadratic_field()
     plan = Plan(grad_tol=1e-11, max_iter=2000, multistart_angles=(0.0, np.pi), eps_list=(0.08, 0.04, 0.02, 0.01),
                 rotation_grid=1024)
-    rep = gamma_study(Problem(lobe16, default_material, pi, extend_pressure(pi, None, 2.2, 1.0), 16), plan)
+    rep = gamma_study(Problem(lobe16, default_material, pi, extend_pressure(pi, None, 2.2, 1.0)), plan)
     assert len(rep.rows) == 4 and all(row["converged"] for row in rep.rows)
     assert rep.limits["optimal_arcs"] == [] and len(rep.limits["optimal_angles"]) == 2
     for key in ("gap_to_min_E0", "u_dist_w1p"):

@@ -148,7 +148,7 @@ _STUDIES = {"gamma": "gamma_study", "refined": "refined_study", "lambda": "almos
 
 def _run_study(ctx: RunContext, kind: str) -> StudyReport:
     """The study of `kind` at each of the config's resolutions, with each row labelled by its resolution."""
-    merged = StudyReport(kind=kind, config_hash=ctx.hash)
+    merged = StudyReport()
     for res in ctx.study_resolutions:
         rep = getattr(studies, _STUDIES[kind])(ctx.problem(res), ctx.plan)
         merged.rows.extend({"resolution": res, **row} for row in rep.rows)

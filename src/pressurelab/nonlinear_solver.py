@@ -140,24 +140,17 @@ def admissible_start(mesh: TriMesh, alpha: float, offset: np.ndarray) -> np.ndar
     return zero_average(mesh, base)
 
 
-def minimize_energy(
-    mesh: TriMesh,
-    material: MaterialModel,
-    pi_hat: PressureField,
-    eps: float,
-    init: np.ndarray,
-    grad_tol: float = 1e-9,
-    max_iter: int = 5000,
-    precond: StiffnessPreconditioner | None = None,
-    frame_angle: float = 0.0,
-) -> tuple[np.ndarray, SolveDiagnostics]:
+def minimize_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureField, eps: float, init: np.ndarray, *,
+                    grad_tol: float, max_iter: int, precond: StiffnessPreconditioner,
+                    frame_angle: float = 0.0) -> tuple[np.ndarray, SolveDiagnostics]:
     """Minimize the energy from an admissible start by preconditioned L-BFGS.
 
-    The L-BFGS seed applies the stiffness factor ``precond`` (built here when
-    not given) in the rotation frame ``frame_angle`` of the start.  Accepted
-    energies are nonincreasing except at a derivative-accepted step, which
-    raises the energy by at most `_energy_rounding_floor` (module docstring).
-    Returns the final deformation (N, 2) and diagnostics; ``converged`` is true
+    The caller gives the tolerance, the iteration cap and the stiffness factor
+    ``precond`` (`studies.Problem.factor`), which the L-BFGS seed applies in
+    the rotation frame ``frame_angle`` of the start.  Accepted energies are
+    nonincreasing except at a derivative-accepted step, which raises the
+    energy by at most `_energy_rounding_floor` (module docstring).  Returns
+    the final deformation (N, 2) and diagnostics; ``converged`` is true
     exactly when the gradient test passed.  Hitting the iteration cap or a
     line search that finds no step is reported through
     ``converged``/``stop_reason`` rather than raised.
@@ -175,8 +168,6 @@ def minimize_energy(
     f, state = energy_at(z)
     if not math.isfinite(f):
         raise ProblemError("initial deformation is inadmissible")
-    if precond is None:
-        precond = StiffnessPreconditioner(mesh, material)
     g = gradient_at(z, state)
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []

@@ -27,7 +27,7 @@ _CHUNK_POINTS = 1 << 16  # rotated polar angles per rate call in the rotation pr
 MIN_GRID = 64            # fewest angles of a grid scan
 
 
-def golden_section_min(f, a: float, b: float, tol: float = 1e-10):
+def golden_section_min(f, a: float, b: float, tol: float):
     """Scalar golden-section minimization on [a, b]; returns (argmin, value)."""
     it = 0
     c = b - GOLDEN * (b - a)

@@ -23,11 +23,9 @@ from .rotations import OptimalSet, find_optimal_rotations, rotation_functional, 
 
 @dataclass
 class StudyReport:
-    kind: str
-    config_hash: str
+    """A study's run-JSON `result`: its rows and its limits."""
     rows: list[dict] = field(default_factory=list)
     limits: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ def gamma_study(problem: Problem, plan: Plan) -> StudyReport:
             "starts": starts,
         })
     bounds = [max(-row["energy"], 0.0) / row["eps"] ** 2 for row in rows]
-    return StudyReport(kind="gamma", config_hash="", rows=rows, limits={
+    return StudyReport(rows, {
         "min_E0": min_e0,
         "alpha0": alpha0,
         "rotation_load_component": rot_load,
@@ -331,7 +329,7 @@ def refined_study(problem: Problem, plan: Plan) -> StudyReport:
     s_last = rows[-1]["nearest_optimal"] if rows else 0.0
     a0 = scaled_seq[-1] if scaled_seq else 0.0
     settled = len(scaled_seq) >= 2 and abs(scaled_seq[-1] - scaled_seq[-2]) <= 0.25 * (1.0 + abs(scaled_seq[-1]))
-    return StudyReport(kind="refined", config_hash="", rows=rows, limits={
+    return StudyReport(rows, {
         "A0_scalar": a0,
         "A0_sequence": scaled_seq,
         "A0_settled": bool(settled),
@@ -379,7 +377,7 @@ def almost_minimizer_scaling(problem: Problem, plan: Plan) -> StudyReport:
             "dist_to_optimal": dist,
             "dist_over_lambda": dist / lam,
         })
-    return StudyReport(kind="lambda", config_hash="", rows=rows, limits={
+    return StudyReport(rows, {
         "alpha0": alpha0, "min_E0": min_e0, "exponent": exponent,
         "optimal_angles": list(optimal.angles),
     })

@@ -13,7 +13,7 @@ from conftest import batch_gradients, fancy_gather, fancy_gradient, noisy_start
 
 from pressurelab import DomainSpec, MaterialModel, build_domain, builtin_pressure, extend_pressure, nonlinear_solver, rotations
 from pressurelab.geometry import SIMPSON, edge_rule
-from pressurelab.linear_solver import _p1_gather, gather, gather_transpose
+from pressurelab.linear_solver import StiffnessPreconditioner, _p1_gather, gather, gather_transpose
 from pressurelab.material import g_mixed
 from pressurelab.nonlinear_solver import (
     assemble_energy,
@@ -189,11 +189,13 @@ def test_a_solve_that_reuses_evaluation_states_matches_one_that_gathers_afresh(d
     # included, must come from that step's own energy evaluation
     hat = _extended(builtin_pressure("constant", {"value": 0.1}), disk16)
     init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
-    y, diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init, grad_tol=1e-13)
+    factor = StiffnessPreconditioner(disk16, MATERIALS[0])
+    y, diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init, grad_tol=1e-13, max_iter=5000, precond=factor)
     assert diags.converged and diags.backtracks > 0
     reusing = nonlinear_solver.assemble_gradient
     monkeypatch.setattr(nonlinear_solver, "assemble_gradient", lambda *args: reusing(*args[:5]))
-    fresh_y, fresh_diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init, grad_tol=1e-13)
+    fresh_y, fresh_diags = minimize_energy(disk16, MATERIALS[0], hat, 0.04, init,
+                                           grad_tol=1e-13, max_iter=5000, precond=factor)
     assert np.array_equal(y, fresh_y) and diags == fresh_diags
 
 
@@ -204,9 +206,10 @@ def test_operators_are_built_once_per_mesh_and_only_by_the_solvers():
     assert "p1" not in mesh.tables  # the rotation layer gathers no P1 values
     hat = _extended(pi, mesh)
     rng = np.random.default_rng(2)
-    minimize_energy(mesh, MATERIALS[0], hat, 0.05, noisy_start(mesh, 0.3, 1e-3, rng), max_iter=5)
+    solve = dict(grad_tol=1e-9, max_iter=5, precond=StiffnessPreconditioner(mesh, MATERIALS[0]))
+    minimize_energy(mesh, MATERIALS[0], hat, 0.05, noisy_start(mesh, 0.3, 1e-3, rng), **solve)
     ops = mesh.tables["p1"]
-    minimize_energy(mesh, MATERIALS[0], hat, 0.05, noisy_start(mesh, 1.3, 1e-3, rng), max_iter=5)
+    minimize_energy(mesh, MATERIALS[0], hat, 0.05, noisy_start(mesh, 1.3, 1e-3, rng), **solve)
     assert mesh.tables["p1"] is ops
 
 
@@ -223,8 +226,9 @@ def test_the_reference_sums_are_evaluated_once_per_mesh_and_field(disk16):
 
     counted = dataclasses.replace(hat, potential=counting)
     init = noisy_start(disk16, 0.3, 1e-3 * disk16.diameter, np.random.default_rng(8))
+    factor = StiffnessPreconditioner(disk16, MATERIALS[0])
     for _ in range(2):
-        minimize_energy(disk16, MATERIALS[0], counted, 0.04, init, max_iter=5)
+        minimize_energy(disk16, MATERIALS[0], counted, 0.04, init, grad_tol=1e-9, max_iter=5, precond=factor)
     assert sum(at_reference) == 1 and len(at_reference) > 2
 
 

@@ -22,7 +22,7 @@ from pressurelab.material import SKEW_GENERATOR, rotation
 from pressurelab.nonlinear_solver import assemble_energy
 from pressurelab.studies import Problem, minimize_limit_energy
 
-from conftest import add_at_load, divergence_pair, kron_stiffness, work_slope
+from conftest import add_at_load, divergence_pair, kron_stiffness, quadratic_field, work_slope
 
 
 def strain_energy(mesh, material, u):
@@ -320,3 +320,50 @@ def test_constant_pressure_limit_is_p1_exact(spec, p0):
     assert abs(e0 - want) <= 1e-12 * abs(want)
     assert np.max(np.abs(disp - beta * mesh.nodes)) <= 1e-9 * abs(beta)
     assert table[0]["E0"] == table[1]["E0"]
+
+
+def _annulus_limit(s, b, mu, lam):
+    """E0 = -1/2 integral of sigma : C^-1 sigma on the annulus (1, 2) under the
+    pressure s rho^2 (1 + b sin 2 theta), from the stresses alone: the traction
+    -pi n on both circles gives sigma_rr = -pi and sigma_rtheta = 0 there.
+    Mode 0 is Lame's, Airy A log r + B r^2; mode 2 is Michell's, Airy
+    f(r) sin 2 theta with f = a r^2 + b r^4 + c r^-2 + d (Barber, Elasticity,
+    ch. 8).  The 2D compliance is C^-1 sigma = (sigma - lam/(2(mu + lam)) tr
+    sigma I)/(2 mu); the modes are orthogonal in theta."""
+    r, w = np.polynomial.legendre.leggauss(20)
+    r, w = 1.5 + 0.5 * r, 0.5 * w
+
+    def radial_integral(srr, stt, srt):  # integral over [1, 2] of sigma : C^-1 sigma r dr
+        density = srr ** 2 + stt ** 2 + 2.0 * srt ** 2 - lam / (2.0 * (mu + lam)) * (srr + stt) ** 2
+        return w @ (r * density) / (2.0 * mu)
+
+    A, B = 4.0 * s, -2.5 * s  # sigma_rr = A/r^2 + 2B = -s r^2 at r = 1 and r = 2
+    mode0 = 2.0 * math.pi * radial_integral(A / r ** 2 + 2.0 * B, -A / r ** 2 + 2.0 * B, 0.0 * r)
+    # per r in (1, 2): the sin 2 theta coefficient of sigma_rr = f'/r - 4 f/r^2 is
+    # -s b r^2, and (f/r)' = 0, so that sigma_rtheta = -2 (f/r)' cos 2 theta vanishes
+    rows, rhs = [], []
+    for rr in (1.0, 2.0):
+        rows += [[-2.0, 0.0, -6.0 / rr ** 4, -4.0 / rr ** 2], [1.0, 3.0 * rr ** 2, -3.0 / rr ** 4, -1.0 / rr ** 2]]
+        rhs += [-s * b * rr ** 2, 0.0]
+    ca, cb, cc, cd = np.linalg.solve(np.array(rows), rhs)
+    f = ca * r ** 2 + cb * r ** 4 + cc / r ** 2 + cd
+    df = 2.0 * ca * r + 4.0 * cb * r ** 3 - 2.0 * cc / r ** 3
+    ddf = 2.0 * ca + 12.0 * cb * r ** 2 + 6.0 * cc / r ** 4
+    mode2 = math.pi * radial_integral(df / r - 4.0 * f / r ** 2, ddf, -2.0 * (df / r - f / r ** 2))
+    return -0.5 * (mode0 + mode2)
+
+
+def test_loaded_annulus_limit_converges_to_the_closed_form(default_material):
+    # the limit of a loaded body against an exact value, not only against its
+    # own refinements: P1 energies converge at O(h^2), so each halving of h
+    # cuts the error by about 4
+    exact = _annulus_limit(0.1, 0.5, default_material.c1 / 2.0, default_material.c2)
+    assert abs(exact - (-1.9412425)) <= 1e-7  # the Chebyshev-Ritz value
+    pi = quadratic_field()
+    errors = []
+    for res in (8, 16, 32):
+        mesh = build_domain(DomainSpec.annulus(1.0, 2.0, res))
+        errors.append(abs(solve_linearized(StiffnessPreconditioner(mesh, default_material),
+                                           assemble_load(mesh, pi, 0.0))[1] - exact))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.4 <= coarse / fine <= 4.6, errors

@@ -22,6 +22,11 @@ from conftest import identity_map, noisy_start
 
 
 @pytest.fixture(scope="module")
+def factor16(disk16, default_material):
+    return StiffnessPreconditioner(disk16, default_material)
+
+
+@pytest.fixture(scope="module")
 def const_hat():
     return extend_pressure(builtin_pressure("constant", {"value": 0.1}), None, 1.1, 0.5)
 
@@ -136,10 +141,11 @@ def test_gradient_rejects_inadmissible_state(disk16, default_material, const_hat
         assemble_gradient(disk16, default_material, const_hat, y, 0.01)
 
 
-def test_minimize_recovers_rigid_state(disk16, default_material):
+def test_minimize_recovers_rigid_state(disk16, default_material, factor16):
     zero_hat = builtin_pressure("zero")
     init = noisy_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
-    y, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init, grad_tol=1e-10)
+    y, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init,
+                              grad_tol=1e-10, max_iter=5000, precond=factor16)
     assert diag.energy <= 1e-12
     assert np.all(gather(disk16, y)[1] > 0.0)
     assert diag.converged
@@ -156,7 +162,7 @@ def test_minimize_benchmark_energy_window(disk16, default_material, const_hat):
     assert abs(diag.energy / eps ** 2 + np.pi * 0.01 / 3.0) < 1e-3
 
 
-def test_minimize_monotone_descent_and_admissibility(disk16, default_material, const_hat, monkeypatch):
+def test_minimize_monotone_descent_and_admissibility(disk16, default_material, const_hat, factor16, monkeypatch):
     # Accepted energies may rise only at a derivative-accepted step, and by at
     # most the rounding floor at the iterate it leaves.  A rise fails Armijo,
     # so the step's line search took the derivative test, which first computes
@@ -174,14 +180,14 @@ def test_minimize_monotone_descent_and_admissibility(disk16, default_material, c
         init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(seed))
         e0 = assemble_energy(disk16, default_material, const_hat, init, 0.05)
         y, diag = minimize_energy(disk16, default_material, const_hat, 0.05, init,
-                                  grad_tol=1e-10, max_iter=500)
+                                  grad_tol=1e-10, max_iter=500, precond=factor16)
         assert diag.energy <= e0
         assert np.all(gather(disk16, y)[1] > 0.0)
         hist, computed = [], []
         for k in range(diag.iterations + 1):  # the accepted energies, from the same solve cut after k iterations
             floors.clear()
             hist.append(minimize_energy(disk16, default_material, const_hat, 0.05, init,
-                                        grad_tol=1e-10, max_iter=k)[1].energy)
+                                        grad_tol=1e-10, max_iter=k, precond=factor16)[1].energy)
             computed.append(list(floors))
         assert hist[-1] == diag.energy
         for k in np.flatnonzero(np.diff(hist) > 0.0):
@@ -205,11 +211,11 @@ def test_rounding_floor_fits_the_energy_sum(disk16, default_material, noise):
         assert floor <= 1e-17
 
 
-def test_minimize_rejects_inadmissible_init(disk16, default_material, const_hat):
+def test_minimize_rejects_inadmissible_init(disk16, default_material, const_hat, factor16):
     y = identity_map(disk16).copy()
     y[:, 0] *= -1.0
     with pytest.raises(ValueError):
-        minimize_energy(disk16, default_material, const_hat, 0.01, y)
+        minimize_energy(disk16, default_material, const_hat, 0.01, y, grad_tol=1e-9, max_iter=5000, precond=factor16)
 
 
 def test_zero_average_is_projection(disk16):
@@ -240,12 +246,13 @@ def test_rigid_start_is_admissible_on_thin_meshes(lobe16):
     assert np.max(np.abs(mean)) < 1e-12
 
 
-def test_minimize_reaches_tight_tolerance_at_rigid_state(disk16, default_material):
+def test_minimize_reaches_tight_tolerance_at_rigid_state(disk16, default_material, factor16):
     # without load the energy near the rigid minimizer stops resolving descent
     # long before |g| reaches 1e-12; the solve must still end on the gradient test
     zero_hat = builtin_pressure("zero")
     init = noisy_start(disk16, 0.7, 1e-3 * disk16.diameter, np.random.default_rng(5))
-    y, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init, grad_tol=1e-12)
+    y, diag = minimize_energy(disk16, default_material, zero_hat, 0.05, init,
+                              grad_tol=1e-12, max_iter=5000, precond=factor16)
     assert diag.stop_reason == "gradient" and diag.converged
     assert diag.grad_norm <= 1e-12 * (1.0 + abs(diag.energy))
     assert np.all(gather(disk16, y)[1] > 0.0)
@@ -290,10 +297,10 @@ def test_converged_derivative_candidate_ends_the_search(disk16, default_material
         assert names.count("assemble_energy") == names.count("assemble_gradient"), eps
 
 
-def test_stalled_or_capped_solve_is_not_converged(disk16, default_material, const_hat):
+def test_stalled_or_capped_solve_is_not_converged(disk16, default_material, const_hat, factor16):
     init = noisy_start(disk16, 0.0, 1e-3 * disk16.diameter, np.random.default_rng(6))
     _, diag = minimize_energy(disk16, default_material, const_hat, 0.05, init,
-                              grad_tol=1e-12, max_iter=2)
+                              grad_tol=1e-12, max_iter=2, precond=factor16)
     assert diag.stop_reason == "maxiter" and not diag.converged
 
 

@@ -1,7 +1,8 @@
 """The package's module structure.  Its modules share only public names: a
 kernel that another module reads is public, or it stays in its own module.
 Only the run boundary (`cli`, `config`) catches an exception: everywhere else
-an error surfaces to it."""
+an error surfaces to it.  Only `studies` (`Problem.factor`) builds a stiffness
+factor: every solver takes the factor it applies from its caller."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,16 @@ def test_only_the_run_boundary_catches_exceptions():
             elif isinstance(node, ast.ImportFrom) and any(a.name == "suppress" for a in node.names):
                 offenders.append(f"{path.name}:{node.lineno} imports suppress")
     assert offenders == []
+
+
+def test_only_studies_builds_a_stiffness_factor():
+    # one factorization per mesh: `Problem.factor`, which the limit solves and every L-BFGS seed share
+    builders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "StiffnessPreconditioner":
+                    builders.append(f"{path.name}:{node.lineno}")
+    assert [site.split(":")[0] for site in builders] == ["studies.py"], builders

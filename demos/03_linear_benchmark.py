@@ -20,7 +20,7 @@ beta = -p0 / (material.c1 + 2 * material.c2)
 e_exact = -np.pi * p0 ** 2 / (material.c1 + 2 * material.c2)
 for res in (16, 32, 64):
     mesh = build_domain(DomainSpec.disk(1.0, res))
-    problem = Problem(mesh, material, pi=const, extension=const)  # the limit solves read no pi_hat
+    problem = Problem(mesh, material, pi=const, pi_hat=const)  # the limit solves read no pi_hat
     e0, _, disp, _, _ = minimize_limit_energy(problem, [0.0])
     u_err = np.linalg.norm(disp - beta * mesh.nodes) / np.linalg.norm(beta * mesh.nodes)
     print(f"{res:4d} {e0:14.8f} {e_exact:14.8f} {u_err:10.2e}")

@@ -84,12 +84,12 @@ def _scan_rotations(ctx: RunContext, args) -> dict:
     alphas = 2.0 * np.pi * np.arange(grid) / grid
     values = optimal.grid_values
     residuals, second = rotations.boundary_profile(mesh, pi, alphas)
-    seconds = second.tolist() if pi.is_smooth else [None] * grid  # undefined off C^2
+    seconds = [None] * grid if second is None else second.tolist()  # undefined off C^2
     rows = [
         {"alpha": a, "functional_value": v, "el_residual": r, "second_variation_unit": s}
         for a, v, r, s in zip(alphas.tolist(), values.tolist(), residuals.tolist(), seconds)
     ]
-    _emit_csv(args.csv, ["alpha", "functional_value", "el_residual", "second_variation_unit"], rows)
+    _emit_csv(args.csv, list(rows[0]), rows)
     if args.svg:
         svgplot.polar_chart(args.svg, alphas, values, title="rotation functional")
     return {

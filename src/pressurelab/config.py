@@ -162,7 +162,6 @@ class RunContext:
         self.settings = _walk(self.config, SCHEMA, "")  # every key, a default where the config has none
         try:
             self.domain = DomainSpec.from_config(self.settings["domain"])
-            self.domain.validate()
             self._material = MaterialModel.from_config(self.settings["material"])
             self._pi = builtin_pressure(**self.settings["pressure"])
         except ValueError as exc:
@@ -204,17 +203,12 @@ class RunContext:
         return self._pi_hat
 
     def problem(self, resolution: int | None = None) -> Problem:
-        """The problem on the mesh of `resolution` (domain.resolution when None), built once.
-
-        Its fields are read through the `pressure` and `pressure_extended`
-        properties, the extension only when the problem's `pi_hat` is first
-        read.  `benchmarks/tracer.py` wraps both to count the fields'
-        `evaluate` and `gradient` calls, which the solvers and the rotation
-        layer no longer make: they read `potential` and the polar factors."""
+        """The problem on the mesh of `resolution` (domain.resolution when None), built once,
+        with its fields read through the `pressure` and `pressure_extended` properties."""
         res = self.domain.resolution if resolution is None else resolution
         if res not in self._problems:
             mesh = build_domain(replace(self.domain, resolution=res))
-            self._problems[res] = Problem(mesh, self._material, self.pressure, lambda: self.pressure_extended)
+            self._problems[res] = Problem(mesh, self._material, self.pressure, self.pressure_extended)
         return self._problems[res]
 
     @property

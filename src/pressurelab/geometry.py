@@ -66,7 +66,7 @@ class DomainSpec:
         params = {key: float(value) for key, value in (section.get("params") or {}).items()}
         return cls(kind=section["kind"], resolution=int(section["resolution"]), **params)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("disk", "annulus", "four_lobe"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.resolution < 2:
@@ -311,7 +311,6 @@ def _four_lobe(r_small: float, r_large: float, resolution: int):
 
 def build_domain(spec: DomainSpec) -> TriMesh:
     """Build the triangulation of the requested domain, barycenter-normalized."""
-    spec.validate()
     if spec.kind == "disk":
         nodes, tris = _polar_disk(spec.radius, spec.resolution)
     elif spec.kind == "annulus":

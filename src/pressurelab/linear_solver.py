@@ -188,9 +188,11 @@ def project_gradient(mesh: TriMesh, grad: np.ndarray) -> np.ndarray:
 def assemble_load(mesh: TriMesh, pi: PressureField, alpha0: float) -> np.ndarray:
     """Limit load (2N,): the first variation at R0 x of the boundary pressure
     work (`pressure_work`), its gradient there turned back into the reference
-    frame.  A field with a number rate and no support sector is radially
-    symmetric: its load is that of angle 0 at every angle, bit for bit."""
-    R = np.eye(2) if pi.support is None and not callable(pi.polar.rate) else rotation(alpha0)
+    frame.  A field whose polar rate is a number, with no support sector, is
+    radially symmetric: its load is that of angle 0 at every angle, bit for
+    bit.  A field without polar factors (an extension) is rotated."""
+    symmetric = pi.polar is not None and pi.support is None and not callable(pi.polar.rate)
+    R = np.eye(2) if symmetric else rotation(alpha0)
     return (pressure_work(mesh, pi, mesh.nodes @ R.T).gradient(mesh) @ R).ravel()
 
 

@@ -37,6 +37,7 @@ iteration cap was reached.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +170,7 @@ def minimize_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     if not math.isfinite(f):
         raise ProblemError("initial deformation is inadmissible")
     g = gradient_at(z, state)
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y), oldest first
     backtracks = 0
     rejections = 0
     iterations = 0
@@ -181,12 +180,12 @@ def minimize_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
     def two_loop(grad):
         q = grad.copy()
         alphas = []
-        for s, yv, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        for s, yv, rho in reversed(history):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * yv
         q = precond.solve(q, frame_angle)
-        for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+        for (s, yv, rho), a in zip(history, reversed(alphas)):
             b = rho * (yv @ q)
             q += (a - b) * s
         return q
@@ -243,7 +242,7 @@ def minimize_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
         d = -two_loop(g)
         slope = float(g @ d)
         if slope >= 0.0:
-            s_list.clear(); y_list.clear(); rho_list.clear()
+            history.clear()
             d = -precond.solve(g, frame_angle)
             slope = float(g @ d)
 
@@ -258,11 +257,7 @@ def minimize_energy(mesh: TriMesh, material: MaterialModel, pi_hat: PressureFiel
         yv = g_new - g
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_list.append(s)
-            y_list.append(yv)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > _MEMORY:
-                s_list.pop(0); y_list.pop(0); rho_list.pop(0)
+            history.append((s, yv, 1.0 / sy))
         z, f, g, state = z_new, f_new, g_new, state_new
     else:
         iterations = max_iter

@@ -36,7 +36,7 @@ class Polar(NamedTuple):
     each a callable of an array or, when it does not vary, its number, and
     the radial potential A.  The radial factor (unless a number) and A
     should be module functions: the rotation layer keys cached weights by
-    them, and a field is rebuilt on each access."""
+    them."""
 
     radial: Callable | float
     rate: Callable | float
@@ -75,11 +75,6 @@ class PressureField:
     @property
     def is_smooth(self) -> bool:
         return self.smoothness in ("c2", "c3")
-
-    @property
-    def sign_class(self) -> str:
-        """"signed" exactly when a growth exponent bounds a negative part, else "nonnegative"."""
-        return "nonnegative" if self.growth is None else "signed"
 
 
 class _Taper(NamedTuple):  # the radial taper of an extension outside its core [r_in, r_out]

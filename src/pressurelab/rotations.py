@@ -63,23 +63,13 @@ class OptimalSet:
         return angular_distance(wrap_angle(alpha), self.nearest(alpha))
 
     def nearest(self, alpha: float) -> float:
-        """Nearest point of the set, as an angle in [0, 2*pi)."""
+        """Nearest point of the set, as an angle in [0, 2*pi): alpha itself
+        when an arc holds it, else the first closest isolated angle or arc end."""
         a = wrap_angle(alpha)
-        best, best_d = a, math.inf
-        for ang in self.angles:
-            d = angular_distance(a, ang)
-            if d < best_d:
-                best, best_d = ang, d
-        for lo, hi in self.arcs:
-            for shift in (-TWO_PI, 0.0, TWO_PI):
-                aa = a + shift
-                if lo <= aa <= hi:
-                    return wrap_angle(a)
-                for end in (lo, hi):
-                    d = abs(aa - end)
-                    if d < best_d:
-                        best, best_d = wrap_angle(end), d
-        return best
+        if any((a - lo) % TWO_PI <= hi - lo for lo, hi in self.arcs):
+            return a
+        ends = [*self.angles, *(end for arc in self.arcs for end in arc)]
+        return wrap_angle(min(ends, key=lambda end: angular_distance(a, end), default=a))
 
     def sample_angles(self, per_arc: int) -> list[float]:
         out = list(self.angles)
@@ -300,12 +290,13 @@ def boundary_profile(mesh: TriMesh, pi: PressureField, alphas, a: float = 1.0):
     a rho e_theta(theta + alpha), grad pi(R x) . R A x is
     a psi(rho) rate'(theta + alpha): el is (w (N . J x) psi(rho)) .
     rate(theta + alpha) and second is a^2 times the same weights . rate_d1.
-    second is NaN throughout when pi is not C^2; rate_d1 is then never read.
+    second is None when pi is not C^2, where it is undefined; rate_d1 is
+    then never read.
     """
     table, weights = _band(mesh, pi, residual=True)
     rates = (pi.polar.rate, pi.polar.rate_d1) if pi.is_smooth else (pi.polar.rate,)
     el, *slopes = _profiles(table, pi, alphas, [(weights, rate) for rate in rates])
-    return el, (a * a * slopes[0] if slopes else np.full(len(el), math.nan))
+    return el, (a * a * slopes[0] if slopes else None)
 
 
 def el_residual(mesh: TriMesh, pi: PressureField, alpha: float) -> float:
@@ -318,6 +309,7 @@ def second_variation(mesh: TriMesh, pi: PressureField, alpha: float, a: float = 
     """Boundary quadratic form measuring the cost of rotational fluctuations:
     integral of (grad pi(R x) . R A x)(A x . n) with A = a J.
     """
-    if not pi.is_smooth:
+    second = boundary_profile(mesh, pi, [alpha], a)[1]
+    if second is None:
         raise PressureError("second variation needs a C^2 pressure field")
-    return float(boundary_profile(mesh, pi, [alpha], a)[1][0])
+    return float(second[0])

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -101,19 +100,12 @@ def gp_gradient_integral(mesh: TriMesh, material: MaterialModel, u: np.ndarray, 
 @dataclass(frozen=True)
 class Problem:
     """One fixed problem of a sweep: the mesh, the energy density, the pressure
-    pi on the body and its `extension` pi_hat, given as a field or as a
-    function that builds it."""
+    pi on the body and its extension pi_hat, which the finite-strain energy reads."""
 
     mesh: TriMesh
     material: MaterialModel
     pi: PressureField
-    extension: PressureField | Callable[[], PressureField]
-
-    @cached_property
-    def pi_hat(self) -> PressureField:
-        """The extension that the nonlinear solves read, built on first read:
-        a problem that only the limit solves use never builds it."""
-        return self.extension() if callable(self.extension) else self.extension
+    pi_hat: PressureField
 
     @cached_property
     def factor(self) -> StiffnessPreconditioner:

@@ -253,7 +253,7 @@ def test_extension_direct_path(r_inner):
     far = core * (r_outer + 2.0 * delta) / rho[:, None]
     for name, params, variant in FIELDS:
         pi = builtin_pressure(name, params, variant)
-        if pi.sign_class == "signed":
+        if pi.growth is not None:
             continue  # signed fields are extended through their nonnegative shift
         hat = extend_pressure(pi, r_inner, r_outer, delta)
         slope = hat.params["extension"]["slope"]

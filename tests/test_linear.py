@@ -12,6 +12,7 @@ from pressurelab import (
     assemble_load,
     builtin_pressure,
     build_domain,
+    extend_pressure,
     polar_field,
     quadrant_bump_pressure,
 )
@@ -298,6 +299,21 @@ def test_constant_pressure_load_is_the_boundary_load(spec):
     scale = 0.5 * 0.7 * np.max(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]))
     assert np.max(np.abs(load - add_at_load(mesh, const, 0.6))) <= 4.0 * np.finfo(float).eps * scale
     assert np.array_equal(load, assemble_load(mesh, const, 0.0))  # built in the reference frame
+
+
+def test_the_load_of_an_extension_is_the_load_of_its_field(disk16, lobe16):
+    # an extension keeps no polar factors, so its load is built in the rotated
+    # frame; on a body inside its core it is its field, and so is its load: bit
+    # for bit for the bump, whose load is rotated too, and to rounding for
+    # constant pressure, whose load is the one of angle 0
+    bump = quadrant_bump_pressure("strict")
+    bump_hat = extend_pressure(bump, None, 2.2, 1.0)
+    const = builtin_pressure("constant", {"value": 0.1})
+    const_hat = extend_pressure(const, None, 1.1, 0.5)
+    for alpha0 in (0.0, 0.3, np.pi):
+        assert np.array_equal(assemble_load(lobe16, bump_hat, alpha0), assemble_load(lobe16, bump, alpha0))
+        load = assemble_load(disk16, const, alpha0)
+        assert np.max(np.abs(assemble_load(disk16, const_hat, alpha0) - load)) <= 1e-14 * np.max(np.abs(load))
 
 
 @pytest.mark.parametrize("p0", [0.1, -0.3])

@@ -22,8 +22,8 @@ def test_constant_field():
     c = builtin_pressure("constant", {"value": 3.5})
     assert c.evaluate(np.array([0.1, -4.0])) == 3.5
     assert np.all(c.gradient(np.zeros((3, 2))) == 0.0)
-    assert c.sign_class == "nonnegative"
-    assert builtin_pressure("constant", {"value": -3.0}).sign_class == "signed"
+    assert c.growth is None
+    assert builtin_pressure("constant", {"value": -3.0}).growth == 0.0
 
 
 def test_hydrostatic_negative_part():
@@ -31,7 +31,7 @@ def test_hydrostatic_negative_part():
     assert abs(h.evaluate(np.array([0.3, -2.0])) - 2.0) < 1e-15
     assert h.evaluate(np.array([0.3, 2.0])) == 0.0
     assert h.smoothness == "lipschitz"
-    assert h.sign_class == "nonnegative"
+    assert h.growth is None
 
 
 def test_unknown_name_rejected():
@@ -120,7 +120,7 @@ def test_hydrostatic_field_is_its_cartesian_form(c):
 
 def test_negative_hydrostatic_extension_is_continuous_and_below():
     h = builtin_pressure("hydrostatic", {"coefficient": -1.0})
-    assert h.sign_class == "signed" and h.growth == 1.0
+    assert h.growth == 1.0
     for r_inner in (None, 0.6):
         hat = extend_pressure(h, r_inner, 1.1, 0.5)
         t = np.linspace(-np.pi, np.pi, 721)
@@ -139,11 +139,10 @@ def _extensions(field):
 
 @pytest.mark.parametrize("name, params, variant", CATALOG)
 def test_sign_class_is_read_off_growth(name, params, variant):
-    # signed exactly when a growth exponent bounds the negative part; an extension keeps both
+    # signed exactly when a growth exponent bounds the negative part; an extension keeps it
     field = builtin_pressure(name, params, variant)
-    assert field.sign_class == ("nonnegative" if min(params.values(), default=0.0) >= 0.0 else "signed")
-    for f in [field] + _extensions(field):
-        assert (f.sign_class == "signed") == (f.growth is not None)
+    assert (field.growth is None) == (min(params.values(), default=0.0) >= 0.0)
+    for f in _extensions(field):
         assert f.growth == field.growth
 
 
@@ -448,7 +447,7 @@ def test_extension_agrees_on_trusted_region():
 def test_extension_signed_field():
     c = builtin_pressure("constant", {"value": -3.0})
     hat = extend_pressure(c, 1.0, 2.0, 0.5)
-    assert hat.sign_class == "signed"
+    assert hat.growth == 0.0
     mid = np.array([1.5, 0.0])
     assert abs(hat.evaluate(mid) - (-3.0)) < 1e-12
     rng = np.random.default_rng(2)

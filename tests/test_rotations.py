@@ -140,20 +140,31 @@ def _distance_by_shifted_arcs(opt, alpha):
     return best
 
 
+def _assert_distance_by_shifted_arcs(rng, angles, arcs):
+    opt = OptimalSet(angles, arcs, 0.0, 0.0, 0.01, np.zeros(0))
+    ends = [end + shift for arc in arcs for end in arc for shift in (-2.0 * np.pi, 0.0)]
+    for alpha in [*rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 5), *ends]:
+        want = _distance_by_shifted_arcs(opt, alpha)
+        # equal but for the rounding of an arc end to [0, 2 pi)
+        assert abs(opt.distance(alpha) - want) <= np.spacing(2.0 * np.pi), (opt, alpha)
+        if not arcs:
+            assert opt.distance(alpha) == want
+
+
 def test_distance_is_the_distance_to_the_nearest_point():
     rng = np.random.default_rng(8)
     for _ in range(500):
         angles = tuple(rng.uniform(0.0, 2.0 * np.pi, rng.integers(0, 3)))
         lows = rng.uniform(0.0, 2.0 * np.pi, rng.integers(0 if angles else 1, 3))
         arcs = tuple((lo, lo + rng.uniform(0.0, np.pi)) for lo in lows)  # some wrap past 2 pi
-        opt = OptimalSet(angles, arcs, 0.0, 0.0, 0.01, np.zeros(0))
-        ends = [end + shift for arc in arcs for end in arc for shift in (-2.0 * np.pi, 0.0)]
-        for alpha in [*rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 5), *ends]:
-            want = _distance_by_shifted_arcs(opt, alpha)
-            # equal but for the rounding of an arc end to [0, 2 pi)
-            assert abs(opt.distance(alpha) - want) <= np.spacing(2.0 * np.pi), (opt, alpha)
-            if not arcs:
-                assert opt.distance(alpha) == want
+        _assert_distance_by_shifted_arcs(rng, angles, arcs)
+    # and every other shape the studies meet: the whole circle, which every
+    # gamma-disk row reads, an arc longer than pi, and isolated angles alone
+    _assert_distance_by_shifted_arcs(rng, (), ((0.0, 2.0 * np.pi),))
+    for _ in range(100):
+        lo = rng.uniform(-np.pi, np.pi)
+        _assert_distance_by_shifted_arcs(rng, (), ((lo, lo + rng.uniform(np.pi, 2.0 * np.pi)),))
+        _assert_distance_by_shifted_arcs(rng, tuple(rng.uniform(0.0, 2.0 * np.pi, rng.integers(1, 4))), ())
 
 
 def test_grid_floor_rejected(disk16):
@@ -426,7 +437,7 @@ def _assert_profiles_match_reference(mesh, pi, alphas, reference=None, amplitude
             _assert_near_reference(f"second a={amp}", second, second_want,
                                    1e-13 * (1.0 + np.max(np.abs(second_want))))
         else:
-            assert np.all(np.isnan(second))
+            assert second is None
         wants += [el_want, second_want]
     return wants
 

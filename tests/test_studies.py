@@ -6,7 +6,7 @@ from pressurelab.config import RunContext
 from pressurelab.linear_solver import assemble_load, gather
 from pressurelab.material import angular_distance, g_mixed
 from pressurelab.nonlinear_solver import assemble_energy, assemble_gradient, rigid_map, zero_average
-from pressurelab.rotations import find_optimal_rotations
+from pressurelab.rotations import find_optimal_rotations, second_variation
 from pressurelab.studies import (
     Plan,
     Problem,
@@ -393,6 +393,30 @@ def test_refined_study_needs_smooth_pressure(disk16, default_material):
     hyd = builtin_pressure("hydrostatic", {"coefficient": 1.0})
     with pytest.raises(ValueError):
         refined_study(Problem(disk16, default_material, hyd, hyd), Plan(eps_list=(0.04,), seed=1))
+
+
+def test_refined_offset_is_first_order_in_eps(lobe16, default_material):
+    # At a nondegenerate optimal angle alpha* the rotation of the minimizer
+    # moves off alpha* by eps a1 + o(eps), where a1 balances the slope of the
+    # limit energy against the curvature of the rotation functional:
+    # a1 = -E0'(alpha*) / F''(alpha*).  So offset / eps settles as eps halves,
+    # at a1 to within 10 %.  E0' is the central difference of two limit
+    # solves, F'' the second variation.
+    pi = quadratic_field()
+    problem = Problem(lobe16, default_material, pi, extend_pressure(pi, None, 2.2, 1.0))
+    plan = Plan(grad_tol=1e-11, multistart_angles=(0.0, np.pi), eps_list=(0.04, 0.02, 0.01, 0.005),
+                rotation_grid=1024)
+    rep = refined_study(problem, plan)
+    assert all(row["converged"] for row in rep.rows)
+    scaled = np.array([row["offset"] / row["eps"] for row in rep.rows])
+    ratios = scaled[:-1] / scaled[1:]
+    assert np.all((ratios >= 0.9) & (ratios <= 1.1)), scaled
+    alpha, h = rep.limits["s_limit"], 1e-3
+    table = minimize_limit_energy(problem, [alpha - h, alpha + h])[3]
+    slope = (table[1]["E0"] - table[0]["E0"]) / (2.0 * h)
+    predicted = -slope / second_variation(lobe16, pi, alpha)
+    assert np.all(np.sign(scaled) == np.sign(predicted)), (scaled, predicted)
+    assert np.all(np.abs(scaled / predicted - 1.0) <= 0.1), (scaled, predicted)
 
 
 @pytest.fixture(scope="module")
